@@ -4,9 +4,9 @@ The exact lane factors the matrix with bordered LU recurrences over
 arbitrary-precision rationals; quantities that would be exactly zero (pivots,
 or the C band entries the inversion divides by) are replaced by a symbolic
 indeterminate ``t`` so the computation never breaks down, and results are
-read off at t = 0.  A float64 lane (numba-compiled, with a pure-numpy
-fallback selected by ``HEPTACYCLIC_PURE_NUMPY=1``) covers large orders where
-exactness is not required.
+read off at t = 0.  A float64 lane covers large orders where exactness is
+not required: scalar factor and solve loops over Python floats, and an
+inverse that updates all columns at once as numpy row vectors.
 """
 
 from .errors import (
@@ -55,6 +55,7 @@ from .scalars import (
 from .solve import (
     SolveReport,
     solve_many,
+    solve_many_float,
     solve_via_inverse,
     solve_via_lu,
     solve_via_lu_float,
@@ -108,6 +109,7 @@ __all__ = [
     "seed_columns",
     "set_degree_cap",
     "solve_many",
+    "solve_many_float",
     "solve_via_inverse",
     "solve_via_lu",
     "solve_via_lu_float",

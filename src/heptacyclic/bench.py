@@ -6,9 +6,9 @@ scalar that increments a shared counter on every arithmetic operation
 cheap even at n in the thousands; it is supported wherever no symbolic
 substitution fires (use the diagonally-dominant profile, the default).
 
-Timing rows for the float kernels are produced for every available lane
-(numba-compiled and the pure-numpy fallback) so the two can be compared in
-one run.
+The float kernels get one timing row each: the inverse (``inv/float``) and
+a single right-hand-side solve (``solve/float``), both including the factor
+sweep.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class BenchRow:
 
 def bench_suite(n: int, seed: int, profile: str = "diagonally-dominant", repeats: int = 3):
     """Benchmark rows for one instance: exact det (timed and counted),
-    float solve, and the float inverse on every kernel lane."""
+    exact solve, float inverse and float solve."""
     H = random_instance(n, seed, profile)
     rows = []
 
@@ -146,11 +146,10 @@ def bench_suite(n: int, seed: int, profile: str = "diagonally-dominant", repeats
     wall = _best_of(lambda: solve_via_lu(fd, H, rhs), repeats)
     rows.append(BenchRow(n, "solve/exact", wall, ""))
 
-    for lane, impls in sorted(kernels.implementations().items()):
-        wall = _best_of(lambda: kernels.inverse_float(H, impls=impls), repeats)
-        rows.append(BenchRow(n, f"inv/float+{lane}", wall, ""))
-        wall = _best_of(lambda: kernels.solve_float(H, rhs, impls=impls), repeats)
-        rows.append(BenchRow(n, f"solve/float+{lane}", wall, ""))
+    wall = _best_of(lambda: kernels.inverse_float(H), repeats)
+    rows.append(BenchRow(n, "inv/float", wall, ""))
+    wall = _best_of(lambda: kernels.solve_float(H, rhs), repeats)
+    rows.append(BenchRow(n, "solve/float", wall, ""))
     return rows
 
 

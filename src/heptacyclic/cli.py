@@ -36,7 +36,7 @@ from .matrix import (
 )
 from .oracle import compare, dense_inverse
 from .scalars import format_scalar
-from .solve import solve_many, solve_via_lu_float, vector_from_text
+from .solve import solve_many, solve_many_float, vector_from_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +132,7 @@ def _cmd_inv(args) -> int:
     H = matrix_from_json(_read(args.input))
     if args.backend == "float":
         S = inverse_float(H, tol=args.tol)
-        rows = [[float(v) for v in row] for row in S]
+        rows = S.tolist()
         meta = {"backend": "float", "c_substitutions": [], "pivot_overrides": [],
                 "b_substitutions": [], "back_path": "bordered-solve"}
     else:
@@ -161,7 +161,7 @@ def _cmd_solve(args) -> int:
     H = matrix_from_json(_read(args.input))
     columns = vector_from_text(_read(args.rhs))
     if args.backend == "float":
-        reports = [solve_via_lu_float(H, col, tol=args.tol) for col in columns]
+        reports = solve_many_float(H, columns, tol=args.tol)
         exact_residual = False
     else:
         reports = solve_many(H, columns)

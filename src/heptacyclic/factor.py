@@ -17,7 +17,6 @@ entry by entry on random instances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -72,8 +71,9 @@ def factorize(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) 
     Exact lane: entries stay plain rationals until the first zero pivot;
     from that point arithmetic mixes in rational functions of t via operator
     coercion, which is the lazy promotion the symbolic rule needs.
-    Float lane: delegates to the float64 kernels; a pivot below
-    tol * max(1, largest input magnitude) raises NearSingularPivotError.
+    Float lane: delegates to the float64 kernels; a pivot that is zero, NaN
+    or below tol * max(1, largest input magnitude) raises
+    NearSingularPivotError.
     """
     if backend == "float":
         return _factorize_float(H, tol)
@@ -182,18 +182,16 @@ def _ksum(xs, ys, upto):
 
 
 def _factorize_float(H: CyclicHeptaMatrix, tol: float) -> FactorData:
-    arrays = kernels.factor_float(H, tol)
-    vecs = {}
+    fa = kernels.factor_float(H, tol)
     ranges = {
         "alpha": (1, H.n), "f": (2, H.n - 2), "e": (3, H.n - 2), "g": (1, H.n - 3),
         "z": (1, H.n - 4), "k": (1, H.n - 2), "h": (1, H.n - 1), "v": (1, H.n - 1),
         "w": (1, H.n - 2),
     }
-    for name, (lo, hi) in ranges.items():
-        arr = arrays[name]
-        vecs[name] = tuple(
-            float(arr[i]) if lo <= i <= hi else None for i in range(H.n + 1)
-        )
+    vecs = {
+        name: tuple(fa[name][i] if lo <= i <= hi else None for i in range(H.n + 1))
+        for name, (lo, hi) in ranges.items()
+    }
     return FactorData(n=H.n, overrides=(), matrix=H, backend="float", **vecs)
 
 
@@ -238,27 +236,11 @@ def materialize_LU(fd: FactorData, n: Optional[int] = None) -> tuple[DenseMatrix
 def det_from_factors(fd: FactorData):
     """Pivot product evaluated at t=0 (exact lane) or directly (float lane)."""
     if fd.backend == "float":
-        return _float_pivot_product(fd.alpha[1:])
+        return kernels.pivot_product(fd.alpha[1:])
     prod = fd.alpha[1]
     for i in range(2, fd.n + 1):
         prod = prod * fd.alpha[i]
     return eval_at_zero(prod) if isinstance(prod, RatFun) else prod
-
-
-def _float_pivot_product(values) -> float:
-    # accumulate mantissa/exponent separately so long products do not
-    # overflow before the final fold
-    mant, exp = 1.0, 0
-    for value in values:
-        mant *= value
-        if mant == 0.0:
-            return 0.0
-        m, e = math.frexp(mant)
-        mant, exp = m, exp + e
-    try:
-        return math.ldexp(mant, exp)
-    except OverflowError:
-        return math.inf if mant > 0 else -math.inf
 
 
 def determinant(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) -> DetResult:

@@ -1,57 +1,40 @@
 """Float64 kernels for the float backend.
 
-The recurrences are sequential (every pivot feeds the next few), so the hot
-loops are scalar loops over numpy arrays rather than vectorized expressions.
-By default they are compiled with numba's ``@njit``; setting the environment
-variable ``HEPTACYCLIC_PURE_NUMPY=1`` (or running without numba installed)
-selects the identical pure-Python/numpy implementations instead.  Both lanes
-execute the same statements in the same order, so their outputs are
-bit-identical; ``heptacyclic bench`` times the two side by side.
+The factor sweep and the single right-hand-side solve are sequential (every
+pivot feeds the next few), so they are scalar loops over Python floats: the
+bands arrive as ``array('d')`` and the factor vectors are lists, both of
+which index faster than numpy arrays do one element at a time.  The
+inverse solves all n identity columns in one pass: it steps over the rows
+once and updates each row of every column as a numpy vector, in the order
+of the scalar solve's statements, so every entry is bit-identical to the
+single-column solve of its identity column.
 
-All kernel arrays are 1-based (length n+1, slot 0 unused) to keep the
+All kernel vectors are 1-based (length n+1, slot 0 unused) to keep the
 formulas aligned with the band indexing.  There is no symbolic machinery
-here: a pivot whose magnitude falls below the caller's tolerance aborts the
+here: a pivot that is zero, NaN or below the caller's tolerance aborts the
 factorization and the wrapper tells the user to switch to the exact backend.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
 from .errors import NearSingularPivotError
+from .matrix import BAND_NAMES, float_vector
 
-_FORCE_PURE = os.environ.get("HEPTACYCLIC_PURE_NUMPY", "") not in ("", "0")
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    _HAVE_NUMBA = False
-
-NUMBA_ENABLED = _HAVE_NUMBA and not _FORCE_PURE
-KERNEL_MODE = "numba" if NUMBA_ENABLED else "numpy"
+FACTOR_NAMES = ("alpha", "f", "e", "g", "z", "k", "h", "v", "w")
 
 
 def _factor_impl(D, B, b, d, a, A, C, tol):
     """Factor sweep; returns the nine vectors plus the index of the first
-    pivot below tol (0 when none)."""
-    n = D.shape[0] - 1
-    al = np.zeros(n + 1)
-    f = np.zeros(n + 1)
-    e = np.zeros(n + 1)
-    g = np.zeros(n + 1)
-    z = np.zeros(n + 1)
-    k = np.zeros(n + 1)
-    h = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    w = np.zeros(n + 1)
+    pivot that is not >= tol (0 when none).  NaN fails that test too."""
+    n = len(D) - 1
+    al, f, e, g, z, k, h, v, w = ([0.0] * (n + 1) for _ in FACTOR_NAMES)
 
     al[1] = d[1]
-    if abs(al[1]) < tol:
+    if not abs(al[1]) >= tol:
         return al, f, e, g, z, k, h, v, w, 1
     g[1] = a[1]
     z[1] = A[1]
@@ -62,7 +45,7 @@ def _factor_impl(D, B, b, d, a, A, C, tol):
     f[2] = b[2] / al[1]
     e[3] = B[3] / al[1]
     al[2] = d[2] - f[2] * g[1]
-    if abs(al[2]) < tol:
+    if not abs(al[2]) >= tol:
         return al, f, e, g, z, k, h, v, w, 2
     k[2] = -k[1] * g[1] / al[2]
     v[2] = B[2] - f[2] * v[1]
@@ -71,7 +54,7 @@ def _factor_impl(D, B, b, d, a, A, C, tol):
     g[2] = a[2] - f[2] * z[1]
     f[3] = (b[3] - e[3] * g[1]) / al[2]
     al[3] = d[3] - e[3] * z[1] - f[3] * g[2]
-    if abs(al[3]) < tol:
+    if not abs(al[3]) >= tol:
         return al, f, e, g, z, k, h, v, w, 3
     k[3] = -(k[1] * z[1] + k[2] * g[2]) / al[3]
     h[3] = -(h[1] * z[1] + h[2] * g[2]) / al[3]
@@ -84,7 +67,7 @@ def _factor_impl(D, B, b, d, a, A, C, tol):
         z[i - 2] = A[i - 2] - f[i - 2] * C[i - 3]
         g[i - 1] = a[i - 1] - f[i - 1] * z[i - 2] - e[i - 1] * C[i - 3]
         al[i] = d[i] - D[i] * C[i - 3] / al[i - 3] - e[i] * z[i - 2] - f[i] * g[i - 1]
-        if abs(al[i]) < tol:
+        if not abs(al[i]) >= tol:
             return al, f, e, g, z, k, h, v, w, i
 
     for i in range(4, n - 4):
@@ -113,7 +96,7 @@ def _factor_impl(D, B, b, d, a, A, C, tol):
     for j in range(1, n - 1):
         s += w[j] * k[j]
     al[n - 1] = d[n - 1] - s
-    if abs(al[n - 1]) < tol:
+    if not abs(al[n - 1]) >= tol:
         return al, f, e, g, z, k, h, v, w, n - 1
     s = 0.0
     for j in range(1, n - 1):
@@ -123,16 +106,16 @@ def _factor_impl(D, B, b, d, a, A, C, tol):
     for j in range(1, n):
         s += v[j] * h[j]
     al[n] = d[n] - s
-    if abs(al[n]) < tol:
+    if not abs(al[n]) >= tol:
         return al, f, e, g, z, k, h, v, w, n
     return al, f, e, g, z, k, h, v, w, 0
 
 
 def _solve_impl(D, C, al, f, e, g, z, k, h, v, w, rhs):
-    """Forward/back substitution through the bordered factors; O(n)."""
-    n = al.shape[0] - 1
-    y = np.zeros(n + 1)
-    x = np.zeros(n + 1)
+    """Forward/back substitution of one right-hand side; O(n)."""
+    n = len(al) - 1
+    y = [0.0] * (n + 1)
+    x = [0.0] * (n + 1)
     y[1] = rhs[1]
     y[2] = rhs[2] - f[2] * y[1]
     y[3] = rhs[3] - f[3] * y[2] - e[3] * y[1]
@@ -162,107 +145,120 @@ def _solve_impl(D, C, al, f, e, g, z, k, h, v, w, rhs):
 
 
 def _invert_impl(D, C, al, f, e, g, z, k, h, v, w):
-    """Inverse column by column through the factors; O(n^2) total."""
-    n = al.shape[0] - 1
-    S = np.zeros((n, n))
-    y = np.zeros(n + 1)
-    x = np.zeros(n + 1)
-    for col in range(1, n + 1):
-        y[1] = 1.0 if col == 1 else 0.0
-        y[2] = (1.0 if col == 2 else 0.0) - f[2] * y[1]
-        y[3] = (1.0 if col == 3 else 0.0) - f[3] * y[2] - e[3] * y[1]
-        for i in range(4, n - 1):
-            r = 1.0 if col == i else 0.0
-            y[i] = r - f[i] * y[i - 1] - e[i] * y[i - 2] - D[i] * y[i - 3] / al[i - 3]
-        s = 0.0
-        for j in range(1, n - 1):
-            s += k[j] * y[j]
-        y[n - 1] = (1.0 if col == n - 1 else 0.0) - s
-        s = 0.0
-        for j in range(1, n):
-            s += h[j] * y[j]
-        y[n] = (1.0 if col == n else 0.0) - s
+    """All n identity columns through the factors in one pass; O(n^2).
 
-        x[n] = y[n] / al[n]
-        x[n - 1] = (y[n - 1] - v[n - 1] * x[n]) / al[n - 1]
-        for i in range(n - 2, 0, -1):
-            acc = y[i] - w[i] * x[n - 1] - v[i] * x[n]
-            if i + 1 <= n - 2:
-                acc -= g[i] * x[i + 1]
-            if i + 2 <= n - 2:
-                acc -= z[i] * x[i + 2]
-            if i + 3 <= n - 2:
-                acc -= C[i] * x[i + 3]
-            x[i] = acc / al[i]
-        for i in range(1, n + 1):
-            S[i - 1, col - 1] = x[i]
-    return S
+    Row i of Y holds y[i], then x[i], of every column.  Each statement of
+    _solve_impl becomes row operations in the same order, and the border
+    sums are accumulated row by row (a dot product or BLAS call would sum
+    in another order), so each entry matches _solve_impl bit for bit.
+    """
+    n = len(al) - 1
+    Y = np.zeros((n + 1, n))
+    np.fill_diagonal(Y[1:], 1.0)
+    t = np.empty(n)
+
+    def sub(i, c, j):  # Y[i] -= c * Y[j]
+        np.multiply(Y[j], c, out=t)
+        np.subtract(Y[i], t, out=Y[i])
+
+    sub(2, f[2], 1)
+    sub(3, f[3], 2)
+    sub(3, e[3], 1)
+    for i in range(4, n - 1):
+        sub(i, f[i], i - 1)
+        sub(i, e[i], i - 2)
+        np.multiply(Y[i - 3], D[i], out=t)
+        np.divide(t, al[i - 3], out=t)
+        np.subtract(Y[i], t, out=Y[i])
+    sk = np.zeros(n)
+    sh = np.zeros(n)
+    for j in range(1, n - 1):
+        sk += np.multiply(Y[j], k[j], out=t)
+        sh += np.multiply(Y[j], h[j], out=t)
+    Y[n - 1] -= sk
+    sh += np.multiply(Y[n - 1], h[n - 1], out=t)
+    Y[n] -= sh
+
+    Y[n] /= al[n]
+    sub(n - 1, v[n - 1], n)
+    Y[n - 1] /= al[n - 1]
+    for i in range(n - 2, 0, -1):
+        sub(i, w[i], n - 1)
+        sub(i, v[i], n)
+        if i + 1 <= n - 2:
+            sub(i, g[i], i + 1)
+        if i + 2 <= n - 2:
+            sub(i, z[i], i + 2)
+        if i + 3 <= n - 2:
+            sub(i, C[i], i + 3)
+        Y[i] /= al[i]
+    return Y[1:]
 
 
-PURE_IMPLS = {"factor": _factor_impl, "solve": _solve_impl, "invert": _invert_impl}
-
-if NUMBA_ENABLED:
-    _jit = njit(cache=True)
-    ACTIVE_IMPLS = {name: _jit(fn) for name, fn in PURE_IMPLS.items()}
-else:
-    ACTIVE_IMPLS = PURE_IMPLS
-
-factor_kernel = ACTIVE_IMPLS["factor"]
-solve_kernel = ACTIVE_IMPLS["solve"]
-invert_kernel = ACTIVE_IMPLS["invert"]
-
-
-def implementations() -> dict:
-    """Available kernel lanes, for benchmarks: {'numba': ..., 'numpy': ...}."""
-    lanes = {"numpy": PURE_IMPLS}
-    if NUMBA_ENABLED:
-        lanes["numba"] = ACTIVE_IMPLS
-    return lanes
+# looked up at call time, so a caller can wrap an entry (tracing, counting)
+ACTIVE_IMPLS = {"factor": _factor_impl, "solve": _solve_impl, "invert": _invert_impl}
 
 
 # ---------------------------------------------------------------------------
 # wrappers over CyclicHeptaMatrix
 # ---------------------------------------------------------------------------
 
-def _abs_tol(H, tol: float) -> float:
-    return tol * max(1.0, H.max_abs_entry())
+def _abs_tol(bands: dict, tol: float) -> float:
+    scale = max(1.0, *(max(max(band), -min(band)) for band in bands.values()))
+    # the floor refuses an exact zero pivot even when tol <= 0
+    return max(tol * scale, math.ulp(0.0))
 
 
-def factor_float(H, tol: float = 1e-12, impls=None) -> dict:
-    """Float factorization of an exact matrix; raises NearSingularPivotError."""
-    impls = impls or ACTIVE_IMPLS
+def factor_float(H, tol: float = 1e-12) -> dict:
+    """Float factorization of an exact matrix; raises NearSingularPivotError.
+
+    Converts the bands once; the result also carries the D and C bands the
+    substitutions read.
+    """
     fb = H.float_bands()
-    out = impls["factor"](
-        fb["D"], fb["B"], fb["b"], fb["d"], fb["a"], fb["A"], fb["C"], _abs_tol(H, tol)
-    )
-    al, f, e, g, z, k, h, v, w, bad = out
+    *vectors, bad = ACTIVE_IMPLS["factor"](*(fb[name] for name in BAND_NAMES), _abs_tol(fb, tol))
     if bad:
-        raise NearSingularPivotError(int(bad))
-    return {
-        "alpha": al, "f": f, "e": e, "g": g, "z": z,
-        "k": k, "h": h, "v": v, "w": w,
-        "D": fb["D"], "C": fb["C"],
-    }
+        raise NearSingularPivotError(bad)
+    fa = dict(zip(FACTOR_NAMES, vectors))
+    fa["D"], fa["C"] = fb["D"], fb["C"]
+    return fa
 
 
-def solve_float(H, rhs, tol: float = 1e-12, impls=None) -> np.ndarray:
-    """Solve H x = rhs in float64; returns a 0-based length-n array."""
-    impls = impls or ACTIVE_IMPLS
-    fa = factor_float(H, tol, impls)
-    r = np.zeros(H.n + 1)
-    r[1:] = [float(v) for v in rhs]
-    x = impls["solve"](
-        fa["D"], fa["C"], fa["alpha"], fa["f"], fa["e"], fa["g"], fa["z"],
-        fa["k"], fa["h"], fa["v"], fa["w"], r,
-    )
-    return x[1:]
+def _factor_args(fa: dict) -> list:
+    return [fa[name] for name in ("D", "C", *FACTOR_NAMES)]
 
 
-def inverse_float(H, tol: float = 1e-12, impls=None) -> np.ndarray:
-    """Dense float64 inverse via per-column substitution through the factors."""
-    impls = impls or ACTIVE_IMPLS
-    fa = factor_float(H, tol, impls)
-    return impls["invert"](
-        fa["D"], fa["C"], fa["alpha"], fa["f"], fa["e"], fa["g"], fa["z"],
-        fa["k"], fa["h"], fa["v"], fa["w"],
-    )
+def solve_factored(fa: dict, rhs: list) -> list:
+    """Solve with factors from factor_float; ``rhs`` is 1-based, as
+    ``matrix.float_vector`` returns it, and the result is a 0-based list."""
+    return ACTIVE_IMPLS["solve"](*_factor_args(fa), rhs)[1:]
+
+
+def solve_float(H, rhs, tol: float = 1e-12) -> list:
+    """Solve H x = rhs in float64; returns a 0-based list of length n."""
+    if len(rhs) != H.n:
+        raise ValueError(f"right-hand side length {len(rhs)} != order {H.n}")
+    r = float_vector(rhs, "rhs")
+    return solve_factored(factor_float(H, tol), r)
+
+
+def inverse_float(H, tol: float = 1e-12) -> np.ndarray:
+    """Dense float64 inverse: one factor sweep, then all columns at once."""
+    return ACTIVE_IMPLS["invert"](*_factor_args(factor_float(H, tol)))
+
+
+def pivot_product(values) -> float:
+    """Product of float pivots without intermediate overflow or underflow."""
+    # accumulate mantissa/exponent separately so long products do not
+    # overflow before the final fold
+    mant, exp = 1.0, 0
+    for value in values:
+        mant *= value
+        if mant == 0.0:
+            return 0.0
+        m, e = math.frexp(mant)
+        mant, exp = m, exp + e
+    try:
+        return math.ldexp(mant, exp)
+    except OverflowError:
+        return math.inf if mant > 0 else -math.inf

@@ -20,10 +20,9 @@ import csv
 import io
 import json
 import random
+from array import array
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .scalars import RatFun, format_scalar, is_zero, parse_scalar
 
@@ -129,14 +128,8 @@ class CyclicHeptaMatrix:
         return out
 
     def float_bands(self) -> dict:
-        """Bands as 1-based float64 arrays (index 0 unused) for the kernels."""
-        out = {}
-        for name in BAND_NAMES:
-            arr = np.zeros(self.n + 1, dtype=np.float64)
-            for i, v in enumerate(self.band(name), start=1):
-                arr[i] = float(v)
-            out[name] = arr
-        return out
+        """Bands as 1-based arrays of doubles (slot 0 unused) for the kernels."""
+        return {name: float_vector(self.band(name), f"band {name}") for name in BAND_NAMES}
 
     def max_abs_entry(self) -> float:
         return max(
@@ -156,6 +149,28 @@ class CyclicHeptaMatrix:
 
     def __repr__(self) -> str:
         return f"CyclicHeptaMatrix(n={self.n})"
+
+
+def float_vector(values, label: str) -> array:
+    """``values`` as a 1-based array of doubles (slot 0 unused).
+
+    An array holds the values in a quarter of the memory of a list of
+    floats.  An entry beyond the float64 range raises ValueError naming
+    ``label`` and the entry's 1-based index.
+    """
+    out = [0.0]
+    for i, value in enumerate(values, start=1):
+        try:
+            if type(value) is Fraction:
+                # the division float() does, without its generic dispatch
+                out.append(value.numerator / value.denominator)
+            else:
+                out.append(float(value))
+        except OverflowError:
+            raise ValueError(
+                f"{label} entry {i} is beyond the float64 range; use the exact backend"
+            ) from None
+    return array("d", out)
 
 
 def build(n: int, D, B, b, d, a, A, C) -> CyclicHeptaMatrix:

@@ -22,7 +22,7 @@ from .factor import (
     require_nonsingular,
 )
 from .inverse import invert
-from .matrix import CyclicHeptaMatrix
+from .matrix import CyclicHeptaMatrix, float_vector
 from .scalars import eval_at_zero, parse_scalar
 
 
@@ -87,16 +87,26 @@ def solve_via_lu(fd: FactorData, H: CyclicHeptaMatrix, r: Sequence) -> SolveRepo
 
 def solve_via_lu_float(H: CyclicHeptaMatrix, r: Sequence, tol: float = 1e-12) -> SolveReport:
     """Float64 LU solve on the kernel lane."""
-    if len(r) != H.n:
-        raise ValueError(f"right-hand side length {len(r)} != order {H.n}")
-    x = kernels.solve_float(H, [float(v) for v in r], tol)
-    fd = factorize(H, backend="float", tol=tol)
-    return SolveReport(
-        x=tuple(float(v) for v in x),
-        det=det_from_factors(fd),
-        method="via-lu",
-        backend="float",
-    )
+    return solve_many_float(H, [r], tol)[0]
+
+
+def solve_many_float(H: CyclicHeptaMatrix, columns: Sequence[Sequence],
+                     tol: float = 1e-12) -> list[SolveReport]:
+    """Float64 solves of independent right-hand sides, one report per column.
+
+    One factor sweep serves every column and the reported determinant.
+    """
+    rhs = []
+    for idx, col in enumerate(columns, start=1):
+        if len(col) != H.n:
+            raise ValueError(f"right-hand side length {len(col)} != order {H.n}")
+        rhs.append(float_vector(col, "rhs" if len(columns) == 1 else f"rhs column {idx}"))
+    fa = kernels.factor_float(H, tol)
+    det = kernels.pivot_product(fa["alpha"][1:])
+    return [
+        SolveReport(x=tuple(kernels.solve_factored(fa, r)), det=det, method="via-lu", backend="float")
+        for r in rhs
+    ]
 
 
 def solve_many(H: CyclicHeptaMatrix, columns: Sequence[Sequence]) -> list[SolveReport]:

@@ -211,7 +211,7 @@ def test_criterion_7():
     ops_2000 = count_det_ops(random_instance(2000, 1, "diagonally-dominant"))
     assert ops_2000 <= 2.5 * ops_1000
 
-    kernels.inverse_float(random_instance(64, 0, "diagonally-dominant"))  # warm the JIT
+    kernels.inverse_float(random_instance(64, 0, "diagonally-dominant"))  # warm-up, untimed
     # On a shared machine the speed can shift by up to 2x between plateaus a
     # few seconds long, so the best time of each size may come from a
     # different speed.  The sizes therefore alternate (512, 1024, 512, ..., 512) and

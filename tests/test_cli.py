@@ -170,13 +170,8 @@ class TestBench:
         assert lines[0] == "n,command,wall_time_s,field_ops"
         commands = [line.split(",")[1] for line in lines[1:]]
         assert "det/exact" in commands
-        # one inverse row and one solve row per available float lane
-        lanes = set(kernels.implementations())
-        assert "numpy" in lanes
-        float_rows = sorted(c for c in commands if "/float+" in c)
-        assert float_rows == sorted(
-            f"{op}/float+{lane}" for op in ("inv", "solve") for lane in lanes
-        )
+        # the float lane has one implementation: one inverse and one solve row
+        assert sorted(c for c in commands if "float" in c) == ["inv/float", "solve/float"]
         det_row = next(line for line in lines[1:] if line.split(",")[1] == "det/exact")
         assert int(det_row.split(",")[3]) > 0
 
@@ -204,3 +199,88 @@ class TestInputErrors:
         code, _, err = run(["det", "--input", singular_path, "--backend", "float"], capsys)
         assert code == 2
         assert "use exact backend" in err
+
+
+def _example_bands():
+    return json.loads(fixture_path("example10.json").read_text())
+
+
+def _write_bands(tmp_path, name, bands):
+    path = tmp_path / name
+    path.write_text(json.dumps(bands))
+    return str(path)
+
+
+def _float_argv(command, matrix, rhs):
+    argv = [command, "--input", matrix, "--backend", "float"]
+    return argv + ["--rhs", rhs] if command == "solve" else argv
+
+
+class TestFloatEdgeInputs:
+    @pytest.mark.parametrize("command", ["det", "inv", "solve"])
+    def test_entry_beyond_float_range_exits_3(self, command, tmp_path, rhs_path, capsys):
+        bands = _example_bands()
+        bands["A"][4] = "1e400"
+        matrix = _write_bands(tmp_path, "big.json", bands)
+        code, out, err = run(_float_argv(command, matrix, rhs_path), capsys)
+        assert code == 3
+        assert out == ""
+        assert "band A entry 5" in err and "exact backend" in err
+
+    @pytest.mark.parametrize("name, text, where", [
+        ("r.json", json.dumps(["1"] * 6 + ["1e400"] + ["1"] * 3), "rhs entry 7"),
+        ("r.csv", "".join(f"1,{'1e400' if k == 3 else 1}\n" for k in range(10)),
+         "rhs column 2 entry 4"),
+    ])
+    def test_rhs_beyond_float_range_exits_3(self, name, text, where, tmp_path, example_path, capsys):
+        rhs = tmp_path / name
+        rhs.write_text(text)
+        code, out, err = run(_float_argv("solve", example_path, str(rhs)), capsys)
+        assert code == 3
+        assert out == ""
+        assert where in err and "exact backend" in err
+
+    @pytest.mark.parametrize("tol", [None, "0", "-1"])
+    @pytest.mark.parametrize("command", ["det", "inv", "solve"])
+    def test_overflowing_pivots_refused(self, command, tol, tmp_path, rhs_path, capsys):
+        # products of entries near 1e200 overflow, so pivots turn into NaN
+        bands = {key: value if key == "n" else [str(Fr(v) * 10**200) for v in value]
+                 for key, value in _example_bands().items()}
+        argv = _float_argv(command, _write_bands(tmp_path, "scaled.json", bands), rhs_path)
+        if tol is not None:
+            argv += ["--tol", tol]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "use exact backend" in err
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["det", "inv", "solve"])
+    def test_zero_pivot_refused_without_tolerance(self, command, tol, tmp_path, rhs_path, capsys):
+        bands = _example_bands()
+        bands["d"][0] = "0"  # the first pivot is d_1
+        argv = _float_argv(command, _write_bands(tmp_path, "d1.json", bands), rhs_path)
+        code, out, err = run(argv + ["--tol", tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert "pivot at 1" in err
+
+
+class TestFloatFactorSweeps:
+    @pytest.mark.parametrize("command, columns", [
+        ("det", 0), ("inv", 0), ("solve", 1), ("solve", 4),
+    ])
+    def test_one_sweep_per_call(self, command, columns, tmp_path, example_path, monkeypatch, capsys):
+        calls = []
+        factor = kernels.ACTIVE_IMPLS["factor"]
+
+        def counting(*args):
+            calls.append(1)
+            return factor(*args)
+
+        monkeypatch.setitem(kernels.ACTIVE_IMPLS, "factor", counting)
+        rhs = tmp_path / "r.csv"
+        rhs.write_text("".join(",".join(str(k + c) for c in range(columns)) + "\n" for k in range(10)))
+        code, _, _ = run(_float_argv(command, example_path, str(rhs)), capsys)
+        assert code == 0
+        assert len(calls) == 1
