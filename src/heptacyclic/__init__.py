@@ -5,8 +5,9 @@ arbitrary-precision rationals; quantities that would be exactly zero (pivots,
 or the C band entries the inversion divides by) are replaced by a symbolic
 indeterminate ``t`` so the computation never breaks down, and results are
 read off at t = 0.  A float64 lane covers large orders where exactness is
-not required: scalar factor and solve loops over Python floats, and an
-inverse that updates all columns at once as numpy row vectors.
+not required: it runs the same factor sweep and substitution over float64
+bands, refusing near-singular pivots instead of substituting, and its
+inverse updates all columns at once as numpy row vectors.
 """
 
 from .errors import (
@@ -30,7 +31,6 @@ from .matrix import (
     BAND_NAMES,
     CyclicHeptaMatrix,
     DenseMatrix,
-    build,
     dense_from_csv,
     dense_to_csv,
     from_dense,
@@ -43,22 +43,17 @@ from .oracle import CompareReport, OracleReport, compare, dense_det, dense_inver
 from .scalars import (
     Poly,
     RatFun,
-    Rational,
     T,
     eval_at_zero,
     format_scalar,
     parse_scalar,
     poly_gcd,
-    ratfun_normalize,
     set_degree_cap,
 )
 from .solve import (
     SolveReport,
     solve_many,
-    solve_many_float,
-    solve_via_inverse,
     solve_via_lu,
-    solve_via_lu_float,
 )
 
 __version__ = "0.1.0"
@@ -79,12 +74,10 @@ __all__ = [
     "Poly",
     "PoleAtZeroError",
     "RatFun",
-    "Rational",
     "SingularMatrixError",
     "SolveReport",
     "T",
     "back_columns",
-    "build",
     "compare",
     "dense_det",
     "dense_from_csv",
@@ -105,13 +98,9 @@ __all__ = [
     "parse_scalar",
     "poly_gcd",
     "random_instance",
-    "ratfun_normalize",
     "seed_columns",
     "set_degree_cap",
     "solve_many",
-    "solve_many_float",
-    "solve_via_inverse",
     "solve_via_lu",
-    "solve_via_lu_float",
     "to_dense",
 ]

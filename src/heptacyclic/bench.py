@@ -16,11 +16,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from . import kernels
 from .factor import determinant, factorize
-from .inverse import invert
+from .inverse import invert, inverse_float
 from .matrix import CyclicHeptaMatrix, random_instance
-from .solve import solve_via_lu
+from .solve import solve_many, solve_via_lu
 
 
 class OpCounter:
@@ -146,9 +145,9 @@ def bench_suite(n: int, seed: int, profile: str = "diagonally-dominant", repeats
     wall = _best_of(lambda: solve_via_lu(fd, H, rhs), repeats)
     rows.append(BenchRow(n, "solve/exact", wall, ""))
 
-    wall = _best_of(lambda: kernels.inverse_float(H), repeats)
+    wall = _best_of(lambda: inverse_float(H), repeats)
     rows.append(BenchRow(n, "inv/float", wall, ""))
-    wall = _best_of(lambda: kernels.solve_float(H, rhs), repeats)
+    wall = _best_of(lambda: solve_many(H, [rhs], backend="float"), repeats)
     rows.append(BenchRow(n, "solve/float", wall, ""))
     return rows
 

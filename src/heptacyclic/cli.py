@@ -36,7 +36,7 @@ from .matrix import (
 )
 from .oracle import compare, dense_inverse
 from .scalars import format_scalar
-from .solve import solve_many, solve_many_float, vector_from_text
+from .solve import solve_many, vector_from_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_inv)
     p_inv.add_argument("--parallel-seeds", action="store_true",
                        help="compute the five seed columns concurrently")
-    p_inv.add_argument("--apply-b-substitution", action="store_true",
-                       help="also replace zero B_i (i >= 6) by the indeterminate")
 
     p_solve = sub.add_parser("solve", help="solve Hx = r")
     add_common(p_solve, rhs=True)
@@ -88,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oc = sub.add_parser("oracle-check")
     p_oc.add_argument("--input", required=True)
     p_oc.add_argument("--parallel-seeds", action="store_true")
-    p_oc.add_argument("--apply-b-substitution", action="store_true")
     p_oc.add_argument("--out", help="output path (stdout when omitted)")
     return parser
 
@@ -134,16 +131,14 @@ def _cmd_inv(args) -> int:
         S = inverse_float(H, tol=args.tol)
         rows = S.tolist()
         meta = {"backend": "float", "c_substitutions": [], "pivot_overrides": [],
-                "b_substitutions": [], "back_path": "bordered-solve"}
+                "back_path": "bordered-solve"}
     else:
-        result = invert(H, parallel_seeds=args.parallel_seeds,
-                        apply_b_substitution=args.apply_b_substitution)
+        result = invert(H, parallel_seeds=args.parallel_seeds)
         rows = result.S.rows
         meta = {
             "backend": "exact",
             "c_substitutions": list(result.c_substitutions),
             "pivot_overrides": list(result.pivot_overrides),
-            "b_substitutions": list(result.b_substitutions),
             "back_path": result.back_path,
         }
     if args.format == "csv":
@@ -160,15 +155,11 @@ def _cmd_inv(args) -> int:
 def _cmd_solve(args) -> int:
     H = matrix_from_json(_read(args.input))
     columns = vector_from_text(_read(args.rhs))
-    if args.backend == "float":
-        reports = solve_many_float(H, columns, tol=args.tol)
-        exact_residual = False
-    else:
-        reports = solve_many(H, columns)
-        exact_residual = all(
-            all(u == v for u, v in zip(H.mat_vec(list(rep.x)), col))
-            for rep, col in zip(reports, columns)
-        )
+    reports = solve_many(H, columns, backend=args.backend, tol=args.tol)
+    exact_residual = args.backend == "exact" and all(
+        all(u == v for u, v in zip(H.mat_vec(list(rep.x)), col))
+        for rep, col in zip(reports, columns)
+    )
     xs = [[format_scalar(v) for v in rep.x] for rep in reports]
     payload = {
         "det": format_scalar(reports[0].det),
@@ -200,8 +191,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     H = matrix_from_json(_read(args.input))
-    result = invert(H, parallel_seeds=args.parallel_seeds,
-                    apply_b_substitution=args.apply_b_substitution)
+    result = invert(H, parallel_seeds=args.parallel_seeds)
     reference = dense_inverse(to_dense(H))
     report = compare(result.S, reference)
     payload = {

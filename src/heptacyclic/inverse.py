@@ -47,7 +47,6 @@ class InverseResult:
     S: DenseMatrix
     c_substitutions: tuple
     pivot_overrides: tuple
-    b_substitutions: tuple = ()
     back_path: str = "recursion"
 
 
@@ -194,44 +193,28 @@ def back_columns(H: CyclicHeptaMatrix, seeds: tuple) -> dict:
     return {j: cols[j] for j in range(1, n - 4)}
 
 
-def _substitute_zero_bands(H: CyclicHeptaMatrix, apply_b: bool):
-    """Replace zero C_i (i <= n-5) — and optionally zero B_i (i >= 6) — by t."""
-    n = H.n
-    c_subs, b_subs = [], []
+def _substitute_zero_c(H: CyclicHeptaMatrix):
+    """Replace every zero C_i (i <= n-5) by t."""
     Cnew = list(H.band("C"))
-    for i in range(1, n - 4):
-        if is_zero(Cnew[i - 1]):
-            Cnew[i - 1] = T
-            c_subs.append(i)
-    out = H.replace_band("C", Cnew) if c_subs else H
-    if apply_b:
-        Bnew = list(out.band("B"))
-        for i in range(6, n + 1):
-            if is_zero(Bnew[i - 1]):
-                Bnew[i - 1] = T
-                b_subs.append(i)
-        if b_subs:
-            out = out.replace_band("B", Bnew)
-    return out, tuple(c_subs), tuple(b_subs)
+    c_subs = tuple(i for i in range(1, H.n - 4) if is_zero(Cnew[i - 1]))
+    for i in c_subs:
+        Cnew[i - 1] = T
+    return (H.replace_band("C", Cnew) if c_subs else H), c_subs
 
 
 def _basis_vector(n: int, j: int) -> list:
     return [_ONE if i == j else Fraction(0) for i in range(1, n + 1)]
 
 
-def invert(
-    H: CyclicHeptaMatrix,
-    parallel_seeds: bool = False,
-    apply_b_substitution: bool = False,
-) -> InverseResult:
+def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
     """Exact inverse of H, or SingularMatrixError.
 
-    Pipeline: substitute zero bands, check the determinant, factor, build
+    Pipeline: substitute zero C entries, check the determinant, factor, build
     the five seed columns, recover the remaining columns, evaluate at t=0.
     The result is the inverse of the original (unperturbed) matrix.
     """
     n = H.n
-    Hp, c_subs, b_subs = _substitute_zero_bands(H, apply_b_substitution)
+    Hp, c_subs = _substitute_zero_c(H)
     fd = factorize(Hp)
     require_nonsingular(fd)
     seeds = seed_columns(fd, Hp, parallel=parallel_seeds)
@@ -258,11 +241,13 @@ def invert(
         S=DenseMatrix(rows),
         c_substitutions=c_subs,
         pivot_overrides=fd.overrides,
-        b_substitutions=b_subs,
         back_path=back_path,
     )
 
 
 def inverse_float(H: CyclicHeptaMatrix, tol: float = 1e-12):
-    """Float64 inverse (kernel lane); near-singular pivots are refused."""
-    return kernels.inverse_float(H, tol)
+    """Dense float64 inverse: one factor sweep, then all columns at once.
+
+    Near-singular pivots are refused as in ``factorize(H, "float", tol)``.
+    """
+    return kernels.ACTIVE_IMPLS["invert"](factorize(H, "float", tol))

@@ -173,11 +173,6 @@ def float_vector(values, label: str) -> array:
     return array("d", out)
 
 
-def build(n: int, D, B, b, d, a, A, C) -> CyclicHeptaMatrix:
-    """Validate seven length-n band vectors and assemble the matrix."""
-    return CyclicHeptaMatrix(n, D, B, b, d, a, A, C)
-
-
 class DenseMatrix:
     """Square dense matrix of exact scalars; oracle and test surface."""
 

@@ -2,8 +2,8 @@
 
 Three scalar kinds flow through the solvers:
 
-* ``Rational`` — an alias of :class:`fractions.Fraction`: arbitrary
-  precision, always reduced, positive denominator.
+* :class:`fractions.Fraction` — rationals of arbitrary precision, always
+  reduced, positive denominator.
 * ``Poly`` — univariate polynomial in the indeterminate ``t`` over
   rationals, coefficients stored ascending (index k holds the coefficient
   of t^k), leading coefficient nonzero; the zero polynomial is the empty
@@ -16,8 +16,8 @@ Three scalar kinds flow through the solvers:
 
 All scalars are immutable; mixed arithmetic coerces ``int`` and ``Fraction``
 operands into ``RatFun`` automatically.  Floats are deliberately rejected in
-symbolic arithmetic: the float lane lives in :mod:`heptacyclic.kernels` and
-has no ``t`` machinery at all.
+symbolic arithmetic: the float lane runs the shared recurrences of
+:mod:`heptacyclic.kernels` over float64 bands and never meets ``t``.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegreeCapError, PoleAtZeroError
-
-Rational = Fraction
 
 _F_ZERO = Fraction(0)
 
@@ -398,11 +396,6 @@ class RatFun:
 
 #: The shared indeterminate used by every zero-entry substitution.
 T = RatFun(Poly((0, 1)))
-
-
-def ratfun_normalize(num: Poly, den: Poly) -> RatFun:
-    """Build the canonical rational function num/den."""
-    return RatFun(num, den)
 
 
 def is_zero(x) -> bool:

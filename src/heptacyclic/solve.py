@@ -1,9 +1,7 @@
 """Linear system solvers Hx = r.
 
-Two exact routes: multiply by the full inverse (reuses the heavily tested
-inversion path) or substitute through the bordered LU factors (O(n) per
-right-hand side, the CLI default).  Both produce identical exact vectors;
-the float lane mirrors the LU route in float64.
+Forward/back substitution through the bordered LU factors, O(n) per
+right-hand side; the exact and float lanes run the same substitution.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from . import kernels
 from .factor import (
     FactorData,
     det_from_factors,
@@ -21,7 +18,6 @@ from .factor import (
     lu_substitute,
     require_nonsingular,
 )
-from .inverse import invert
 from .matrix import CyclicHeptaMatrix, float_vector
 from .scalars import eval_at_zero, parse_scalar
 
@@ -39,27 +35,6 @@ def _check_rhs(H: CyclicHeptaMatrix, r: Sequence):
     if len(r) != H.n:
         raise ValueError(f"right-hand side length {len(r)} != order {H.n}")
     return [Fraction(v) if isinstance(v, int) else v for v in r]
-
-
-def solve_via_inverse(H: CyclicHeptaMatrix, r: Sequence) -> SolveReport:
-    """x = S @ r with S the exact inverse."""
-    r = _check_rhs(H, r)
-    result = invert(H)
-    n = H.n
-    x = tuple(
-        sum(result.S.rows[i][j] * r[j] for j in range(n)) for i in range(n)
-    )
-    det = det_from_factors(factorize(H))
-    return SolveReport(
-        x=x,
-        det=det,
-        method="via-inverse",
-        backend="exact",
-        substitutions_fired={
-            "pivot_overrides": len(result.pivot_overrides),
-            "c_substitutions": len(result.c_substitutions),
-        },
-    )
 
 
 def solve_via_lu(fd: FactorData, H: CyclicHeptaMatrix, r: Sequence) -> SolveReport:
@@ -85,34 +60,27 @@ def solve_via_lu(fd: FactorData, H: CyclicHeptaMatrix, r: Sequence) -> SolveRepo
     )
 
 
-def solve_via_lu_float(H: CyclicHeptaMatrix, r: Sequence, tol: float = 1e-12) -> SolveReport:
-    """Float64 LU solve on the kernel lane."""
-    return solve_many_float(H, [r], tol)[0]
+def solve_many(H: CyclicHeptaMatrix, columns: Sequence[Sequence], backend: str = "exact",
+               tol: float = 1e-12) -> list[SolveReport]:
+    """Independent right-hand sides, one report per column.
 
-
-def solve_many_float(H: CyclicHeptaMatrix, columns: Sequence[Sequence],
-                     tol: float = 1e-12) -> list[SolveReport]:
-    """Float64 solves of independent right-hand sides, one report per column.
-
-    One factor sweep serves every column and the reported determinant.
+    One factor sweep serves every column and the reported determinant.  On
+    the float lane every column is converted to float64 before the sweep.
     """
+    if backend != "float":
+        fd = factorize(H, backend)
+        return [solve_via_lu(fd, H, col) for col in columns]
     rhs = []
     for idx, col in enumerate(columns, start=1):
         if len(col) != H.n:
             raise ValueError(f"right-hand side length {len(col)} != order {H.n}")
         rhs.append(float_vector(col, "rhs" if len(columns) == 1 else f"rhs column {idx}"))
-    fa = kernels.factor_float(H, tol)
-    det = kernels.pivot_product(fa["alpha"][1:])
+    fd = factorize(H, "float", tol)
+    det = det_from_factors(fd)
     return [
-        SolveReport(x=tuple(kernels.solve_factored(fa, r)), det=det, method="via-lu", backend="float")
+        SolveReport(x=tuple(lu_substitute(fd, r[1:])), det=det, method="via-lu", backend="float")
         for r in rhs
     ]
-
-
-def solve_many(H: CyclicHeptaMatrix, columns: Sequence[Sequence]) -> list[SolveReport]:
-    """Independent right-hand sides, one report per column."""
-    fd = factorize(H)
-    return [solve_via_lu(fd, H, col) for col in columns]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import statistics
 import time
 from fractions import Fraction as Fr
 
-from heptacyclic import kernels
 from heptacyclic.bench import count_det_ops
 from heptacyclic.cli import main as cli_main
 from heptacyclic.errors import SingularMatrixError
@@ -211,7 +210,7 @@ def test_criterion_7():
     ops_2000 = count_det_ops(random_instance(2000, 1, "diagonally-dominant"))
     assert ops_2000 <= 2.5 * ops_1000
 
-    kernels.inverse_float(random_instance(64, 0, "diagonally-dominant"))  # warm-up, untimed
+    inverse_float(random_instance(64, 0, "diagonally-dominant"))  # warm-up, untimed
     # On a shared machine the speed can shift by up to 2x between plateaus a
     # few seconds long, so the best time of each size may come from a
     # different speed.  The sizes therefore alternate (512, 1024, 512, ..., 512) and
@@ -219,7 +218,7 @@ def test_criterion_7():
     # before and after it; the median of the three ratios is held to 5x.
     def wall(H):
         start = time.perf_counter()
-        kernels.inverse_float(H)
+        inverse_float(H)
         return time.perf_counter() - start
 
     H512 = random_instance(512, 2, "diagonally-dominant")

@@ -265,6 +265,14 @@ class TestFloatEdgeInputs:
         assert out == ""
         assert "pivot at 1" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["det", "inv", "solve"])
+    def test_non_finite_tolerance_exits_3(self, command, tol, example_path, rhs_path, capsys):
+        code, out, err = run(_float_argv(command, example_path, rhs_path) + ["--tol", tol], capsys)
+        assert code == 3
+        assert out == ""
+        assert f"tolerance must be finite, got {tol}" in err
+
 
 class TestFloatFactorSweeps:
     @pytest.mark.parametrize("command, columns", [
@@ -273,6 +281,7 @@ class TestFloatFactorSweeps:
     def test_one_sweep_per_call(self, command, columns, tmp_path, example_path, monkeypatch, capsys):
         calls = []
         factor = kernels.ACTIVE_IMPLS["factor"]
+        assert factor is kernels.sweep  # the exact lane's sweep
 
         def counting(*args):
             calls.append(1)

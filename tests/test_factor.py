@@ -9,7 +9,7 @@ from heptacyclic.factor import (
     lu_substitute,
     materialize_LU,
 )
-from heptacyclic.matrix import build, random_instance, to_dense
+from heptacyclic.matrix import CyclicHeptaMatrix, random_instance, to_dense
 from heptacyclic.oracle import dense_det
 from heptacyclic.scalars import T, eval_at_zero, is_zero
 
@@ -18,7 +18,7 @@ ALL_PROFILES = ("general", "diagonally-dominant", "zero-pivot-prone", "zero-C")
 
 def identity_matrix(n=10):
     zero = [0] * n
-    return build(n, D=zero, B=zero, b=zero, d=[1] * n, a=zero, A=zero, C=zero)
+    return CyclicHeptaMatrix(n, D=zero, B=zero, b=zero, d=[1] * n, a=zero, A=zero, C=zero)
 
 
 def duplicated_row_matrix(n=10):
@@ -34,7 +34,7 @@ def duplicated_row_matrix(n=10):
     bands["D"][5], bands["B"][5], bands["b"][5] = vals[0], vals[1], vals[2]
     bands["d"][5], bands["a"][5], bands["A"][5] = vals[3], vals[4], vals[5]
     bands["C"][5] = 0
-    H2 = build(n, **bands)
+    H2 = CyclicHeptaMatrix(n, **bands)
     assert H2.row(5) == H2.row(6)
     return H2
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,21 +11,22 @@ import pytest
 import heptacyclic
 from heptacyclic import kernels
 from heptacyclic.errors import NearSingularPivotError
-from heptacyclic.factor import determinant, factorize
+from heptacyclic.factor import determinant, factorize, lu_substitute
 from heptacyclic.inverse import invert, inverse_float
 from heptacyclic.matrix import random_instance
-from heptacyclic.solve import solve_many_float, solve_via_lu
+from heptacyclic.solve import solve_many, solve_via_lu
 
 from test_factor import duplicated_row_matrix
 
 
 _PROBE = (
     "import json\n"
-    "from heptacyclic import kernels\n"
+    "from heptacyclic.inverse import inverse_float\n"
     "from heptacyclic.matrix import random_instance\n"
+    "from heptacyclic.solve import solve_many\n"
     "H = random_instance(12, 4, 'diagonally-dominant')\n"
-    "S = kernels.inverse_float(H)\n"
-    "x = kernels.solve_float(H, [float(k) for k in range(12)])\n"
+    "S = inverse_float(H)\n"
+    "x = solve_many(H, [[float(k) for k in range(12)]], backend='float')[0].x\n"
     "print(json.dumps([float(v).hex() for v in (S[0, 0], S[11, 3], x[0], x[11])]))\n"
 )
 
@@ -57,25 +59,60 @@ def test_imports_and_inverts_without_numba():
 
 @pytest.mark.parametrize("n", [8, 9, 16, 64, 257])
 def test_lanes_bit_identical(n):
-    """The row-vectorised inverse equals n scalar solves of the identity
-    columns, bit for bit (signs of zero included)."""
+    """The row-vectorised inverse equals n shared single-column
+    substitutions of the identity columns, bit for bit (signs of zero
+    included)."""
     H = random_instance(n, 3, "diagonally-dominant")
-    S = kernels.inverse_float(H)
-    fa = kernels.factor_float(H)
+    S = inverse_float(H)
+    fd = factorize(H, "float")
     ref = np.empty((n, n))
     for col in range(n):
-        unit = [0.0] * (n + 1)
-        unit[col + 1] = 1.0
-        ref[:, col] = kernels.solve_factored(fa, unit)
+        unit = [0.0] * n
+        unit[col] = 1.0
+        ref[:, col] = lu_substitute(fd, unit)
     assert np.array_equal(S, ref)
     assert np.array_equal(np.signbit(S), np.signbit(ref))
 
     # one factor sweep for four columns gives what four separate solves give
     columns = [[float((k * (c + 3)) % 11 - 5) for k in range(n)] for c in range(4)]
-    reports = solve_many_float(H, columns)
+    reports = solve_many(H, columns, backend="float")
     for rep, col in zip(reports, columns):
-        assert rep.x == tuple(kernels.solve_float(H, col))
+        assert rep.x == solve_many(H, [col], backend="float")[0].x
         assert rep.det == determinant(H, backend="float").value
+
+
+def test_both_lanes_run_the_shared_recurrences(monkeypatch):
+    """The float lane differs from the exact lane only in its bands and its
+    pivot rule: the same sweep and substitution run over float64."""
+    H = random_instance(16, 6, "diagonally-dominant")
+    exact = factorize(H)
+    fd = factorize(H, "float")
+    assert list(exact.D) == [None, *H.band("D")] and list(exact.C) == [None, *H.band("C")]
+    assert list(fd.D) == [0.0, *map(float, H.band("D"))]
+    for name in ("alpha", "f", "e", "g", "z", "k", "h", "v", "w"):
+        for u, v in zip(getattr(exact, name), getattr(fd, name)):
+            assert (u is None) == (v is None)
+            if u is not None:
+                assert v == pytest.approx(float(u), rel=1e-12, abs=1e-14)
+    r = [float(k) for k in range(16)]
+    x = solve_many(H, [r], backend="float")[0].x
+    assert list(x) == kernels.substitute(fd, [None, *r])[1:]
+
+    # the float lane enters through the table, the exact lane does not
+    calls = []
+
+    def counted(key, impl):
+        def wrapper(*args):
+            calls.append(key)
+            return impl(*args)
+        return wrapper
+
+    for key in ("factor", "solve"):
+        monkeypatch.setitem(kernels.ACTIVE_IMPLS, key, counted(key, kernels.ACTIVE_IMPLS[key]))
+    solve_many(H, [r], backend="float")
+    assert calls == ["factor", "solve"]
+    solve_many(H, [[int(v) for v in r]])
+    assert calls == ["factor", "solve"]
 
 
 def test_float_inverse_close_to_exact():
@@ -90,31 +127,38 @@ def test_float_inverse_close_to_exact():
 
 def test_float_factor_matches_exact_pivots():
     H = random_instance(20, 5, "diagonally-dominant")
-    fa = kernels.factor_float(H)
+    fa = factorize(H, "float")
     fd = factorize(H)
     for i in range(1, 21):
-        assert fa["alpha"][i] == pytest.approx(float(fd.alpha[i]), rel=1e-12)
+        assert fa.alpha[i] == pytest.approx(float(fd.alpha[i]), rel=1e-12)
 
 
 def test_near_singular_pivot_refused():
     with pytest.raises(NearSingularPivotError, match="use exact backend"):
-        kernels.factor_float(duplicated_row_matrix())
+        factorize(duplicated_row_matrix(), "float")
 
 
 def test_tolerance_scales_with_magnitude():
     H = random_instance(12, 8, "diagonally-dominant")
     # an absurdly large tolerance classifies every pivot as near-singular
     with pytest.raises(NearSingularPivotError):
-        kernels.factor_float(H, tol=1e6)
+        factorize(H, "float", tol=1e6)
 
 
 def test_float_solve_matches_exact():
     H = random_instance(48, 2, "diagonally-dominant")
     r = [float((-1) ** k * k) for k in range(48)]
-    x = kernels.solve_float(H, r)
+    x = solve_many(H, [r], backend="float")[0].x
     exact = solve_via_lu(factorize(H), H, [int(v) for v in r])
     for u, v in zip(x, exact.x):
         assert u == pytest.approx(float(v), rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_non_finite_tolerance_rejected(tol):
+    H = random_instance(12, 8, "diagonally-dominant")
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        factorize(H, "float", tol=tol)
 
 
 def test_pure_numpy_flag_has_no_effect():

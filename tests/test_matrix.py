@@ -4,8 +4,8 @@ import pytest
 
 from heptacyclic.matrix import (
     BAND_NAMES,
+    CyclicHeptaMatrix,
     DenseMatrix,
-    build,
     dense_from_csv,
     dense_to_csv,
     from_dense,
@@ -32,31 +32,31 @@ def test_example_matrix_accessors(example10):
 
 
 def test_identity_bands_build(example10):
-    H = build(10, **identity_bands(10))
+    H = CyclicHeptaMatrix(10, **identity_bands(10))
     assert to_dense(H) == DenseMatrix.identity(10)
 
 
 def test_order_too_small():
     with pytest.raises(ValueError, match="order too small"):
-        build(7, **identity_bands(7))
+        CyclicHeptaMatrix(7, **identity_bands(7))
 
 
 def test_band_wrap_violations():
     bands = identity_bands(10)
     bands["D"] = [1] + [0] * 9
     with pytest.raises(ValueError, match="band wrap violation: D_1"):
-        build(10, **bands)
+        CyclicHeptaMatrix(10, **bands)
     bands = identity_bands(10)
     bands["C"] = [0] * 8 + [3, 0]
     with pytest.raises(ValueError, match="band wrap violation: C_9"):
-        build(10, **bands)
+        CyclicHeptaMatrix(10, **bands)
 
 
 def test_band_length_checked():
     bands = identity_bands(10)
     bands["a"] = [0] * 9
     with pytest.raises(ValueError, match="band 'a' has length 9"):
-        build(10, **bands)
+        CyclicHeptaMatrix(10, **bands)
 
 
 def test_matrix_is_immutable(example10):

@@ -6,12 +6,10 @@ import pytest
 from heptacyclic.errors import SingularMatrixError
 from heptacyclic.factor import factorize
 from heptacyclic.matrix import random_instance, to_dense
-from heptacyclic.oracle import dense_det
+from heptacyclic.oracle import dense_det, dense_inverse
 from heptacyclic.solve import (
     solve_many,
-    solve_via_inverse,
     solve_via_lu,
-    solve_via_lu_float,
     vector_from_text,
     vector_to_json,
 )
@@ -26,26 +24,17 @@ def test_example_solution_via_lu(example10, example10_rhs):
     assert report.method == "via-lu" and report.backend == "exact"
 
 
-def test_example_solution_via_inverse(example10, example10_rhs):
-    report = solve_via_inverse(example10, example10_rhs)
-    assert list(report.x) == [Fr(i) for i in range(1, 11)]
-    assert report.method == "via-inverse"
-    assert report.substitutions_fired["c_substitutions"] == 1
-
-
 def test_identity_returns_rhs():
     H = identity_matrix()
     r = [Fr(k, 7) for k in range(10)]
     assert list(solve_via_lu(factorize(H), H, r).x) == r
-    assert list(solve_via_inverse(H, r).x) == r
 
 
 def test_exact_residual_random():
     H = random_instance(12, 2, "general")
     assert dense_det(to_dense(H)) != 0
     r = [Fr(3 * k - 5, 2) for k in range(12)]
-    for report in (solve_via_lu(factorize(H), H, r), solve_via_inverse(H, r)):
-        assert H.mat_vec(list(report.x)) == r
+    assert H.mat_vec(list(solve_via_lu(factorize(H), H, r).x)) == r
 
 
 def test_methods_agree_across_instances():
@@ -54,13 +43,15 @@ def test_methods_agree_across_instances():
         n = 8 + (seed % 5)
         profile = ("general", "zero-pivot-prone", "zero-C", "diagonally-dominant")[seed % 4]
         H = random_instance(n, seed, profile)
-        if dense_det(to_dense(H)) == 0:
+        dense = to_dense(H)
+        det = dense_det(dense)
+        if det == 0:
             continue
         r = [Fr(k + 1) for k in range(n)]
-        a = solve_via_lu(factorize(H), H, r)
-        b = solve_via_inverse(H, r)
-        assert a.x == b.x
-        assert a.det == b.det
+        report = solve_via_lu(factorize(H), H, r)
+        S = dense_inverse(dense)
+        assert list(report.x) == [sum(S.rows[i][j] * r[j] for j in range(n)) for i in range(n)]
+        assert report.det == det
         agreements += 1
     assert agreements >= 150
 
@@ -69,8 +60,6 @@ def test_singular_matrix_rejected():
     H = duplicated_row_matrix()
     with pytest.raises(SingularMatrixError):
         solve_via_lu(factorize(H), H, [Fr(1)] * 10)
-    with pytest.raises(SingularMatrixError):
-        solve_via_inverse(H, [Fr(1)] * 10)
 
 
 def test_rhs_length_checked():
@@ -93,7 +82,7 @@ def test_float_lane_relative_residual():
     for n, seed in ((64, 0), (256, 1), (512, 2)):
         H = random_instance(n, seed, "diagonally-dominant")
         r = [float((-1) ** k * (k % 13 + 1)) for k in range(n)]
-        report = solve_via_lu_float(H, r)
+        (report,) = solve_many(H, [r], backend="float")
         x = np.array(report.x)
         fb = H.float_bands()
         Hx = np.zeros(n)
@@ -110,7 +99,7 @@ def test_float_matches_exact():
     H = random_instance(32, 7, "diagonally-dominant")
     r = [Fr(k - 16) for k in range(32)]
     exact = solve_via_lu(factorize(H), H, r)
-    approx = solve_via_lu_float(H, [float(v) for v in r])
+    (approx,) = solve_many(H, [[float(v) for v in r]], backend="float")
     for u, v in zip(exact.x, approx.x):
         assert v == pytest.approx(float(u), rel=1e-9, abs=1e-12)
 
