@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: det, inv, solve, gen, bench, oracle-check.  Exit codes:
-0 success, 2 singular matrix (or a float-lane near-singular refusal),
-3 invalid input, 4 internal contract violation (e.g. a pole at t=0, which
-cannot happen for a nonsingular matrix unless there is a bug).
+0 success (also ``--help``), 2 singular matrix (or a float-lane
+near-singular refusal), 3 invalid input, including a usage error such as
+an unknown flag or a malformed option value, 4 internal contract violation
+(e.g. a zero divisor reaching the back recursion, which cannot happen
+unless there is a bug).
 
 Output is deterministic for fixed inputs and flags: JSON is emitted with
 sorted keys and canonical p/q scalar strings.
@@ -39,8 +41,17 @@ from .scalars import format_scalar
 from .solve import solve_many, vector_from_text
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, invalid input; argparse's own code, 2, is the
+    code this CLI gives a singular matrix.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heptacyclic",
         description="Determinants, inverses and linear solvers for cyclic heptadiagonal matrices.",
     )
@@ -63,7 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("inv", help="full inverse")
     add_common(p_inv)
     p_inv.add_argument("--parallel-seeds", action="store_true",
-                       help="compute the five seed columns concurrently")
+                       help="compute the five seed columns on a thread pool; the output is "
+                            "byte-identical, and the pool gives no speed-up (the work holds "
+                            "the interpreter lock)")
 
     p_solve = sub.add_parser("solve", help="solve Hx = r")
     add_common(p_solve, rhs=True)

@@ -30,6 +30,18 @@ class NearSingularPivotError(HeptaError):
         super().__init__(f"near-singular pivot at {index}, use exact backend")
 
 
+class ZeroPivotError(HeptaError):
+    """A plain rational factor sweep met a pivot that is exactly zero.
+
+    Raised by ``factorize(H, symbolic=False)``; the determinant, solve and
+    inverse paths catch it and move to concrete points of H + s*G.
+    """
+
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"zero pivot at {index}")
+
+
 class DegreeCapError(HeptaError):
     """Symbolic polynomial degree exceeded the configured cap."""
 

@@ -7,28 +7,41 @@ superdiagonals (g, z, C) plus two dense border columns: column n-1 holds
 w_1..w_{n-2} and column n holds v_1..v_{n-1}.  The borders absorb the
 cyclic corner entries, so no permutation is ever needed.
 
-On the exact lane a pivot alpha_i that reduces to exactly zero is replaced
-by the shared indeterminate ``T`` and recorded; the factorization then
-satisfies L @ U == H + t * sum(E_ii over overrides) and every downstream
-result is recovered by substituting t = 0.  Index pairings at the border
-closures are pinned by that product identity, which the test suite checks
-entry by entry on random instances.
+The paper replaces a pivot alpha_i that reduces to exactly zero by an
+indeterminate t and reads every result off at t = 0.  ``factorize`` keeps
+that symbolic form: the pivot becomes ``T`` and is recorded, and the
+factors satisfy L @ U == H + t * sum(E_ii over overrides).  Index pairings
+at the border closures are pinned by that product identity, which the test
+suite checks entry by entry on random instances.
+
+The determinant, solve and inverse paths never carry t.  They run plain
+rational sweeps, and when a substitution is needed they evaluate
+H(s) = H + s*G at concrete points instead, where G has a one at every
+substituted position: det H(s) and every entry of adj H(s) are polynomials
+in s of degree <= r = |G|, so r + 1 points fix their values at s = 0
+(Lagrange interpolation, ``interpolate``).
 
 The recurrences themselves are ``kernels.sweep`` and ``kernels.substitute``,
 shared by both lanes; this module chooses the bands (exact or float64) and
-the pivot rule (override by t, or refuse) and packs the results.
+the pivot rule (override by t, refuse an exact zero, or refuse below the
+float tolerance) and packs the results.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import prod
+from typing import Callable, Optional
 
 from . import kernels
-from .errors import SingularMatrixError
+from .errors import SingularMatrixError, ZeroPivotError
 from .matrix import BAND_NAMES, CyclicHeptaMatrix, DenseMatrix
-from .scalars import RatFun, T, eval_at_zero, is_zero
+from .scalars import T, is_zero
+
+# perfbench/tracer.py wraps this module attribute, so it stays bound
+from .scalars import eval_at_zero  # noqa: F401
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -72,17 +85,24 @@ def _padded(band) -> list:
     return [None, *band]
 
 
-def factorize(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) -> FactorData:
+def _refuse_zero(value, i):
+    if value == 0:
+        raise ZeroPivotError(i)
+    return value
+
+
+def factorize(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12,
+              symbolic: bool = True) -> FactorData:
     """Run the full recurrence sweep and return the factor vectors.
 
     Both lanes run ``kernels.sweep``; they differ in the bands and the pivot
-    rule.  Exact lane: entries stay plain rationals until the first zero
-    pivot, which is replaced by ``T`` and recorded; from that point
-    arithmetic mixes in rational functions of t via operator coercion, which
-    is the lazy promotion the symbolic rule needs.  Float lane: the bands are
-    converted to float64 once, and a pivot that is zero, NaN or below
-    tol * max(1, largest input magnitude) raises NearSingularPivotError; a
-    tol that is not finite raises ValueError.
+    rule.  Exact lane: entries are plain rationals.  With ``symbolic`` (the
+    paper's rule) the first zero pivot is replaced by ``T`` and recorded,
+    and from that point arithmetic mixes in rational functions of t via
+    operator coercion; without it a zero pivot raises ZeroPivotError.
+    Float lane: the bands are converted to float64 once, and a pivot that is
+    zero, NaN or below tol * max(1, largest input magnitude) raises
+    NearSingularPivotError; a tol that is not finite raises ValueError.
     """
     overrides = []
     if backend == "float":
@@ -97,7 +117,7 @@ def factorize(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) 
             return value
 
         bands = [_padded(H.band(name)) for name in BAND_NAMES]
-        vectors = kernels.sweep(*bands, pivot)
+        vectors = kernels.sweep(*bands, pivot if symbolic else _refuse_zero)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return FactorData(H.n, *map(tuple, vectors), overrides=tuple(overrides),
@@ -142,20 +162,28 @@ def materialize_LU(fd: FactorData, n: Optional[int] = None) -> tuple[DenseMatrix
 
 
 def det_from_factors(fd: FactorData):
-    """Pivot product evaluated at t=0 (exact lane) or directly (float lane)."""
+    """Pivot product of factors with no pivot overrides."""
     if fd.backend == "float":
         return kernels.pivot_product(fd.alpha[1:])
-    prod = fd.alpha[1]
+    det = fd.alpha[1]
     for i in range(2, fd.n + 1):
-        prod = prod * fd.alpha[i]
-    return eval_at_zero(prod) if isinstance(prod, RatFun) else prod
+        det = det * fd.alpha[i]
+    return det
 
 
 def determinant(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) -> DetResult:
-    """Determinant via the pivot product, symbolic substitution included."""
-    fd = factorize(H, backend=backend, tol=tol)
+    """Determinant via the pivot product.
+
+    On the exact lane a zero pivot moves the computation to concrete points
+    (``interpolate``); ``pivot_overrides`` counts the pivots found zero.
+    """
+    try:
+        fd = factorize(H, backend=backend, tol=tol, symbolic=False)
+    except ZeroPivotError as exc:
+        value, overrides, _ = interpolate(H, lambda fd, Hs: (), overrides=(exc.index,))
+        return DetResult(value=value, pivot_overrides=len(overrides), singular=value == 0)
     value = det_from_factors(fd)
-    return DetResult(value=value, pivot_overrides=len(fd.overrides), singular=value == 0)
+    return DetResult(value=value, pivot_overrides=0, singular=value == 0)
 
 
 def lu_substitute(fd: FactorData, rhs) -> list:
@@ -177,3 +205,78 @@ def require_nonsingular(fd: FactorData):
     if value == 0:
         raise SingularMatrixError("singular matrix")
     return value
+
+
+# ---------------------------------------------------------------------------
+# concrete points of H(s) = H + s*G
+# ---------------------------------------------------------------------------
+
+def _shifted(H: CyclicHeptaMatrix, overrides, c_subs, s) -> CyclicHeptaMatrix:
+    """H(s): s added to d_i for each pivot override i and to C_j for each
+    substituted C_j."""
+    bands = {name: list(band) for name, band in H.bands().items()}
+    for i in overrides:
+        bands["d"][i - 1] += s
+    for j in c_subs:
+        bands["C"][j - 1] += s
+    return CyclicHeptaMatrix(H.n, **bands)
+
+
+def _sample(H, overrides, c_subs, evaluate):
+    """r + 1 points where every pivot of H(s) is nonzero: their s, det H(s)
+    and ``evaluate`` values.
+
+    A point where a pivot is zero is skipped.  Pivot i of H(s) is
+    N_i(s) / N_{i-1}(s), N_i the leading i x i minor, a polynomial of degree
+    <= r; if it is zero at r + 1 points where pivots 1..i-1 are not, N_i
+    vanishes identically, and ZeroPivotError(i) reports a structural zero.
+    A substituted C_j of H(s) is s, never zero at these points.
+    """
+    r = len(overrides) + len(c_subs)
+    points, dets, samples = [], [], []
+    misses = Counter()
+    s = 0
+    while len(points) <= r:
+        s += 1
+        Hs = _shifted(H, overrides, c_subs, s)
+        try:
+            fd = factorize(Hs, symbolic=False)
+        except ZeroPivotError as exc:
+            misses[exc.index] += 1
+            if misses[exc.index] > r:
+                raise
+            continue
+        points.append(s)
+        dets.append(det_from_factors(fd))
+        samples.append(evaluate(fd, Hs))
+    return points, dets, samples
+
+
+def interpolate(H: CyclicHeptaMatrix, evaluate: Callable, overrides=(), c_subs=()) -> tuple:
+    """det H and quantities of H^-1 through concrete points of H + s*G.
+
+    G has a one at (i, i) for every pivot override i and at (j, j+3) for
+    every substituted C_j.  At each point s = 1, 2, ... the plain sweep of
+    H(s) gives ``fd`` and ``evaluate(fd, H(s))`` a flat list of values y(s)
+    (entries of H(s)^-1, or of H(s)^-1 r) with det H(s) * y(s) a polynomial
+    of degree <= r = |G|, so r + 1 points determine det H and y at s = 0.
+    A pivot found structurally zero joins ``overrides`` (the paper's
+    override rule) and sampling restarts.
+
+    Returns (det H, overrides, y(0)), with y(0) None when det H == 0.
+    """
+    overrides = tuple(overrides)
+    while True:
+        try:
+            points, dets, samples = _sample(H, overrides, c_subs, evaluate)
+            break
+        except ZeroPivotError as exc:
+            overrides += (exc.index,)
+    # Lagrange weights l_k(0) = prod_{m != k} s_m / (s_m - s_k)
+    weights = [prod(Fraction(sm, sm - sk) for sm in points if sm != sk) for sk in points]
+    det = sum(w * d for w, d in zip(weights, dets))
+    if det == 0:
+        return det, overrides, None
+    # y(0) = sum_k l_k(0) det_k y_k / det
+    lam = [w * d / det for w, d in zip(weights, dets)]
+    return det, overrides, [sum(l * v for l, v in zip(lam, vs)) for vs in zip(*samples)]

@@ -7,20 +7,16 @@ concurrently.  The remaining n-5 columns follow from the band identity
 S @ H = I, peeled column by column: column j is obtained from columns
 j+1..j+6 by dividing through the band entry C_j.
 
-Zero entries are handled by substitution: every zero C_i with i <= n-5 is
-replaced by the shared indeterminate ``t`` before factoring (so the division
-is by ``t`` rather than by zero), every zero pivot is replaced by ``t``
-inside the factorization, and the finished entries are evaluated at t = 0.
-The evaluation is exact: removable factors of t cancel during rational
-function reduction.
-
-One combination is unsound in the recursion and is detected explicitly: a
-pivot override at index i together with a band substitution at C_{i-3}
-couples the two uses of ``t``, and the division by ``t`` then keeps an
-order-one error term alive at t=0 (the affected column comes out finite but
-wrong).  When that happens the back columns are recovered by per-column
-substitution through the factors instead, which only ever divides by
-pivots; the seed columns are unaffected.
+Zero entries are handled by substitution, as in the paper, but at concrete
+points rather than with a symbolic t.  Every zero C_j with j <= n-5 and
+every structurally zero pivot i becomes a position of G, and the inverse of
+H(s) = H + s*G is computed over plain rationals at r + 1 points s = 1, 2,
+... (r = |G|).  There C_j(s) = s is a nonzero divisor and pivot i is no
+longer zero; det H(s) * H(s)^-1 is a polynomial matrix of degree <= r, so
+Lagrange interpolation at s = 0 gives the inverse of H exactly (see
+``factor.interpolate``).  At a concrete s no two substitutions can couple,
+so the column recursion serves every instance.  Without any substitution
+(r = 0) a single plain sweep of H is all that runs.
 """
 
 from __future__ import annotations
@@ -30,10 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .errors import InternalContractError
-from .factor import FactorData, factorize, lu_substitute, require_nonsingular
+from .errors import InternalContractError, SingularMatrixError, ZeroPivotError
+from .factor import FactorData, factorize, interpolate
 from .matrix import CyclicHeptaMatrix, DenseMatrix
-from .scalars import T, eval_at_zero, is_zero
+from .scalars import T, is_zero
+
+# perfbench/tracer.py wraps these module attributes, so they stay bound
+from .factor import lu_substitute  # noqa: F401
+from .scalars import eval_at_zero  # noqa: F401
 
 _ONE = Fraction(1)
 
@@ -42,7 +42,11 @@ SEED_COLUMN_COUNT = 5
 
 @dataclass(frozen=True)
 class InverseResult:
-    """Exact inverse plus provenance of the substitutions that fired."""
+    """Exact inverse plus provenance of the substitutions that fired.
+
+    ``back_path`` names the back-column path that ran: the column
+    recursion, the only one the exact lane has.
+    """
 
     S: DenseMatrix
     c_substitutions: tuple
@@ -193,55 +197,59 @@ def back_columns(H: CyclicHeptaMatrix, seeds: tuple) -> dict:
     return {j: cols[j] for j in range(1, n - 4)}
 
 
+def _zero_c(H: CyclicHeptaMatrix) -> tuple:
+    """Indices i <= n-5 whose C_i, a divisor of the back recursion, is zero."""
+    C = H.band("C")
+    return tuple(i for i in range(1, H.n - 4) if is_zero(C[i - 1]))
+
+
 def _substitute_zero_c(H: CyclicHeptaMatrix):
-    """Replace every zero C_i (i <= n-5) by t."""
+    """Replace every zero C_i (i <= n-5) by t: the paper's symbolic form,
+    which the tests use as the reference for the override list."""
+    c_subs = _zero_c(H)
     Cnew = list(H.band("C"))
-    c_subs = tuple(i for i in range(1, H.n - 4) if is_zero(Cnew[i - 1]))
     for i in c_subs:
         Cnew[i - 1] = T
     return (H.replace_band("C", Cnew) if c_subs else H), c_subs
 
 
-def _basis_vector(n: int, j: int) -> list:
-    return [_ONE if i == j else Fraction(0) for i in range(1, n + 1)]
+def _entries(fd: FactorData, H: CyclicHeptaMatrix, parallel: bool) -> list:
+    """All n*n entries of H^-1, row by row, from the factors of H."""
+    n = H.n
+    seeds = seed_columns(fd, H, parallel=parallel)
+    cols = back_columns(H, seeds)
+    for offset, col in enumerate(seeds):
+        cols[n - offset] = col
+    return [cols[j][i] for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
 def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
     """Exact inverse of H, or SingularMatrixError.
 
-    Pipeline: substitute zero C entries, check the determinant, factor, build
-    the five seed columns, recover the remaining columns, evaluate at t=0.
-    The result is the inverse of the original (unperturbed) matrix.
+    Pipeline: find the zero C entries; with none, factor H, build the five
+    seed columns and recover the remaining columns.  If a C entry or a pivot
+    is zero, do the same for H(s) at concrete points and interpolate to
+    s = 0.  The result is the inverse of the original matrix.
     """
     n = H.n
-    Hp, c_subs = _substitute_zero_c(H)
-    fd = factorize(Hp)
-    require_nonsingular(fd)
-    seeds = seed_columns(fd, Hp, parallel=parallel_seeds)
-
-    colliding = {i for i in fd.overrides if (i - 3) in set(c_subs)}
-    if colliding:
-        back_path = "bordered-solve"
-        back = {
-            j: [None, *lu_substitute(fd, _basis_vector(n, j))]
-            for j in range(1, n - 4)
-        }
-    else:
-        back_path = "recursion"
-        back = back_columns(Hp, seeds)
-
-    cols = dict(back)
-    for offset, col in enumerate(seeds):
-        cols[n - offset] = col
-    rows = [
-        [eval_at_zero(cols[j][i]) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
+    c_subs = _zero_c(H)
+    overrides, values = (), None
+    if not c_subs:
+        try:
+            fd = factorize(H, symbolic=False)
+        except ZeroPivotError as exc:
+            overrides = (exc.index,)
+        else:
+            values = _entries(fd, H, parallel_seeds)
+    if values is None:
+        _, overrides, values = interpolate(
+            H, lambda fd, Hs: _entries(fd, Hs, parallel_seeds), overrides, c_subs)
+        if values is None:
+            raise SingularMatrixError("singular matrix")
     return InverseResult(
-        S=DenseMatrix(rows),
+        S=DenseMatrix([values[i * n:(i + 1) * n] for i in range(n)]),
         c_substitutions=c_subs,
-        pivot_overrides=fd.overrides,
-        back_path=back_path,
+        pivot_overrides=overrides,
     )
 
 

@@ -209,10 +209,10 @@ class DenseMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):
             return NotImplemented
+        # rational functions are kept reduced with a monic denominator, so
+        # == on them is equality of values, as on rationals
         return self.n == other.n and all(
-            is_zero(a - b) if isinstance(a, RatFun) or isinstance(b, RatFun) else a == b
-            for ra, rb in zip(self.rows, other.rows)
-            for a, b in zip(ra, rb)
+            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
         )
 
     def __repr__(self) -> str:

@@ -9,10 +9,11 @@ Three scalar kinds flow through the solvers:
   of t^k), leading coefficient nonzero; the zero polynomial is the empty
   coefficient tuple.
 * ``RatFun`` — reduced ratio of two polynomials with a monic denominator.
-  This is the carrier of the zero-entry substitution trick: a quantity that
-  would be exactly zero is replaced by ``T`` (the bare indeterminate) so
-  divisions proceed, and the true value is recovered by
-  :func:`eval_at_zero` at the end.
+  This carries the paper's zero-entry substitution in the symbolic
+  ``factor.factorize``: a pivot that would be exactly zero is replaced by
+  ``T`` (the bare indeterminate) so divisions proceed, and the true value
+  is recovered by :func:`eval_at_zero` at the end.  The determinant, solve
+  and inverse paths evaluate at concrete points instead and never meet it.
 
 All scalars are immutable; mixed arithmetic coerces ``int`` and ``Fraction``
 operands into ``RatFun`` automatically.  Floats are deliberately rejected in

@@ -2,6 +2,10 @@
 
 Forward/back substitution through the bordered LU factors, O(n) per
 right-hand side; the exact and float lanes run the same substitution.
+When a pivot of H is zero, the exact lane solves H(s) x(s) = r at concrete
+points of H(s) = H + s*G (G the zero pivots) and interpolates det * x to
+s = 0 (``factor.interpolate``); the right-hand side needs no substitution,
+since the band entries are never divided by.
 """
 
 from __future__ import annotations
@@ -11,15 +15,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import SingularMatrixError, ZeroPivotError
 from .factor import (
     FactorData,
     det_from_factors,
     factorize,
+    interpolate,
     lu_substitute,
     require_nonsingular,
 )
 from .matrix import CyclicHeptaMatrix, float_vector
-from .scalars import eval_at_zero, parse_scalar
+from .scalars import parse_scalar
+
+# perfbench/tracer.py wraps this module attribute, so it stays bound
+from .scalars import eval_at_zero  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -38,37 +47,52 @@ def _check_rhs(H: CyclicHeptaMatrix, r: Sequence):
 
 
 def solve_via_lu(fd: FactorData, H: CyclicHeptaMatrix, r: Sequence) -> SolveReport:
-    """Forward/back substitution through the factors, then t=0.
+    """Forward/back substitution through the factors.
 
-    The factor data must come from factorize(H).  Pivot overrides flow
-    through symbolically and are evaluated away at the end; the band entries
-    are never divided by, so no C substitution is involved here.
+    The factor data must come from factorize(H).  If that sweep overrode
+    pivots, the solve runs at concrete points instead, with G seeded from
+    ``fd.overrides``, so t never reaches the substitution.
     """
     r = _check_rhs(H, r)
+    if fd.overrides:
+        return _solve_at_points(H, [r], fd.overrides)[0]
     det = require_nonsingular(fd)
-    x = lu_substitute(fd, r)
-    if fd.backend == "exact":
-        x = tuple(eval_at_zero(v) for v in x)
-    else:
-        x = tuple(x)
     return SolveReport(
-        x=x,
+        x=tuple(lu_substitute(fd, r)),
         det=det,
         method="via-lu",
         backend=fd.backend,
-        substitutions_fired={"pivot_overrides": len(fd.overrides)},
+        substitutions_fired={"pivot_overrides": 0},
     )
+
+
+def _solve_at_points(H: CyclicHeptaMatrix, columns: list, overrides) -> list[SolveReport]:
+    """Exact solutions of checked columns through concrete points of H + s*G."""
+    n = H.n
+    det, overrides, values = interpolate(
+        H, lambda fd, Hs: [v for col in columns for v in lu_substitute(fd, col)], overrides)
+    if values is None:
+        raise SingularMatrixError("singular matrix")
+    return [
+        SolveReport(x=tuple(values[k * n:(k + 1) * n]), det=det, method="via-lu",
+                    backend="exact", substitutions_fired={"pivot_overrides": len(overrides)})
+        for k in range(len(columns))
+    ]
 
 
 def solve_many(H: CyclicHeptaMatrix, columns: Sequence[Sequence], backend: str = "exact",
                tol: float = 1e-12) -> list[SolveReport]:
     """Independent right-hand sides, one report per column.
 
-    One factor sweep serves every column and the reported determinant.  On
-    the float lane every column is converted to float64 before the sweep.
+    One factor sweep serves every column and the reported determinant (on
+    the exact lane, one per concrete point when a pivot is zero).  On the
+    float lane every column is converted to float64 before the sweep.
     """
     if backend != "float":
-        fd = factorize(H, backend)
+        try:
+            fd = factorize(H, backend, symbolic=False)
+        except ZeroPivotError as exc:
+            return _solve_at_points(H, [_check_rhs(H, col) for col in columns], (exc.index,))
         return [solve_via_lu(fd, H, col) for col in columns]
     rhs = []
     for idx, col in enumerate(columns, start=1):

@@ -5,7 +5,8 @@ import pytest
 
 from heptacyclic import kernels
 from heptacyclic.cli import main
-from heptacyclic.matrix import dense_from_csv, matrix_to_json, matrix_from_json
+from heptacyclic.factor import factorize
+from heptacyclic.matrix import CyclicHeptaMatrix, dense_from_csv, matrix_to_json, matrix_from_json
 
 from conftest import fixture_path
 from test_factor import duplicated_row_matrix
@@ -181,6 +182,57 @@ class TestOracleCheck:
         code, out, _ = run(["oracle-check", "--input", example_path], capsys)
         assert code == 0
         assert json.loads(out) == {"diff_count": 0, "positions": []}
+
+
+class TestUsageErrors:
+    """argparse's own exit code, 2, is the code for a singular matrix."""
+
+    @pytest.mark.parametrize("command", ["det", "inv", "solve"])
+    @pytest.mark.parametrize("bad", [["--no-such-flag"], ["--tol", "abc"]])
+    def test_usage_error_exits_3(self, command, bad, example_path, rhs_path, capsys):
+        argv = [command, "--input", example_path, *bad]
+        if command == "solve":
+            argv += ["--rhs", rhs_path]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "usage: heptacyclic" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["det", "--help"])
+        assert exc.value.code == 0
+        assert "usage: heptacyclic det" in capsys.readouterr().out
+
+
+class TestSingularWithOverrides:
+    """Singular matrices whose sweep overrides pivots are refused with exit 2
+    and report the symbolic sweep's override count."""
+
+    @staticmethod
+    def zero_d1(H):
+        bands = {k: list(v) for k, v in H.bands().items()}
+        bands["d"][0] = 0
+        return CyclicHeptaMatrix(H.n, **bands)
+
+    @pytest.mark.parametrize("first_zero_d", [False, True])
+    def test_refused_with_override_count(self, first_zero_d, tmp_path, rhs_path, capsys):
+        H = duplicated_row_matrix()
+        if first_zero_d:
+            H = self.zero_d1(H)
+        overrides = factorize(H).overrides
+        assert overrides == ((1, 6) if first_zero_d else (6,))
+        path = tmp_path / "m.json"
+        path.write_text(matrix_to_json(H))
+        out = tmp_path / "det.json"
+        assert main(["det", "--input", str(path), "--out", str(out)]) == 2
+        assert json.loads(out.read_text()) == {
+            "det": "0", "singular": True, "pivot_overrides": len(overrides)}
+        for argv in (["inv", "--input", str(path)],
+                     ["solve", "--input", str(path), "--rhs", rhs_path]):
+            code, out_text, err = run(argv, capsys)
+            assert (code, out_text) == (2, "")
+            assert "singular matrix" in err
 
 
 class TestInputErrors:

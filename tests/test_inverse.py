@@ -2,11 +2,13 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from heptacyclic.errors import SingularMatrixError
-from heptacyclic.factor import factorize
+from heptacyclic import factor
+from heptacyclic.errors import SingularMatrixError, ZeroPivotError
+from heptacyclic.factor import determinant, factorize
 from heptacyclic.inverse import (
     _back_column,
     _padded_bands,
+    _substitute_zero_c,
     back_columns,
     invert,
     seed_columns,
@@ -14,6 +16,7 @@ from heptacyclic.inverse import (
 from heptacyclic.matrix import CyclicHeptaMatrix, random_instance, to_dense
 from heptacyclic.oracle import compare, dense_det, dense_inverse
 from heptacyclic.scalars import eval_at_zero
+from heptacyclic.solve import solve_many
 
 from test_factor import duplicated_row_matrix, identity_matrix
 
@@ -62,8 +65,6 @@ class TestSeedColumns:
 
     def test_parallel_equals_sequential(self):
         H = random_instance(12, 13, "zero-C")
-        from heptacyclic.inverse import _substitute_zero_c
-
         Hp, _ = _substitute_zero_c(H)
         fd = factorize(Hp)
         assert seed_columns(fd, Hp, parallel=True) == seed_columns(fd, Hp, parallel=False)
@@ -205,7 +206,7 @@ class TestCollisionGuard:
                 continue
             res = invert(H)
             if 4 in res.pivot_overrides and 1 in res.c_substitutions:
-                assert res.back_path == "bordered-solve"
+                assert res.back_path == "recursion"
                 hits += 1
             assert compare(res.S, expected).equal
         assert hits >= 3
@@ -233,3 +234,74 @@ class TestZeroBEntries:
             assert compare(invert(H).S, expected).equal
             checked += 1
         assert checked >= 2
+
+
+def acceptance_corpora():
+    """The instances of acceptance criteria 3 and 4, then the collision corpus."""
+    for seed in range(52):
+        for p_idx, profile in enumerate(ALL_PROFILES):
+            yield random_instance(8 + ((seed + 3 * p_idx) % 13), seed, profile)
+    for profile in ("zero-pivot-prone", "zero-C"):
+        seed = completed = 0
+        while completed < 50:
+            H = random_instance(8 + (seed % 7), seed, profile)
+            seed += 1
+            if dense_det(to_dense(H)) != 0:
+                completed += 1
+                yield H
+    for seed in range(8):
+        yield collision_matrix(seed)
+
+
+class TestConcretePoints:
+    """The determinant, solve and inverse run at concrete points of
+    H(s) = H + s*G; the symbolic sweep over t stays the reference for which
+    positions are substituted."""
+
+    def test_override_lists_match_symbolic_sweep(self):
+        with_overrides = 0
+        for H in acceptance_corpora():
+            det = determinant(H)
+            symbolic = factorize(H)
+            assert det.pivot_overrides == len(symbolic.overrides)
+            if det.singular:
+                continue
+            Hp, c_subs = _substitute_zero_c(H)
+            expected = factorize(Hp).overrides if c_subs else symbolic.overrides
+            assert invert(H).pivot_overrides == expected
+            with_overrides += bool(expected)
+        assert with_overrides >= 100
+
+    def test_point_with_a_zero_pivot_is_skipped(self, monkeypatch):
+        # d_1 = 0 puts (1, 1) into G; pivot 2 of H(s) is d_2 - b_2 a_1 / s,
+        # zero at s = 1 only, so that point is skipped and pivot 2 is not
+        # overridden
+        H = random_instance(10, 3, "diagonally-dominant")
+        bands = {k: list(v) for k, v in H.bands().items()}
+        bands["C"][0] = 2
+        bands["d"][0], bands["a"][0], bands["b"][1], bands["d"][1] = 0, 1, 1, 1
+        H = CyclicHeptaMatrix(10, **bands)
+        assert factorize(H).overrides == (1,)
+        dense = to_dense(H)
+        assert dense_det(dense) != 0
+
+        skipped = []
+        sweep = factor.factorize
+
+        def recording(Hs, *args, **kwargs):
+            try:
+                return sweep(Hs, *args, **kwargs)
+            except ZeroPivotError as exc:
+                skipped.append((Hs.band("d")[0], exc.index))
+                raise
+
+        monkeypatch.setattr(factor, "factorize", recording)
+        res = invert(H)
+        assert skipped == [(1, 2)]
+        assert res.pivot_overrides == (1,) and res.c_substitutions == ()
+        assert compare(res.S, dense_inverse(dense)).equal
+        assert determinant(H).value == dense_det(dense)
+        r = [Fr(i) for i in range(1, 11)]
+        (report,) = solve_many(H, [r])
+        assert H.mat_vec(list(report.x)) == r
+        assert report.det == dense_det(dense)
