@@ -34,6 +34,7 @@ from .matrix import (
     BAND_NAMES,
     CyclicHeptaMatrix,
     DenseMatrix,
+    FloatHeptaMatrix,
     dense_from_csv,
     dense_to_csv,
     from_dense,
@@ -69,6 +70,7 @@ __all__ = [
     "DenseMatrix",
     "DetResult",
     "FactorData",
+    "FloatHeptaMatrix",
     "HeptaError",
     "InternalContractError",
     "InverseResult",

@@ -117,12 +117,35 @@ def _read(path) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _json_dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _json_dump(payload, reprs=None) -> str:
+    """``payload`` as JSON with sorted keys and an indent of 2.
+
+    ``reprs`` names a top-level key whose value is a list of float reprs, or
+    a list of such lists.  JSON escapes nothing in a repr, so these strings
+    are joined as they are; ``json.dumps`` with an indent would run its
+    pure-Python encoder over every one.  The bytes are the same.
+    """
+    if reprs is None:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _json_dump({**payload, reprs: None})
+    return text.replace(f'"{reprs}": null', f'"{reprs}": ' + _json_reprs(payload[reprs], "  "), 1)
+
+
+def _json_reprs(items, pad: str) -> str:
+    """A list of reprs, or of lists of them, laid out as ``_json_dump`` does
+    at indentation ``pad``."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    if isinstance(items[0], list):
+        body = ("," + inner).join(_json_reprs(row, pad + "  ") for row in items)
+    else:
+        body = '"' + ('",' + inner + '"').join(items) + '"'
+    return "[" + inner + body + "\n" + pad + "]"
 
 
 def _cmd_det(args) -> int:
-    H = matrix_from_json(_read(args.input))
+    H = matrix_from_json(_read(args.input), backend=args.backend)
     result = determinant(H, backend=args.backend, tol=args.tol)
     payload = {
         "det": format_scalar(result.value),
@@ -139,10 +162,9 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_inv(args) -> int:
-    H = matrix_from_json(_read(args.input))
+    H = matrix_from_json(_read(args.input), backend=args.backend)
     if args.backend == "float":
-        S = inverse_float(H, tol=args.tol)
-        rows = S.tolist()
+        rows = inverse_float(H, tol=args.tol).tolist()
         meta = {"backend": "float", "c_substitutions": [], "pivot_overrides": [],
                 "back_path": "bordered-solve"}
     else:
@@ -156,6 +178,10 @@ def _cmd_inv(args) -> int:
         }
     if args.format == "csv":
         text = dense_to_csv(DenseMatrix(rows))
+    elif args.backend == "float":
+        # format_scalar of a float is its repr
+        S = [list(map(repr, row)) for row in rows]
+        text = _json_dump({**meta, "n": H.n, "S": S}, reprs="S")
     else:
         payload = dict(meta)
         payload["n"] = H.n
@@ -166,14 +192,16 @@ def _cmd_inv(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    H = matrix_from_json(_read(args.input))
-    columns = vector_from_text(_read(args.rhs))
+    H = matrix_from_json(_read(args.input), backend=args.backend)
+    columns = vector_from_text(_read(args.rhs), backend=args.backend)
     reports = solve_many(H, columns, backend=args.backend, tol=args.tol)
     exact_residual = args.backend == "exact" and all(
         all(u == v for u, v in zip(H.mat_vec(list(rep.x)), col))
         for rep, col in zip(reports, columns)
     )
-    xs = [[format_scalar(v) for v in rep.x] for rep in reports]
+    # format_scalar of a float is its repr
+    fmt = repr if args.backend == "float" else format_scalar
+    xs = [list(map(fmt, rep.x)) for rep in reports]
     payload = {
         "det": format_scalar(reports[0].det),
         "method": reports[0].method,
@@ -185,7 +213,7 @@ def _cmd_solve(args) -> int:
         lines = [",".join(col[i] for col in xs) for i in range(H.n)]
         text = "\n".join(lines) + "\n"
     else:
-        text = _json_dump(payload)
+        text = _json_dump(payload, reprs="x" if args.backend == "float" else None)
     _emit(text, args.out)
     return 0
 

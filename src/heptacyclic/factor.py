@@ -100,9 +100,10 @@ def factorize(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12,
     paper's rule) the first zero pivot is replaced by ``T`` and recorded,
     and from that point arithmetic mixes in rational functions of t via
     operator coercion; without it a zero pivot raises ZeroPivotError.
-    Float lane: the bands are converted to float64 once, and a pivot that is
-    zero, NaN or below tol * max(1, largest input magnitude) raises
-    NearSingularPivotError; a tol that is not finite raises ValueError.
+    Float lane: ``H`` may also be a ``FloatHeptaMatrix``; the bands are
+    converted to float64 once, and a pivot that is zero, NaN or below
+    tol * max(1, largest input magnitude) raises NearSingularPivotError; a
+    tol that is not finite raises ValueError.
     """
     overrides = []
     if backend == "float":

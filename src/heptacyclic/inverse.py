@@ -256,6 +256,7 @@ def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
 def inverse_float(H: CyclicHeptaMatrix, tol: float = 1e-12):
     """Dense float64 inverse: one factor sweep, then all columns at once.
 
-    Near-singular pivots are refused as in ``factorize(H, "float", tol)``.
+    ``H`` is a ``CyclicHeptaMatrix`` or a ``FloatHeptaMatrix``.  Near-singular
+    pivots are refused as in ``factorize(H, "float", tol)``.
     """
     return kernels.ACTIVE_IMPLS["invert"](factorize(H, "float", tol))

@@ -24,7 +24,7 @@ from array import array
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import RatFun, format_scalar, is_zero, parse_scalar
+from .scalars import RatFun, float_scalar, format_scalar, is_zero, parse_scalar
 
 BAND_NAMES = ("D", "B", "b", "d", "a", "A", "C")
 
@@ -73,12 +73,7 @@ class CyclicHeptaMatrix:
             if len(vec) != n:
                 raise ValueError(f"band {name!r} has length {len(vec)}, expected {n}")
             vectors[name] = vec
-        for idx in (1, 2, 3):
-            if not is_zero(vectors["D"][idx - 1]):
-                raise ValueError(f"band wrap violation: D_{idx} must be zero")
-        for idx in (n - 2, n - 1, n):
-            if not is_zero(vectors["C"][idx - 1]):
-                raise ValueError(f"band wrap violation: C_{idx} must be zero")
+        _check_wraps(n, vectors)
         object.__setattr__(self, "n", n)
         for name in BAND_NAMES:
             object.__setattr__(self, name, vectors[name])
@@ -149,6 +144,48 @@ class CyclicHeptaMatrix:
 
     def __repr__(self) -> str:
         return f"CyclicHeptaMatrix(n={self.n})"
+
+
+class FloatHeptaMatrix:
+    """A cyclic heptadiagonal matrix held for the float lane only: the order
+    and the seven bands as 0-based lists of floats.
+
+    ``matrix_from_json(text, backend="float")`` builds it without a Fraction
+    per entry.  The float-lane entry points (``determinant(H, "float")``,
+    ``solve_many(H, ..., backend="float")``, ``inverse_float``) take it in
+    place of a ``CyclicHeptaMatrix``; they read only ``n`` and
+    ``float_bands()``.  A wrap position holds the exact value it was checked
+    with, and an entry beyond the float64 range its exact value, which
+    ``float_bands`` reports, as it does for a ``CyclicHeptaMatrix``.
+    """
+
+    __slots__ = ("n", "_bands")
+
+    def __init__(self, n: int, bands: dict):
+        if n < 8:
+            raise ValueError(f"order too small: n={n}, need n >= 8")
+        for name in BAND_NAMES:
+            if len(bands[name]) != n:
+                raise ValueError(f"band {name!r} has length {len(bands[name])}, expected {n}")
+        _check_wraps(n, bands)
+        self.n = n
+        self._bands = bands
+
+    def float_bands(self) -> dict:
+        """Bands as 1-based arrays of doubles (slot 0 unused) for the kernels."""
+        return {name: float_vector(self._bands[name], f"band {name}") for name in BAND_NAMES}
+
+    def __repr__(self) -> str:
+        return f"FloatHeptaMatrix(n={self.n})"
+
+
+def _check_wraps(n: int, bands: dict) -> None:
+    for idx in (1, 2, 3):
+        if not is_zero(bands["D"][idx - 1]):
+            raise ValueError(f"band wrap violation: D_{idx} must be zero")
+    for idx in (n - 2, n - 1, n):
+        if not is_zero(bands["C"][idx - 1]):
+            raise ValueError(f"band wrap violation: C_{idx} must be zero")
 
 
 def float_vector(values, label: str) -> array:
@@ -287,9 +324,44 @@ def matrix_to_json(H: CyclicHeptaMatrix) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def matrix_from_json(text: str) -> CyclicHeptaMatrix:
+def parse_entries(items, parse, label: str) -> list:
+    """``parse(str(item))`` for each item; a ValueError names ``label`` and
+    the item's 1-based position."""
     try:
-        payload = json.loads(text)
+        return list(map(parse, map(str, items)))
+    except ValueError:
+        # parse again, in order, to name the first entry that fails
+        for k, item in enumerate(items, start=1):
+            try:
+                parse(str(item))
+            except ValueError as exc:
+                raise ValueError(f"{label} entry {k}: {exc}") from exc
+        raise
+
+
+def entry_parser(backend: str):
+    """Per-entry parser of a file read for ``backend``: exact Fractions, or
+    floats straight from the text (``float_scalar``) for the float lane."""
+    if backend == "exact":
+        return parse_scalar
+    if backend == "float":
+        return float_scalar
+    raise ValueError(f"unknown backend {backend!r}")
+
+
+def matrix_from_json(text: str, backend: str = "exact"):
+    """Read the matrix file format: a ``CyclicHeptaMatrix`` of Fractions, or
+    for ``backend="float"`` a ``FloatHeptaMatrix`` with the same float64
+    bands and no Fraction per entry.
+
+    JSON numbers are read from their literal text.  Errors come in one
+    order on both lanes: a malformed file or entry first, then an order
+    below 8, then a nonzero wrap position, then (float lane, when the bands
+    are converted) an entry beyond the float64 range.
+    """
+    parse = entry_parser(backend)
+    try:
+        payload = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid matrix file: {exc}") from exc
     if not isinstance(payload, dict) or "n" not in payload:
@@ -304,14 +376,15 @@ def matrix_from_json(text: str) -> CyclicHeptaMatrix:
         raw = payload[name]
         if not isinstance(raw, list) or len(raw) != n:
             raise ValueError(f"invalid matrix file: band {name!r} must be a length-{n} array")
-        parsed = []
-        for k, item in enumerate(raw, start=1):
-            try:
-                parsed.append(parse_scalar(str(item)))
-            except ValueError as exc:
-                raise ValueError(f"band {name!r} entry {k}: {exc}") from exc
-        bands[name] = parsed
-    return CyclicHeptaMatrix(n, *(bands[k] for k in BAND_NAMES))
+        bands[name] = parse_entries(raw, parse, f"band {name!r}")
+    if backend == "exact":
+        return CyclicHeptaMatrix(n, *(bands[k] for k in BAND_NAMES))
+    if n >= 8:
+        # the wrap positions must be exactly zero: 1e-400 reads as 0.0
+        for name, positions in (("D", range(3)), ("C", range(n - 3, n))):
+            for k in positions:
+                bands[name][k] = parse_scalar(str(payload[name][k]))
+    return FloatHeptaMatrix(n, bands)
 
 
 def dense_to_csv(M: DenseMatrix) -> str:

@@ -23,6 +23,8 @@ symbolic arithmetic: the float lane runs the shared recurrences of
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .errors import DegreeCapError, PoleAtZeroError
@@ -420,8 +422,11 @@ def eval_at_zero(x) -> Fraction:
 def parse_scalar(text: str) -> Fraction:
     """Parse the scalar grammar used by all file formats.
 
-    Accepted forms: ``p/q`` with an optional sign on p, a plain integer, or
-    a terminating decimal (converted exactly).
+    The grammar is the one ``fractions.Fraction`` accepts: ``p/q`` with an
+    optional sign on p, or an integer or terminating decimal with an
+    optional exponent (``-2``, ``0.25``, ``1e-3``), digits optionally grouped
+    by single underscores; surrounding whitespace is ignored.  The value is
+    exact.
     """
     try:
         return Fraction(text.strip())
@@ -429,8 +434,71 @@ def parse_scalar(text: str) -> Fraction:
         raise ValueError(f"invalid scalar {text!r}") from exc
 
 
+# Fraction's p/q form: an optional sign on p, digits with single underscores
+# between them, and no space around the slash (``1/ 2`` and ``1/-2`` are
+# invalid, although int() would take either half)
+_RATIO = re.compile(r"\s*[-+]?\d+(?:_\d+)*/\d+(?:_\d+)*\s*")
+
+# CPython refuses int <-> str conversions past a digit limit that can be set
+# no lower than 640.  Fraction meets it on a longer text and float() does
+# not, so a longer text takes the exact route.
+_SHORT_TEXT = 640
+
+_INF = float("inf")
+
+
+def float_scalar(text: str):
+    """The float64 value of a scalar text, with the bits of
+    ``float(parse_scalar(text))`` and without building a Fraction for a
+    plain entry.
+
+    ``float(str)`` rounds correctly, and so does ``int / int``, which is what
+    ``Fraction.__float__`` computes, so a finite nonzero result needs no
+    Fraction.  Any other text takes the exact route: a zero keeps the exact
+    parse's sign (``-0`` gives 0.0, ``-1e-400`` gives -0.0), and a text that
+    ``parse_scalar`` rejects (``inf``, ``nan``, ``1/0``) raises its ValueError.
+    A value beyond the float64 range comes back as the exact Fraction, for
+    the caller to report with its position (``matrix.float_vector``).
+    """
+    value = 0.0
+    if "/" not in text:
+        if len(text) <= _SHORT_TEXT:
+            try:
+                value = float(text)
+            except ValueError:
+                pass
+    elif _RATIO.fullmatch(text):
+        p, q = text.split("/")
+        try:
+            value = int(p) / int(q)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    if 0.0 < abs(value) < _INF:
+        return value
+    exact = parse_scalar(text)
+    try:
+        return float(exact)
+    except OverflowError:
+        return exact
+
+
 def format_scalar(x) -> str:
-    """Canonical text form: ``p/q`` for non-integers, plain integer otherwise."""
+    """Canonical text form: ``p/q`` for non-integers, plain integer otherwise.
+
+    An integer past CPython's int -> str digit limit (4300 digits by default)
+    is formatted with the limit lifted for this call only.
+    """
     if isinstance(x, float):
         return repr(x)
-    return str(Fraction(x))
+    value = Fraction(x)
+    try:
+        return str(value)
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            raise
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)

@@ -24,8 +24,7 @@ from .factor import (
     lu_substitute,
     require_nonsingular,
 )
-from .matrix import CyclicHeptaMatrix, float_vector
-from .scalars import parse_scalar
+from .matrix import CyclicHeptaMatrix, entry_parser, float_vector, parse_entries
 
 # perfbench/tracer.py wraps this module attribute, so it stays bound
 from .scalars import eval_at_zero  # noqa: F401
@@ -86,7 +85,8 @@ def solve_many(H: CyclicHeptaMatrix, columns: Sequence[Sequence], backend: str =
 
     One factor sweep serves every column and the reported determinant (on
     the exact lane, one per concrete point when a pivot is zero).  On the
-    float lane every column is converted to float64 before the sweep.
+    float lane ``H`` may also be a ``FloatHeptaMatrix``, and every column is
+    converted to float64 before the sweep.
     """
     if backend != "float":
         try:
@@ -111,31 +111,30 @@ def solve_many(H: CyclicHeptaMatrix, columns: Sequence[Sequence], backend: str =
 # right-hand-side file format: JSON array of scalar strings, or a CSV column
 # ---------------------------------------------------------------------------
 
-def vector_from_text(text: str) -> list[list[Fraction]]:
-    """Parse an rhs file; returns a list of columns (CSV may carry several)."""
+def vector_from_text(text: str, backend: str = "exact") -> list[list]:
+    """Parse an rhs file; returns a list of columns (CSV may carry several).
+
+    Entries are Fractions, or for ``backend="float"`` floats read straight
+    from the text, as ``matrix_from_json`` reads the bands.  JSON numbers
+    are read from their literal text.
+    """
+    parse = entry_parser(backend)
     stripped = text.strip()
     if stripped.startswith("["):
         try:
-            payload = json.loads(stripped)
+            payload = json.loads(stripped, parse_float=str)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid rhs file: {exc}") from exc
         if not isinstance(payload, list):
             raise ValueError("invalid rhs file: expected a JSON array")
-        col = []
-        for idx, item in enumerate(payload, start=1):
-            try:
-                col.append(parse_scalar(str(item)))
-            except ValueError as exc:
-                raise ValueError(f"rhs entry {idx}: {exc}") from exc
-        return [col]
+        return [parse_entries(payload, parse, "rhs")]
     rows = []
     for lineno, line in enumerate(stripped.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        cells = line.split(",")
         try:
-            rows.append([parse_scalar(c) for c in cells])
+            rows.append(list(map(parse, line.split(","))))
         except ValueError as exc:
             raise ValueError(f"rhs row {lineno}: {exc}") from exc
     if not rows:
