@@ -1,12 +1,13 @@
 """Determinants, inverses and linear solvers for cyclic heptadiagonal matrices.
 
 The exact lane factors the matrix with bordered LU recurrences over
-arbitrary-precision rationals.  Quantities that would be exactly zero
-(pivots, or the C band entries the inversion divides by) are substituted so
-the computation never breaks down: ``factorize`` replaces a zero pivot by a
-symbolic indeterminate ``t``, as the paper does, while the determinant,
-solve and inverse evaluate H + s*G (G the substituted positions) at
-concrete points s and interpolate to s = 0.  A float64 lane covers large
+arbitrary-precision rationals.  Quantities that would be exactly zero are
+substituted so the computation never breaks down.  ``factorize`` replaces a
+zero pivot by a symbolic indeterminate ``t``, as the paper does, while the
+determinant, solve and inverse evaluate H + s*G (G the structurally zero
+pivots) at concrete points s and interpolate to s = 0.  The inverse takes a
+column whose C band entry, its divisor, is zero by one substitution through
+the factors instead.  A float64 lane covers large
 orders where exactness is not required: it runs the same factor sweep and
 substitution over float64 bands, refusing near-singular pivots instead of
 substituting, and its inverse updates all columns at once as numpy row

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .factor import determinant, factorize
-from .inverse import invert, inverse_float
+from .inverse import inverse_float
 from .matrix import CyclicHeptaMatrix, random_instance
 from .solve import solve_many, solve_via_lu
 
@@ -105,12 +105,6 @@ def count_det_ops(H: CyclicHeptaMatrix) -> int:
     """Field operations performed by the determinant at this order."""
     counter = OpCounter()
     determinant(counting_matrix(H, counter))
-    return counter.count
-
-
-def count_inv_ops(H: CyclicHeptaMatrix) -> int:
-    counter = OpCounter()
-    invert(counting_matrix(H, counter))
     return counter.count
 
 

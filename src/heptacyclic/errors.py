@@ -33,8 +33,8 @@ class NearSingularPivotError(HeptaError):
 class ZeroPivotError(HeptaError):
     """A plain rational factor sweep met a pivot that is exactly zero.
 
-    Raised by ``factorize(H, symbolic=False)``; the determinant, solve and
-    inverse paths catch it and move to concrete points of H + s*G.
+    Raised by ``factorize(H, symbolic=False)``; ``factor.interpolate``
+    catches it and moves to concrete points of H + s*G.
     """
 
     def __init__(self, index: int):
@@ -47,5 +47,5 @@ class DegreeCapError(HeptaError):
 
 
 class InternalContractError(HeptaError):
-    """An internal precondition was violated (e.g. zero divisor that the
-    substitution pass should have replaced)."""
+    """An internal precondition was violated (e.g. a zero C_j reaching the
+    column recursion, which takes such a column by substitution instead)."""

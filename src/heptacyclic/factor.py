@@ -14,12 +14,12 @@ factors satisfy L @ U == H + t * sum(E_ii over overrides).  Index pairings
 at the border closures are pinned by that product identity, which the test
 suite checks entry by entry on random instances.
 
-The determinant, solve and inverse paths never carry t.  They run plain
-rational sweeps, and when a substitution is needed they evaluate
-H(s) = H + s*G at concrete points instead, where G has a one at every
-substituted position: det H(s) and every entry of adj H(s) are polynomials
-in s of degree <= r = |G|, so r + 1 points fix their values at s = 0
-(Lagrange interpolation, ``interpolate``).
+The determinant, solve and inverse paths never carry t.  All three go
+through ``interpolate``: one plain rational sweep of H, or, when a pivot is
+structurally zero, sweeps of H(s) = H + s*G at concrete points, where G has
+a one at (i, i) for every such pivot i: det H(s) and every entry of
+adj H(s) are polynomials in s of degree <= r = |G|, so r + 1 points fix
+their values at s = 0 (Lagrange interpolation).
 
 The recurrences themselves are ``kernels.sweep`` and ``kernels.substitute``,
 shared by both lanes; this module chooses the bands (exact or float64) and
@@ -175,16 +175,15 @@ def det_from_factors(fd: FactorData):
 def determinant(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) -> DetResult:
     """Determinant via the pivot product.
 
-    On the exact lane a zero pivot moves the computation to concrete points
-    (``interpolate``); ``pivot_overrides`` counts the pivots found zero.
+    The exact lane goes through ``interpolate``, which runs one plain sweep
+    unless a pivot is zero; ``pivot_overrides`` counts the pivots found
+    structurally zero.
     """
-    try:
-        fd = factorize(H, backend=backend, tol=tol, symbolic=False)
-    except ZeroPivotError as exc:
-        value, overrides, _ = interpolate(H, lambda fd, Hs: (), overrides=(exc.index,))
-        return DetResult(value=value, pivot_overrides=len(overrides), singular=value == 0)
-    value = det_from_factors(fd)
-    return DetResult(value=value, pivot_overrides=0, singular=value == 0)
+    if backend == "exact":
+        value, overrides, _ = interpolate(H, lambda fd, Hs: ())
+    else:
+        value, overrides = det_from_factors(factorize(H, backend=backend, tol=tol)), ()
+    return DetResult(value=value, pivot_overrides=len(overrides), singular=value == 0)
 
 
 def lu_substitute(fd: FactorData, rhs) -> list:
@@ -212,67 +211,69 @@ def require_nonsingular(fd: FactorData):
 # concrete points of H(s) = H + s*G
 # ---------------------------------------------------------------------------
 
-def _shifted(H: CyclicHeptaMatrix, overrides, c_subs, s) -> CyclicHeptaMatrix:
-    """H(s): s added to d_i for each pivot override i and to C_j for each
-    substituted C_j."""
-    bands = {name: list(band) for name, band in H.bands().items()}
+def _shifted(H: CyclicHeptaMatrix, overrides, s) -> CyclicHeptaMatrix:
+    """H(s): s added to d_i for each pivot override i; H itself without any."""
+    if not overrides:
+        return H
+    d = list(H.band("d"))
     for i in overrides:
-        bands["d"][i - 1] += s
-    for j in c_subs:
-        bands["C"][j - 1] += s
-    return CyclicHeptaMatrix(H.n, **bands)
+        d[i - 1] += s
+    return H.replace_band("d", d)
 
 
-def _sample(H, overrides, c_subs, evaluate):
+def _sample(H, overrides, evaluate):
     """r + 1 points where every pivot of H(s) is nonzero: their s, det H(s)
     and ``evaluate`` values.
 
-    A point where a pivot is zero is skipped.  Pivot i of H(s) is
-    N_i(s) / N_{i-1}(s), N_i the leading i x i minor, a polynomial of degree
-    <= r; if it is zero at r + 1 points where pivots 1..i-1 are not, N_i
-    vanishes identically, and ZeroPivotError(i) reports a structural zero.
-    A substituted C_j of H(s) is s, never zero at these points.
+    With no override (r = 0) the one point is s = 0, the plain sweep of H;
+    otherwise the points are s = 1, 2, ...  A point where a pivot is zero is
+    skipped.  Pivot i of H(s) is N_i(s) / N_{i-1}(s), N_i the leading i x i
+    minor, a polynomial of degree <= r; if it is zero at r + 1 points where
+    pivots 1..i-1 are not, N_i vanishes identically, and ZeroPivotError(i)
+    reports a structural zero.
     """
-    r = len(overrides) + len(c_subs)
+    r = len(overrides)
     points, dets, samples = [], [], []
     misses = Counter()
-    s = 0
+    s = 1 if overrides else 0
     while len(points) <= r:
-        s += 1
-        Hs = _shifted(H, overrides, c_subs, s)
+        Hs = _shifted(H, overrides, s)
         try:
             fd = factorize(Hs, symbolic=False)
         except ZeroPivotError as exc:
             misses[exc.index] += 1
             if misses[exc.index] > r:
                 raise
-            continue
-        points.append(s)
-        dets.append(det_from_factors(fd))
-        samples.append(evaluate(fd, Hs))
+        else:
+            points.append(s)
+            dets.append(det_from_factors(fd))
+            samples.append(evaluate(fd, Hs))
+        s += 1
     return points, dets, samples
 
 
-def interpolate(H: CyclicHeptaMatrix, evaluate: Callable, overrides=(), c_subs=()) -> tuple:
-    """det H and quantities of H^-1 through concrete points of H + s*G.
+def interpolate(H: CyclicHeptaMatrix, evaluate: Callable) -> tuple:
+    """det H and quantities of H^-1, the single exact entry point.
 
-    G has a one at (i, i) for every pivot override i and at (j, j+3) for
-    every substituted C_j.  At each point s = 1, 2, ... the plain sweep of
-    H(s) gives ``fd`` and ``evaluate(fd, H(s))`` a flat list of values y(s)
-    (entries of H(s)^-1, or of H(s)^-1 r) with det H(s) * y(s) a polynomial
-    of degree <= r = |G|, so r + 1 points determine det H and y at s = 0.
-    A pivot found structurally zero joins ``overrides`` (the paper's
-    override rule) and sampling restarts.
+    G starts empty, so without a zero pivot this is one plain sweep of H and
+    ``evaluate(fd, H)``.  A pivot found structurally zero joins G, a one at
+    (i, i) (the paper's override rule), and sampling restarts at the points
+    s = 1, 2, ... of H(s) = H + s*G.  There ``evaluate(fd, H(s))`` gives a
+    flat list of values y(s) (entries of H(s)^-1, or of H(s)^-1 r) with
+    det H(s) * y(s) a polynomial of degree <= r = |G|, so r + 1 points
+    determine det H and y at s = 0.
 
     Returns (det H, overrides, y(0)), with y(0) None when det H == 0.
     """
-    overrides = tuple(overrides)
+    overrides = ()
     while True:
         try:
-            points, dets, samples = _sample(H, overrides, c_subs, evaluate)
+            points, dets, samples = _sample(H, overrides, evaluate)
             break
         except ZeroPivotError as exc:
             overrides += (exc.index,)
+    if not overrides:
+        return dets[0], overrides, samples[0]
     # Lagrange weights l_k(0) = prod_{m != k} s_m / (s_m - s_k)
     weights = [prod(Fraction(sm, sm - sk) for sm in points if sm != sk) for sk in points]
     det = sum(w * d for w, d in zip(weights, dets))

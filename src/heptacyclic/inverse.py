@@ -5,18 +5,15 @@ each one is a closed-form pass down the border entries followed by an upward
 five-term sweep.  They are mutually independent, so they may be computed
 concurrently.  The remaining n-5 columns follow from the band identity
 S @ H = I, peeled column by column: column j is obtained from columns
-j+1..j+6 by dividing through the band entry C_j.
+j+1..j+6 by dividing through the band entry C_j.  Where C_j is zero, column
+j is instead one forward/back substitution of e_j through the factors
+already in hand, and the recursion continues above it.
 
-Zero entries are handled by substitution, as in the paper, but at concrete
-points rather than with a symbolic t.  Every zero C_j with j <= n-5 and
-every structurally zero pivot i becomes a position of G, and the inverse of
-H(s) = H + s*G is computed over plain rationals at r + 1 points s = 1, 2,
-... (r = |G|).  There C_j(s) = s is a nonzero divisor and pivot i is no
-longer zero; det H(s) * H(s)^-1 is a polynomial matrix of degree <= r, so
-Lagrange interpolation at s = 0 gives the inverse of H exactly (see
-``factor.interpolate``).  At a concrete s no two substitutions can couple,
-so the column recursion serves every instance.  Without any substitution
-(r = 0) a single plain sweep of H is all that runs.
+A structurally zero pivot is handled at concrete points rather than with a
+symbolic t: ``factor.interpolate`` computes the inverse of H(s) = H + s*G
+(G a one at each such pivot) over plain rationals at r + 1 points and
+interpolates det H(s) * H(s)^-1 to s = 0.  Without a zero pivot a single
+plain sweep of H is all that runs.
 """
 
 from __future__ import annotations
@@ -26,12 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .errors import InternalContractError, SingularMatrixError, ZeroPivotError
+from .errors import InternalContractError, SingularMatrixError
 from .factor import FactorData, factorize, interpolate
 from .matrix import CyclicHeptaMatrix, DenseMatrix
-from .scalars import T, is_zero
+from .scalars import is_zero
 
-# perfbench/tracer.py wraps these module attributes, so they stay bound
+# perfbench/tracer.py wraps these module attributes, so they stay bound; the
+# zero-C columns call kernels.substitute directly
 from .factor import lu_substitute  # noqa: F401
 from .scalars import eval_at_zero  # noqa: F401
 
@@ -44,8 +42,11 @@ SEED_COLUMN_COUNT = 5
 class InverseResult:
     """Exact inverse plus provenance of the substitutions that fired.
 
-    ``back_path`` names the back-column path that ran: the column
-    recursion, the only one the exact lane has.
+    ``c_substitutions`` lists the zero C_j (j <= n-5), whose columns were
+    taken by substitution; ``pivot_overrides`` lists the structurally zero
+    pivots, as ``factorize(H).overrides`` does.  ``back_path`` names the
+    back-column path that ran: the column recursion, the only one the exact
+    lane has.
     """
 
     S: DenseMatrix
@@ -183,41 +184,36 @@ def _back_column(bands: dict, cols: dict, j: int, n: int) -> list:
     return col
 
 
-def back_columns(H: CyclicHeptaMatrix, seeds: tuple) -> dict:
+def back_columns(fd: FactorData, H: CyclicHeptaMatrix, seeds: tuple) -> dict:
     """Columns n-5 down to 1 via the band identity, dividing by C_j.
 
-    Precondition: any C_j that was exactly zero (j <= n-5) has already been
-    replaced by the indeterminate, so every divisor here is nonzero.
+    A column whose C_j is zero is one substitution of e_j through ``fd``,
+    the factors of H, instead.
     """
     n = H.n
     bands = _padded_bands(H)
     cols = {n: seeds[0], n - 1: seeds[1], n - 2: seeds[2], n - 3: seeds[3], n - 4: seeds[4]}
     for j in range(n - 5, 0, -1):
-        cols[j] = _back_column(bands, cols, j, n)
+        if is_zero(bands["C"][j]):
+            e_j = [None] + [0] * n
+            e_j[j] = _ONE
+            cols[j] = kernels.substitute(fd, e_j)
+        else:
+            cols[j] = _back_column(bands, cols, j, n)
     return {j: cols[j] for j in range(1, n - 4)}
 
 
 def _zero_c(H: CyclicHeptaMatrix) -> tuple:
-    """Indices i <= n-5 whose C_i, a divisor of the back recursion, is zero."""
+    """Indices j <= n-5 whose C_j, a divisor of the back recursion, is zero."""
     C = H.band("C")
-    return tuple(i for i in range(1, H.n - 4) if is_zero(C[i - 1]))
-
-
-def _substitute_zero_c(H: CyclicHeptaMatrix):
-    """Replace every zero C_i (i <= n-5) by t: the paper's symbolic form,
-    which the tests use as the reference for the override list."""
-    c_subs = _zero_c(H)
-    Cnew = list(H.band("C"))
-    for i in c_subs:
-        Cnew[i - 1] = T
-    return (H.replace_band("C", Cnew) if c_subs else H), c_subs
+    return tuple(j for j in range(1, H.n - 4) if is_zero(C[j - 1]))
 
 
 def _entries(fd: FactorData, H: CyclicHeptaMatrix, parallel: bool) -> list:
     """All n*n entries of H^-1, row by row, from the factors of H."""
     n = H.n
     seeds = seed_columns(fd, H, parallel=parallel)
-    cols = back_columns(H, seeds)
+    cols = back_columns(fd, H, seeds)
     for offset, col in enumerate(seeds):
         cols[n - offset] = col
     return [cols[j][i] for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -226,29 +222,17 @@ def _entries(fd: FactorData, H: CyclicHeptaMatrix, parallel: bool) -> list:
 def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
     """Exact inverse of H, or SingularMatrixError.
 
-    Pipeline: find the zero C entries; with none, factor H, build the five
-    seed columns and recover the remaining columns.  If a C entry or a pivot
-    is zero, do the same for H(s) at concrete points and interpolate to
-    s = 0.  The result is the inverse of the original matrix.
+    Pipeline: factor H, build the five seed columns and recover the
+    remaining columns; if a pivot is zero, do the same for H(s) at concrete
+    points and interpolate to s = 0 (``factor.interpolate``).
     """
     n = H.n
-    c_subs = _zero_c(H)
-    overrides, values = (), None
-    if not c_subs:
-        try:
-            fd = factorize(H, symbolic=False)
-        except ZeroPivotError as exc:
-            overrides = (exc.index,)
-        else:
-            values = _entries(fd, H, parallel_seeds)
+    _, overrides, values = interpolate(H, lambda fd, Hs: _entries(fd, Hs, parallel_seeds))
     if values is None:
-        _, overrides, values = interpolate(
-            H, lambda fd, Hs: _entries(fd, Hs, parallel_seeds), overrides, c_subs)
-        if values is None:
-            raise SingularMatrixError("singular matrix")
+        raise SingularMatrixError("singular matrix")
     return InverseResult(
         S=DenseMatrix([values[i * n:(i + 1) * n] for i in range(n)]),
-        c_substitutions=c_subs,
+        c_substitutions=_zero_c(H),
         pivot_overrides=overrides,
     )
 

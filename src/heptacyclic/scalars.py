@@ -37,10 +37,6 @@ _F_ZERO = Fraction(0)
 _DEGREE_CAP = 64
 
 
-def degree_cap() -> int:
-    return _DEGREE_CAP
-
-
 def set_degree_cap(cap: int) -> None:
     """Adjust the maximum polynomial degree allowed (default 64)."""
     global _DEGREE_CAP
@@ -419,6 +415,26 @@ def eval_at_zero(x) -> Fraction:
     return Fraction(x)
 
 
+# Largest decimal exponent a scalar text may carry.  Fraction builds
+# 10**exponent, whose cost grows faster than the exponent (1e999999999 would
+# need about 400 MB); at this bound a parse takes milliseconds.
+MAX_EXPONENT = 100_000
+
+# the exponent of Fraction's decimal form (\d: it takes any Unicode digit)
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
+
+
+def _exceeds_bound(digits: str) -> bool:
+    """Whether an exponent's digits exceed MAX_EXPONENT, read only as far as
+    needed: int() of the whole string would meet CPython's digit limit."""
+    value = 0
+    for digit in digits.replace("_", ""):
+        value = value * 10 + int(digit)
+        if value > MAX_EXPONENT:
+            return True
+    return False
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse the scalar grammar used by all file formats.
 
@@ -426,10 +442,14 @@ def parse_scalar(text: str) -> Fraction:
     optional sign on p, or an integer or terminating decimal with an
     optional exponent (``-2``, ``0.25``, ``1e-3``), digits optionally grouped
     by single underscores; surrounding whitespace is ignored.  The value is
-    exact.
+    exact.  An exponent beyond ``MAX_EXPONENT`` in magnitude is refused.
     """
+    stripped = text.strip()
+    exponent = _EXPONENT.search(stripped)
+    if exponent is not None and _exceeds_bound(exponent.group(1)):
+        raise ValueError(f"invalid scalar {text!r}: exponent beyond {MAX_EXPONENT} in magnitude")
     try:
-        return Fraction(text.strip())
+        return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid scalar {text!r}") from exc
 

@@ -2,10 +2,11 @@
 
 Forward/back substitution through the bordered LU factors, O(n) per
 right-hand side; the exact and float lanes run the same substitution.
-When a pivot of H is zero, the exact lane solves H(s) x(s) = r at concrete
-points of H(s) = H + s*G (G the zero pivots) and interpolates det * x to
-s = 0 (``factor.interpolate``); the right-hand side needs no substitution,
-since the band entries are never divided by.
+The exact lane goes through ``factor.interpolate``: one plain sweep, or,
+when a pivot of H is structurally zero, H(s) x(s) = r at concrete points of
+H(s) = H + s*G (G the zero pivots) with det * x interpolated to s = 0; the
+right-hand side needs no substitution, since the band entries are never
+divided by.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import SingularMatrixError, ZeroPivotError
+from .errors import SingularMatrixError
 from .factor import (
     FactorData,
     det_from_factors,
@@ -49,12 +50,12 @@ def solve_via_lu(fd: FactorData, H: CyclicHeptaMatrix, r: Sequence) -> SolveRepo
     """Forward/back substitution through the factors.
 
     The factor data must come from factorize(H).  If that sweep overrode
-    pivots, the solve runs at concrete points instead, with G seeded from
-    ``fd.overrides``, so t never reaches the substitution.
+    pivots, the solve runs at concrete points instead, so t never reaches
+    the substitution.
     """
     r = _check_rhs(H, r)
     if fd.overrides:
-        return _solve_at_points(H, [r], fd.overrides)[0]
+        return _solve_exact(H, [r])[0]
     det = require_nonsingular(fd)
     return SolveReport(
         x=tuple(lu_substitute(fd, r)),
@@ -65,11 +66,11 @@ def solve_via_lu(fd: FactorData, H: CyclicHeptaMatrix, r: Sequence) -> SolveRepo
     )
 
 
-def _solve_at_points(H: CyclicHeptaMatrix, columns: list, overrides) -> list[SolveReport]:
-    """Exact solutions of checked columns through concrete points of H + s*G."""
+def _solve_exact(H: CyclicHeptaMatrix, columns: list) -> list[SolveReport]:
+    """Exact solutions of checked columns through ``interpolate``."""
     n = H.n
     det, overrides, values = interpolate(
-        H, lambda fd, Hs: [v for col in columns for v in lu_substitute(fd, col)], overrides)
+        H, lambda fd, Hs: [v for col in columns for v in lu_substitute(fd, col)])
     if values is None:
         raise SingularMatrixError("singular matrix")
     return [
@@ -88,18 +89,14 @@ def solve_many(H: CyclicHeptaMatrix, columns: Sequence[Sequence], backend: str =
     float lane ``H`` may also be a ``FloatHeptaMatrix``, and every column is
     converted to float64 before the sweep.
     """
-    if backend != "float":
-        try:
-            fd = factorize(H, backend, symbolic=False)
-        except ZeroPivotError as exc:
-            return _solve_at_points(H, [_check_rhs(H, col) for col in columns], (exc.index,))
-        return [solve_via_lu(fd, H, col) for col in columns]
+    if backend == "exact":
+        return _solve_exact(H, [_check_rhs(H, col) for col in columns])
     rhs = []
     for idx, col in enumerate(columns, start=1):
         if len(col) != H.n:
             raise ValueError(f"right-hand side length {len(col)} != order {H.n}")
         rhs.append(float_vector(col, "rhs" if len(columns) == 1 else f"rhs column {idx}"))
-    fd = factorize(H, "float", tol)
+    fd = factorize(H, backend, tol)
     det = det_from_factors(fd)
     return [
         SolveReport(x=tuple(lu_substitute(fd, r[1:])), det=det, method="via-lu", backend="float")

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as Fr
 
 import pytest
@@ -266,6 +267,23 @@ def _write_bands(tmp_path, name, bands):
 def _float_argv(command, matrix, rhs):
     argv = [command, "--input", matrix, "--backend", "float"]
     return argv + ["--rhs", rhs] if command == "solve" else argv
+
+
+class TestLargeExponents:
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("band, k, text", [("A", 4, "1e999999999"), ("D", 0, "0e999999999")],
+                             ids=["free", "wrap"])
+    def test_refused_quickly(self, backend, band, k, text, tmp_path, capsys):
+        # Fraction would build 10**999999999 before the value is checked
+        bands = _example_bands()
+        bands[band][k] = text
+        matrix = _write_bands(tmp_path, "m.json", bands)
+        start = time.perf_counter()
+        code, out, err = run(["det", "--input", matrix, "--backend", backend], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert f"band {band!r} entry {k + 1}" in err and "exponent beyond 100000" in err
 
 
 class TestFloatEdgeInputs:

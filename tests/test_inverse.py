@@ -1,19 +1,20 @@
+import json
 from fractions import Fraction as Fr
 
 import pytest
 
 from heptacyclic import factor
+from heptacyclic.cli import main
 from heptacyclic.errors import SingularMatrixError, ZeroPivotError
 from heptacyclic.factor import determinant, factorize
 from heptacyclic.inverse import (
     _back_column,
     _padded_bands,
-    _substitute_zero_c,
     back_columns,
     invert,
     seed_columns,
 )
-from heptacyclic.matrix import CyclicHeptaMatrix, random_instance, to_dense
+from heptacyclic.matrix import CyclicHeptaMatrix, matrix_to_json, random_instance, to_dense
 from heptacyclic.oracle import compare, dense_det, dense_inverse
 from heptacyclic.scalars import eval_at_zero
 from heptacyclic.solve import solve_many
@@ -64,10 +65,10 @@ class TestSeedColumns:
             assert H.mat_vec(values) == [1 if i == j else 0 for i in range(1, 9)]
 
     def test_parallel_equals_sequential(self):
+        # seed columns never divide by C, so zero C entries need no substitution
         H = random_instance(12, 13, "zero-C")
-        Hp, _ = _substitute_zero_c(H)
-        fd = factorize(Hp)
-        assert seed_columns(fd, Hp, parallel=True) == seed_columns(fd, Hp, parallel=False)
+        fd = factorize(H)
+        assert seed_columns(fd, H, parallel=True) == seed_columns(fd, H, parallel=False)
 
 
 class TestBackColumns:
@@ -104,15 +105,20 @@ class TestBackColumns:
         H = random_instance(10, 11, "zero-C")
         fd = factorize(H)
         seeds = seed_columns(fd, H)
+        cols = back_columns(fd, H, seeds)
+        cols.update({10 - off: col for off, col in enumerate(seeds)})
+        j = max(j for j in range(1, 6) if H.band("C")[j - 1] == 0)
         with pytest.raises(InternalContractError, match="zero divisor"):
-            back_columns(H, seeds)  # substitution step skipped on purpose
+            # back_columns takes this column by substitution instead
+            _back_column(_padded_bands(H), cols, j, 10)
 
 
 class TestInvert:
     def test_identity(self):
         res = invert(identity_matrix())
         assert res.S == to_dense(identity_matrix())
-        # every C_i with i <= n-5 is zero here, so all five were substituted
+        # every C_i with i <= n-5 is zero here, so all five columns were
+        # taken by substitution
         assert res.c_substitutions == (1, 2, 3, 4, 5)
         assert res.pivot_overrides == ()
 
@@ -256,26 +262,24 @@ def acceptance_corpora():
 class TestConcretePoints:
     """The determinant, solve and inverse run at concrete points of
     H(s) = H + s*G; the symbolic sweep over t stays the reference for which
-    positions are substituted."""
+    pivots are overridden."""
 
     def test_override_lists_match_symbolic_sweep(self):
         with_overrides = 0
         for H in acceptance_corpora():
             det = determinant(H)
-            symbolic = factorize(H)
-            assert det.pivot_overrides == len(symbolic.overrides)
+            expected = factorize(H).overrides
+            assert det.pivot_overrides == len(expected)
             if det.singular:
                 continue
-            Hp, c_subs = _substitute_zero_c(H)
-            expected = factorize(Hp).overrides if c_subs else symbolic.overrides
             assert invert(H).pivot_overrides == expected
             with_overrides += bool(expected)
         assert with_overrides >= 100
 
     def test_point_with_a_zero_pivot_is_skipped(self, monkeypatch):
-        # d_1 = 0 puts (1, 1) into G; pivot 2 of H(s) is d_2 - b_2 a_1 / s,
-        # zero at s = 1 only, so that point is skipped and pivot 2 is not
-        # overridden
+        # the plain sweep of H (s = 0) finds d_1 = 0 and puts (1, 1) into G;
+        # pivot 2 of H(s) is d_2 - b_2 a_1 / s, zero at s = 1 only, so that
+        # point is skipped and pivot 2 is not overridden
         H = random_instance(10, 3, "diagonally-dominant")
         bands = {k: list(v) for k, v in H.bands().items()}
         bands["C"][0] = 2
@@ -297,7 +301,7 @@ class TestConcretePoints:
 
         monkeypatch.setattr(factor, "factorize", recording)
         res = invert(H)
-        assert skipped == [(1, 2)]
+        assert skipped == [(0, 1), (1, 2)]
         assert res.pivot_overrides == (1,) and res.c_substitutions == ()
         assert compare(res.S, dense_inverse(dense)).equal
         assert determinant(H).value == dense_det(dense)
@@ -305,3 +309,70 @@ class TestConcretePoints:
         (report,) = solve_many(H, [r])
         assert H.mat_vec(list(report.x)) == r
         assert report.det == dense_det(dense)
+
+
+def pentadiagonal(n, seed):
+    """A diagonally dominant matrix with C = D = 0."""
+    H = random_instance(n, seed, "diagonally-dominant")
+    return H.replace_band("C", [0] * n).replace_band("D", [0] * n)
+
+
+def override_only_through_zero_c(seed):
+    """Dominant n = 12 with C_3 = 0 and d_6 reduced by its own pivot: pivot 6
+    is zero only because C_3 = 0, so with C_3 replaced by t it would not be."""
+    H = random_instance(12, seed, "diagonally-dominant")
+    H = H.replace_band("C", [0 if k == 2 else c for k, c in enumerate(H.band("C"))])
+    alpha6 = factorize(H, symbolic=False).alpha[6]
+    return H.replace_band("d", [v - alpha6 if k == 5 else v for k, v in enumerate(H.band("d"))])
+
+
+class TestZeroCColumns:
+    """A column with C_j = 0 is one substitution through the factors of H,
+    so zero C entries cost no further sweep."""
+
+    @pytest.mark.parametrize("H", [identity_matrix(64), pentadiagonal(32, 1)],
+                             ids=["identity", "pentadiagonal"])
+    def test_one_sweep(self, H, monkeypatch):
+        calls = []
+        sweep = factor.factorize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(factor, "factorize", counting)
+        res = invert(H)
+        assert len(calls) == 1
+        assert res.c_substitutions == tuple(range(1, H.n - 4))
+        assert res.pivot_overrides == ()
+        assert res.S == dense_inverse(to_dense(H))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_override_list_for_det_solve_and_inv(self, seed, tmp_path, capsys):
+        H = override_only_through_zero_c(seed)
+        assert factorize(H).overrides == (6,)
+        dense = to_dense(H)
+        expected = dense_inverse(dense)
+
+        res = invert(H)
+        assert res.pivot_overrides == (6,) and 3 in res.c_substitutions
+        assert res.S == expected
+        det = determinant(H)
+        assert det.pivot_overrides == 1 and det.value == dense_det(dense)
+        r = [Fr(i) for i in range(1, 13)]
+        (report,) = solve_many(H, [r])
+        assert report.substitutions_fired == {"pivot_overrides": 1}
+        assert H.mat_vec(list(report.x)) == r
+
+        path = tmp_path / "m.json"
+        path.write_text(matrix_to_json(H))
+        assert main(["inv", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["pivot_overrides"] == [6]
+
+
+def test_unknown_backend_rejected():
+    H = random_instance(10, 1, "diagonally-dominant")
+    with pytest.raises(ValueError, match="unknown backend"):
+        determinant(H, "single")
+    with pytest.raises(ValueError, match="unknown backend"):
+        solve_many(H, [[1] * 10], backend="single")

@@ -184,6 +184,18 @@ class TestScalarText:
         with pytest.raises(ValueError, match="invalid scalar"):
             parse_scalar("12x")
 
+    @pytest.mark.parametrize("text", ["1e100000", "-3.5E-100000", "2e+1_00_000", " 1e0000000000000000000005 "])
+    def test_exponent_at_bound_parses(self, text):
+        assert parse_scalar(text) == Fr(text.strip())
+
+    @pytest.mark.parametrize("text", [
+        "1e999999999", "0e999999999", "1e100001", "-1e-100001", "1e1_000_000",
+        "1e\u0661\u0660\u0660\u0660\u0660\u0660\u0660",  # Arabic-Indic digits: 10**6
+    ])
+    def test_exponent_beyond_bound_refused(self, text):
+        with pytest.raises(ValueError, match="exponent beyond 100000"):
+            parse_scalar(text)
+
     def test_format_canonical(self):
         assert format_scalar(Fr(3, 4)) == "3/4"
         assert format_scalar(Fr(-8, 4)) == "-2"
