@@ -55,10 +55,10 @@ class InverseResult:
     back_path: str = "recursion"
 
 
-def _upper_sweep(col, fd: FactorData, Cv):
+def _upper_sweep(col, fd: FactorData):
     """Rows n-5 down to 1 of one seed column (five-term recurrence)."""
     n = fd.n
-    al, g, z, v, w = fd.alpha, fd.g, fd.z, fd.v, fd.w
+    al, g, z, Cv, v, w = fd.alpha, fd.g, fd.z, fd.C, fd.v, fd.w
     for i in range(n - 5, 0, -1):
         col[i] = -(
             g[i] * col[i + 1]
@@ -88,7 +88,7 @@ def _fill_closure_rows(col, fd: FactorData):
         ) / al[n - 4]
 
 
-def _seed_column(fd: FactorData, Cv, j: int):
+def _seed_column(fd: FactorData, j: int):
     """Column j of the inverse for j in {n, n-1, n-2, n-3, n-4}."""
     n = fd.n
     al, f, e, k, h, v, w, g = fd.alpha, fd.f, fd.e, fd.k, fd.h, fd.v, fd.w, fd.g
@@ -131,7 +131,7 @@ def _seed_column(fd: FactorData, Cv, j: int):
     else:
         raise ValueError(f"not a seed column index: {j}")
     _fill_closure_rows(c, fd)
-    _upper_sweep(c, fd, Cv)
+    _upper_sweep(c, fd)
     return c
 
 
@@ -139,16 +139,16 @@ def seed_columns(fd: FactorData, H: CyclicHeptaMatrix, parallel: bool = False) -
     """The five rightmost columns of the inverse: (Col_n, ..., Col_{n-4}).
 
     Independent given the factor data; with ``parallel`` they run on a small
-    thread pool.  Results are identical either way.
+    thread pool.  Results are identical either way.  ``H`` is the matrix
+    ``fd`` factors; the one band the columns read, C, comes from ``fd``.
     """
     n = fd.n
-    Cv = (None, *H.band("C"))
     indices = [n, n - 1, n - 2, n - 3, n - 4]
     if parallel:
         with ThreadPoolExecutor(max_workers=SEED_COLUMN_COUNT) as pool:
-            cols = list(pool.map(lambda j: _seed_column(fd, Cv, j), indices))
+            cols = list(pool.map(lambda j: _seed_column(fd, j), indices))
     else:
-        cols = [_seed_column(fd, Cv, j) for j in indices]
+        cols = [_seed_column(fd, j) for j in indices]
     return tuple(cols)
 
 

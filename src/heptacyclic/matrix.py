@@ -24,7 +24,7 @@ from array import array
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import RatFun, float_scalar, format_scalar, is_zero, parse_scalar
+from .scalars import float_scalar, format_scalar, is_zero, parse_scalar
 
 BAND_NAMES = ("D", "B", "b", "d", "a", "A", "C")
 
@@ -49,13 +49,13 @@ def _offset_band(n: int, i: int, j: int):
 
 
 def _to_scalar(value):
-    if isinstance(value, (Fraction, RatFun)):
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, float)):
         return Fraction(value)
     if isinstance(value, str):
         return parse_scalar(value)
-    # duck-typed scalars (e.g. the op-counting wrapper) pass through
+    # duck-typed scalars (rational functions, the op-counting wrapper) pass through
     return value
 
 

@@ -9,9 +9,9 @@ Three scalar kinds flow through the solvers:
   of t^k), leading coefficient nonzero; the zero polynomial is the empty
   coefficient tuple.
 * ``RatFun`` — reduced ratio of two polynomials with a monic denominator.
-  This carries the paper's zero-entry substitution in the symbolic
-  ``factor.factorize``: a pivot that would be exactly zero is replaced by
-  ``T`` (the bare indeterminate) so divisions proceed, and the true value
+  It serves only the symbolic ``factor.factorize`` and
+  ``factor.materialize_LU``: a pivot that would be exactly zero is replaced
+  by ``T`` (the bare indeterminate) so divisions proceed, and the true value
   is recovered by :func:`eval_at_zero` at the end.  The determinant, solve
   and inverse paths evaluate at concrete points instead and never meet it.
 
@@ -61,20 +61,6 @@ class Poly:
             )
         self.coeffs = tuple(c)
 
-    @classmethod
-    def _make(cls, c: list) -> "Poly":
-        """Internal: wrap a list of Fractions, trimming trailing zeros."""
-        while c and not c[-1]:
-            c.pop()
-        if len(c) - 1 > _DEGREE_CAP:
-            raise DegreeCapError(
-                f"polynomial degree {len(c) - 1} exceeds cap {_DEGREE_CAP}; "
-                "raise it with scalars.set_degree_cap() if this input is legitimate"
-            )
-        self = object.__new__(cls)
-        self.coeffs = tuple(c)
-        return self
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -90,12 +76,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def monic(self) -> "Poly":
-        lead = self.leading
-        if lead == 1:
-            return self
-        return Poly._make([v / lead for v in self.coeffs])
-
     def eval0(self) -> Fraction:
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
@@ -106,39 +86,21 @@ class Poly:
         out = list(a)
         for i, v in enumerate(b):
             out[i] += v
-        return Poly._make(out)
+        return Poly(out)
 
     def __neg__(self) -> "Poly":
-        return Poly._make([-v for v in self.coeffs])
+        return Poly([-v for v in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) >= len(b):
-            out = list(a)
-            for i, v in enumerate(b):
-                out[i] -= v
-        else:
-            out = [-v for v in b]
-            for i, v in enumerate(a):
-                out[i] += v
-        return Poly._make(out)
+        return self + -other
 
     def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.ZERO
-        if len(a) == 1:
-            u = a[0]
-            return Poly._make([u * v for v in b])
-        if len(b) == 1:
-            u = b[0]
-            return Poly._make([u * v for v in a])
         out = [_F_ZERO] * (len(a) + len(b) - 1)
         for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    out[i + j] += u * v
-        return Poly._make(out)
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        return Poly(out)
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero:
@@ -146,19 +108,14 @@ class Poly:
         rem = list(self.coeffs)
         dv = other.degree
         lead = other.leading
-        q = [_F_ZERO] * max(0, len(rem) - dv)
-        while len(rem) - 1 >= dv:
-            if not rem[-1]:
-                rem.pop()
-                continue
+        q = [_F_ZERO] * (len(rem) - dv)
+        while len(rem) > dv:
             k = len(rem) - 1 - dv
-            fac = rem[-1] / lead
+            fac = rem.pop() / lead
             q[k] = fac
             for j, v in enumerate(other.coeffs[:-1]):
-                if v:
-                    rem[k + j] -= fac * v
-            rem.pop()
-        return Poly._make(q), Poly._make(rem)
+                rem[k + j] -= fac * v
+        return Poly(q), Poly(rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -195,7 +152,6 @@ class Poly:
         return f"Poly({self})"
 
 
-Poly.ZERO = Poly()
 Poly.ONE = Poly((1,))
 
 
@@ -205,60 +161,62 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         raise ValueError("gcd undefined for two zero polynomials")
     while not q.is_zero:
         p, q = q, p % q
-    return p.monic()
+    lead = p.leading
+    return Poly([v / lead for v in p.coeffs])
+
+
+def _coerced(op):
+    """A binary RatFun method from ``op(self, other)``, with ``int`` and
+    ``Fraction`` operands coerced and any other type left to Python."""
+    def method(self, other):
+        try:
+            other = RatFun.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return op(self, other)
+    return method
+
+
+def _quotient(a: "RatFun", b: "RatFun") -> "RatFun":
+    if b.is_zero:
+        raise ZeroDivisionError("division by zero rational function")
+    return RatFun(a.num * b.den, a.den * b.num)
 
 
 class RatFun:
     """Reduced rational function num/den with a monic denominator.
 
-    The canonical form is restored eagerly after every operation: the t->0
-    substitution is only correct once removable factors have cancelled, and
-    eager reduction also bounds coefficient growth.  Addition and
-    multiplication cancel across reduced operands first (Henrici's scheme),
-    which keeps the gcd work on low-degree polynomials.
+    The constructor is the only way one is built: it cancels the gcd of
+    numerator and denominator (unless the denominator is a constant) and
+    makes the denominator monic, and every operation is one constructor call
+    on the textbook formula.  The t->0 substitution of :meth:`eval0` is only
+    correct on this canonical form, once removable factors have cancelled.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if not isinstance(num, Poly):
-            num = Poly((Fraction(num),))
+            num = Poly((num,))
         if den is None:
             den = Poly.ONE
         elif not isinstance(den, Poly):
-            den = Poly((Fraction(den),))
+            den = Poly((den,))
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
-            self.num = Poly.ZERO
-            self.den = Poly.ONE
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num //= g
-            den //= g
+            den = Poly.ONE
+        elif den.degree > 0:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num //= g
+                den //= g
         lead = den.leading
         if lead != 1:
-            num = Poly._make([v / lead for v in num.coeffs])
-            den = Poly._make([v / lead for v in den.coeffs])
+            num = Poly([v / lead for v in num.coeffs])
+            den = Poly([v / lead for v in den.coeffs])
         self.num = num
         self.den = den
-
-    @classmethod
-    def _reduced(cls, num: Poly, den: Poly) -> "RatFun":
-        """Wrap an already-reduced pair, only normalizing the denominator."""
-        self = object.__new__(cls)
-        if num.is_zero:
-            self.num = Poly.ZERO
-            self.den = Poly.ONE
-            return self
-        lead = den.leading
-        if lead != 1:
-            num = Poly._make([v / lead for v in num.coeffs])
-            den = Poly._make([v / lead for v in den.coeffs])
-        self.num = num
-        self.den = den
-        return self
 
     @staticmethod
     def coerce(value) -> "RatFun":
@@ -276,92 +234,12 @@ class RatFun:
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
 
-    def _add_sub(self, o: "RatFun", sign: int) -> "RatFun":
-        on = o.num if sign > 0 else -o.num
-        if self.den.degree == 0 and o.den.degree == 0:
-            # both denominators are 1 after normalization
-            return RatFun._reduced(self.num + on, Poly.ONE)
-        g = poly_gcd(self.den, o.den) if (self.den.degree and o.den.degree) else Poly.ONE
-        if g.degree == 0:
-            # coprime reduced denominators: the result is already reduced
-            num = self.num * o.den + on * self.den
-            return RatFun._reduced(num, self.den * o.den)
-        d1 = self.den // g
-        d2 = o.den // g
-        num = self.num * d2 + on * d1
-        if num.is_zero:
-            return RatFun(Poly.ZERO)
-        # a leftover common factor can only sit inside g
-        g2 = poly_gcd(num, g)
-        if g2.degree > 0:
-            num //= g2
-            g //= g2
-        return RatFun._reduced(num, d1 * d2 * g)
-
-    def __add__(self, other):
-        try:
-            o = RatFun.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self._add_sub(o, +1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        try:
-            o = RatFun.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self._add_sub(o, -1)
-
-    def __rsub__(self, other):
-        try:
-            o = RatFun.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return o - self
-
-    def _mul_pair(self, num1: Poly, den1: Poly, num2: Poly, den2: Poly) -> "RatFun":
-        # cross-cancel: with both inputs reduced, the product of the leftover
-        # pairs is reduced too
-        if num1.is_zero or num2.is_zero:
-            return RatFun(Poly.ZERO)
-        if den2.degree > 0 and num1.degree > 0:
-            g = poly_gcd(num1, den2)
-            if g.degree > 0:
-                num1 //= g
-                den2 //= g
-        if den1.degree > 0 and num2.degree > 0:
-            g = poly_gcd(num2, den1)
-            if g.degree > 0:
-                num2 //= g
-                den1 //= g
-        return RatFun._reduced(num1 * num2, den1 * den2)
-
-    def __mul__(self, other):
-        try:
-            o = RatFun.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self._mul_pair(self.num, self.den, o.num, o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        try:
-            o = RatFun.coerce(other)
-        except TypeError:
-            return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return self._mul_pair(self.num, self.den, o.den, o.num)
-
-    def __rtruediv__(self, other):
-        try:
-            o = RatFun.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return o / self
+    __add__ = __radd__ = _coerced(lambda a, b: RatFun(a.num * b.den + b.num * a.den, a.den * b.den))
+    __sub__ = _coerced(lambda a, b: a + -b)
+    __rsub__ = _coerced(lambda a, b: b + -a)
+    __mul__ = __rmul__ = _coerced(lambda a, b: RatFun(a.num * b.num, a.den * b.den))
+    __truediv__ = _coerced(_quotient)
+    __rtruediv__ = _coerced(lambda a, b: _quotient(b, a))
 
     def __neg__(self):
         return RatFun(-self.num, self.den)

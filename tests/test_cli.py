@@ -4,13 +4,20 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from heptacyclic import kernels
+from heptacyclic import kernels, scalars
 from heptacyclic.cli import main
 from heptacyclic.factor import factorize
-from heptacyclic.matrix import CyclicHeptaMatrix, dense_from_csv, matrix_to_json, matrix_from_json
+from heptacyclic.matrix import (
+    CyclicHeptaMatrix,
+    dense_from_csv,
+    matrix_from_json,
+    matrix_to_json,
+    random_instance,
+)
 
 from conftest import fixture_path
 from test_factor import duplicated_row_matrix
+from test_inverse import collision_matrix, override_only_through_zero_c
 
 
 def run(argv, capsys):
@@ -363,3 +370,41 @@ class TestFloatFactorSweeps:
         code, _, _ = run(_float_argv(command, example_path, str(rhs)), capsys)
         assert code == 0
         assert len(calls) == 1
+
+
+def _no_ratfun_instances():
+    for profile in ("general", "diagonally-dominant", "zero-pivot-prone", "zero-C"):
+        for seed in range(2):
+            yield random_instance(12, seed, profile)
+    yield collision_matrix(0)
+    yield override_only_through_zero_c(0)
+    singular = duplicated_row_matrix()
+    yield singular.replace_band("d", [0, *singular.band("d")[1:]])
+
+
+def test_no_cli_op_builds_a_rational_function(tmp_path, monkeypatch):
+    # det, inv and solve evaluate at concrete points; with every RatFun built
+    # by its constructor, counting constructor calls counts them all
+    instances = list(_no_ratfun_instances())
+    built = []
+    init = scalars.RatFun.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(scalars.RatFun, "__init__", counting)
+    path, one, two, out = (tmp_path / name for name in ("h.json", "r.json", "r.csv", "out"))
+    overrides = 0
+    for H in instances:
+        path.write_text(matrix_to_json(H))
+        one.write_text(json.dumps([str(k) for k in range(H.n)]))
+        two.write_text("".join(f"{k},{k * k - 3}\n" for k in range(H.n)))
+        for backend in ("exact", "float"):
+            for op in (["det"], ["inv"], ["solve", "--rhs", str(one)], ["solve", "--rhs", str(two)]):
+                argv = op + ["--input", str(path), "--backend", backend, "--out", str(out)]
+                assert main(argv) in (0, 2)
+                if op == ["det"] and backend == "exact":
+                    overrides += json.loads(out.read_text())["pivot_overrides"]
+    assert overrides >= 5  # the substitution path ran
+    assert built == []

@@ -11,7 +11,9 @@ from heptacyclic.factor import (
 )
 from heptacyclic.matrix import CyclicHeptaMatrix, random_instance, to_dense
 from heptacyclic.oracle import dense_det
-from heptacyclic.scalars import T, eval_at_zero, is_zero
+from heptacyclic.scalars import RatFun, T, eval_at_zero, is_zero
+
+from test_scalars import assert_canonical
 
 ALL_PROFILES = ("general", "diagonally-dominant", "zero-pivot-prone", "zero-C")
 
@@ -100,6 +102,19 @@ class TestFactorize:
         for seed in range(8):
             fd = factorize(random_instance(8 + seed, seed, "zero-pivot-prone"))
             assert all(not is_zero(fd.alpha[i]) for i in range(1, fd.n + 1))
+
+    def test_factor_vectors_are_canonical(self):
+        # the zero-pivot-prone instances of acceptance criterion 5: every
+        # rational function in the factors is in the form eval0 reads
+        seen = 0
+        for count in range(2, 100, 4):
+            fd = factorize(random_instance(8 + (count % 5), count, "zero-pivot-prone"))
+            for name in ("alpha", "f", "e", "g", "z", "k", "h", "v", "w"):
+                for x in getattr(fd, name):
+                    if isinstance(x, RatFun):
+                        assert_canonical(x)
+                        seen += 1
+        assert seen >= 100
 
 
 class TestMaterializeLU:

@@ -128,6 +128,26 @@ def test_eval_at_zero_is_ring_homomorphism(x, y):
     assert eval_at_zero(x * y) == eval_at_zero(x) * eval_at_zero(y)
 
 
+def assert_canonical(r):
+    """The form eval0 relies on: num and den coprime, den monic, 0 as 0/1."""
+    assert poly_gcd(r.num, r.den) == Poly.ONE
+    assert r.den.leading == 1
+    if r.is_zero:
+        assert r.num.coeffs == () and r.den == Poly.ONE
+
+
+@settings(max_examples=60)
+@given(a=ratfuns, b=ratfuns, q=rationals)
+def test_every_result_is_canonical(a, b, q):
+    results = [a + b, a - b, a * b, q - a, -a]
+    if not b.is_zero:
+        results.append(a / b)
+    if not a.is_zero:
+        results.append(q / a)
+    for r in results:
+        assert_canonical(r)
+
+
 @given(q=rationals)
 def test_embedding_round_trip(q):
     assert eval_at_zero(RatFun(q)) == q
