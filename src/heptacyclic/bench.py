@@ -6,9 +6,9 @@ scalar that increments a shared counter on every arithmetic operation
 cheap even at n in the thousands; it is supported wherever no symbolic
 substitution fires (use the diagonally-dominant profile, the default).
 
-The float kernels get one timing row each: the inverse (``inv/float``) and
-a single right-hand-side solve (``solve/float``), both including the factor
-sweep.
+Each lane gets a single right-hand-side solve row (``solve/exact``,
+``solve/float``) and the float lane an inverse row (``inv/float``), each
+including the factor sweep.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .factor import determinant, factorize
+from .factor import determinant
 from .inverse import inverse_float
 from .matrix import CyclicHeptaMatrix, random_instance
-from .solve import solve_many, solve_via_lu
+from .solve import solve_many
 
 
 class OpCounter:
@@ -134,9 +134,8 @@ def bench_suite(n: int, seed: int, profile: str = "diagonally-dominant", repeats
     wall = _best_of(lambda: determinant(H), repeats)
     rows.append(BenchRow(n, "det/exact", wall, count_det_ops(H)))
 
-    fd = factorize(H)
     rhs = [1] * n
-    wall = _best_of(lambda: solve_via_lu(fd, H, rhs), repeats)
+    wall = _best_of(lambda: solve_many(H, [rhs]), repeats)
     rows.append(BenchRow(n, "solve/exact", wall, ""))
 
     wall = _best_of(lambda: inverse_float(H), repeats)

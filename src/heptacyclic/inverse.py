@@ -139,8 +139,7 @@ def seed_columns(fd: FactorData, H: CyclicHeptaMatrix, parallel: bool = False) -
     """The five rightmost columns of the inverse: (Col_n, ..., Col_{n-4}).
 
     Independent given the factor data; with ``parallel`` they run on a small
-    thread pool.  Results are identical either way.  ``H`` is the matrix
-    ``fd`` factors; the one band the columns read, C, comes from ``fd``.
+    thread pool.  Results are identical either way.
     """
     n = fd.n
     indices = [n, n - 1, n - 2, n - 3, n - 4]

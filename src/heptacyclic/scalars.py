@@ -38,7 +38,13 @@ _DEGREE_CAP = 64
 
 
 def set_degree_cap(cap: int) -> None:
-    """Adjust the maximum polynomial degree allowed (default 64)."""
+    """Adjust the maximum polynomial degree allowed (default 64).
+
+    The cap bounds every polynomial built, including the unreduced numerator
+    and denominator of a RatFun sum, product or quotient before the gcd
+    cancels: their degree is the sum of the operands' degrees, so a reduced
+    result of degree above cap/2 may already be refused.
+    """
     global _DEGREE_CAP
     if cap < 1:
         raise ValueError("degree cap must be positive")

@@ -8,6 +8,7 @@ from heptacyclic import kernels, scalars
 from heptacyclic.cli import main
 from heptacyclic.factor import factorize
 from heptacyclic.matrix import (
+    PROFILES,
     CyclicHeptaMatrix,
     dense_from_csv,
     matrix_from_json,
@@ -406,5 +407,10 @@ def test_no_cli_op_builds_a_rational_function(tmp_path, monkeypatch):
                 assert main(argv) in (0, 2)
                 if op == ["det"] and backend == "exact":
                     overrides += json.loads(out.read_text())["pivot_overrides"]
+    for profile in PROFILES:
+        # the float rows refuse a zero-pivot-prone instance (exit 2) after
+        # the exact rows have run
+        assert main(["bench", "--n", "12", "--seed", "0", "--profile", profile,
+                     "--out", str(out)]) in (0, 2)
     assert overrides >= 5  # the substitution path ran
     assert built == []

@@ -184,6 +184,25 @@ def test_degree_cap_applies_to_products():
         set_degree_cap(64)
 
 
+def test_degree_cap_bounds_unreduced_intermediates():
+    # t^5/(t^5+1) * (t^5+1)/t^5 reduces to 1 and 1/(t^5+1) + t/(t^5+1) to
+    # 1/(t^4 - t^3 + t^2 - t + 1), but both build a degree-10 polynomial first
+    t5 = RatFun(Poly([0] * 5 + [1]))
+    quotient = t5 / (t5 + 1)
+    summand = 1 / (t5 + 1)
+    set_degree_cap(8)
+    try:
+        with pytest.raises(DegreeCapError, match="degree 10 exceeds cap 8"):
+            quotient * (1 / quotient)
+        with pytest.raises(DegreeCapError, match="degree 10 exceeds cap 8"):
+            summand + T * summand
+        set_degree_cap(10)
+        assert quotient * (1 / quotient) == 1
+        assert summand + T * summand == RatFun(1, Poly([1, -1, 1, -1, 1]))
+    finally:
+        set_degree_cap(64)
+
+
 class TestScalarText:
     @pytest.mark.parametrize(
         "text,value",
