@@ -8,7 +8,8 @@ Three scalar kinds flow through the solvers:
   rationals, coefficients stored ascending (index k holds the coefficient
   of t^k), leading coefficient nonzero; the zero polynomial is the empty
   coefficient tuple.
-* ``RatFun`` — reduced ratio of two polynomials with a monic denominator.
+* ``RatFun`` — reduced ratio of two polynomials, the denominator's leading
+  coefficient 1.
   It serves only the symbolic ``factor.factorize`` and
   ``factor.materialize_LU``: a pivot that would be exactly zero is replaced
   by ``T`` (the bare indeterminate) so divisions proceed, and the true value
@@ -162,7 +163,7 @@ Poly.ONE = Poly((1,))
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
+    """Greatest common divisor, leading coefficient 1, by the Euclidean algorithm."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd undefined for two zero polynomials")
     while not q.is_zero:
@@ -190,13 +191,14 @@ def _quotient(a: "RatFun", b: "RatFun") -> "RatFun":
 
 
 class RatFun:
-    """Reduced rational function num/den with a monic denominator.
+    """Reduced rational function num/den, the leading coefficient of den 1.
 
     The constructor is the only way one is built: it cancels the gcd of
     numerator and denominator (unless the denominator is a constant) and
-    makes the denominator monic, and every operation is one constructor call
-    on the textbook formula.  The t->0 substitution of :meth:`eval0` is only
-    correct on this canonical form, once removable factors have cancelled.
+    scales the denominator's leading coefficient to 1, and every operation is
+    one constructor call on the textbook formula.  The t->0 substitution of
+    :meth:`eval0` is only correct on this canonical form, once removable
+    factors have cancelled.
     """
 
     __slots__ = ("num", "den")
