@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .errors import NearSingularPivotError
 from .factor import determinant
 from .inverse import inverse_float
 from .matrix import CyclicHeptaMatrix, random_instance
@@ -121,13 +122,14 @@ def _best_of(fn, repeats: int = 3) -> float:
 class BenchRow:
     n: int
     command: str
-    wall_time_s: float
+    wall_time_s: object  # float, or "refused" where the float lane refuses a pivot
     field_ops: object  # int where counted, "" otherwise
 
 
 def bench_suite(n: int, seed: int, profile: str = "diagonally-dominant", repeats: int = 3):
     """Benchmark rows for one instance: exact det (timed and counted),
-    exact solve, float inverse and float solve."""
+    exact solve, float inverse and float solve.  A float row whose pivot the
+    float lane refuses reads ``refused``."""
     H = random_instance(n, seed, profile)
     rows = []
 
@@ -138,15 +140,19 @@ def bench_suite(n: int, seed: int, profile: str = "diagonally-dominant", repeats
     wall = _best_of(lambda: solve_many(H, [rhs]), repeats)
     rows.append(BenchRow(n, "solve/exact", wall, ""))
 
-    wall = _best_of(lambda: inverse_float(H), repeats)
-    rows.append(BenchRow(n, "inv/float", wall, ""))
-    wall = _best_of(lambda: solve_many(H, [rhs], backend="float"), repeats)
-    rows.append(BenchRow(n, "solve/float", wall, ""))
+    for command, fn in (("inv/float", lambda: inverse_float(H)),
+                        ("solve/float", lambda: solve_many(H, [rhs], backend="float"))):
+        try:
+            wall = _best_of(fn, repeats)
+        except NearSingularPivotError:
+            wall = "refused"
+        rows.append(BenchRow(n, command, wall, ""))
     return rows
 
 
 def rows_to_csv(rows) -> str:
     out = ["n,command,wall_time_s,field_ops"]
     for row in rows:
-        out.append(f"{row.n},{row.command},{row.wall_time_s:.6f},{row.field_ops}")
+        wall = row.wall_time_s if isinstance(row.wall_time_s, str) else f"{row.wall_time_s:.6f}"
+        out.append(f"{row.n},{row.command},{wall},{row.field_ops}")
     return "\n".join(out) + "\n"

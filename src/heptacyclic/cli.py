@@ -38,7 +38,7 @@ from .matrix import (
 )
 from .oracle import compare, dense_inverse
 from .scalars import format_scalar
-from .solve import solve_many, vector_from_text
+from .solve import is_solution, solve_many, vector_from_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,9 +196,7 @@ def _cmd_solve(args) -> int:
     columns = vector_from_text(_read(args.rhs), backend=args.backend)
     reports = solve_many(H, columns, backend=args.backend, tol=args.tol)
     exact_residual = args.backend == "exact" and all(
-        all(u == v for u, v in zip(H.mat_vec(list(rep.x)), col))
-        for rep, col in zip(reports, columns)
-    )
+        is_solution(H, rep.x, col) for rep, col in zip(reports, columns))
     # format_scalar of a float is its repr
     fmt = repr if args.backend == "float" else format_scalar
     xs = [list(map(fmt, rep.x)) for rep in reports]

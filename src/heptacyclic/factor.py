@@ -14,8 +14,10 @@ factors satisfy L @ U == H + t * sum(E_ii over overrides).  Index pairings
 at the border closures are pinned by that product identity, which the test
 suite checks entry by entry on random instances.
 
-The determinant, solve and inverse paths never carry t.  All three go
-through ``interpolate``: one plain rational sweep of H, or, when a pivot is
+The determinant, solve and inverse paths never carry t.  The determinant
+and solve first run one sweep over word-size primes (``residues``); where
+that gives up, and for the inverse always, they go through
+``interpolate``: one plain rational sweep of H, or, when a pivot is
 structurally zero, sweeps of H(s) = H + s*G at concrete points, where G has
 a one at (i, i) for every such pivot i: det H(s) and every entry of
 adj H(s) are polynomials in s of degree <= r = |G|, so r + 1 points fix
@@ -175,11 +177,17 @@ def det_from_factors(fd: FactorData):
 def determinant(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) -> DetResult:
     """Determinant via the pivot product.
 
-    The exact lane goes through ``interpolate``, which runs one plain sweep
-    unless a pivot is zero; ``pivot_overrides`` counts the pivots found
-    structurally zero.
+    The exact lane runs one sweep over word-size primes
+    (``residues.solve``); where that lane gives up, it goes through
+    ``interpolate``, which runs one plain sweep unless a pivot is zero.
+    ``pivot_overrides`` counts the pivots found structurally zero.
     """
     if backend == "exact":
+        from . import residues  # residues imports this module, so it loads here
+
+        found = residues.solve(H, [])
+        if found is not None:
+            return DetResult(value=found[0], pivot_overrides=0, singular=False)
         value, overrides, _ = interpolate(H, lambda fd, Hs: ())
     else:
         value, overrides = det_from_factors(factorize(H, backend=backend, tol=tol)), ()

@@ -135,7 +135,7 @@ def _seed_column(fd: FactorData, j: int):
     return c
 
 
-def seed_columns(fd: FactorData, H: CyclicHeptaMatrix, parallel: bool = False) -> tuple:
+def seed_columns(fd: FactorData, parallel: bool = False) -> tuple:
     """The five rightmost columns of the inverse: (Col_n, ..., Col_{n-4}).
 
     Independent given the factor data; with ``parallel`` they run on a small
@@ -211,7 +211,7 @@ def _zero_c(H: CyclicHeptaMatrix) -> tuple:
 def _entries(fd: FactorData, H: CyclicHeptaMatrix, parallel: bool) -> list:
     """All n*n entries of H^-1, row by row, from the factors of H."""
     n = H.n
-    seeds = seed_columns(fd, H, parallel=parallel)
+    seeds = seed_columns(fd, parallel=parallel)
     cols = back_columns(fd, H, seeds)
     for offset, col in enumerate(seeds):
         cols[n - offset] = col

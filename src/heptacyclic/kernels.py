@@ -3,13 +3,15 @@
 ``sweep`` runs the factor recurrences and ``substitute`` the forward/back
 substitution of one right-hand side.  They only add, subtract, multiply and
 divide, so the same code runs over exact scalars (rationals, rational
-functions of t) and over Python floats: the caller picks the field by the
-bands it passes in, and picks what happens to each pivot through
+functions of t), over vectors of residues modulo word-size primes
+(``residues.Residues``) and over Python floats: the caller picks the field
+by the bands it passes in, and picks what happens to each pivot through
 ``pivot(value, i)``.  The exact lane replaces a zero pivot by the
 indeterminate (the symbolic factorization) or refuses it, and the caller
-moves to concrete points of H + s*G; the float lane (``float_pivot``)
-refuses a pivot that is zero, NaN or below its tolerance, and the caller
-tells the user to switch to the exact backend.
+moves to concrete points of H + s*G; the residue lane refuses a pivot that
+is zero in any lane, and the caller falls back to rationals; the float
+lane (``float_pivot``) refuses a pivot that is zero, NaN or below its
+tolerance, and the caller tells the user to switch to the exact backend.
 
 The float inverse solves all n identity columns in one pass: it steps over
 the rows once and updates each row of every column as a numpy vector, in the

@@ -22,6 +22,8 @@ import json
 import random
 from array import array
 from fractions import Fraction
+from math import lcm
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .scalars import float_scalar, format_scalar, is_zero, parse_scalar
@@ -32,6 +34,8 @@ BAND_NAMES = ("D", "B", "b", "d", "a", "A", "C")
 _FORWARD_OFFSETS = {0: "d", 1: "a", 2: "A", 3: "C"}
 
 PROFILES = ("general", "diagonally-dominant", "zero-pivot-prone", "zero-C")
+
+_denominator = attrgetter("denominator")
 
 
 def _offset_band(n: int, i: int, j: int):
@@ -186,6 +190,20 @@ def _check_wraps(n: int, bands: dict) -> None:
     for idx in (n - 2, n - 1, n):
         if not is_zero(bands["C"][idx - 1]):
             raise ValueError(f"band wrap violation: C_{idx} must be zero")
+
+
+def row_scaled(H: CyclicHeptaMatrix, columns=()) -> tuple:
+    """H' = diag(L) H and r' = L r as Python ints: (L, bands, columns).
+
+    L_i is the lcm of the denominators in row i of H and of every column;
+    the band entries of index i all sit in row i.  Bands and columns are
+    0-based lists in the order of ``BAND_NAMES`` and of ``columns``.
+    """
+    rows = [H.band(name) for name in BAND_NAMES] + list(columns)
+    scales = [lcm(*map(_denominator, entries)) for entries in zip(*rows)]
+    scaled = [[v.numerator if s == 1 else v.numerator * (s // v.denominator)
+               for v, s in zip(row, scales)] for row in rows]
+    return scales, scaled[:len(BAND_NAMES)], scaled[len(BAND_NAMES):]
 
 
 def float_vector(values, label: str) -> array:

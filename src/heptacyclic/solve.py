@@ -2,8 +2,10 @@
 
 Forward/back substitution through the bordered LU factors, O(n) per
 right-hand side; the exact and float lanes run the same substitution.
-The exact lane goes through ``factor.interpolate``: one plain sweep, or,
-when a pivot of H is structurally zero, H(s) x(s) = r at concrete points of
+The exact lane runs one sweep over word-size primes and rebuilds det * x
+by Chinese remaindering (``residues.solve``).  Where that gives up, it
+goes through ``factor.interpolate``: one plain rational sweep, or, when a
+pivot of H is structurally zero, H(s) x(s) = r at concrete points of
 H(s) = H + s*G (G the zero pivots) with det * x interpolated to s = 0; the
 right-hand side needs no substitution, since the band entries are never
 divided by.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import SingularMatrixError
@@ -25,7 +28,7 @@ from .factor import (
     lu_substitute,
     require_nonsingular,
 )
-from .matrix import CyclicHeptaMatrix, entry_parser, float_vector, parse_entries
+from .matrix import CyclicHeptaMatrix, entry_parser, float_vector, parse_entries, row_scaled
 
 # perfbench/tracer.py wraps this module attribute, so it stays bound
 from .scalars import eval_at_zero  # noqa: F401
@@ -67,10 +70,17 @@ def solve_via_lu(fd: FactorData, H: CyclicHeptaMatrix, r: Sequence) -> SolveRepo
 
 
 def _solve_exact(H: CyclicHeptaMatrix, columns: list) -> list[SolveReport]:
-    """Exact solutions of checked columns through ``interpolate``."""
+    """Exact solutions of checked columns: one sweep over word-size primes,
+    or, where that lane gives up, ``interpolate``."""
+    from . import residues  # loaded on first use, outside the import time of the package
+
     n = H.n
-    det, overrides, values = interpolate(
-        H, lambda fd, Hs: [v for col in columns for v in lu_substitute(fd, col)])
+    found = residues.solve(H, columns)
+    if found is not None:
+        (det, values), overrides = found, ()
+    else:
+        det, overrides, values = interpolate(
+            H, lambda fd, Hs: [v for col in columns for v in lu_substitute(fd, col)])
     if values is None:
         raise SingularMatrixError("singular matrix")
     return [
@@ -78,6 +88,24 @@ def _solve_exact(H: CyclicHeptaMatrix, columns: list) -> list[SolveReport]:
                     backend="exact", substitutions_fired={"pivot_overrides": len(overrides)})
         for k in range(len(columns))
     ]
+
+
+def is_solution(H: CyclicHeptaMatrix, x: Sequence, r: Sequence) -> bool:
+    """Whether H x == r exactly, decided over integers.
+
+    With x = N / den (den the lcm of x's denominators) and H' = diag(L) H,
+    r' = L r as in ``matrix.row_scaled``, row i of H x == r is row i of
+    H' N == den r' divided by L_i den.
+    """
+    den = lcm(*(v.denominator for v in x))
+    N = [v.numerator * (den // v.denominator) for v in x]
+    _, bands, (rs,) = row_scaled(H, [r])
+    n = H.n
+    # band offsets -3..3, in the order of BAND_NAMES
+    return all(
+        sum(band[i] * N[(i + off) % n] for band, off in zip(bands, range(-3, 4))) == den * rs[i]
+        for i in range(n)
+    )
 
 
 def solve_many(H: CyclicHeptaMatrix, columns: Sequence[Sequence], backend: str = "exact",

@@ -186,6 +186,19 @@ class TestBench:
         assert int(det_row.split(",")[3]) > 0
 
 
+    @pytest.mark.parametrize("n,seed", [(12, 0), (16, 1)])
+    def test_float_rows_refused_on_zero_pivots(self, capsys, n, seed):
+        # d_1 = 0: the exact rows run through the substitution, the float
+        # lane refuses the first pivot
+        code, out, err = run(["bench", "--n", str(n), "--seed", str(seed),
+                              "--profile", "zero-pivot-prone"], capsys)
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["det/exact", "solve/exact", "inv/float", "solve/float"]
+        assert int(rows[0][3]) > 0 and float(rows[1][2]) >= 0
+        assert [row[2:] for row in rows[2:]] == [["refused", ""], ["refused", ""]]
+
+
 class TestOracleCheck:
     def test_example_has_zero_diffs(self, example_path, capsys):
         code, out, _ = run(["oracle-check", "--input", example_path], capsys)
@@ -408,9 +421,7 @@ def test_no_cli_op_builds_a_rational_function(tmp_path, monkeypatch):
                 if op == ["det"] and backend == "exact":
                     overrides += json.loads(out.read_text())["pivot_overrides"]
     for profile in PROFILES:
-        # the float rows refuse a zero-pivot-prone instance (exit 2) after
-        # the exact rows have run
         assert main(["bench", "--n", "12", "--seed", "0", "--profile", profile,
-                     "--out", str(out)]) in (0, 2)
+                     "--out", str(out)]) == 0
     assert overrides >= 5  # the substitution path ran
     assert built == []

@@ -35,7 +35,7 @@ class TestSeedColumns:
     def test_identity_seeds_are_basis_columns(self):
         H = identity_matrix()
         fd = factorize(H)
-        seeds = seed_columns(fd, H)
+        seeds = seed_columns(fd)
         for offset, col in enumerate(seeds):
             j = 10 - offset
             assert [eval_at_zero(v) for v in col[1:]] == [
@@ -58,7 +58,7 @@ class TestSeedColumns:
         if oracle_inverse_or_none(H) is None:
             pytest.skip("singular draw")
         fd = factorize(H)
-        seeds = seed_columns(fd, H)
+        seeds = seed_columns(fd)
         for offset, col in enumerate(seeds):
             j = 8 - offset
             values = [eval_at_zero(v) for v in col[1:]]
@@ -68,7 +68,7 @@ class TestSeedColumns:
         # seed columns never divide by C, so zero C entries need no substitution
         H = random_instance(12, 13, "zero-C")
         fd = factorize(H)
-        assert seed_columns(fd, H, parallel=True) == seed_columns(fd, H, parallel=False)
+        assert seed_columns(fd, parallel=True) == seed_columns(fd, parallel=False)
 
 
 class TestBackColumns:
@@ -88,7 +88,7 @@ class TestBackColumns:
         if oracle_inverse_or_none(H) is None:
             pytest.skip("singular draw")
         fd = factorize(H)
-        seeds = seed_columns(fd, H)
+        seeds = seed_columns(fd)
         bands = _padded_bands(H)
         cols = {14 - off: col for off, col in enumerate(seeds)}
         for j in range(14 - 5, 0, -1):
@@ -104,7 +104,7 @@ class TestBackColumns:
 
         H = random_instance(10, 11, "zero-C")
         fd = factorize(H)
-        seeds = seed_columns(fd, H)
+        seeds = seed_columns(fd)
         cols = back_columns(fd, H, seeds)
         cols.update({10 - off: col for off, col in enumerate(seeds)})
         j = max(j for j in range(1, 6) if H.band("C")[j - 1] == 0)

@@ -8,6 +8,7 @@ from heptacyclic.factor import factorize
 from heptacyclic.matrix import random_instance, to_dense
 from heptacyclic.oracle import dense_det, dense_inverse
 from heptacyclic.solve import (
+    is_solution,
     solve_many,
     solve_via_lu,
     vector_from_text,
@@ -35,6 +36,21 @@ def test_exact_residual_random():
     assert dense_det(to_dense(H)) != 0
     r = [Fr(3 * k - 5, 2) for k in range(12)]
     assert H.mat_vec(list(solve_via_lu(factorize(H), H, r).x)) == r
+
+
+def test_residual_check_over_integers():
+    # the CLI's exact_residual: rational entries, so each row has its own scale
+    H = random_instance(12, 2, "general")
+    H = H.replace_band("a", [v / (k + 2) for k, v in enumerate(H.band("a"))])
+    r = [Fr(3 * k - 5, k + 1) for k in range(12)]
+    (report,) = solve_many(H, [r])
+    x = list(report.x)
+    assert is_solution(H, x, r)
+    for k in range(12):
+        for delta in (Fr(1), Fr(1, 10**40), -x[k]):
+            perturbed = x[:k] + [x[k] + delta] + x[k + 1:]
+            assert H.mat_vec(perturbed) != r
+            assert not is_solution(H, perturbed, r)
 
 
 def test_methods_agree_across_instances():
