@@ -1,10 +1,12 @@
 """The exact lane over word-size primes: residue arithmetic, the prime table,
 and det and solve through one residue sweep, equal to the dense oracle."""
 
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,8 +182,9 @@ class TestPrimeTable:
 
     def test_not_built_at_import(self):
         code = "import heptacyclic.residues as r; print(len(r._PRIMES.found))"
+        src = str(Path(residues.__file__).resolve().parent.parent)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True).stdout
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
         assert out.strip() == "0"
 
 
