@@ -33,14 +33,12 @@ import numpy as np
 
 from . import kernels
 from .errors import ZeroPivotError
-from .factor import FactorData
+from .factor import FactorData, det_from_factors
 from .matrix import CyclicHeptaMatrix, row_scaled
 
 _TOP = 1 << 31
 _SEGMENT = 1 << 18
 _INT64 = 1 << 63
-# above this many lanes a vectorised Fermat inverse beats one pow() per lane
-_POW_LANES = 90
 
 
 class _PrimeTable:
@@ -86,32 +84,18 @@ def _lanes(x: int, p: np.ndarray) -> np.ndarray:
 
 def _inverse_lanes(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     """v^-1 mod p lane by lane; every lane of v must be nonzero."""
-    if len(p) <= _POW_LANES:
-        return np.array(list(map(pow, v.tolist(), repeat(-1), p.tolist())), dtype=np.int64)
-    # Fermat, v^(p-2), over 4-bit windows of p-2 (31 bits): powers[d] = v^d
-    lanes = np.arange(len(p))
-    powers = np.empty((16, len(p)), dtype=np.int64)
-    powers[0] = 1
-    for d in range(1, 16):
-        powers[d] = powers[d - 1] * v % p
-    e = p - 2
-    result = powers[e >> 28, lanes]
-    for shift in range(24, -1, -4):
-        for _ in range(4):
-            result = result * result % p
-        result = result * powers[(e >> shift) & 15, lanes] % p
-    return result
+    return np.array(list(map(pow, v.tolist(), repeat(-1), p.tolist())), dtype=np.int64)
 
 
 class Residues:
     """A value modulo each of K primes below 2**31: ``v[k]`` is the value
     mod ``p[k]``, reduced into [0, p[k]).
 
-    Supports ``+ - * /`` and unary minus with another ``Residues`` over the
-    same primes, an ``int`` or a ``Fraction``.  Every result is reduced
-    before it is returned, so a product of two lanes stays below 2**62 and
-    fits int64.  A divisor's inverse is computed once and kept on it:
-    the sweep divides by each pivot several times.
+    Supports ``+ - * /`` with another ``Residues`` over the same primes, and
+    unary minus.  Every result is reduced before it is returned, so a
+    product of two lanes stays below 2**62 and fits int64.  A divisor's
+    inverse is computed once and kept on it: the sweep divides by each
+    pivot several times.
     """
 
     __slots__ = ("v", "p", "_inv")
@@ -121,16 +105,6 @@ class Residues:
         self.p = p
         self._inv = None
 
-    def _other(self, other):
-        if type(other) is Residues:
-            return other.v
-        if isinstance(other, Fraction):
-            den = Residues(_lanes(other.denominator, self.p), self.p)
-            return _lanes(other.numerator, self.p) * den.inverse() % self.p
-        if isinstance(other, int):
-            return _lanes(other, self.p)
-        return None
-
     def inverse(self) -> np.ndarray:
         """The lanes of 1/self; ZeroDivisionError when a lane is zero."""
         if self._inv is None:
@@ -139,39 +113,19 @@ class Residues:
             self._inv = _inverse_lanes(self.v, self.p)
         return self._inv
 
-    def __add__(self, other):
-        o = self._other(other)
-        return NotImplemented if o is None else Residues((self.v + o) % self.p, self.p)
+    def __add__(self, other: Residues) -> Residues:
+        return Residues((self.v + other.v) % self.p, self.p)
 
-    __radd__ = __add__
+    def __sub__(self, other: Residues) -> Residues:
+        return Residues((self.v - other.v) % self.p, self.p)
 
-    def __sub__(self, other):
-        o = self._other(other)
-        return NotImplemented if o is None else Residues((self.v - o) % self.p, self.p)
+    def __mul__(self, other: Residues) -> Residues:
+        return Residues(self.v * other.v % self.p, self.p)
 
-    def __rsub__(self, other):
-        o = self._other(other)
-        return NotImplemented if o is None else Residues((o - self.v) % self.p, self.p)
+    def __truediv__(self, other: Residues) -> Residues:
+        return Residues(self.v * other.inverse() % self.p, self.p)
 
-    def __mul__(self, other):
-        o = self._other(other)
-        return NotImplemented if o is None else Residues(self.v * o % self.p, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if type(other) is Residues:
-            return Residues(self.v * other.inverse() % self.p, self.p)
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return Residues(self.v * Residues(o, self.p).inverse() % self.p, self.p)
-
-    def __rtruediv__(self, other):
-        o = self._other(other)
-        return NotImplemented if o is None else Residues(o * self.inverse() % self.p, self.p)
-
-    def __neg__(self):
+    def __neg__(self) -> Residues:
         return Residues(-self.v % self.p, self.p)
 
 
@@ -248,9 +202,9 @@ def solve(H: CyclicHeptaMatrix, columns) -> tuple | None:
         return _solve(H, columns)
     finally:
         # each lane vector is a small buffer on the C heap, and glibc keeps
-        # the pages of freed small buffers: hand them back, or they stay
-        # resident next to what later calls allocate through Python's own
-        # allocator
+        # the pages of freed small buffers: hand them back, or a process
+        # that runs more work after this call (an inverse, say) holds them
+        # resident next to what it allocates through Python's own allocator
         trim = _malloc_trim()
         if trim is not None:
             trim(0)
@@ -275,11 +229,9 @@ def _solve(H: CyclicHeptaMatrix, columns) -> tuple | None:
         vectors = kernels.sweep(*lanes, _nonzero)
     except ZeroPivotError:
         return None
-    det = vectors[0][1]
-    for i in range(2, n + 1):
-        det = det * vectors[0][i]
     fd = FactorData(n, *map(tuple, vectors), overrides=(), D=lanes[0], C=lanes[6],
                     backend="residues")
+    det = det_from_factors(fd)
     # one row per value: det H', then det H' * x for each column
     U = np.empty((1 + n * len(rhs), K), dtype=np.int64)
     U[0] = det.v

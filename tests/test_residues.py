@@ -231,25 +231,3 @@ class TestResiduesArithmetic:
         else:
             with pytest.raises(ZeroDivisionError):
                 A / B
-
-    @settings(max_examples=100, deadline=None)
-    @given(operands(), st.integers(-(2**70), 2**70), st.integers(1, 2**40))
-    def test_int_and_fraction_constants(self, case, c, den):
-        p, a, _ = case
-        A = vector(a, p)
-        assert (A + c).v.tolist() == (c + A).v.tolist() == [(x + c) % q for x, q in zip(a, p)]
-        assert (c - A).v.tolist() == [(c - x) % q for x, q in zip(a, p)]
-        assert (A * c).v.tolist() == [x * c % q for x, q in zip(a, p)]
-        frac = Fr(c, den)
-        if all(frac.denominator % q for q in p):
-            lanes = [frac.numerator * pow(frac.denominator, -1, q) % q for q in p]
-            assert (A * frac).v.tolist() == [x * y % q for x, y, q in zip(a, lanes, p)]
-            assert (A - frac).v.tolist() == [(x - y) % q for x, y, q in zip(a, lanes, p)]
-
-    def test_fermat_inverse_beyond_the_pow_lanes(self):
-        p = residues._PRIMES.take(residues._POW_LANES + 50)
-        rng = np.random.default_rng(0)
-        v = rng.integers(1, p)
-        v[:3] = p[:3] - 1
-        inverse = residues._inverse_lanes(v, p)
-        assert inverse.tolist() == [pow(x, -1, q) for x, q in zip(v.tolist(), p.tolist())]
