@@ -198,16 +198,18 @@ def solve(H: CyclicHeptaMatrix, columns) -> tuple | None:
     """
     if not all(type(v) is Fraction for row in (*H.bands().values(), *columns) for v in row):
         return None
-    try:
-        return _solve(H, columns)
-    finally:
-        # each lane vector is a small buffer on the C heap, and glibc keeps
-        # the pages of freed small buffers: hand them back, or a process
-        # that runs more work after this call (an inverse, say) holds them
-        # resident next to what it allocates through Python's own allocator
+    found = _solve(H, columns)
+    # each lane vector is a small buffer on the C heap, and glibc keeps the
+    # pages of freed small buffers: hand them back, or a process that runs
+    # more work after this call (an inverse, say) holds them resident next
+    # to what it allocates through Python's own allocator.  When the lane
+    # gives up, the caller's Fraction path reuses those pages at once, so
+    # the heap is left as it is and the fallback leaves no trace on it.
+    if found is not None:
         trim = _malloc_trim()
         if trim is not None:
             trim(0)
+    return found
 
 
 def _solve(H: CyclicHeptaMatrix, columns) -> tuple | None:

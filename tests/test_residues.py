@@ -165,6 +165,16 @@ class TestOneSweep:
         monkeypatch.setattr(residues, "_malloc_trim", lambda: None)
         assert residues.solve(H, []) == expected == (dense_det(to_dense(H)), [])
 
+    def test_malloc_trim_only_after_a_completed_lane(self, monkeypatch):
+        trims = []
+        monkeypatch.setattr(residues, "_malloc_trim", lambda: trims.append)
+        H = random_instance(12, 1, "diagonally-dominant")
+        assert residues.solve(H, []) is not None
+        assert trims == [0]
+        # pivot 1 zero in lane 0: the Fraction path that follows reuses the heap
+        residues.solve(with_bands(H, d=[MERSENNE_31, *H.band("d")[1:]]), [])
+        assert trims == [0]
+
     def test_field_ops_still_count_the_generic_sweep(self):
         counts = [count_det_ops(random_instance(n, 1, "diagonally-dominant"))
                   for n in (200, 1000, 2000)]
