@@ -7,9 +7,11 @@ exact result by Chinese remaindering.  Quantities that would be exactly zero are
 substituted so the computation never breaks down.  ``factorize`` replaces a
 zero pivot by a symbolic indeterminate ``t``, as the paper does, while the
 determinant, solve and inverse evaluate H + s*G (G the structurally zero
-pivots) at concrete points s and interpolate to s = 0.  The inverse takes a
-column whose C band entry, its divisor, is zero by one substitution through
-the factors instead.  A float64 lane covers large
+pivots) at concrete points s and interpolate to s = 0.  The inverse runs
+its column recursion over the integer adjugate of the row-scaled matrix,
+one exact division per entry, and takes a column whose C band entry, its
+divisor, is zero by one substitution through the factors instead.  A
+float64 lane covers large
 orders where exactness is not required: it runs the same factor sweep and
 substitution over float64 bands, refusing near-singular pivots instead of
 substituting, and its inverse updates all columns at once as numpy row

@@ -4,8 +4,8 @@ Subcommands: det, inv, solve, gen, bench, oracle-check.  Exit codes:
 0 success (also ``--help``), 2 singular matrix (or a float-lane
 near-singular refusal), 3 invalid input, including a usage error such as
 an unknown flag or a malformed option value, 4 internal contract violation
-(e.g. a zero divisor reaching the back recursion, which cannot happen
-unless there is a bug).
+(e.g. a zero divisor or an inexact division in the back recursion, which
+cannot happen unless there is a bug).
 
 Output is deterministic for fixed inputs and flags: JSON is emitted with
 sorted keys and canonical p/q scalar strings.
@@ -117,31 +117,44 @@ def _read(path) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _json_dump(payload, reprs=None) -> str:
+def _json_dump(payload, verbatim=None) -> str:
     """``payload`` as JSON with sorted keys and an indent of 2.
 
-    ``reprs`` names a top-level key whose value is a list of float reprs, or
-    a list of such lists.  JSON escapes nothing in a repr, so these strings
-    are joined as they are; ``json.dumps`` with an indent would run its
-    pure-Python encoder over every one.  The bytes are the same.
+    ``verbatim`` names a top-level key whose value is a list of strings
+    that JSON leaves unescaped, or a list of such lists: float reprs and
+    ``format_scalar`` texts, which hold only digits, signs, letters, ``.``
+    and ``/``.  These strings are joined as they are, in one join, so no
+    copy of them is made before the result; ``json.dumps`` with an indent
+    would run its pure-Python encoder over every one.  The bytes are the
+    same.
     """
-    if reprs is None:
+    if verbatim is None:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    text = _json_dump({**payload, reprs: None})
-    return text.replace(f'"{reprs}": null', f'"{reprs}": ' + _json_reprs(payload[reprs], "  "), 1)
+    head, tail = _json_dump({**payload, verbatim: None}).split(f'"{verbatim}": null', 1)
+    pieces = [head, f'"{verbatim}": ']
+    _json_strings(payload[verbatim], "  ", pieces)
+    pieces.append(tail)
+    return "".join(pieces)
 
 
-def _json_reprs(items, pad: str) -> str:
-    """A list of reprs, or of lists of them, laid out as ``_json_dump`` does
-    at indentation ``pad``."""
+def _json_strings(items, pad: str, pieces: list) -> None:
+    """Append to ``pieces`` a list of unescaped strings, or of lists of
+    them, laid out as ``_json_dump`` does at indentation ``pad``."""
     if not items:
-        return "[]"
+        pieces.append("[]")
+        return
     inner = "\n" + pad + "  "
+    pieces.append("[" + inner)
     if isinstance(items[0], list):
-        body = ("," + inner).join(_json_reprs(row, pad + "  ") for row in items)
+        for k, row in enumerate(items):
+            if k:
+                pieces.append("," + inner)
+            _json_strings(row, pad + "  ", pieces)
     else:
-        body = '"' + ('",' + inner + '"').join(items) + '"'
-    return "[" + inner + body + "\n" + pad + "]"
+        quoted = ['",' + inner + '"'] * (2 * len(items) - 1)
+        quoted[::2] = items
+        pieces += ['"', *quoted, '"']
+    pieces.append("\n" + pad + "]")
 
 
 def _cmd_det(args) -> int:
@@ -178,15 +191,11 @@ def _cmd_inv(args) -> int:
         }
     if args.format == "csv":
         text = dense_to_csv(DenseMatrix(rows))
-    elif args.backend == "float":
-        # format_scalar of a float is its repr
-        S = [list(map(repr, row)) for row in rows]
-        text = _json_dump({**meta, "n": H.n, "S": S}, reprs="S")
     else:
-        payload = dict(meta)
-        payload["n"] = H.n
-        payload["S"] = [[format_scalar(v) for v in row] for row in rows]
-        text = _json_dump(payload)
+        # format_scalar of a float is its repr
+        fmt = repr if args.backend == "float" else format_scalar
+        S = [list(map(fmt, row)) for row in rows]
+        text = _json_dump({**meta, "n": H.n, "S": S}, verbatim="S")
     _emit(text, args.out)
     return 0
 
@@ -211,7 +220,7 @@ def _cmd_solve(args) -> int:
         lines = [",".join(col[i] for col in xs) for i in range(H.n)]
         text = "\n".join(lines) + "\n"
     else:
-        text = _json_dump(payload, reprs="x" if args.backend == "float" else None)
+        text = _json_dump(payload, verbatim="x" if args.backend == "float" else None)
     _emit(text, args.out)
     return 0
 

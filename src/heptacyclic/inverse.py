@@ -9,6 +9,13 @@ j+1..j+6 by dividing through the band entry C_j.  Where C_j is zero, column
 j is instead one forward/back substitution of e_j through the factors
 already in hand, and the recursion continues above it.
 
+The peeling runs over Python ints.  H' = diag(L) H, L_i the lcm of the
+denominators in row i, is an integer matrix, so adj H' = det H' * H'^-1 is
+one too: each step of the recursion is one exact division by C'_j = L_j C_j
+per entry, the fraction-free idea of Bareiss (Math. Comp. 22, 1968), and no
+gcd is taken until each entry is put back over det H' at the end.  The seed
+columns and the zero-C columns are computed over rationals and converted.
+
 A structurally zero pivot is handled at concrete points rather than with a
 symbolic t: ``factor.interpolate`` computes the inverse of H(s) = H + s*G
 (G a one at each such pivot) over plain rationals at r + 1 points and
@@ -21,11 +28,12 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from . import kernels
 from .errors import InternalContractError, SingularMatrixError
-from .factor import FactorData, factorize, interpolate
-from .matrix import CyclicHeptaMatrix, DenseMatrix
+from .factor import FactorData, det_from_factors, factorize, interpolate
+from .matrix import CyclicHeptaMatrix, DenseMatrix, row_scaled
 from .scalars import is_zero
 
 # perfbench/tracer.py wraps these module attributes, so they stay bound; the
@@ -151,55 +159,82 @@ def seed_columns(fd: FactorData, parallel: bool = False) -> tuple:
     return tuple(cols)
 
 
-def _padded_bands(H: CyclicHeptaMatrix) -> dict:
-    return {k: (None, *H.band(k)) for k in ("D", "B", "b", "d", "a", "A", "C")}
+def _adjugate_column(col, delta: int, scale: int, j: int) -> list:
+    """Column j of adj H' from column j of H^-1 (1-based, rationals):
+    delta * col / L_j, 0-based, each entry checked to be an integer."""
+    out = []
+    for i, value in enumerate(col[1:], start=1):
+        q, r = divmod(value.numerator * delta, value.denominator * scale)
+        if r:
+            raise InternalContractError(f"adjugate entry ({i}, {j}) is not an integer")
+        out.append(q)
+    return out
 
 
-def _back_column(bands: dict, cols: dict, j: int, n: int) -> list:
-    """Column j from columns j+1..j+6 and column j+3 of the matrix.
+def _back_column(bands, cols, j: int, delta: int) -> list:
+    """Column j of adj H' from columns j+1..j+6 and column j+3 of H'.
 
-    Reads nothing below j, so earlier columns cannot influence it; for
-    j = n-5 the D-band term falls off the matrix and is skipped.
+    ``bands`` are the 0-based integer bands of H' (``BAND_NAMES`` order),
+    ``cols[m]`` is column m of adj H', 0-based.  adj H' * H' = delta * I read
+    at column j+3 gives C'_j adj'[i][j] = delta [i = j+3] minus the six other
+    band terms.  Reads nothing below j, so earlier columns cannot influence
+    it; for j = n-5 the D-band term falls off the matrix and its coefficient
+    is taken as zero.  Each entry is one exact division by C'_j; a remainder
+    raises.
     """
-    Cv = bands["C"]
-    if is_zero(Cv[j]):
+    D, B, b, d, a, A, C = bands
+    c = C[j - 1]
+    if c == 0:
         raise InternalContractError(f"zero divisor C_{j} reached the back recursion")
-    Av, av, dv, bv, Bv, Dv = (bands[k] for k in ("A", "a", "d", "b", "B", "D"))
-    col = [None] * (n + 1)
-    with_D = j + 6 <= n
-    for i in range(1, n + 1):
-        acc = _ONE if i == j + 3 else 0
-        acc = (
-            acc
-            - Av[j + 1] * cols[j + 1][i]
-            - av[j + 2] * cols[j + 2][i]
-            - dv[j + 3] * cols[j + 3][i]
-            - bv[j + 4] * cols[j + 4][i]
-            - Bv[j + 5] * cols[j + 5][i]
-        )
-        if with_D:
-            acc = acc - Dv[j + 6] * cols[j + 6][i]
-        col[i] = acc / Cv[j]
+    A1, a2, d3, b4, B5 = A[j], a[j + 1], d[j + 2], b[j + 3], B[j + 4]
+    x1, x2, x3, x4, x5 = cols[j + 1], cols[j + 2], cols[j + 3], cols[j + 4], cols[j + 5]
+    D6, x6 = (D[j + 5], cols[j + 6]) if j + 6 <= len(C) else (0, x5)
+    acc = [-(A1 * y1 + a2 * y2 + d3 * y3 + b4 * y4 + B5 * y5 + D6 * y6)
+           for y1, y2, y3, y4, y5, y6 in zip(x1, x2, x3, x4, x5, x6)]
+    acc[j + 2] += delta
+    col = []
+    for i, value in enumerate(acc, start=1):
+        q, r = divmod(value, c)
+        if r:
+            raise InternalContractError(f"inexact division by C'_{j} in row {i}")
+        col.append(q)
     return col
 
 
-def back_columns(fd: FactorData, H: CyclicHeptaMatrix, seeds: tuple) -> dict:
-    """Columns n-5 down to 1 via the band identity, dividing by C_j.
+def back_columns(fd: FactorData, H: CyclicHeptaMatrix, seeds: tuple) -> list:
+    """All n columns of H^-1, from column 1 to column n, given the five seeds.
 
-    A column whose C_j is zero is one substitution of e_j through ``fd``,
-    the factors of H, instead.
+    The recursion runs over the integer adjugate of H' = diag(L) H: with
+    delta = det H' = det H * prod(L), column j of adj H' is
+    delta * Col_j(H^-1) / L_j, an integer vector.  The seeds, and each column
+    whose C_j is zero (one substitution of e_j through ``fd``, the factors
+    of H), are converted to it; columns n-5 down to 1 otherwise follow by
+    ``_back_column``.  Entry (i, j) of H^-1 is then adj'[i][j] * L_j / delta.
     """
     n = H.n
-    bands = _padded_bands(H)
-    cols = {n: seeds[0], n - 1: seeds[1], n - 2: seeds[2], n - 3: seeds[3], n - 4: seeds[4]}
+    scales, bands, _ = row_scaled(H)
+    delta = det_from_factors(fd) * prod(scales)
+    if delta.denominator != 1:
+        raise InternalContractError("det H' is not an integer")
+    delta = delta.numerator
+    C = bands[-1]  # BAND_NAMES ends with C
+    cols = [None] * (n + 1)
+    for offset, col in enumerate(seeds):
+        cols[n - offset] = _adjugate_column(col, delta, scales[n - offset - 1], n - offset)
+    del seeds, col  # the rational seeds are not needed past this point
     for j in range(n - 5, 0, -1):
-        if is_zero(bands["C"][j]):
+        if C[j - 1] == 0:
             e_j = [None] + [0] * n
             e_j[j] = _ONE
-            cols[j] = kernels.substitute(fd, e_j)
+            cols[j] = _adjugate_column(kernels.substitute(fd, e_j), delta, scales[j - 1], j)
         else:
-            cols[j] = _back_column(bands, cols, j, n)
-    return {j: cols[j] for j in range(1, n - 4)}
+            cols[j] = _back_column(bands, cols, j, delta)
+    # each column is replaced in turn, so no column is held both as ints
+    # and as Fractions
+    for j in range(1, n + 1):
+        scale = scales[j - 1]
+        cols[j] = [Fraction(v * scale, delta) for v in cols[j]]
+    return cols[1:]
 
 
 def _zero_c(H: CyclicHeptaMatrix) -> tuple:
@@ -210,12 +245,8 @@ def _zero_c(H: CyclicHeptaMatrix) -> tuple:
 
 def _entries(fd: FactorData, H: CyclicHeptaMatrix, parallel: bool) -> list:
     """All n*n entries of H^-1, row by row, from the factors of H."""
-    n = H.n
-    seeds = seed_columns(fd, parallel=parallel)
-    cols = back_columns(fd, H, seeds)
-    for offset, col in enumerate(seeds):
-        cols[n - offset] = col
-    return [cols[j][i] for i in range(1, n + 1) for j in range(1, n + 1)]
+    cols = back_columns(fd, H, seed_columns(fd, parallel=parallel))
+    return [v for row in zip(*cols) for v in row]
 
 
 def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:

@@ -396,7 +396,7 @@ def format_scalar(x) -> str:
     """
     if isinstance(x, float):
         return repr(x)
-    value = Fraction(x)
+    value = x if type(x) is Fraction else Fraction(x)
     try:
         return str(value)
     except ValueError:

@@ -7,6 +7,7 @@ import pytest
 from heptacyclic import kernels, scalars
 from heptacyclic.cli import main
 from heptacyclic.factor import factorize
+from heptacyclic.inverse import invert
 from heptacyclic.matrix import (
     PROFILES,
     CyclicHeptaMatrix,
@@ -18,7 +19,7 @@ from heptacyclic.matrix import (
 
 from conftest import fixture_path
 from test_factor import duplicated_row_matrix
-from test_inverse import collision_matrix, override_only_through_zero_c
+from test_inverse import collision_matrix, override_only_through_zero_c, rational_entries
 
 
 def run(argv, capsys):
@@ -90,6 +91,27 @@ class TestInv:
         assert main(["inv", "--input", example_path, "--parallel-seeds",
                      "--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("instance", ["example10", "rational-collision"])
+    def test_json_bytes_as_json_dumps(self, instance, tmp_path, capsys):
+        # the S strings are joined as they are; json.dumps lays them out the same
+        if instance == "example10":
+            H = matrix_from_json(fixture_path("example10.json").read_text())
+        else:
+            H = rational_entries(collision_matrix(0), 0)
+        path = tmp_path / "m.json"
+        path.write_text(matrix_to_json(H))
+        res = invert(H)
+        assert res.c_substitutions
+        expected = json.dumps({
+            "backend": "exact", "back_path": res.back_path, "n": H.n,
+            "c_substitutions": list(res.c_substitutions),
+            "pivot_overrides": list(res.pivot_overrides),
+            "S": [[scalars.format_scalar(v) for v in row] for row in res.S.rows],
+        }, sort_keys=True, indent=2) + "\n"
+        code, out, err = run(["inv", "--input", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert out == expected
 
     def test_csv_output(self, example_path, capsys, example10_inverse):
         code, out, _ = run(["inv", "--input", example_path, "--format", "csv"], capsys)

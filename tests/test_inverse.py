@@ -1,20 +1,23 @@
 import json
+import random
 from fractions import Fraction as Fr
+from math import prod
 
 import pytest
 
-from heptacyclic import factor
+from heptacyclic import factor, inverse
 from heptacyclic.cli import main
-from heptacyclic.errors import SingularMatrixError, ZeroPivotError
+from heptacyclic.errors import InternalContractError, SingularMatrixError, ZeroPivotError
 from heptacyclic.factor import determinant, factorize
-from heptacyclic.inverse import (
-    _back_column,
-    _padded_bands,
-    back_columns,
-    invert,
-    seed_columns,
+from heptacyclic.inverse import _back_column, invert, seed_columns
+from heptacyclic.matrix import (
+    BAND_NAMES,
+    CyclicHeptaMatrix,
+    matrix_to_json,
+    random_instance,
+    row_scaled,
+    to_dense,
 )
-from heptacyclic.matrix import CyclicHeptaMatrix, matrix_to_json, random_instance, to_dense
 from heptacyclic.oracle import compare, dense_det, dense_inverse
 from heptacyclic.scalars import eval_at_zero
 from heptacyclic.solve import solve_many
@@ -81,36 +84,64 @@ class TestBackColumns:
             Fr(16382, 32715), Fr(-808, 32715),
         ]
 
+    def test_columns_are_the_oracle_adjugate(self):
+        # column j of adj H', H' = diag(L) H, from columns j+1..j+6 over int
+        H = rational_entries(random_instance(14, 21, "diagonally-dominant"), 2)
+        scales, bands, delta, adj = oracle_adjugate(H)
+        assert set(scales) != {1}
+        for j in range(14 - 5, 0, -1):
+            assert _back_column(bands, adj, j, delta) == adj[j]
+
     def test_column_locality(self):
-        # column j reads only columns j+1..j+6 (and column j+3 of H):
+        # column j reads only columns j+1..j+6 (and column j+3 of H'):
         # corrupting lower columns must not change a recomputation
         H = random_instance(14, 21, "general")
         if oracle_inverse_or_none(H) is None:
             pytest.skip("singular draw")
-        fd = factorize(H)
-        seeds = seed_columns(fd)
-        bands = _padded_bands(H)
-        cols = {14 - off: col for off, col in enumerate(seeds)}
-        for j in range(14 - 5, 0, -1):
-            cols[j] = _back_column(bands, cols, j, 14)
+        _, bands, delta, adj = oracle_adjugate(H)
         j = 5
-        corrupted = dict(cols)
+        corrupted = list(adj)
         for m in range(1, j):
-            corrupted[m] = [None] + [Fr(999)] * 14
-        assert _back_column(bands, corrupted, j, 14) == cols[j]
+            corrupted[m] = [999] * 14
+        assert _back_column(bands, corrupted, j, delta) == adj[j]
 
     def test_zero_divisor_is_internal_error(self):
-        from heptacyclic.errors import InternalContractError
-
         H = random_instance(10, 11, "zero-C")
-        fd = factorize(H)
-        seeds = seed_columns(fd)
-        cols = back_columns(fd, H, seeds)
-        cols.update({10 - off: col for off, col in enumerate(seeds)})
+        _, bands, delta, adj = oracle_adjugate(H)
         j = max(j for j in range(1, 6) if H.band("C")[j - 1] == 0)
         with pytest.raises(InternalContractError, match="zero divisor"):
             # back_columns takes this column by substitution instead
-            _back_column(_padded_bands(H), cols, j, 10)
+            _back_column(bands, adj, j, delta)
+
+
+def oracle_adjugate(H):
+    """(L, bands of H', det H', columns of adj H') with H' = diag(L) H, from
+    the dense oracle; the columns are 0-based and indexed 1..n."""
+    scales, bands, _ = row_scaled(H)
+    delta = dense_det(to_dense(H)) * prod(scales)
+    assert delta.denominator == 1
+    delta = delta.numerator
+    S = dense_inverse(to_dense(H)).rows
+    adj = [None] + [[delta * S[i][j] / scales[j] for i in range(H.n)] for j in range(H.n)]
+    assert all(v.denominator == 1 for col in adj[1:] for v in col)
+    return scales, bands, delta, [None] + [[int(v) for v in col] for col in adj[1:]]
+
+
+def rational_entries(H, seed):
+    """H with every entry divided by its own draw from 1..6."""
+    rng = random.Random(seed)
+    return CyclicHeptaMatrix(H.n, *([v / rng.randint(1, 6) for v in H.band(name)]
+                                    for name in BAND_NAMES))
+
+
+def inexact_matrix():
+    """Dominant integer n = 16 with C_11 = 7 and B_16 = 1: adding 1 to an
+    entry of column 16 of adj H makes the division by C_11 inexact."""
+    H = random_instance(16, 2, "diagonally-dominant")
+    H = H.replace_band("C", [7 if k == 10 else c for k, c in enumerate(H.band("C"))])
+    H = H.replace_band("B", [1 if k == 15 else c for k, c in enumerate(H.band("B"))])
+    assert dense_det(to_dense(H)) != 0
+    return H
 
 
 class TestInvert:
@@ -185,6 +216,54 @@ class TestInvert:
             a = invert(H, parallel_seeds=False)
             b = invert(H, parallel_seeds=True)
             assert a.S == b.S and a.c_substitutions == b.c_substitutions
+
+
+class TestIntegerAdjugate:
+    """The back recursion runs over the integer adjugate of H' = diag(L) H
+    with one exact division per entry; rational entries make L_i != 1."""
+
+    @pytest.mark.parametrize("profile", ["diagonally-dominant", "zero-C", "zero-pivot-prone",
+                                         "collision"])
+    def test_rational_entries_match_oracle(self, profile):
+        checked = 0
+        for seed in range(8):
+            if profile == "collision":
+                H = collision_matrix(seed)
+            else:
+                H = random_instance(8 + seed % 7, seed, profile)
+            H = rational_entries(H, seed)
+            assert set(row_scaled(H)[0]) != {1}
+            expected = oracle_inverse_or_none(H)
+            if expected is None:
+                continue
+            assert invert(H).S == expected
+            checked += 1
+        assert checked >= 4
+
+    @pytest.mark.parametrize("shift, message", [
+        (1, "inexact division by C'_11"),
+        (Fr(1, 3), r"adjugate entry \(1, 16\) is not an integer"),
+    ], ids=["inexact-division", "non-integral-seed"])
+    def test_corrupted_column_is_internal_error(self, shift, message, monkeypatch, tmp_path, capsys):
+        # H is integer, so L = 1 and entry (1, 16) of adj H moves by shift
+        H = inexact_matrix()
+        det = dense_det(to_dense(H))
+        seeds = inverse.seed_columns
+
+        def corrupted(fd, parallel=False):
+            cols = seeds(fd, parallel)
+            cols[0][1] += shift / det
+            return cols
+
+        monkeypatch.setattr(inverse, "seed_columns", corrupted)
+        with pytest.raises(InternalContractError, match=message):
+            invert(H)
+        path = tmp_path / "m.json"
+        path.write_text(matrix_to_json(H))
+        assert main(["inv", "--input", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ")
 
 
 def collision_matrix(seed):
