@@ -13,10 +13,10 @@ is zero in any lane, and the caller falls back to rationals; the float
 lane (``float_pivot``) refuses a pivot that is zero, NaN or below its
 tolerance, and the caller tells the user to switch to the exact backend.
 
-The float inverse solves all n identity columns in one pass: it steps over
-the rows once and updates each row of every column as a numpy vector, in the
-order of ``substitute``'s statements, so every entry is bit-identical to the
-single-column substitution of its identity column.
+The float inverse is the same ``substitute`` with numpy rows for scalars:
+the right-hand side is the identity, row by row, so x[i] comes out as row
+i of the inverse, and every entry is bit-identical to the substitution of
+its identity column alone.
 
 All vectors are 1-based (length n+1, slot 0 unused) to keep the formulas
 aligned with the band indexing.
@@ -139,63 +139,34 @@ def substitute(fd, r):
     return x
 
 
-def _invert_impl(fd):
-    """All n identity columns through float factors in one pass; O(n^2).
+class _IdentityRows:
+    """1-based rows of the n x n float64 identity, each made when it is
+    read, so the identity is never held whole."""
 
-    Row i of Y holds y[i], then x[i], of every column.  Each statement of
-    ``substitute`` becomes row operations in the same order, and the border
-    sums are accumulated row by row (a dot product or BLAS call would sum
-    in another order), so each entry matches ``substitute`` bit for bit.
-    """
-    n = fd.n
-    al, f, e, g, z, k, h, v, w = fd.alpha, fd.f, fd.e, fd.g, fd.z, fd.k, fd.h, fd.v, fd.w
-    D, C = fd.D, fd.C
-    Y = np.zeros((n + 1, n))
-    np.fill_diagonal(Y[1:], 1.0)
-    t = np.empty(n)
+    __slots__ = ("n",)
 
-    def sub(i, c, j):  # Y[i] -= c * Y[j]
-        np.multiply(Y[j], c, out=t)
-        np.subtract(Y[i], t, out=Y[i])
+    def __init__(self, n):
+        self.n = n
 
-    sub(2, f[2], 1)
-    sub(3, f[3], 2)
-    sub(3, e[3], 1)
-    for i in range(4, n - 1):
-        sub(i, f[i], i - 1)
-        sub(i, e[i], i - 2)
-        np.multiply(Y[i - 3], D[i], out=t)
-        np.divide(t, al[i - 3], out=t)
-        np.subtract(Y[i], t, out=Y[i])
-    sk = np.multiply(Y[1], k[1])
-    sh = np.multiply(Y[1], h[1])
-    for j in range(2, n - 1):
-        sk += np.multiply(Y[j], k[j], out=t)
-        sh += np.multiply(Y[j], h[j], out=t)
-    Y[n - 1] -= sk
-    sh += np.multiply(Y[n - 1], h[n - 1], out=t)
-    Y[n] -= sh
+    def __getitem__(self, i):
+        row = np.zeros(self.n)
+        row[i - 1] = 1.0
+        return row
 
-    Y[n] /= al[n]
-    sub(n - 1, v[n - 1], n)
-    Y[n - 1] /= al[n - 1]
-    for i in range(n - 2, 0, -1):
-        sub(i, w[i], n - 1)
-        sub(i, v[i], n)
-        if i + 1 <= n - 2:
-            sub(i, g[i], i + 1)
-        if i + 2 <= n - 2:
-            sub(i, z[i], i + 2)
-        if i + 3 <= n - 2:
-            sub(i, C[i], i + 3)
-        Y[i] /= al[i]
-    return Y[1:]
+
+def invert(fd):
+    """All n identity columns through float factors: one ``substitute``
+    whose right-hand side entries are numpy rows, so x[i] is row i of the
+    inverse; O(n^2).  A float times an array runs the scalar operations
+    entry by entry, in the same order, so every entry is bit-identical to
+    the substitution of its identity column alone."""
+    return np.stack(substitute(fd, _IdentityRows(fd.n))[1:])
 
 
 # The float lane calls these through the table, looked up at call time, so a
-# caller can wrap an entry (tracing, counting); the exact lane calls sweep
-# and substitute directly.
-ACTIVE_IMPLS = {"factor": sweep, "solve": substitute, "invert": _invert_impl}
+# caller can wrap an entry (tracing, counting); the exact lane and ``invert``
+# call sweep and substitute directly.
+ACTIVE_IMPLS = {"factor": sweep, "solve": substitute, "invert": invert}
 
 
 def float_pivot(bands: dict, tol: float):

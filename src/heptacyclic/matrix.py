@@ -56,7 +56,10 @@ def _to_scalar(value):
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, float)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except OverflowError:  # inf; NaN raises ValueError itself
+            raise ValueError(f"cannot convert {value!r} to a rational") from None
     if isinstance(value, str):
         return parse_scalar(value)
     # duck-typed scalars (rational functions, the op-counting wrapper) pass through
@@ -406,12 +409,15 @@ def matrix_from_json(text: str, backend: str = "exact"):
 
 
 def dense_to_csv(M: DenseMatrix) -> str:
-    """Dense CSV: n rows of n comma-separated scalar strings."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in M.rows:
-        writer.writerow([format_scalar(v) for v in row])
-    return buf.getvalue()
+    """Dense CSV: n rows of n comma-separated scalar strings.
+
+    ``format_scalar`` text never holds a comma, a quote or a newline, so no
+    field needs CSV quoting.
+    """
+    lines = [",".join(map(format_scalar, row)) for row in M.rows]
+    # the empty last line ends the text with a newline without copying it
+    lines.append("")
+    return "\n".join(lines)
 
 
 def dense_from_csv(text: str) -> DenseMatrix:

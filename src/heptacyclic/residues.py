@@ -154,21 +154,25 @@ def _nonzero(value, i):
 
 def _garner(U: np.ndarray, p: np.ndarray) -> list:
     """The integers in (-M/2, M/2], M = prod(p), whose residues are the
-    columns of U (lane k in row k); Garner's mixed-radix algorithm with
-    each step vectorised over the columns."""
+    columns of U (lane k in row k); Garner's mixed-radix algorithm.
+
+    The radix digits V_j come one at a time, each step vectorised over the
+    columns.  The radices P_j = p_0 ... p_{j-1} are carried mod every prime
+    as one vector w, so the memory is O(K m), not O(K^2).  Until step k
+    turns it into V_k, row k of V holds the sum of P_i V_i mod p_k over the
+    digits i < k found so far.
+    """
     K = len(p)
-    # W[k, j] = p_0 ... p_{j-1} mod p_k
-    W = np.ones((K, K), dtype=np.int64)
-    for j in range(1, K):
-        W[:, j] = W[:, j - 1] * p[j - 1] % p
-    radix_inv = _inverse_lanes(W[np.arange(K), np.arange(K)], p)
-    V = np.empty_like(U)
-    V[0] = U[0]
-    for k in range(1, K):
-        # each term is below 2**31, so k of them sum within int64
-        s = (W[k, :k, None] * V[:k] % p[k]).sum(axis=0)
-        V[k] = (U[k] - s) % p[k] * radix_inv[k] % p[k]
     primes = p.tolist()
+    w = np.ones(K, dtype=np.int64)
+    V = np.zeros(U.shape, dtype=np.int64)
+    terms = np.empty(U.shape, dtype=np.int64)
+    for j, q in enumerate(primes):
+        V[j] = (U[j] - V[j]) % q * pow(int(w[j]), -1, q) % q
+        # each term is below 2**31, so K of them sum within int64
+        t = np.multiply(w[j + 1:, None], V[j], out=terms[j + 1:])
+        V[j + 1:] += np.remainder(t, p[j + 1:, None], out=t)
+        w = w * q % p
     x = V[K - 1].tolist()
     for k in range(K - 2, -1, -1):
         x = [a * primes[k] + b for a, b in zip(x, V[k].tolist())]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
@@ -28,7 +27,8 @@ from .factor import (
     lu_substitute,
     require_nonsingular,
 )
-from .matrix import CyclicHeptaMatrix, entry_parser, float_vector, parse_entries, row_scaled
+from .matrix import (CyclicHeptaMatrix, _to_scalar, entry_parser, float_vector, parse_entries,
+                     row_scaled)
 
 # perfbench/tracer.py wraps this module attribute, so it stays bound
 from .scalars import eval_at_zero  # noqa: F401
@@ -44,9 +44,10 @@ class SolveReport:
 
 
 def _check_rhs(H: CyclicHeptaMatrix, r: Sequence):
+    """The entries of r converted as the bands are: a float to its exact value."""
     if len(r) != H.n:
         raise ValueError(f"right-hand side length {len(r)} != order {H.n}")
-    return [Fraction(v) if isinstance(v, int) else v for v in r]
+    return [_to_scalar(v) for v in r]
 
 
 def solve_via_lu(fd: FactorData, H: CyclicHeptaMatrix, r: Sequence) -> SolveReport:

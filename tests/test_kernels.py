@@ -59,9 +59,9 @@ def test_imports_and_inverts_without_numba():
 
 @pytest.mark.parametrize("n", [8, 9, 16, 64, 257])
 def test_lanes_bit_identical(n):
-    """The row-vectorised inverse equals n shared single-column
-    substitutions of the identity columns, bit for bit (signs of zero
-    included)."""
+    """The float inverse, one substitution over numpy rows, equals n shared
+    single-column substitutions of the identity columns, bit for bit (signs
+    of zero included)."""
     H = random_instance(n, 3, "diagonally-dominant")
     S = inverse_float(H)
     fd = factorize(H, "float")
@@ -113,6 +113,30 @@ def test_both_lanes_run_the_shared_recurrences(monkeypatch):
     assert calls == ["factor", "solve"]
     solve_many(H, [[int(v) for v in r]])
     assert calls == ["factor", "solve"]
+
+
+def test_float_inverse_is_one_shared_substitution(monkeypatch):
+    """inverse_float runs ``kernels.substitute`` once per call, over rows,
+    and not through the table's solve entry."""
+    calls = []
+    substitute = kernels.substitute
+
+    def counting(fd, r):
+        calls.append("substitute")
+        return substitute(fd, r)
+
+    def table_solve(*args):
+        calls.append("table")
+        raise AssertionError("the inverse entered the table's solve entry")
+
+    monkeypatch.setattr(kernels, "substitute", counting)
+    monkeypatch.setitem(kernels.ACTIVE_IMPLS, "solve", table_solve)
+    H = random_instance(16, 5, "diagonally-dominant")
+    S = inverse_float(H)
+    assert calls == ["substitute"]
+    inverse_float(H)
+    assert calls == ["substitute"] * 2
+    assert S.shape == (16, 16) and S.flags.c_contiguous
 
 
 def test_float_inverse_close_to_exact():

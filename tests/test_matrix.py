@@ -1,3 +1,5 @@
+import csv
+import io
 from fractions import Fraction as Fr
 
 import pytest
@@ -15,6 +17,7 @@ from heptacyclic.matrix import (
     to_dense,
 )
 from heptacyclic.oracle import dense_det
+from heptacyclic.scalars import format_scalar
 
 
 def identity_bands(n):
@@ -184,6 +187,17 @@ def test_dense_csv_round_trip(example10):
     again = dense_from_csv(text)
     assert again == M
     assert dense_to_csv(again) == text
+
+
+def test_dense_csv_as_csv_writer():
+    # scalar text never needs quoting, so a plain join gives csv.writer's bytes
+    M = DenseMatrix([[Fr(-3, 7), 10**50, 0.1], [float("inf"), -0.0, Fr(0)], [1e300, Fr(5, -2), -1]])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in M.rows:
+        writer.writerow([format_scalar(v) for v in row])
+    assert dense_to_csv(M) == buf.getvalue()
+    assert dense_to_csv(DenseMatrix([])) == ""
 
 
 def test_dense_csv_bad_cell():

@@ -5,7 +5,9 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as Fr
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +181,41 @@ class TestOneSweep:
         counts = [count_det_ops(random_instance(n, 1, "diagonally-dominant"))
                   for n in (200, 1000, 2000)]
         assert counts == [11774, 59774, 119774]  # 60n - 226
+
+
+class TestGarner:
+    @staticmethod
+    def residues_of(values, p):
+        return np.array([[v % q for v in values] for q in p.tolist()], dtype=np.int64)
+
+    @pytest.mark.parametrize("m", [1, 7])
+    @pytest.mark.parametrize("K", [1, 2, 50])
+    def test_symmetric_range(self, K, m):
+        """The ints in (-M/2, M/2] come back, the ends of the range included."""
+        p = residues._PRIMES.take(K)
+        M = prod(p.tolist())
+        rng = random.Random(100 * K + m)
+        values = [0, 1, -1, M // 2, -((M - 1) // 2)]
+        values += [rng.randrange(-((M - 1) // 2), M // 2 + 1) for _ in range(3 * m)]
+        values += [0] * (-len(values) % m)
+        for start in range(0, len(values), m):
+            chunk = values[start:start + m]
+            assert residues._garner(self.residues_of(chunk, p), p) == chunk
+
+    def test_memory_linear_in_primes(self):
+        # a K x K table of the radices mod every prime would take 32 MB here
+        K = 2000
+        p = residues._PRIMES.take(K)
+        value = -(prod(p.tolist()) // 3)
+        U = self.residues_of([value], p)
+        tracemalloc.start()
+        try:
+            got = residues._garner(U, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [value]
+        assert peak < 2 * 2**20
 
 
 class TestPrimeTable:

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
+from heptacyclic import residues
 from heptacyclic.errors import SingularMatrixError
 from heptacyclic.factor import factorize
 from heptacyclic.matrix import random_instance, to_dense
@@ -148,3 +150,39 @@ class TestRhsFiles:
     def test_vector_to_json_round_trip(self):
         x = [Fr(1, 3), Fr(-2)]
         assert vector_from_text(vector_to_json(x)) == [x]
+
+
+class TestExactRhsEntries:
+    """The exact lane converts rhs entries as it converts band entries."""
+
+    def test_float_rhs_is_its_exact_value(self, monkeypatch):
+        lane = []
+        solve = residues.solve
+
+        def recording(H, columns):
+            found = solve(H, columns)
+            lane.append(found is not None)
+            return found
+
+        monkeypatch.setattr(residues, "solve", recording)
+        H = random_instance(12, 3, "diagonally-dominant")
+        floats = [0.5, -1.25, 3.0, 0.1, 7, 0.0, -0.0, 1e-3, 2.5, -8.0, 1e20, 0.375]
+        (expected,) = solve_many(H, [[Fr(v) for v in floats]])
+        assert lane == [True]
+        (got,) = solve_many(H, [floats])
+        assert lane == [True, True]
+        assert got.x == expected.x and all(type(v) is Fr for v in got.x)
+        assert solve_via_lu(factorize(H), H, floats).x == expected.x
+        texts = [str(Fr(v)) for v in floats]
+        assert solve_many(H, [texts])[0].x == expected.x
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_refused(self, bad):
+        H = random_instance(12, 3, "diagonally-dominant")
+        r = [1.0] * 11 + [bad]
+        with pytest.raises(ValueError):
+            solve_many(H, [r])
+        with pytest.raises(ValueError):
+            solve_via_lu(factorize(H), H, r)
+        with pytest.raises(ValueError):
+            H.replace_band("d", [bad, *H.band("d")[1:]])
