@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     # debugging aid: exact inversion cross-checked against the dense oracle
     p_oc = sub.add_parser("oracle-check")
     p_oc.add_argument("--input", required=True)
-    p_oc.add_argument("--parallel-seeds", action="store_true")
     p_oc.add_argument("--out", help="output path (stdout when omitted)")
     return parser
 
@@ -239,7 +238,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     H = matrix_from_json(_read(args.input))
-    result = invert(H, parallel_seeds=args.parallel_seeds)
+    result = invert(H)
     reference = dense_inverse(to_dense(H))
     report = compare(result.S, reference)
     payload = {

@@ -19,9 +19,12 @@ and solve first run one sweep over word-size primes (``residues``); where
 that gives up, and for the inverse always, they go through
 ``interpolate``: one plain rational sweep of H, or, when a pivot is
 structurally zero, sweeps of H(s) = H + s*G at concrete points, where G has
-a one at (i, i) for every such pivot i: det H(s) and every entry of
-adj H(s) are polynomials in s of degree <= r = |G|, so r + 1 points fix
-their values at s = 0 (Lagrange interpolation).
+a one at (i, i) for every such pivot i.  At each point only what depends on
+the factors runs: det H(s) and a few columns taken by substitution through
+them (H(s)^-1 r for a solve, the seed and zero-C columns for the inverse).
+det H(s) and every entry of adj H(s) are polynomials in s of degree
+<= r = |G|, so r + 1 points fix their values at s = 0 (Lagrange
+interpolation).
 
 The recurrences themselves are ``kernels.sweep`` and ``kernels.substitute``,
 shared by both lanes; this module chooses the bands (exact or float64) and
@@ -188,7 +191,7 @@ def determinant(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12
         found = residues.solve(H, [])
         if found is not None:
             return DetResult(value=found[0], pivot_overrides=0, singular=False)
-        value, overrides, _ = interpolate(H, lambda fd, Hs: ())
+        value, overrides, _ = interpolate(H, lambda fd: ())
     else:
         value, overrides = det_from_factors(factorize(H, backend=backend, tol=tol)), ()
     return DetResult(value=value, pivot_overrides=len(overrides), singular=value == 0)
@@ -229,57 +232,41 @@ def _shifted(H: CyclicHeptaMatrix, overrides, s) -> CyclicHeptaMatrix:
     return H.replace_band("d", d)
 
 
-def _sample(H, overrides, evaluate):
-    """r + 1 points where every pivot of H(s) is nonzero: their s, det H(s)
-    and ``evaluate`` values.
-
-    With no override (r = 0) the one point is s = 0, the plain sweep of H;
-    otherwise the points are s = 1, 2, ...  A point where a pivot is zero is
-    skipped.  Pivot i of H(s) is N_i(s) / N_{i-1}(s), N_i the leading i x i
-    minor, a polynomial of degree <= r; if it is zero at r + 1 points where
-    pivots 1..i-1 are not, N_i vanishes identically, and ZeroPivotError(i)
-    reports a structural zero.
-    """
-    r = len(overrides)
-    points, dets, samples = [], [], []
-    misses = Counter()
-    s = 1 if overrides else 0
-    while len(points) <= r:
-        Hs = _shifted(H, overrides, s)
-        try:
-            fd = factorize(Hs, symbolic=False)
-        except ZeroPivotError as exc:
-            misses[exc.index] += 1
-            if misses[exc.index] > r:
-                raise
-        else:
-            points.append(s)
-            dets.append(det_from_factors(fd))
-            samples.append(evaluate(fd, Hs))
-        s += 1
-    return points, dets, samples
-
-
 def interpolate(H: CyclicHeptaMatrix, evaluate: Callable) -> tuple:
-    """det H and quantities of H^-1, the single exact entry point.
+    """det H and values y of H^-1, the single exact entry point.
 
-    G starts empty, so without a zero pivot this is one plain sweep of H and
-    ``evaluate(fd, H)``.  A pivot found structurally zero joins G, a one at
-    (i, i) (the paper's override rule), and sampling restarts at the points
-    s = 1, 2, ... of H(s) = H + s*G.  There ``evaluate(fd, H(s))`` gives a
-    flat list of values y(s) (entries of H(s)^-1, or of H(s)^-1 r) with
+    G starts empty, so without a zero pivot this is one plain sweep of H
+    (s = 0) and ``evaluate(fd)``.  A pivot found structurally zero joins G,
+    a one at (i, i) (the paper's override rule), and sampling restarts at
+    the points s = 1, 2, ... of H(s) = H + s*G.  There ``evaluate(fd)``
+    gives a flat list of values y(s) computed from the factors of H(s)
+    (columns of H(s)^-1 taken by substitution, or H(s)^-1 r) with
     det H(s) * y(s) a polynomial of degree <= r = |G|, so r + 1 points
     determine det H and y at s = 0.
 
+    A point where a pivot is zero is skipped.  Pivot i of H(s) is
+    N_i(s) / N_{i-1}(s), N_i the leading i x i minor, a polynomial of
+    degree <= r; if it is zero at r + 1 points where pivots 1..i-1 are not,
+    N_i vanishes identically and i is structurally zero.
+
     Returns (det H, overrides, y(0)), with y(0) None when det H == 0.
     """
-    overrides = ()
-    while True:
+    overrides, s = (), 0
+    points, dets, samples, misses = [], [], [], Counter()
+    while len(points) <= len(overrides):
         try:
-            points, dets, samples = _sample(H, overrides, evaluate)
-            break
+            fd = factorize(_shifted(H, overrides, s), symbolic=False)
         except ZeroPivotError as exc:
-            overrides += (exc.index,)
+            misses[exc.index] += 1
+            if misses[exc.index] > len(overrides):
+                overrides += (exc.index,)
+                points, dets, samples, misses = [], [], [], Counter()
+                s = 0  # the next point is s = 1
+        else:
+            points.append(s)
+            dets.append(det_from_factors(fd))
+            samples.append(evaluate(fd))
+        s += 1
     if not overrides:
         return dets[0], overrides, samples[0]
     # Lagrange weights l_k(0) = prod_{m != k} s_m / (s_m - s_k)

@@ -9,18 +9,19 @@ j+1..j+6 by dividing through the band entry C_j.  Where C_j is zero, column
 j is instead one forward/back substitution of e_j through the factors
 already in hand, and the recursion continues above it.
 
+Only the seeds and the zero-C columns read the factors.  A structurally
+zero pivot is handled at concrete points rather than with a symbolic t:
+``factor.interpolate`` computes those 5 + z columns of H(s)^-1, with
+H(s) = H + s*G (G a one at each such pivot), at r + 1 points and
+interpolates them to s = 0.  The peeling reads only the bands of H, so it
+runs once, on H itself, whatever r.
+
 The peeling runs over Python ints.  H' = diag(L) H, L_i the lcm of the
 denominators in row i, is an integer matrix, so adj H' = det H' * H'^-1 is
 one too: each step of the recursion is one exact division by C'_j = L_j C_j
 per entry, the fraction-free idea of Bareiss (Math. Comp. 22, 1968), and no
 gcd is taken until each entry is put back over det H' at the end.  The seed
 columns and the zero-C columns are computed over rationals and converted.
-
-A structurally zero pivot is handled at concrete points rather than with a
-symbolic t: ``factor.interpolate`` computes the inverse of H(s) = H + s*G
-(G a one at each such pivot) over plain rationals at r + 1 points and
-interpolates det H(s) * H(s)^-1 to s = 0.  Without a zero pivot a single
-plain sweep of H is all that runs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import prod
 
 from . import kernels
 from .errors import InternalContractError, SingularMatrixError
-from .factor import FactorData, det_from_factors, factorize, interpolate
+from .factor import FactorData, factorize, interpolate
 from .matrix import CyclicHeptaMatrix, DenseMatrix, row_scaled
 from .scalars import is_zero
 
@@ -160,10 +161,10 @@ def seed_columns(fd: FactorData, parallel: bool = False) -> tuple:
 
 
 def _adjugate_column(col, delta: int, scale: int, j: int) -> list:
-    """Column j of adj H' from column j of H^-1 (1-based, rationals):
-    delta * col / L_j, 0-based, each entry checked to be an integer."""
+    """Column j of adj H' from column j of H^-1 (0-based, rationals):
+    delta * col / L_j, each entry checked to be an integer."""
     out = []
-    for i, value in enumerate(col[1:], start=1):
+    for i, value in enumerate(col, start=1):
         q, r = divmod(value.numerator * delta, value.denominator * scale)
         if r:
             raise InternalContractError(f"adjugate entry ({i}, {j}) is not an integer")
@@ -201,32 +202,28 @@ def _back_column(bands, cols, j: int, delta: int) -> list:
     return col
 
 
-def back_columns(fd: FactorData, H: CyclicHeptaMatrix, seeds: tuple) -> list:
-    """All n columns of H^-1, from column 1 to column n, given the five seeds.
+def back_columns(H: CyclicHeptaMatrix, det, given: dict) -> list:
+    """All n columns of H^-1, from column 1 to column n.
 
-    The recursion runs over the integer adjugate of H' = diag(L) H: with
-    delta = det H' = det H * prod(L), column j of adj H' is
-    delta * Col_j(H^-1) / L_j, an integer vector.  The seeds, and each column
-    whose C_j is zero (one substitution of e_j through ``fd``, the factors
-    of H), are converted to it; columns n-5 down to 1 otherwise follow by
-    ``_back_column``.  Entry (i, j) of H^-1 is then adj'[i][j] * L_j / delta.
+    ``given`` maps j to column j of H^-1 (0-based, rationals) for every
+    column the recursion cannot produce: the five seeds and each column
+    whose C_j is zero.  The recursion runs over the integer adjugate of
+    H' = diag(L) H: with delta = det H' = det H * prod(L), column j of
+    adj H' is delta * Col_j(H^-1) / L_j, an integer vector.  Going from
+    j = n down to 1, a given column is converted to it and popped from
+    ``given``; every other column follows by ``_back_column``.  Entry
+    (i, j) of H^-1 is then adj'[i][j] * L_j / delta.
     """
     n = H.n
     scales, bands, _ = row_scaled(H)
-    delta = det_from_factors(fd) * prod(scales)
+    delta = det * prod(scales)
     if delta.denominator != 1:
         raise InternalContractError("det H' is not an integer")
     delta = delta.numerator
-    C = bands[-1]  # BAND_NAMES ends with C
     cols = [None] * (n + 1)
-    for offset, col in enumerate(seeds):
-        cols[n - offset] = _adjugate_column(col, delta, scales[n - offset - 1], n - offset)
-    del seeds, col  # the rational seeds are not needed past this point
-    for j in range(n - 5, 0, -1):
-        if C[j - 1] == 0:
-            e_j = [None] + [0] * n
-            e_j[j] = _ONE
-            cols[j] = _adjugate_column(kernels.substitute(fd, e_j), delta, scales[j - 1], j)
+    for j in range(n, 0, -1):
+        if j in given:
+            cols[j] = _adjugate_column(given.pop(j), delta, scales[j - 1], j)
         else:
             cols[j] = _back_column(bands, cols, j, delta)
     # each column is replaced in turn, so no column is held both as ints
@@ -238,31 +235,38 @@ def back_columns(fd: FactorData, H: CyclicHeptaMatrix, seeds: tuple) -> list:
 
 
 def _zero_c(H: CyclicHeptaMatrix) -> tuple:
-    """Indices j <= n-5 whose C_j, a divisor of the back recursion, is zero."""
+    """Indices j <= n-5 whose C_j, a divisor of the back recursion, is zero:
+    the columns taken by substitution instead."""
     C = H.band("C")
     return tuple(j for j in range(1, H.n - 4) if is_zero(C[j - 1]))
-
-
-def _entries(fd: FactorData, H: CyclicHeptaMatrix, parallel: bool) -> list:
-    """All n*n entries of H^-1, row by row, from the factors of H."""
-    cols = back_columns(fd, H, seed_columns(fd, parallel=parallel))
-    return [v for row in zip(*cols) for v in row]
 
 
 def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
     """Exact inverse of H, or SingularMatrixError.
 
-    Pipeline: factor H, build the five seed columns and recover the
-    remaining columns; if a pivot is zero, do the same for H(s) at concrete
-    points and interpolate to s = 0 (``factor.interpolate``).
+    Pipeline: ``factor.interpolate`` factors H (or H(s) at concrete points,
+    if a pivot is zero) and, from those factors, builds the five seed
+    columns and one substitution of e_j for each zero C_j; the recursion
+    then recovers the remaining columns once, from the bands of H.
     """
     n = H.n
-    _, overrides, values = interpolate(H, lambda fd, Hs: _entries(fd, Hs, parallel_seeds))
+    zero_c = _zero_c(H)
+    units = [[None, *(_ONE if i == j else 0 for i in range(1, n + 1))] for j in zero_c]
+
+    def evaluate(fd):
+        cols = [*seed_columns(fd, parallel=parallel_seeds),
+                *(kernels.substitute(fd, e_j) for e_j in units)]
+        return [v for col in cols for v in col[1:]]
+
+    det, overrides, values = interpolate(H, evaluate)
     if values is None:
         raise SingularMatrixError("singular matrix")
+    given = {j: values[k * n:(k + 1) * n]
+             for k, j in enumerate((*range(n, n - SEED_COLUMN_COUNT, -1), *zero_c))}
+    del values  # each given column is dropped once back_columns converts it
     return InverseResult(
-        S=DenseMatrix([values[i * n:(i + 1) * n] for i in range(n)]),
-        c_substitutions=_zero_c(H),
+        S=DenseMatrix(zip(*back_columns(H, det, given))),
+        c_substitutions=zero_c,
         pivot_overrides=overrides,
     )
 

@@ -21,8 +21,10 @@ import io
 import json
 import random
 from array import array
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
+from numbers import Rational, Real
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -53,11 +55,16 @@ def _offset_band(n: int, i: int, j: int):
 
 
 def _to_scalar(value):
+    """A real number (int, float, numpy scalar, Decimal) as its exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, float)):
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Rational):  # the numpy integers, among others
+        return Fraction(int(value.numerator), int(value.denominator))
+    if isinstance(value, (Real, Decimal)):  # float, the numpy floats
         try:
-            return Fraction(value)
+            return Fraction(*map(int, value.as_integer_ratio()))
         except OverflowError:  # inf; NaN raises ValueError itself
             raise ValueError(f"cannot convert {value!r} to a rational") from None
     if isinstance(value, str):

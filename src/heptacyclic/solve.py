@@ -81,7 +81,7 @@ def _solve_exact(H: CyclicHeptaMatrix, columns: list) -> list[SolveReport]:
         (det, values), overrides = found, ()
     else:
         det, overrides, values = interpolate(
-            H, lambda fd, Hs: [v for col in columns for v in lu_substitute(fd, col)])
+            H, lambda fd: [v for col in columns for v in lu_substitute(fd, col)])
     if values is None:
         raise SingularMatrixError("singular matrix")
     return [

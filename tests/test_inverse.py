@@ -134,6 +134,16 @@ def rational_entries(H, seed):
                                     for name in BAND_NAMES))
 
 
+def zero_rows(H, rows):
+    """H with D_i, B_i, b_i and d_i set to zero for each i in ``rows``: row i
+    of the leading i x i minor is then zero, so pivot i is structurally zero."""
+    bands = {k: list(v) for k, v in H.bands().items()}
+    for i in rows:
+        for name in ("D", "B", "b", "d"):
+            bands[name][i - 1] = 0
+    return CyclicHeptaMatrix(H.n, **bands)
+
+
 def inexact_matrix():
     """Dominant integer n = 16 with C_11 = 7 and B_16 = 1: adding 1 to an
     entry of column 16 of adj H makes the division by C_11 inexact."""
@@ -223,12 +233,15 @@ class TestIntegerAdjugate:
     with one exact division per entry; rational entries make L_i != 1."""
 
     @pytest.mark.parametrize("profile", ["diagonally-dominant", "zero-C", "zero-pivot-prone",
-                                         "collision"])
+                                         "collision", "three-zero-pivots"])
     def test_rational_entries_match_oracle(self, profile):
         checked = 0
         for seed in range(8):
             if profile == "collision":
                 H = collision_matrix(seed)
+            elif profile == "three-zero-pivots":
+                H = zero_rows(random_instance(16 + seed % 7, seed, "diagonally-dominant"),
+                              (3, 8, 13))
             else:
                 H = random_instance(8 + seed % 7, seed, profile)
             H = rational_entries(H, seed)
@@ -236,7 +249,10 @@ class TestIntegerAdjugate:
             expected = oracle_inverse_or_none(H)
             if expected is None:
                 continue
-            assert invert(H).S == expected
+            res = invert(H)
+            assert res.S == expected
+            if profile == "three-zero-pivots":
+                assert res.pivot_overrides == (3, 8, 13)
             checked += 1
         assert checked >= 4
 
@@ -388,6 +404,23 @@ class TestConcretePoints:
         (report,) = solve_many(H, [r])
         assert H.mat_vec(list(report.x)) == r
         assert report.det == dense_det(dense)
+
+    def test_back_columns_run_once_whatever_r(self, monkeypatch):
+        # only the seed and zero-C columns are interpolated; the recursion
+        # runs once, on H itself
+        H = zero_rows(random_instance(20, 1, "diagonally-dominant"), (5, 15))
+        calls = []
+        back = inverse.back_columns
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return back(*args, **kwargs)
+
+        monkeypatch.setattr(inverse, "back_columns", counting)
+        res = invert(H)
+        assert res.pivot_overrides == (5, 15) and res.c_substitutions == (8, 9)
+        assert len(calls) == 1
+        assert res.S == dense_inverse(to_dense(H))
 
 
 def pentadiagonal(n, seed):

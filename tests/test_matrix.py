@@ -1,11 +1,14 @@
 import csv
 import io
+from decimal import Decimal
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 from heptacyclic.matrix import (
     BAND_NAMES,
+    _to_scalar,
     CyclicHeptaMatrix,
     DenseMatrix,
     dense_from_csv,
@@ -210,3 +213,55 @@ def test_replace_band_revalidates(example10):
     C[-1] = Fr(5)  # C_n must stay zero
     with pytest.raises(ValueError, match="band wrap violation"):
         example10.replace_band("C", C)
+
+
+class TestExactConversion:
+    """Every real scalar type enters the exact lane as its exact Fraction."""
+
+    @pytest.mark.parametrize("value, expected", [
+        (np.int64(-7), Fr(-7)),
+        (np.uint8(255), Fr(255)),
+        (np.float32(0.5), Fr(1, 2)),
+        (np.float32(0.1), Fr(13421773, 134217728)),
+        (np.float64(0.1), Fr(0.1)),
+        (Decimal("0.1"), Fr(1, 10)),
+        (Decimal("-2.50"), Fr(-5, 2)),
+        (True, Fr(1)),
+    ], ids=["int64", "uint8", "float32-half", "float32-tenth", "float64-tenth", "decimal-tenth",
+            "decimal-trailing-zero", "bool"])
+    def test_converted_exactly(self, value, expected):
+        converted = _to_scalar(value)
+        assert type(converted) is Fr and converted == expected
+        assert type(converted.numerator) is int and type(converted.denominator) is int
+
+    @pytest.mark.parametrize("value", [np.float64("inf"), np.float32("-inf"), Decimal("inf"),
+                                       np.float64("nan"), Decimal("nan"), float("nan")],
+                             ids=["float64-inf", "float32-minus-inf", "decimal-inf",
+                                  "float64-nan", "decimal-nan", "float-nan"])
+    def test_inf_and_nan_rejected(self, value):
+        with pytest.raises(ValueError):
+            _to_scalar(value)
+
+    def test_numpy_int_bands_and_rhs_take_the_residue_lane(self, monkeypatch):
+        from heptacyclic import factor, solve
+        from heptacyclic.inverse import invert
+
+        H = random_instance(12, 3, "diagonally-dominant")
+        Hn = CyclicHeptaMatrix(12, *(np.array([int(v) for v in H.band(name)], dtype=np.int64)
+                                     for name in BAND_NAMES))
+        assert Hn.bands() == H.bands()
+        assert all(type(v) is Fr for band in Hn.bands().values() for v in band)
+        r, rn = list(range(12)), list(np.arange(12))
+
+        def no_fallback(*args):
+            raise AssertionError("the residue lane gave up")
+
+        monkeypatch.setattr(factor, "interpolate", no_fallback)
+        monkeypatch.setattr(solve, "interpolate", no_fallback)
+        det = factor.determinant(Hn).value
+        assert type(det) is Fr and det == factor.determinant(H).value == 191020667295097926
+        (report,) = solve.solve_many(Hn, [rn])
+        assert all(type(v) is Fr for v in report.x)
+        assert report.x == solve.solve_many(H, [r])[0].x
+        monkeypatch.undo()
+        assert invert(Hn).S == invert(H).S
