@@ -14,14 +14,17 @@ factors satisfy L @ U == H + t * sum(E_ii over overrides).  Index pairings
 at the border closures are pinned by that product identity, which the test
 suite checks entry by entry on random instances.
 
-The determinant, solve and inverse paths never carry t.  The determinant
-and solve first run one sweep over word-size primes (``residues``); where
-that gives up, and for the inverse always, they go through
-``interpolate``: one plain rational sweep of H, or, when a pivot is
-structurally zero, sweeps of H(s) = H + s*G at concrete points, where G has
-a one at (i, i) for every such pivot i.  At each point only what depends on
-the factors runs: det H(s) and a few columns taken by substitution through
-them (H(s)^-1 r for a solve, the seed and zero-C columns for the inverse).
+The determinant, solve and inverse paths never carry t.  A pivot that is
+structurally zero is handled at concrete points of H(s) = H + s*G, where G
+has a one at (i, i) for every such pivot i.  The determinant and solve run
+them as lanes of one sweep over word-size primes (``residues``), zero
+pivot or not; where that gives up (a prime divides a nonzero pivot, or an
+entry is not a ``Fraction``), and for the inverse always, they go through
+``interpolate``: one plain rational sweep of H, or, with a structurally
+zero pivot, one rational sweep of H(s) per point.  At each point only what
+depends on the factors runs: det H(s) and a few columns taken by
+substitution through them (H(s)^-1 r for a solve, the seed and zero-C
+columns for the inverse).
 det H(s) and every entry of adj H(s) are polynomials in s of degree
 <= r = |G|, so r + 1 points fix their values at s = 0 (Lagrange
 interpolation).
@@ -181,17 +184,16 @@ def determinant(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12
     """Determinant via the pivot product.
 
     The exact lane runs one sweep over word-size primes
-    (``residues.solve``); where that lane gives up, it goes through
-    ``interpolate``, which runs one plain sweep unless a pivot is zero.
-    ``pivot_overrides`` counts the pivots found structurally zero.
+    (``residues.solve``), with the points of H + s*G as extra lanes when a
+    pivot is structurally zero; only where that lane gives up does it go
+    through ``interpolate``.  ``pivot_overrides`` counts the pivots found
+    structurally zero; a singular H gives value 0, not an error.
     """
     if backend == "exact":
         from . import residues  # residues imports this module, so it loads here
 
         found = residues.solve(H, [])
-        if found is not None:
-            return DetResult(value=found[0], pivot_overrides=0, singular=False)
-        value, overrides, _ = interpolate(H, lambda fd: ())
+        value, overrides, _ = found if found is not None else interpolate(H, lambda fd: ())
     else:
         value, overrides = det_from_factors(factorize(H, backend=backend, tol=tol)), ()
     return DetResult(value=value, pivot_overrides=len(overrides), singular=value == 0)
@@ -232,8 +234,16 @@ def _shifted(H: CyclicHeptaMatrix, overrides, s) -> CyclicHeptaMatrix:
     return H.replace_band("d", d)
 
 
+def lagrange_at_zero(points) -> list:
+    """Lagrange weights l_k(0) = prod_{m != k} s_m / (s_m - s_k): a
+    polynomial f of degree < len(points) has f(0) = sum_k l_k(0) f(s_k)."""
+    return [prod((Fraction(sm, sm - sk) for sm in points if sm != sk), start=_ONE)
+            for sk in points]
+
+
 def interpolate(H: CyclicHeptaMatrix, evaluate: Callable) -> tuple:
-    """det H and values y of H^-1, the single exact entry point.
+    """det H and values y of H^-1 over ``Fraction``: the inverse's entry
+    point, and that of det and solve where the residue lane gives up.
 
     G starts empty, so without a zero pivot this is one plain sweep of H
     (s = 0) and ``evaluate(fd)``.  A pivot found structurally zero joins G,
@@ -269,8 +279,7 @@ def interpolate(H: CyclicHeptaMatrix, evaluate: Callable) -> tuple:
         s += 1
     if not overrides:
         return dets[0], overrides, samples[0]
-    # Lagrange weights l_k(0) = prod_{m != k} s_m / (s_m - s_k)
-    weights = [prod(Fraction(sm, sm - sk) for sm in points if sm != sk) for sk in points]
+    weights = lagrange_at_zero(points)
     det = sum(w * d for w, d in zip(weights, dets))
     if det == 0:
         return det, overrides, None

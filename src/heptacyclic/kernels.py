@@ -9,7 +9,8 @@ by the bands it passes in, and picks what happens to each pivot through
 ``pivot(value, i)``.  The exact lane replaces a zero pivot by the
 indeterminate (the symbolic factorization) or refuses it, and the caller
 moves to concrete points of H + s*G; the residue lane refuses a pivot that
-is zero in any lane, and the caller falls back to rationals; the float
+is zero in any lane, and the caller reads from those lanes whether to
+replace a point, add the pivot to G or fall back to rationals; the float
 lane (``float_pivot``) refuses a pivot that is zero, NaN or below its
 tolerance, and the caller tells the user to switch to the exact backend.
 

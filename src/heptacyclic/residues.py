@@ -2,43 +2,62 @@
 
 The bordered LU sweep does O(n) field operations, but over ``Fraction``
 each one works on operands of O(n) digits and takes their gcd.  Here the
-sweep runs once over K primes p < 2**31 at the same time: every value is a
-``Residues``, a numpy int64 vector holding one lane per prime, and
-``kernels.sweep`` and ``kernels.substitute`` run over it unchanged.  The
-integers det H' and det H' * x are then rebuilt from their residues by
+sweep runs once over many lanes at the same time: every value is a
+``Residues``, a numpy int64 vector holding one lane per (point, prime),
+and ``kernels.sweep`` and ``kernels.substitute`` run over it unchanged.
+The integers det H' and det H' * x are then rebuilt from their residues by
 Chinese remaindering (Garner's algorithm; von zur Gathen & Gerhard,
 *Modern Computer Algebra*, ch. 5).
 
 The sweep runs on H' = diag(L) H, where L_i is the lcm of the denominators
 in row i of H and of the right-hand sides, so H' and r' = L r are integer
-and det H = det H' / prod(L_i).  K is chosen from the Hadamard bound of H'
-with r' included, which bounds |det H'| and every |det H' * x_j| (Cramer),
-so the rebuilt integers are exact.
+and det H = det H' / prod(L_i).
+
+A structurally zero pivot is handled as ``factor.interpolate`` handles it,
+at concrete points of H'(s) = H' + s diag(L) G, G a one at (i, i) for each
+such pivot i.  The K primes are tiled over the points s = 1 ... r + 1
+(r = |G|), and only the lanes of d'_i + s L_i, i in G, differ between
+points.  det H'(s) and each det H'(s) * x_j(s) are polynomials of degree
+<= r in s, so each is interpolated to s = 0 modulo each prime (Lagrange)
+before one CRT.  Without a zero pivot there is one point, s = 0, and G is
+empty.
+
+K is chosen so that M = prod(p) exceeds twice the Hadamard bound of H'(s)
+at the largest point, with r' included and every row norm taken as at
+least 1.  That bounds |det H'(s)|, every |det H'(s) * x_j(s)| (Cramer) and
+every leading minor N_i(s), so the rebuilt integers are exact, and a pivot
+N_i(s) / N_{i-1}(s) that is zero in every lane of a point is zero there.
+A pivot zero at every point is structurally zero: it joins G and the sweep
+restarts with one point more.  A point where it is zero, but not at every
+point, is replaced by the next integer.  The lane therefore finds the same
+G as the symbolic sweep, and it says when H is singular (det H' = 0)
+without dividing by it.
 
 The lane gives up, and ``solve`` returns None, when an entry is not a
 ``Fraction`` (the op-counting scalar, rational functions in t) or when a
-pivot is zero in any lane: a structurally zero pivot, a prime that divides
-a nonzero pivot, or a singular H.  The caller then runs the ``Fraction``
-path, so the lane never gives a wrong answer.
+pivot is zero in some but not all lanes of a point: a prime divides a
+nonzero value.  The caller then runs the ``Fraction`` path, so the lane
+never gives a wrong answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
+from itertools import count, islice, repeat
 from math import isqrt, prod
 
 import numpy as np
 
 from . import kernels
-from .errors import ZeroPivotError
-from .factor import FactorData, det_from_factors
-from .matrix import CyclicHeptaMatrix, row_scaled
+from .factor import FactorData, det_from_factors, lagrange_at_zero
+from .matrix import BAND_NAMES, CyclicHeptaMatrix, row_scaled
 
 _TOP = 1 << 31
 _SEGMENT = 1 << 18
 _INT64 = 1 << 63
+# a call whose lane vectors took this many bytes or more trims the C heap
+_TRIM_BYTES = 768 << 10
 
 
 class _PrimeTable:
@@ -131,24 +150,38 @@ class Residues:
 
 class _Band:
     """1-based integer band read as residue vectors, each made when it is
-    read, so no residue array is kept per band entry."""
+    read, so no residue array is kept per band entry.  ``shifted`` maps an
+    index to its lanes given outright (d'_i + s L_i for a pivot override)."""
 
-    __slots__ = ("ints", "p")
+    __slots__ = ("ints", "p", "shifted")
 
-    def __init__(self, ints, p):
+    def __init__(self, ints, p, shifted=None):
         self.ints = [None, *ints]
         self.p = p
+        self.shifted = shifted or {}
 
     def __len__(self):
         return len(self.ints)
 
     def __getitem__(self, i):
-        return Residues(_lanes(self.ints[i], self.p), self.p)
+        lanes = self.shifted.get(i)
+        if lanes is None:
+            lanes = _lanes(self.ints[i], self.p)
+        return Residues(lanes, self.p)
+
+
+class _ZeroLanes(Exception):
+    """Pivot ``index`` is zero in the lanes that ``zero`` marks."""
+
+    def __init__(self, index: int, zero: np.ndarray):
+        super().__init__(index)
+        self.index = index
+        self.zero = zero
 
 
 def _nonzero(value, i):
     if not value.v.all():
-        raise ZeroPivotError(i)
+        raise _ZeroLanes(i, value.v == 0)
     return value
 
 
@@ -195,57 +228,104 @@ def _malloc_trim():
 
 
 def solve(H: CyclicHeptaMatrix, columns) -> tuple | None:
-    """(det H, the entries of x with H x = r for each of ``columns``, column
-    after column) through one residue sweep, or None when the lane gives up.
+    """(det H, the pivots found structurally zero, the entries of x with
+    H x = r for each of ``columns``, column after column) through one
+    residue sweep, or None when the lane gives up.  The entries are None
+    when det H == 0.
 
     ``columns`` may be empty: then this is the determinant alone.
     """
     if not all(type(v) is Fraction for row in (*H.bands().values(), *columns) for v in row):
         return None
-    found = _solve(H, columns)
+    found, lane_bytes = _solve(H, columns)
     # each lane vector is a small buffer on the C heap, and glibc keeps the
-    # pages of freed small buffers: hand them back, or a process that runs
-    # more work after this call (an inverse, say) holds them resident next
-    # to what it allocates through Python's own allocator.  When the lane
-    # gives up, the caller's Fraction path reuses those pages at once, so
-    # the heap is left as it is and the fallback leaves no trace on it.
-    if found is not None:
+    # pages of freed small buffers: after a large call, hand them back, or a
+    # process that runs more work after it (an inverse, say) holds them
+    # resident next to what it allocates through Python's own allocator.
+    # After a small call, or when the lane gives up, the pages are reused
+    # at once by what follows (the next call, or the caller's Fraction
+    # path), and a trim would only make it fault them in again.
+    if lane_bytes >= _TRIM_BYTES:
         trim = _malloc_trim()
         if trim is not None:
             trim(0)
     return found
 
 
-def _solve(H: CyclicHeptaMatrix, columns) -> tuple | None:
+def _solve(H: CyclicHeptaMatrix, columns) -> tuple:
+    """(what ``solve`` returns, the bytes of the lane vectors made)."""
     n = H.n
     scales, bands, rhs = row_scaled(H, columns)
+    d = bands[BAND_NAMES.index("d")]
     norms = [sum(v * v for v in entries) for entries in zip(*bands)]
     for i, entries in enumerate(zip(*rhs)):
         norms[i] += max(v * v for v in entries)
-    # Hadamard: |det H'| and |det H' * x_j| are at most prod(sqrt(norm_i)) <= bound
-    bound = isqrt(prod(norms)) + 1
-    candidates = _PRIMES.take((2 * bound).bit_length() // 30 + 1).tolist()
-    K, M = 0, 1
-    while M <= 2 * bound:
-        M *= candidates[K]
-        K += 1
-    p = _PRIMES.take(K)
-    lanes = [_Band(band, p) for band in bands]
-    try:
-        vectors = kernels.sweep(*lanes, _nonzero)
-    except ZeroPivotError:
-        return None
+    overrides, skipped = (), set()
+    while True:
+        if overrides:
+            # s = 1, 2, ..., less the points where a pivot was zero
+            points = list(islice((s for s in count(1) if s not in skipped), len(overrides) + 1))
+        else:
+            points = [0]  # H itself
+        top = points[-1]
+        grown = norms.copy()
+        for i in overrides:
+            grown[i - 1] += (abs(d[i - 1]) + top * scales[i - 1]) ** 2 - d[i - 1] ** 2
+        # Hadamard, rows at s <= top: every leading minor of H'(s), det H'(s)
+        # and every det H'(s) * x_j(s) are at most prod(sqrt(max(1, norm_i)))
+        bound = isqrt(prod(max(1, v) for v in grown)) + 1
+        candidates = _PRIMES.take((2 * bound).bit_length() // 30 + 1).tolist()
+        K, M = 0, 1
+        while M <= 2 * bound:
+            M *= candidates[K]
+            K += 1
+        primes = _PRIMES.take(K)
+        # lane k * K + j is point k modulo prime j
+        p = np.tile(primes, len(points))
+        s_lanes = np.repeat(np.array(points, dtype=np.int64), K)
+        shifted = {i: (_lanes(d[i - 1], p) + s_lanes * _lanes(scales[i - 1], p)) % p
+                   for i in overrides}
+        lanes = [_Band(band, p, shifted if band is d else None) for band in bands]
+        try:
+            vectors = kernels.sweep(*lanes, _nonzero)
+            break
+        except _ZeroLanes as exc:
+            zero = exc.zero.reshape(len(points), K)
+            zero_at = zero.all(axis=1)  # the points where the pivot is zero
+            if (zero.any(axis=1) != zero_at).any():
+                return None, 0  # a prime divides a nonzero pivot
+            # zero modulo M, and below M/2 in magnitude, so zero: pivot i is
+            # N_i / N_{i-1}, N_i the leading i x i minor, a polynomial in s of
+            # degree <= r, and zero at all r + 1 points makes it vanish
+            if zero_at.all():
+                overrides, skipped = overrides + (exc.index,), set()
+            else:
+                skipped.update(s for s, hit in zip(points, zero_at.tolist()) if hit)
     fd = FactorData(n, *map(tuple, vectors), overrides=(), D=lanes[0], C=lanes[6],
                     backend="residues")
     det = det_from_factors(fd)
-    # one row per value: det H', then det H' * x for each column
-    U = np.empty((1 + n * len(rhs), K), dtype=np.int64)
-    U[0] = det.v
+    # one row per value: det H'(s), then x(s) for each column
+    X = np.empty((1 + n * len(rhs), len(p)), dtype=np.int64)
+    X[0] = det.v
     for c, r in enumerate(rhs):
         x = kernels.substitute(fd, _Band(r, p))
         for i in range(1, n + 1):
-            U[c * n + i] = x[i].v
-    U[1:] = U[1:] * det.v % p
-    values = _garner(U.T, p)
+            X[c * n + i] = x[i].v
+    # det H'(s) * x(s), then each value at s = 0 per prime (a polynomial of
+    # degree <= r in s), in place: no temporary of X's size
+    weights = [w.numerator * pow(w.denominator, -1, q) % q
+               for w in lagrange_at_zero(points) for q in primes.tolist()]
+    X[1:] *= det.v
+    X[1:] %= p
+    X *= np.array(weights, dtype=np.int64)
+    X %= p
+    U = X.reshape(len(X), len(points), K).sum(axis=1) % primes
+    values = _garner(U.T, primes)
     det_h = values[0]
-    return Fraction(det_h, prod(scales)), [Fraction(v, det_h) for v in values[1:]]
+    det = Fraction(det_h, prod(scales))
+    if det_h == 0:
+        found = det, overrides, None
+    else:
+        found = det, overrides, [Fraction(v, det_h) for v in values[1:]]
+    # the lane vectors made: 9 factor vectors, y, x and a row of X per column
+    return found, p.nbytes * n * (9 + 3 * len(rhs))

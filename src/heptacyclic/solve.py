@@ -3,12 +3,13 @@
 Forward/back substitution through the bordered LU factors, O(n) per
 right-hand side; the exact and float lanes run the same substitution.
 The exact lane runs one sweep over word-size primes and rebuilds det * x
-by Chinese remaindering (``residues.solve``).  Where that gives up, it
-goes through ``factor.interpolate``: one plain rational sweep, or, when a
-pivot of H is structurally zero, H(s) x(s) = r at concrete points of
-H(s) = H + s*G (G the zero pivots) with det * x interpolated to s = 0; the
-right-hand side needs no substitution, since the band entries are never
-divided by.
+by Chinese remaindering (``residues.solve``).  When a pivot of H is
+structurally zero, it solves H(s) x(s) = r at concrete points of
+H(s) = H + s*G (G the zero pivots), as more lanes of the same sweep, with
+det * x interpolated to s = 0; the right-hand side needs no substitution,
+since the band entries are never divided by.  Only where the lane gives
+up does it go through ``factor.interpolate``, which does the same over
+``Fraction``, one sweep per point.
 """
 
 from __future__ import annotations
@@ -72,16 +73,14 @@ def solve_via_lu(fd: FactorData, H: CyclicHeptaMatrix, r: Sequence) -> SolveRepo
 
 def _solve_exact(H: CyclicHeptaMatrix, columns: list) -> list[SolveReport]:
     """Exact solutions of checked columns: one sweep over word-size primes,
-    or, where that lane gives up, ``interpolate``."""
+    zero pivot or not, or, where that lane gives up, ``interpolate``.  A
+    singular H raises SingularMatrixError."""
     from . import residues  # loaded on first use, outside the import time of the package
 
     n = H.n
     found = residues.solve(H, columns)
-    if found is not None:
-        (det, values), overrides = found, ()
-    else:
-        det, overrides, values = interpolate(
-            H, lambda fd: [v for col in columns for v in lu_substitute(fd, col)])
+    det, overrides, values = found if found is not None else interpolate(
+        H, lambda fd: [v for col in columns for v in lu_substitute(fd, col)])
     if values is None:
         raise SingularMatrixError("singular matrix")
     return [
@@ -114,9 +113,9 @@ def solve_many(H: CyclicHeptaMatrix, columns: Sequence[Sequence], backend: str =
     """Independent right-hand sides, one report per column.
 
     One factor sweep serves every column and the reported determinant (on
-    the exact lane, one per concrete point when a pivot is zero).  On the
-    float lane ``H`` may also be a ``FloatHeptaMatrix``, and every column is
-    converted to float64 before the sweep.
+    the exact lane, over the lanes of every concrete point when a pivot is
+    zero).  On the float lane ``H`` may also be a ``FloatHeptaMatrix``, and
+    every column is converted to float64 before the sweep.
     """
     if backend == "exact":
         return _solve_exact(H, [_check_rhs(H, col) for col in columns])

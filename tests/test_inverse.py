@@ -337,6 +337,17 @@ class TestZeroBEntries:
         assert checked >= 2
 
 
+def point_skip_matrix():
+    """The plain sweep of H (s = 0) finds d_1 = 0 and puts (1, 1) into G;
+    pivot 2 of H(s) is d_2 - b_2 a_1 / s, zero at s = 1 only, so that point
+    is skipped and pivot 2 is not overridden."""
+    H = random_instance(10, 3, "diagonally-dominant")
+    bands = {k: list(v) for k, v in H.bands().items()}
+    bands["C"][0] = 2
+    bands["d"][0], bands["a"][0], bands["b"][1], bands["d"][1] = 0, 1, 1, 1
+    return CyclicHeptaMatrix(10, **bands)
+
+
 def acceptance_corpora():
     """The instances of acceptance criteria 3 and 4, then the collision corpus."""
     for seed in range(52):
@@ -372,14 +383,7 @@ class TestConcretePoints:
         assert with_overrides >= 100
 
     def test_point_with_a_zero_pivot_is_skipped(self, monkeypatch):
-        # the plain sweep of H (s = 0) finds d_1 = 0 and puts (1, 1) into G;
-        # pivot 2 of H(s) is d_2 - b_2 a_1 / s, zero at s = 1 only, so that
-        # point is skipped and pivot 2 is not overridden
-        H = random_instance(10, 3, "diagonally-dominant")
-        bands = {k: list(v) for k, v in H.bands().items()}
-        bands["C"][0] = 2
-        bands["d"][0], bands["a"][0], bands["b"][1], bands["d"][1] = 0, 1, 1, 1
-        H = CyclicHeptaMatrix(10, **bands)
+        H = point_skip_matrix()
         assert factorize(H).overrides == (1,)
         dense = to_dense(H)
         assert dense_det(dense) != 0

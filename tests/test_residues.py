@@ -19,12 +19,12 @@ from heptacyclic import factor, kernels, residues
 from heptacyclic.bench import OpCounter, count_det_ops, counting_matrix
 from heptacyclic.errors import SingularMatrixError
 from heptacyclic.factor import determinant, factorize
-from heptacyclic.matrix import BAND_NAMES, CyclicHeptaMatrix, random_instance, to_dense
+from heptacyclic.matrix import BAND_NAMES, CyclicHeptaMatrix, random_instance, row_scaled, to_dense
 from heptacyclic.oracle import dense_det, dense_inverse
 from heptacyclic.residues import Residues
 from heptacyclic.solve import solve_many
 
-from test_inverse import acceptance_corpora
+from test_inverse import acceptance_corpora, point_skip_matrix, rational_entries, zero_rows
 
 MERSENNE_31 = 2**31 - 1
 
@@ -40,19 +40,23 @@ def rhs_columns(n, seed):
 
 def assert_equals_oracle(H, seed=0, fallback_too=False):
     """det and 1- and 2-column solves of H, through the lane and through the
-    public entry points, equal the dense oracle; returns whether the lane
-    ran (did not give up).  Where it gave up, the solves are compared only
-    with ``fallback_too``."""
+    public entry points, equal the dense oracle, and every entry point
+    reports the lane's overrides; returns whether the lane ran (did not give
+    up).  Where it gave up, the solves are compared only with
+    ``fallback_too``."""
     dense = to_dense(H)
     det = dense_det(dense)
-    assert determinant(H).value == det
+    result = determinant(H)
+    assert result.value == det
     r1, r2 = rhs_columns(H.n, seed)
     found = residues.solve(H, [r1, r2])
     if det == 0:
-        assert found is None
+        # the lane says singular and returns no entries: it never divides by 0
+        assert found is not None and found[::2] == (det, None)
+        assert result.singular and result.pivot_overrides == len(found[1])
         with pytest.raises(SingularMatrixError):
             solve_many(H, [r1])
-        return False
+        return True
     if found is None and not fallback_too:
         return False
     S = dense_inverse(dense)
@@ -63,9 +67,25 @@ def assert_equals_oracle(H, seed=0, fallback_too=False):
     assert [list(rep.x) for rep in two] == [x1, x2]
     if found is None:
         return False
-    assert found == (det, x1 + x2)
-    assert residues.solve(H, []) == (det, [])
+    overrides = found[1]
+    assert found == (det, overrides, x1 + x2)
+    assert residues.solve(H, []) == (det, overrides, [])
+    assert result.pivot_overrides == len(overrides)
+    assert one.substitutions_fired == {"pivot_overrides": len(overrides)}
     return True
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name``; the returned list gains a 1 per call."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def with_bands(H, **changes):
@@ -76,11 +96,10 @@ def with_bands(H, **changes):
 
 class TestEqualsOracle:
     def test_acceptance_and_collision_corpora(self):
-        ran = 0
-        for k, H in enumerate(acceptance_corpora()):
-            ran += assert_equals_oracle(H, seed=k)
-        # the general and dominant draws have no zero pivot
-        assert ran >= 100
+        corpus = list(acceptance_corpora())
+        ran = sum(assert_equals_oracle(H, seed=k) for k, H in enumerate(corpus))
+        # zero pivots and singular draws run on the lane too
+        assert ran == len(corpus)
 
     def test_rational_entries(self):
         for seed in range(20):
@@ -110,6 +129,51 @@ class TestEqualsOracle:
             H = with_bands(H, d=[v * big for v in H.band("d")],
                            a=[v * big if k % 2 else v for k, v in enumerate(H.band("a"))])
             assert assert_equals_oracle(H, seed)
+
+
+class TestZeroPivots:
+    """Structurally zero pivots run on the lane, at concrete points."""
+
+    @pytest.mark.parametrize("rows", [(5, 15), (3, 8, 13)], ids=["r=2", "r=3"])
+    def test_zero_rows(self, rows):
+        for seed in range(4):
+            H = zero_rows(random_instance(20 + seed, seed, "diagonally-dominant"), rows)
+            assert assert_equals_oracle(H, seed)
+            assert residues.solve(H, [])[1] == rows
+
+    def test_rational_entries(self):
+        for seed in range(6):
+            H = zero_rows(random_instance(12 + seed, seed, "diagonally-dominant"), (1, 7))
+            H = rational_entries(H, seed)
+            assert set(row_scaled(H)[0]) != {1}
+            assert assert_equals_oracle(H, seed)
+            assert residues.solve(H, [])[1] == (1, 7)
+
+    def test_point_with_a_zero_pivot_is_skipped(self, monkeypatch):
+        sweeps = count_calls(monkeypatch, kernels, "sweep")
+        H = point_skip_matrix()
+        assert residues.solve(H, []) == (dense_det(to_dense(H)), (1,), [])
+        # s = 0 stops at pivot 1, s = 1 at pivot 2, and s = 2, 3 run through
+        assert len(sweeps) == 3
+        assert assert_equals_oracle(H)
+
+    def test_zero_row_override_count_is_the_symbolic_one(self):
+        # row 10 is zero, so a bound read off the product of the row norms
+        # alone would be 0 and leave one prime; pivot 6 is a nonzero multiple
+        # of that prime, and must not be taken for a structural zero
+        H = random_instance(24, 2, "diagonally-dominant")
+        H = with_bands(H, **{name: [0 if k == 9 else v for k, v in enumerate(H.band(name))]
+                             for name in BAND_NAMES})
+        assert residues.solve(H, []) == (0, (10,), None) and factorize(H).overrides == (10,)
+        rest = H.band("d")[5] - factorize(H).alpha[6]  # pivot 6 is d_6 - rest
+        d6 = rest.numerator * pow(rest.denominator, -1, MERSENNE_31) % MERSENNE_31
+        H = with_bands(H, d=[d6 if k == 5 else v for k, v in enumerate(H.band("d"))])
+        pivot = factorize(H).alpha[6]
+        assert pivot != 0 and pivot.numerator % MERSENNE_31 == 0
+        assert residues.solve(H, []) is None
+        det = determinant(H)
+        assert det.singular and det.value == 0 == dense_det(to_dense(H))
+        assert det.pivot_overrides == len(factorize(H).overrides) == 1
 
 
 class TestFallback:
@@ -160,22 +224,51 @@ class TestOneSweep:
         solve_many(H, rhs_columns(64, 1))
         assert calls == {"sweep": 2, "factorize": 0}
 
+    def test_zero_pivot_det_and_solve(self, monkeypatch):
+        # d_1 = 0: the sweep of H stops at pivot 1, and one sweep over the
+        # lanes of s = 1, 2 gives det H and the solutions; no Fraction sweep
+        H = random_instance(64, 1, "diagonally-dominant")
+        H = with_bands(H, d=[0, *H.band("d")[1:]])
+        sweeps = count_calls(monkeypatch, kernels, "sweep")
+        factorizations = count_calls(monkeypatch, factor, "factorize")
+        det = determinant(H)
+        assert len(sweeps) == 2 and det.pivot_overrides == 1
+        r1, r2 = rhs_columns(64, 1)
+        (one,) = solve_many(H, [r1])
+        assert len(sweeps) == 4
+        two = solve_many(H, [r1, r2])
+        assert len(sweeps) == 6 and factorizations == []
+        assert det.value == one.det == dense_det(to_dense(H))
+        assert H.mat_vec(list(one.x)) == r1 and two[0].x == one.x
+        assert H.mat_vec(list(two[1].x)) == r2
+
     def test_without_malloc_trim(self, monkeypatch):
         # a C library without malloc_trim changes nothing but the memory kept
         H = random_instance(16, 3, "diagonally-dominant")
         expected = residues.solve(H, [])
         monkeypatch.setattr(residues, "_malloc_trim", lambda: None)
-        assert residues.solve(H, []) == expected == (dense_det(to_dense(H)), [])
+        assert residues.solve(H, []) == expected == (dense_det(to_dense(H)), (), [])
 
     def test_malloc_trim_only_after_a_completed_lane(self, monkeypatch):
         trims = []
         monkeypatch.setattr(residues, "_malloc_trim", lambda: trims.append)
-        H = random_instance(12, 1, "diagonally-dominant")
+        H = random_instance(320, 1, "diagonally-dominant")
         assert residues.solve(H, []) is not None
         assert trims == [0]
         # pivot 1 zero in lane 0: the Fraction path that follows reuses the heap
         residues.solve(with_bands(H, d=[MERSENNE_31, *H.band("d")[1:]]), [])
         assert trims == [0]
+
+    @pytest.mark.parametrize("n, trimmed", [(64, False), (128, False), (256, True)])
+    def test_malloc_trim_only_after_a_large_call(self, n, trimmed, monkeypatch):
+        # the pages of a small call are reused at once by what runs next, and
+        # a trim would only make it fault them in again
+        trims = []
+        monkeypatch.setattr(residues, "_malloc_trim", lambda: trims.append)
+        H = random_instance(n, 1, "diagonally-dominant")
+        H = with_bands(H, d=[0, *H.band("d")[1:]])
+        assert residues.solve(H, rhs_columns(n, 1)[:1])[1] == (1,)
+        assert trims == ([0] if trimmed else [])
 
     def test_field_ops_still_count_the_generic_sweep(self):
         counts = [count_det_ops(random_instance(n, 1, "diagonally-dominant"))
