@@ -229,9 +229,9 @@ def _malloc_trim():
 
 def solve(H: CyclicHeptaMatrix, columns) -> tuple | None:
     """(det H, the pivots found structurally zero, the entries of x with
-    H x = r for each of ``columns``, column after column) through one
-    residue sweep, or None when the lane gives up.  The entries are None
-    when det H == 0.
+    H x = r for each of ``columns``, column after column) over residue
+    lanes, or None when the lane gives up.  The entries are None when
+    det H == 0.
 
     ``columns`` may be empty: then this is the determinant alone.
     """
