@@ -7,7 +7,7 @@ cheap even at n in the thousands; it is supported wherever no symbolic
 substitution fires (use the diagonally-dominant profile, the default).
 
 Each lane gets a single right-hand-side solve row (``solve/exact``,
-``solve/float``) and the float lane an inverse row (``inv/float``), each
+``solve/float``) and an inverse row (``inv/exact``, ``inv/float``), each
 including the factor sweep.
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import NearSingularPivotError
 from .factor import determinant
-from .inverse import inverse_float
+from .inverse import inverse_float, invert
 from .matrix import CyclicHeptaMatrix, random_instance
 from .solve import solve_many
 
@@ -128,8 +128,8 @@ class BenchRow:
 
 def bench_suite(n: int, seed: int, profile: str = "diagonally-dominant", repeats: int = 3):
     """Benchmark rows for one instance: exact det (timed and counted),
-    exact solve, float inverse and float solve.  A float row whose pivot the
-    float lane refuses reads ``refused``."""
+    exact solve, exact inverse, float inverse and float solve.  A float row
+    whose pivot the float lane refuses reads ``refused``."""
     H = random_instance(n, seed, profile)
     rows = []
 
@@ -139,6 +139,9 @@ def bench_suite(n: int, seed: int, profile: str = "diagonally-dominant", repeats
     rhs = [1] * n
     wall = _best_of(lambda: solve_many(H, [rhs]), repeats)
     rows.append(BenchRow(n, "solve/exact", wall, ""))
+
+    wall = _best_of(lambda: invert(H), repeats)
+    rows.append(BenchRow(n, "inv/exact", wall, ""))
 
     for command, fn in (("inv/float", lambda: inverse_float(H)),
                         ("solve/float", lambda: solve_many(H, [rhs], backend="float"))):

@@ -16,15 +16,14 @@ suite checks entry by entry on random instances.
 
 The determinant, solve and inverse paths never carry t.  A pivot that is
 structurally zero is handled at concrete points of H(s) = H + s*G, where G
-has a one at (i, i) for every such pivot i.  The determinant and solve run
-them as lanes of one sweep over word-size primes (``residues``), zero
-pivot or not; where that gives up (a prime divides a nonzero pivot, or an
-entry is not a ``Fraction``), and for the inverse always, they go through
-``interpolate``: one plain rational sweep of H, or, with a structurally
-zero pivot, one rational sweep of H(s) per point.  At each point only what
-depends on the factors runs: det H(s) and a few columns taken by
-substitution through them (H(s)^-1 r for a solve, the seed and zero-C
-columns for the inverse).
+has a one at (i, i) for every such pivot i.  All three run them as lanes
+of one sweep over word-size primes (``residues``), zero pivot or not; only
+where that gives up (a prime divides a nonzero pivot, or an entry is not a
+``Fraction``) do they go through ``interpolate``: one plain rational sweep
+of H, or, with a structurally zero pivot, one rational sweep of H(s) per
+point.  At each point only what depends on the factors runs: det H(s) and
+a few columns taken by substitution through them (H(s)^-1 r for a solve,
+the seed and zero-C columns for the inverse).
 det H(s) and every entry of adj H(s) are polynomials in s of degree
 <= r = |G|, so r + 1 points fix their values at s = 0 (Lagrange
 interpolation).
@@ -242,8 +241,8 @@ def lagrange_at_zero(points) -> list:
 
 
 def interpolate(H: CyclicHeptaMatrix, evaluate: Callable) -> tuple:
-    """det H and values y of H^-1 over ``Fraction``: the inverse's entry
-    point, and that of det and solve where the residue lane gives up.
+    """det H and values y of H^-1 over ``Fraction``: the path of det, solve
+    and inv where the residue lane gives up.
 
     G starts empty, so without a zero pivot this is one plain sweep of H
     (s = 0) and ``evaluate(fd)``.  A pivot found structurally zero joins G,

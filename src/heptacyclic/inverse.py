@@ -9,19 +9,25 @@ j+1..j+6 by dividing through the band entry C_j.  Where C_j is zero, column
 j is instead one forward/back substitution of e_j through the factors
 already in hand, and the recursion continues above it.
 
-Only the seeds and the zero-C columns read the factors.  A structurally
-zero pivot is handled at concrete points rather than with a symbolic t:
-``factor.interpolate`` computes those 5 + z columns of H(s)^-1, with
-H(s) = H + s*G (G a one at each such pivot), at r + 1 points and
-interpolates them to s = 0.  The peeling reads only the bands of H, so it
-runs once, on H itself, whatever r.
+Only the seeds and the zero-C columns read the factors, and they run over
+residue lanes (``residues.adjugate``): one sweep of H' = diag(L) H, L_i the
+lcm of the denominators in row i, over word-size primes, the seed formulas
+and the substitutions over the same lanes, each column times det H', and
+one Chinese remaindering.  That gives det H' and those 5 + z columns of
+adj H' = det H' * H'^-1 as Python ints.  A structurally zero pivot is
+handled at concrete points rather than with a symbolic t: the lanes then
+cover the r + 1 points of H'(s) = H' + s*diag(L)*G (G a one at each such
+pivot), and the columns are interpolated to s = 0 before the remaindering.
+Where the lane gives up (a prime divides a nonzero pivot, or an entry is
+not a ``Fraction``), ``factor.interpolate`` computes the same columns of
+H^-1 over ``Fraction``, and they are converted and checked.  The peeling
+reads only the bands of H', so it runs once, whatever r.
 
-The peeling runs over Python ints.  H' = diag(L) H, L_i the lcm of the
-denominators in row i, is an integer matrix, so adj H' = det H' * H'^-1 is
-one too: each step of the recursion is one exact division by C'_j = L_j C_j
-per entry, the fraction-free idea of Bareiss (Math. Comp. 22, 1968), and no
-gcd is taken until each entry is put back over det H' at the end.  The seed
-columns and the zero-C columns are computed over rationals and converted.
+The peeling runs over Python ints.  H' is an integer matrix, so
+adj H' is one too: each step of the recursion is one exact division by
+C'_j = L_j C_j per entry, the fraction-free idea of Bareiss (Math. Comp.
+22, 1968), and no gcd is taken until each entry is put back over det H' at
+the end.
 """
 
 from __future__ import annotations
@@ -41,8 +47,6 @@ from .scalars import is_zero
 # zero-C columns call kernels.substitute directly
 from .factor import lu_substitute  # noqa: F401
 from .scalars import eval_at_zero  # noqa: F401
-
-_ONE = Fraction(1)
 
 SEED_COLUMN_COUNT = 5
 
@@ -97,26 +101,33 @@ def _fill_closure_rows(col, fd: FactorData):
         ) / al[n - 4]
 
 
+def _one(fd: FactorData):
+    """The one of the field the factors are over: pivot 1 divided by itself,
+    a ``Fraction`` or residue lanes (whose pivot inverse the sweep keeps)."""
+    return fd.alpha[1] / fd.alpha[1]
+
+
 def _seed_column(fd: FactorData, j: int):
     """Column j of the inverse for j in {n, n-1, n-2, n-3, n-4}."""
     n = fd.n
     al, f, e, k, h, v, w, g = fd.alpha, fd.f, fd.e, fd.k, fd.h, fd.v, fd.w, fd.g
+    one = _one(fd)
     c = [None] * (n + 1)
     if j == n:
-        c[n] = _ONE / al[n]
+        c[n] = one / al[n]
         c[n - 1] = -v[n - 1] * c[n] / al[n - 1]
     elif j == n - 1:
         c[n] = -h[n - 1] / al[n]
-        c[n - 1] = (_ONE - v[n - 1] * c[n]) / al[n - 1]
+        c[n - 1] = (one - v[n - 1] * c[n]) / al[n - 1]
     elif j == n - 2:
         c[n] = (-h[n - 2] + h[n - 1] * k[n - 2]) / al[n]
         c[n - 1] = -(k[n - 2] + v[n - 1] * c[n]) / al[n - 1]
-        c[n - 2] = (_ONE - w[n - 2] * c[n - 1] - v[n - 2] * c[n]) / al[n - 2]
+        c[n - 2] = (one - w[n - 2] * c[n - 1] - v[n - 2] * c[n]) / al[n - 2]
     elif j == n - 3:
         c[n] = (-h[n - 3] + h[n - 2] * f[n - 2] - h[n - 1] * (k[n - 2] * f[n - 2] - k[n - 3])) / al[n]
         c[n - 1] = (k[n - 2] * f[n - 2] - k[n - 3] - v[n - 1] * c[n]) / al[n - 1]
         c[n - 2] = -(f[n - 2] + w[n - 2] * c[n - 1] + v[n - 2] * c[n]) / al[n - 2]
-        c[n - 3] = (_ONE - g[n - 3] * c[n - 2] - w[n - 3] * c[n - 1] - v[n - 3] * c[n]) / al[n - 3]
+        c[n - 3] = (one - g[n - 3] * c[n - 2] - w[n - 3] * c[n - 1] - v[n - 3] * c[n]) / al[n - 3]
     elif j == n - 4:
         # the forward pass through row n-2 leaves e[n-2] - f[n-2]*f[n-3];
         # the same grouping must appear inside the k and h folds
@@ -131,7 +142,7 @@ def _seed_column(fd: FactorData, j: int):
         c[n - 2] = -(emff + w[n - 2] * c[n - 1] + v[n - 2] * c[n]) / al[n - 2]
         c[n - 3] = -(f[n - 3] + g[n - 3] * c[n - 2] + w[n - 3] * c[n - 1] + v[n - 3] * c[n]) / al[n - 3]
         c[n - 4] = (
-            _ONE
+            one
             - g[n - 4] * c[n - 3]
             - fd.z[n - 4] * c[n - 2]
             - w[n - 4] * c[n - 1]
@@ -160,16 +171,34 @@ def seed_columns(fd: FactorData, parallel: bool = False) -> tuple:
     return tuple(cols)
 
 
-def _adjugate_column(col, delta: int, scale: int, j: int) -> list:
-    """Column j of adj H' from column j of H^-1 (0-based, rationals):
-    delta * col / L_j, each entry checked to be an integer."""
-    out = []
-    for i, value in enumerate(col, start=1):
-        q, r = divmod(value.numerator * delta, value.denominator * scale)
+def _rational_adjugate(H: CyclicHeptaMatrix, columns, indices) -> tuple:
+    """What ``residues.adjugate`` gives, without L, over ``Fraction``
+    through ``factor.interpolate``: the path for entries that are not
+    ``Fraction``s and for a prime that divides a nonzero pivot.
+
+    Here ``columns(fd)`` yields columns of H^-1, from the factors of H, and
+    each is turned into column j of adj H' (j from ``indices``) as
+    delta * col / L_j with delta = det H' = det H * prod(L), every entry
+    checked to be an integer.
+    """
+    n = H.n
+    det, overrides, values = interpolate(
+        H, lambda fd: [v for col in columns(fd) for v in col[1:]])
+    scales = row_scaled(H)[0]
+    delta = det * prod(scales)
+    if delta.denominator != 1:
+        raise InternalContractError("det H' is not an integer")
+    delta = delta.numerator
+    if values is None:
+        return delta, overrides, None
+    adj = []
+    for k, value in enumerate(values):
+        j = indices[k // n]
+        q, r = divmod(value.numerator * delta, value.denominator * scales[j - 1])
         if r:
-            raise InternalContractError(f"adjugate entry ({i}, {j}) is not an integer")
-        out.append(q)
-    return out
+            raise InternalContractError(f"adjugate entry ({k % n + 1}, {j}) is not an integer")
+        adj.append(q)
+    return delta, overrides, adj
 
 
 def _back_column(bands, cols, j: int, delta: int) -> list:
@@ -202,30 +231,22 @@ def _back_column(bands, cols, j: int, delta: int) -> list:
     return col
 
 
-def back_columns(H: CyclicHeptaMatrix, det, given: dict) -> list:
+def back_columns(H: CyclicHeptaMatrix, delta: int, given: dict) -> list:
     """All n columns of H^-1, from column 1 to column n.
 
-    ``given`` maps j to column j of H^-1 (0-based, rationals) for every
-    column the recursion cannot produce: the five seeds and each column
-    whose C_j is zero.  The recursion runs over the integer adjugate of
-    H' = diag(L) H: with delta = det H' = det H * prod(L), column j of
-    adj H' is delta * Col_j(H^-1) / L_j, an integer vector.  Going from
-    j = n down to 1, a given column is converted to it and popped from
-    ``given``; every other column follows by ``_back_column``.  Entry
-    (i, j) of H^-1 is then adj'[i][j] * L_j / delta.
+    The recursion runs over the integer adjugate of H' = diag(L) H, with
+    delta = det H' = det H * prod(L).  ``given`` maps j to column j of
+    adj H' (0-based ints) for every column the recursion cannot produce:
+    the five seeds and each column whose C_j is zero.  Going from j = n
+    down to 1, a given column is popped from ``given``; every other column
+    follows by ``_back_column``.  Entry (i, j) of H^-1 is then
+    adj'[i][j] * L_j / delta.
     """
     n = H.n
     scales, bands, _ = row_scaled(H)
-    delta = det * prod(scales)
-    if delta.denominator != 1:
-        raise InternalContractError("det H' is not an integer")
-    delta = delta.numerator
     cols = [None] * (n + 1)
     for j in range(n, 0, -1):
-        if j in given:
-            cols[j] = _adjugate_column(given.pop(j), delta, scales[j - 1], j)
-        else:
-            cols[j] = _back_column(bands, cols, j, delta)
+        cols[j] = given.pop(j) if j in given else _back_column(bands, cols, j, delta)
     # each column is replaced in turn, so no column is held both as ints
     # and as Fractions
     for j in range(1, n + 1):
@@ -244,28 +265,36 @@ def _zero_c(H: CyclicHeptaMatrix) -> tuple:
 def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
     """Exact inverse of H, or SingularMatrixError.
 
-    Pipeline: ``factor.interpolate`` factors H (or H(s) at concrete points,
-    if a pivot is zero) and, from those factors, builds the five seed
-    columns and one substitution of e_j for each zero C_j; the recursion
-    then recovers the remaining columns once, from the bands of H.
+    Pipeline: ``residues.adjugate`` factors H' = diag(L) H over residue
+    lanes (H'(s) at concrete points, if a pivot is zero) and, from those
+    factors, builds the five seed columns and one substitution of e_j for
+    each zero C_j, as columns of adj H'; where the lane gives up,
+    ``factor.interpolate`` builds them over ``Fraction``.  The recursion
+    then recovers the remaining columns once, from the bands of H'.
     """
+    from . import residues  # loaded on first use, outside the import time of the package
+
     n = H.n
     zero_c = _zero_c(H)
-    units = [[None, *(_ONE if i == j else 0 for i in range(1, n + 1))] for j in zero_c]
+    indices = (*range(n, n - SEED_COLUMN_COUNT, -1), *zero_c)
 
-    def evaluate(fd):
-        cols = [*seed_columns(fd, parallel=parallel_seeds),
-                *(kernels.substitute(fd, e_j) for e_j in units)]
-        return [v for col in cols for v in col[1:]]
+    def columns(fd):
+        yield from seed_columns(fd, parallel=parallel_seeds)
+        one = _one(fd)
+        zero = one - one
+        for j in zero_c:
+            e_j = [None, *(one if i == j else zero for i in range(1, n + 1))]
+            yield kernels.substitute(fd, e_j)
 
-    det, overrides, values = interpolate(H, evaluate)
-    if values is None:
+    found = residues.adjugate(H, lambda fd, rhs: columns(fd))
+    delta, overrides, values = (found[1:] if found is not None
+                                else _rational_adjugate(H, columns, indices))
+    if delta == 0:
         raise SingularMatrixError("singular matrix")
-    given = {j: values[k * n:(k + 1) * n]
-             for k, j in enumerate((*range(n, n - SEED_COLUMN_COUNT, -1), *zero_c))}
-    del values  # each given column is dropped once back_columns converts it
+    given = {j: values[k * n:(k + 1) * n] for k, j in enumerate(indices)}
+    del values  # each given column is dropped once back_columns takes it
     return InverseResult(
-        S=DenseMatrix(zip(*back_columns(H, det, given))),
+        S=DenseMatrix(zip(*back_columns(H, delta, given))),
         c_substitutions=zero_c,
         pivot_overrides=overrides,
     )

@@ -1,13 +1,17 @@
-"""Exact determinant and solve over word-size primes.
+"""Exact determinant, solve and inverse over word-size primes.
 
 The bordered LU sweep does O(n) field operations, but over ``Fraction``
 each one works on operands of O(n) digits and takes their gcd.  Here the
 sweep runs once over many lanes at the same time: every value is a
 ``Residues``, a numpy int64 vector holding one lane per (point, prime),
-and ``kernels.sweep`` and ``kernels.substitute`` run over it unchanged.
-The integers det H' and det H' * x are then rebuilt from their residues by
-Chinese remaindering (Garner's algorithm; von zur Gathen & Gerhard,
-*Modern Computer Algebra*, ch. 5).
+and ``kernels.sweep`` and ``kernels.substitute`` run over it unchanged,
+as do the inverse's seed formulas.  The integers det H' and det H' * y,
+for the columns y each caller takes from the factors, are then rebuilt
+from their residues by Chinese remaindering (Garner's algorithm; von zur
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 5).  ``solve`` takes
+H'^-1 r' for each right-hand side; ``adjugate`` takes the columns its
+caller's ``evaluate`` yields, for the inverse the five seed columns and
+one substitution of e_j per zero C_j, so det H' * y are columns of adj H'.
 
 The sweep runs on H' = diag(L) H, where L_i is the lcm of the denominators
 in row i of H and of the right-hand sides, so H' and r' = L r are integer
@@ -17,27 +21,30 @@ A structurally zero pivot is handled as ``factor.interpolate`` handles it,
 at concrete points of H'(s) = H' + s diag(L) G, G a one at (i, i) for each
 such pivot i.  The K primes are tiled over the points s = 1 ... r + 1
 (r = |G|), and only the lanes of d'_i + s L_i, i in G, differ between
-points.  det H'(s) and each det H'(s) * x_j(s) are polynomials of degree
-<= r in s, so each is interpolated to s = 0 modulo each prime (Lagrange)
-before one CRT.  Without a zero pivot there is one point, s = 0, and G is
-empty.
+points.  det H'(s) and each entry of det H'(s) * y(s) are polynomials of
+degree <= r in s, so each is interpolated to s = 0 modulo each prime
+(Lagrange) before one CRT.  Without a zero pivot there is one point,
+s = 0, and G is empty.
 
 K is chosen so that M = prod(p) exceeds twice the Hadamard bound of H'(s)
 at the largest point, with r' included and every row norm taken as at
 least 1.  That bounds |det H'(s)|, every |det H'(s) * x_j(s)| (Cramer) and
-every leading minor N_i(s), so the rebuilt integers are exact, and a pivot
-N_i(s) / N_{i-1}(s) that is zero in every lane of a point is zero there.
-A pivot zero at every point is structurally zero: it joins G and the sweep
-restarts with one point more.  A point where it is zero, but not at every
-point, is replaced by the next integer.  The lane therefore finds the same
-G as the symbolic sweep, and it says when H is singular (det H' = 0)
-without dividing by it.
+every leading minor N_i(s).  It bounds every (n-1)-minor too, that is,
+every entry of adj H'(s): deleting a column only shrinks the rows' norms,
+and deleting a row drops a factor that is at least 1.  The rebuilt
+integers are therefore exact, and a pivot N_i(s) / N_{i-1}(s) that is
+zero in every lane of a point is zero there.  A pivot zero at every point
+is structurally zero: it joins G and the sweep restarts with one point
+more.  A point where it is zero, but not at every point, is replaced by
+the next integer.  The lane therefore finds the same G as the symbolic
+sweep, and it says when H is singular (det H' = 0) without dividing by
+it.
 
-The lane gives up, and ``solve`` returns None, when an entry is not a
-``Fraction`` (the op-counting scalar, rational functions in t) or when a
-pivot is zero in some but not all lanes of a point: a prime divides a
-nonzero value.  The caller then runs the ``Fraction`` path, so the lane
-never gives a wrong answer.
+The lane gives up, and ``solve`` and ``adjugate`` return None, when an
+entry is not a ``Fraction`` (the op-counting scalar, rational functions
+in t) or when a pivot is zero in some but not all lanes of a point: a
+prime divides a nonzero value.  The caller then runs the ``Fraction``
+path, so the lane never gives a wrong answer.
 """
 
 from __future__ import annotations
@@ -235,9 +242,32 @@ def solve(H: CyclicHeptaMatrix, columns) -> tuple | None:
 
     ``columns`` may be empty: then this is the determinant alone.
     """
+    found = adjugate(H, lambda fd, rhs: (kernels.substitute(fd, r) for r in rhs), columns)
+    if found is None:
+        return None
+    scales, delta, overrides, values = found
+    det = Fraction(delta, prod(scales))
+    if delta == 0:
+        return det, overrides, None
+    return det, overrides, [Fraction(v, delta) for v in values]
+
+
+def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple | None:
+    """(L, det H', the pivots found structurally zero, det H' * y as ints)
+    over residue lanes, H' = diag(L) H the integer matrix of
+    ``matrix.row_scaled(H, columns)``, or None when the lane gives up.
+
+    ``evaluate(fd, rhs)`` yields 1-based columns y from the factors ``fd``
+    of H' (of H'(s), at the points, when a pivot is zero) and the
+    right-hand sides r' = L r of ``columns`` as residue bands ``rhs``.
+    Each y must be H'^-1 r' or a column of H'^-1, so that det H' * y is
+    H' x = r' solved by Cramer's rule or a column of adj H', whose entries
+    are (n-1)-minors of H': the Hadamard bound that K is chosen by covers
+    both.  The ints come back flat, column after column.
+    """
     if not all(type(v) is Fraction for row in (*H.bands().values(), *columns) for v in row):
         return None
-    found, lane_bytes = _solve(H, columns)
+    found, lane_bytes = _solve(H, columns, evaluate)
     # each lane vector is a small buffer on the C heap, and glibc keeps the
     # pages of freed small buffers: after a large call, hand them back, or a
     # process that runs more work after it (an inverse, say) holds them
@@ -252,8 +282,9 @@ def solve(H: CyclicHeptaMatrix, columns) -> tuple | None:
     return found
 
 
-def _solve(H: CyclicHeptaMatrix, columns) -> tuple:
-    """(what ``solve`` returns, the bytes of the lane vectors made)."""
+def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
+    """(what ``adjugate`` returns, the bytes of the lane vectors made), or
+    (None, 0) when a prime divides a nonzero pivot."""
     n = H.n
     scales, bands, rhs = row_scaled(H, columns)
     d = bands[BAND_NAMES.index("d")]
@@ -271,8 +302,9 @@ def _solve(H: CyclicHeptaMatrix, columns) -> tuple:
         grown = norms.copy()
         for i in overrides:
             grown[i - 1] += (abs(d[i - 1]) + top * scales[i - 1]) ** 2 - d[i - 1] ** 2
-        # Hadamard, rows at s <= top: every leading minor of H'(s), det H'(s)
-        # and every det H'(s) * x_j(s) are at most prod(sqrt(max(1, norm_i)))
+        # Hadamard, rows at s <= top: every leading minor of H'(s), det H'(s),
+        # every det H'(s) * x_j(s) and every entry of adj H'(s) are at most
+        # prod(sqrt(max(1, norm_i)))
         bound = isqrt(prod(max(1, v) for v in grown)) + 1
         candidates = _PRIMES.take((2 * bound).bit_length() // 30 + 1).tolist()
         K, M = 0, 1
@@ -303,29 +335,26 @@ def _solve(H: CyclicHeptaMatrix, columns) -> tuple:
                 skipped.update(s for s, hit in zip(points, zero_at.tolist()) if hit)
     fd = FactorData(n, *map(tuple, vectors), overrides=(), D=lanes[0], C=lanes[6],
                     backend="residues")
-    det = det_from_factors(fd)
-    # one row per value: det H'(s), then x(s) for each column
-    X = np.empty((1 + n * len(rhs), len(p)), dtype=np.int64)
-    X[0] = det.v
-    for c, r in enumerate(rhs):
-        x = kernels.substitute(fd, _Band(r, p))
-        for i in range(1, n + 1):
-            X[c * n + i] = x[i].v
-    # det H'(s) * x(s), then each value at s = 0 per prime (a polynomial of
-    # degree <= r in s), in place: no temporary of X's size
+    # det H'(s) times the Lagrange weight of its point, lane by lane: a value
+    # y(s) times it, summed over the points, is det H' * y at s = 0 mod each
+    # prime (a polynomial of degree <= r in s)
     weights = [w.numerator * pow(w.denominator, -1, q) % q
                for w in lagrange_at_zero(points) for q in primes.tolist()]
-    X[1:] *= det.v
-    X[1:] %= p
-    X *= np.array(weights, dtype=np.int64)
-    X %= p
-    U = X.reshape(len(X), len(points), K).sum(axis=1) % primes
+    scaled_det = det_from_factors(fd).v * np.array(weights, dtype=np.int64) % p
+
+    def at_zero(rows):
+        return rows.reshape(len(rows), len(points), K).sum(axis=1) % primes
+
+    # one block of rows per column, n x K once taken to s = 0: a column
+    # over every lane can be dropped as soon as its block is made
+    blocks = [at_zero(scaled_det[None])]
+    for y in evaluate(fd, [_Band(r, p) for r in rhs]):
+        Y = np.array([value.v for value in y[1:]])
+        Y *= scaled_det
+        Y %= p
+        blocks.append(at_zero(Y))
+    U = np.concatenate(blocks)
+    del blocks
     values = _garner(U.T, primes)
-    det_h = values[0]
-    det = Fraction(det_h, prod(scales))
-    if det_h == 0:
-        found = det, overrides, None
-    else:
-        found = det, overrides, [Fraction(v, det_h) for v in values[1:]]
-    # the lane vectors made: 9 factor vectors, y, x and a row of X per column
-    return found, p.nbytes * n * (9 + 3 * len(rhs))
+    # the lane vectors made: 9 factor vectors, and about 3 per entry of y
+    return (scales, values[0], overrides, values[1:]), p.nbytes * (9 * n + 3 * (len(U) - 1))

@@ -5,9 +5,9 @@ from math import prod
 
 import pytest
 
-from heptacyclic import factor, inverse
+from heptacyclic import factor, inverse, kernels, residues
 from heptacyclic.cli import main
-from heptacyclic.errors import InternalContractError, SingularMatrixError, ZeroPivotError
+from heptacyclic.errors import InternalContractError, SingularMatrixError
 from heptacyclic.factor import determinant, factorize
 from heptacyclic.inverse import _back_column, invert, seed_columns
 from heptacyclic.matrix import (
@@ -112,6 +112,19 @@ class TestBackColumns:
         with pytest.raises(InternalContractError, match="zero divisor"):
             # back_columns takes this column by substitution instead
             _back_column(bands, adj, j, delta)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name``; the returned list gains a 1 per call."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def oracle_adjugate(H):
@@ -256,22 +269,27 @@ class TestIntegerAdjugate:
             checked += 1
         assert checked >= 4
 
-    @pytest.mark.parametrize("shift, message", [
-        (1, "inexact division by C'_11"),
-        (Fr(1, 3), r"adjugate entry \(1, 16\) is not an integer"),
+    @pytest.mark.parametrize("lane, message", [
+        (True, "inexact division by C'_11"),
+        (False, r"adjugate entry \(1, 16\) is not an integer"),
     ], ids=["inexact-division", "non-integral-seed"])
-    def test_corrupted_column_is_internal_error(self, shift, message, monkeypatch, tmp_path, capsys):
-        # H is integer, so L = 1 and entry (1, 16) of adj H moves by shift
+    def test_corrupted_column_is_internal_error(self, lane, message, monkeypatch, tmp_path, capsys):
+        # H is integer, so L = 1 and entry (1, 16) of adj H moves by 1 on the
+        # residue lane, and by 1/3 on the Fraction path, forced here: the one
+        # that still converts rational columns
         H = inexact_matrix()
-        det = dense_det(to_dense(H))
         seeds = inverse.seed_columns
 
         def corrupted(fd, parallel=False):
+            assert fd.backend == ("residues" if lane else "exact")
             cols = seeds(fd, parallel)
-            cols[0][1] += shift / det
+            shift = inverse._one(fd) if lane else Fr(1, 3)
+            cols[0][1] += shift / factor.det_from_factors(fd)
             return cols
 
         monkeypatch.setattr(inverse, "seed_columns", corrupted)
+        if not lane:
+            monkeypatch.setattr(residues, "adjugate", lambda *args: None)
         with pytest.raises(InternalContractError, match=message):
             invert(H)
         path = tmp_path / "m.json"
@@ -388,19 +406,11 @@ class TestConcretePoints:
         dense = to_dense(H)
         assert dense_det(dense) != 0
 
-        skipped = []
-        sweep = factor.factorize
-
-        def recording(Hs, *args, **kwargs):
-            try:
-                return sweep(Hs, *args, **kwargs)
-            except ZeroPivotError as exc:
-                skipped.append((Hs.band("d")[0], exc.index))
-                raise
-
-        monkeypatch.setattr(factor, "factorize", recording)
+        sweeps = count_calls(monkeypatch, kernels, "sweep")
+        factorizations = count_calls(monkeypatch, factor, "factorize")
         res = invert(H)
-        assert skipped == [(0, 1), (1, 2)]
+        # s = 0 stops at pivot 1, s = 1 at pivot 2, and s = 2, 3 run through
+        assert len(sweeps) == 3 and factorizations == []
         assert res.pivot_overrides == (1,) and res.c_substitutions == ()
         assert compare(res.S, dense_inverse(dense)).equal
         assert determinant(H).value == dense_det(dense)
@@ -449,16 +459,10 @@ class TestZeroCColumns:
     @pytest.mark.parametrize("H", [identity_matrix(64), pentadiagonal(32, 1)],
                              ids=["identity", "pentadiagonal"])
     def test_one_sweep(self, H, monkeypatch):
-        calls = []
-        sweep = factor.factorize
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return sweep(*args, **kwargs)
-
-        monkeypatch.setattr(factor, "factorize", counting)
+        sweeps = count_calls(monkeypatch, kernels, "sweep")
+        factorizations = count_calls(monkeypatch, factor, "factorize")
         res = invert(H)
-        assert len(calls) == 1
+        assert len(sweeps) == 1 and factorizations == []
         assert res.c_substitutions == tuple(range(1, H.n - 4))
         assert res.pivot_overrides == ()
         assert res.S == dense_inverse(to_dense(H))

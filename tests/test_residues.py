@@ -15,16 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heptacyclic import factor, kernels, residues
+from heptacyclic import factor, inverse, kernels, residues
 from heptacyclic.bench import OpCounter, count_det_ops, counting_matrix
 from heptacyclic.errors import SingularMatrixError
 from heptacyclic.factor import determinant, factorize
+from heptacyclic.inverse import invert
 from heptacyclic.matrix import BAND_NAMES, CyclicHeptaMatrix, random_instance, row_scaled, to_dense
 from heptacyclic.oracle import dense_det, dense_inverse
 from heptacyclic.residues import Residues
 from heptacyclic.solve import solve_many
 
-from test_inverse import acceptance_corpora, point_skip_matrix, rational_entries, zero_rows
+from test_inverse import (acceptance_corpora, count_calls, point_skip_matrix, rational_entries,
+                          zero_rows)
 
 MERSENNE_31 = 2**31 - 1
 
@@ -73,19 +75,6 @@ def assert_equals_oracle(H, seed=0, fallback_too=False):
     assert result.pivot_overrides == len(overrides)
     assert one.substitutions_fired == {"pivot_overrides": len(overrides)}
     return True
-
-
-def count_calls(monkeypatch, owner, name):
-    """Wrap ``owner.name``; the returned list gains a 1 per call."""
-    calls = []
-    fn = getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
 
 
 def with_bands(H, **changes):
@@ -274,6 +263,116 @@ class TestOneSweep:
         counts = [count_det_ops(random_instance(n, 1, "diagonally-dominant"))
                   for n in (200, 1000, 2000)]
         assert counts == [11774, 59774, 119774]  # 60n - 226
+
+
+def invert_or_none(H):
+    try:
+        return invert(H)
+    except SingularMatrixError:
+        return None
+
+
+def assert_inverse_equals_oracle(H):
+    """invert(H) equals the dense oracle, and reports the pivot overrides and
+    zero-C columns of the Fraction path; a singular H is refused by both.
+    Returns whether the lane ran (did not give up)."""
+    ran = []
+    adjugate = residues.adjugate
+
+    def recording(*args):
+        found = adjugate(*args)
+        ran.append(found is not None)
+        return found
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(residues, "adjugate", recording)
+        lane = invert_or_none(H)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(residues, "adjugate", lambda *args: None)
+        rational = invert_or_none(H)
+    dense = to_dense(H)
+    if dense_det(dense) == 0:
+        assert lane is None and rational is None
+    else:
+        assert lane.S == rational.S == dense_inverse(dense)
+        assert lane.pivot_overrides == rational.pivot_overrides == factorize(H).overrides
+        assert lane.c_substitutions == rational.c_substitutions
+    return ran == [True]
+
+
+class TestInverse:
+    """The inverse's seed and zero-C columns over residue lanes, as columns
+    of adj H'."""
+
+    def test_acceptance_and_collision_corpora(self):
+        corpus = list(acceptance_corpora())
+        ran = sum(assert_inverse_equals_oracle(H) for H in corpus)
+        # zero pivots, zero C_j and singular draws run on the lane too
+        assert ran == len(corpus)
+
+    def test_rational_entries(self):
+        for seed in range(12):
+            H = random_instance(8 + seed % 9, seed, ("zero-C", "zero-pivot-prone")[seed % 2])
+            H = rational_entries(H, seed)
+            assert set(row_scaled(H)[0]) != {1}
+            assert assert_inverse_equals_oracle(H)
+
+    def test_entries_beyond_int64(self):
+        big = 10**600
+        for seed in (0, 1):
+            H = random_instance(8 + 2 * seed, seed, "zero-C")
+            H = with_bands(H, d=[v * big for v in H.band("d")],
+                           a=[v * big if k % 2 else v for k, v in enumerate(H.band("a"))])
+            assert assert_inverse_equals_oracle(H)
+
+    @pytest.mark.parametrize("rows", [(5, 15), (3, 8, 13)], ids=["r=2", "r=3"])
+    def test_zero_rows(self, rows):
+        for seed in range(3):
+            H = zero_rows(random_instance(20 + seed, seed, "diagonally-dominant"), rows)
+            assert assert_inverse_equals_oracle(H)
+            assert invert(H).pivot_overrides == rows
+
+    @pytest.mark.parametrize("pivot", [1, 6])
+    def test_prime_dividing_a_nonzero_pivot_falls_back(self, pivot, monkeypatch):
+        # the instances of TestFallback: pivot 1 or 6 is a nonzero multiple
+        # of 2^31 - 1, the prime of lane 0
+        if pivot == 1:
+            H = random_instance(12, 1, "diagonally-dominant")
+            H = with_bands(H, d=[MERSENNE_31, *H.band("d")[1:]])
+        else:
+            H = random_instance(12, 2, "diagonally-dominant")
+            rest = H.band("d")[5] - factorize(H, symbolic=False).alpha[6]
+            d6 = rest.numerator * pow(rest.denominator, -1, MERSENNE_31) % MERSENNE_31
+            H = with_bands(H, d=[d6 if k == 5 else v for k, v in enumerate(H.band("d"))])
+        assert factorize(H, symbolic=False).alpha[pivot].numerator % MERSENNE_31 == 0
+        interpolations = count_calls(monkeypatch, inverse, "interpolate")
+        assert not assert_inverse_equals_oracle(H)
+        assert interpolations == [1, 1]  # the lane's fallback, then the forced one
+
+    def test_one_sweep(self, monkeypatch):
+        H = random_instance(64, 1, "diagonally-dominant")
+        sweeps = count_calls(monkeypatch, kernels, "sweep")
+        factorizations = count_calls(monkeypatch, factor, "factorize")
+        res = invert(H)
+        assert res.c_substitutions and res.pivot_overrides == ()
+        assert len(sweeps) == 1
+        # d_1 = 0: the sweep of H stops at pivot 1, and one sweep over the
+        # lanes of s = 1, 2 gives every column
+        res = invert(with_bands(H, d=[0, *H.band("d")[1:]]))
+        assert res.pivot_overrides == (1,)
+        assert len(sweeps) == 3 and factorizations == []
+
+    @pytest.mark.parametrize("n, profile, trimmed", [
+        (64, "diagonally-dominant", False),
+        # below the trim size without its 17 substituted columns
+        (128, "zero-C", True),
+        (256, "zero-C", True),
+    ])
+    def test_malloc_trim_counts_the_columns(self, n, profile, trimmed, monkeypatch):
+        trims = []
+        monkeypatch.setattr(residues, "_malloc_trim", lambda: trims.append)
+        assert invert(random_instance(n, 1, profile)).c_substitutions
+        assert trims == ([0] if trimmed else [])
 
 
 class TestGarner:
