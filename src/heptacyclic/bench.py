@@ -8,7 +8,8 @@ substitution fires (use the diagonally-dominant profile, the default).
 
 Each lane gets a single right-hand-side solve row (``solve/exact``,
 ``solve/float``) and an inverse row (``inv/exact``, ``inv/float``), each
-including the factor sweep.
+including the factor sweep.  ``read/float`` times the float lane's read of a
+matrix file: ``matrix_from_json(text, "float")`` and ``float_bands()``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .errors import NearSingularPivotError
 from .factor import determinant
 from .inverse import inverse_float, invert
-from .matrix import CyclicHeptaMatrix, random_instance
+from .matrix import CyclicHeptaMatrix, matrix_from_json, matrix_to_json, random_instance
 from .solve import solve_many
 
 
@@ -128,8 +129,9 @@ class BenchRow:
 
 def bench_suite(n: int, seed: int, profile: str = "diagonally-dominant", repeats: int = 3):
     """Benchmark rows for one instance: exact det (timed and counted),
-    exact solve, exact inverse, float inverse and float solve.  A float row
-    whose pivot the float lane refuses reads ``refused``."""
+    exact solve, exact inverse, float inverse, float solve and the float
+    read of its matrix file.  A float row whose pivot the float lane refuses
+    reads ``refused``."""
     H = random_instance(n, seed, profile)
     rows = []
 
@@ -150,6 +152,10 @@ def bench_suite(n: int, seed: int, profile: str = "diagonally-dominant", repeats
         except NearSingularPivotError:
             wall = "refused"
         rows.append(BenchRow(n, command, wall, ""))
+
+    text = matrix_to_json(H)
+    wall = _best_of(lambda: matrix_from_json(text, "float").float_bands(), repeats)
+    rows.append(BenchRow(n, "read/float", wall, ""))
     return rows
 
 

@@ -28,7 +28,7 @@ from numbers import Rational, Real
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .scalars import float_scalar, format_scalar, is_zero, parse_scalar
+from .scalars import float_entries, format_scalar, is_zero, parse_scalar
 
 BAND_NAMES = ("D", "B", "b", "d", "a", "A", "C")
 
@@ -165,12 +165,14 @@ class FloatHeptaMatrix:
     and the seven bands as 0-based lists of floats.
 
     ``matrix_from_json(text, backend="float")`` builds it without a Fraction
-    per entry.  The float-lane entry points (``determinant(H, "float")``,
-    ``solve_many(H, ..., backend="float")``, ``inverse_float``) take it in
-    place of a ``CyclicHeptaMatrix``; they read only ``n`` and
-    ``float_bands()``.  A wrap position holds the exact value it was checked
-    with, and an entry beyond the float64 range its exact value, which
-    ``float_bands`` reports, as it does for a ``CyclicHeptaMatrix``.
+    per entry: each band is read in one ``scalars.float_entries`` call, which
+    runs ``float_scalar`` only on an entry of an odd shape or value.  The
+    float-lane entry points (``determinant(H, "float")``, ``solve_many(H,
+    ..., backend="float")``, ``inverse_float``) take it in place of a
+    ``CyclicHeptaMatrix``; they read only ``n`` and ``float_bands()``.  A
+    wrap position holds the exact value it was checked with, and an entry
+    beyond the float64 range its exact value, which ``float_bands`` reports,
+    as it does for a ``CyclicHeptaMatrix``.
     """
 
     __slots__ = ("n", "_bands")
@@ -217,12 +219,17 @@ def row_scaled(H: CyclicHeptaMatrix, columns=()) -> tuple:
 
 
 def float_vector(values, label: str) -> array:
-    """``values`` as a 1-based array of doubles (slot 0 unused).
+    """A sequence ``values`` as a 1-based array of doubles (slot 0 unused).
 
     An array holds the values in a quarter of the memory of a list of
     floats.  An entry beyond the float64 range raises ValueError naming
     ``label`` and the entry's 1-based index.
     """
+    try:
+        # array converts through __float__, for a Fraction the division below
+        return array("d", [0.0, *values])
+    except (OverflowError, TypeError):
+        pass  # the loop names the entry beyond range, and float() reads a text
     out = [0.0]
     for i, value in enumerate(values, start=1):
         try:
@@ -353,27 +360,34 @@ def matrix_to_json(H: CyclicHeptaMatrix) -> str:
 
 
 def parse_entries(items, parse, label: str) -> list:
-    """``parse(str(item))`` for each item; a ValueError names ``label`` and
-    the item's 1-based position."""
+    """``parse`` (an ``entries_parser``) of the texts ``str(item)``, in one
+    call; a ValueError names ``label`` and the first failing item's 1-based
+    position."""
     try:
-        return list(map(parse, map(str, items)))
+        return parse(map(str, items))
     except ValueError:
-        # parse again, in order, to name the first entry that fails
+        # parse again, one entry at a time, to name the first entry that fails
         for k, item in enumerate(items, start=1):
             try:
-                parse(str(item))
+                parse([str(item)])
             except ValueError as exc:
                 raise ValueError(f"{label} entry {k}: {exc}") from exc
         raise
 
 
-def entry_parser(backend: str):
-    """Per-entry parser of a file read for ``backend``: exact Fractions, or
-    floats straight from the text (``float_scalar``) for the float lane."""
+def _exact_entries(texts) -> list:
+    return list(map(parse_scalar, texts))
+
+
+def entries_parser(backend: str):
+    """Parser of entry texts (an iterable) read for ``backend``, into a list:
+    exact Fractions (``parse_scalar``), or for the float lane floats
+    straight from the text (``float_entries``).  Either raises the error of
+    the first entry that fails."""
     if backend == "exact":
-        return parse_scalar
+        return _exact_entries
     if backend == "float":
-        return float_scalar
+        return float_entries
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -387,7 +401,7 @@ def matrix_from_json(text: str, backend: str = "exact"):
     below 8, then a nonzero wrap position, then (float lane, when the bands
     are converted) an entry beyond the float64 range.
     """
-    parse = entry_parser(backend)
+    parse = entries_parser(backend)
     try:
         payload = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:

@@ -27,6 +27,9 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import compress, islice, repeat
+from math import isfinite
+from operator import contains, not_, truediv
 
 from .errors import DegreeCapError, PoleAtZeroError
 
@@ -310,6 +313,12 @@ MAX_EXPONENT = 100_000
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
 
 
+# CPython refuses int <-> str conversions past a digit limit that can be set
+# no lower than 640.  int() and Fraction meet it on a longer text and float()
+# does not, so a longer text takes Fraction's route and its error.
+_SHORT_TEXT = 640
+
+
 def _exceeds_bound(digits: str) -> bool:
     """Whether an exponent's digits exceed MAX_EXPONENT, read only as far as
     needed: int() of the whole string would meet CPython's digit limit."""
@@ -330,6 +339,11 @@ def parse_scalar(text: str) -> Fraction:
     by single underscores; surrounding whitespace is ignored.  The value is
     exact.  An exponent beyond ``MAX_EXPONENT`` in magnitude is refused.
     """
+    # an integer text has no exponent, underscore or space for the bound or
+    # the grammar to act on, and int() reads it as Fraction's regex does
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isdecimal() and len(text) <= _SHORT_TEXT:
+        return Fraction(int(text))
     stripped = text.strip()
     exponent = _EXPONENT.search(stripped)
     if exponent is not None and _exceeds_bound(exponent.group(1)):
@@ -344,11 +358,6 @@ def parse_scalar(text: str) -> Fraction:
 # between them, and no space around the slash (``1/ 2`` and ``1/-2`` are
 # invalid, although int() would take either half)
 _RATIO = re.compile(r"\s*[-+]?\d+(?:_\d+)*/\d+(?:_\d+)*\s*")
-
-# CPython refuses int <-> str conversions past a digit limit that can be set
-# no lower than 640.  Fraction meets it on a longer text and float() does
-# not, so a longer text takes the exact route.
-_SHORT_TEXT = 640
 
 _INF = float("inf")
 
@@ -365,6 +374,10 @@ def float_scalar(text: str):
     ``parse_scalar`` rejects (``inf``, ``nan``, ``1/0``) raises its ValueError.
     A value beyond the float64 range comes back as the exact Fraction, for
     the caller to report with its position (``matrix.float_vector``).
+
+    This is the one definition of an entry's float; the file readers call
+    it through ``float_entries``, which reads the common shapes a batch at a
+    time and sends every other entry here.
     """
     value = 0.0
     if "/" not in text:
@@ -386,6 +399,84 @@ def float_scalar(text: str):
         return float(exact)
     except OverflowError:
         return exact
+
+
+# a ratio's halves below 2**53 are exact floats; a float below it cannot
+# come from an integer at or above it, since rounding keeps the order
+_EXACT_HALF = float(2**53)
+
+_NO_SIGN = str.maketrans("", "", "+-")
+
+# texts per batch of float_entries: bounds the halves and floats held at
+# once (read whole, a p/q band of n = 10^5 raised the peak RSS by 18 MB)
+_BATCH = 4096
+
+
+def _batched_floats(texts: list) -> list:
+    """Floats of texts that are all decimals or ``p/q`` ratios
+    (``float_entries``), in whole-batch passes; ValueError on any other text,
+    ZeroDivisionError on a ratio with q = 0.
+
+    A ratio's halves are exact floats, so their IEEE quotient is the
+    correctly rounded ``int(p) / int(q)``: CPython's ``int / int`` divides
+    the same two floats when both are below 2**53.
+    """
+    if max(map(len, texts), default=0) > _SHORT_TEXT:
+        raise ValueError("a text too long for float()")
+    slashes = "".join(texts).count("/")
+    if not slashes:
+        return list(map(float, texts))
+    ratio = list(map(contains, texts, repeat("/")))
+    halves = "/".join(compress(texts, ratio)).split("/")
+    # with one slash in each ratio text the halves alternate p, q; float()
+    # refuses an empty half and a sign anywhere but first in p
+    if (sum(ratio) != slashes
+            or not "".join(halves[1::2]).isdecimal()
+            or not "".join(halves[0::2]).translate(_NO_SIGN).isdecimal()):
+        raise ValueError("a text of neither shape")
+    half = list(map(float, halves))
+    if not -_EXACT_HALF < min(half) <= max(half) < _EXACT_HALF:
+        raise ValueError("a ratio half a float cannot hold")
+    quotients = map(truediv, half[0::2], half[1::2])
+    if slashes == len(texts):
+        return list(quotients)
+    # each entry takes the next value of its shape, in order; the counts
+    # match, so no iterator runs out
+    parts = (map(float, compress(texts, map(not_, ratio))), quotients)
+    return list(map(next, map(parts.__getitem__, ratio)))
+
+
+def float_entries(texts) -> list:
+    """``list(map(float_scalar, texts))``, bit for bit, with ``float_scalar``
+    run only on the odd entry.
+
+    The texts (any iterable of str) are read ``_BATCH`` at a time.  Two
+    shapes are read in whole-batch passes: a decimal text (no ``/``) by
+    ``float()``, and a ratio ``p/q`` whose halves are decimal digits, with
+    one optional sign on p, each below 2**53 in magnitude, by
+    ``float(p) / float(q)``.  Each gives what ``float_scalar`` gives for a
+    finite nonzero value.  An entry whose value is zero or not finite (for
+    its sign, its range or its error) takes ``float_scalar``, and so does
+    every entry of a batch with a text of another shape, a text over
+    ``_SHORT_TEXT`` characters or one that ``float()`` refuses.  An error is
+    therefore the one ``float_scalar`` raises for the first entry it fails.
+    """
+    values = []
+    texts = iter(texts)
+    while batch := list(islice(texts, _BATCH)):
+        try:
+            part = _batched_floats(batch)
+        except (ValueError, ZeroDivisionError):
+            part = list(map(float_scalar, batch))
+        else:
+            # an infinity or a NaN makes the sum non-finite (as an
+            # overflowing sum of finite values does, which only costs the loop)
+            if 0.0 in part or not isfinite(sum(part)):
+                for k, value in enumerate(part):
+                    if not 0.0 < abs(value) < _INF:
+                        part[k] = float_scalar(batch[k])
+        values += part
+    return values
 
 
 def format_scalar(x) -> str:

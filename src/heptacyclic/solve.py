@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from math import lcm
 from typing import Sequence
 
@@ -28,7 +29,7 @@ from .factor import (
     lu_substitute,
     require_nonsingular,
 )
-from .matrix import (CyclicHeptaMatrix, _to_scalar, entry_parser, float_vector, parse_entries,
+from .matrix import (CyclicHeptaMatrix, _to_scalar, entries_parser, float_vector, parse_entries,
                      row_scaled)
 
 # perfbench/tracer.py wraps this module attribute, so it stays bound
@@ -140,10 +141,12 @@ def vector_from_text(text: str, backend: str = "exact") -> list[list]:
     """Parse an rhs file; returns a list of columns (CSV may carry several).
 
     Entries are Fractions, or for ``backend="float"`` floats read straight
-    from the text, as ``matrix_from_json`` reads the bands.  JSON numbers
-    are read from their literal text.
+    from the text, as ``matrix_from_json`` reads the bands: all the entries
+    of the file in one ``float_entries`` call.  JSON numbers are read from
+    their literal text.  A CSV file reports the first row with a bad entry
+    before rows of unequal width.
     """
-    parse = entry_parser(backend)
+    parse = entries_parser(backend)
     stripped = text.strip()
     if stripped.startswith("["):
         try:
@@ -153,21 +156,27 @@ def vector_from_text(text: str, backend: str = "exact") -> list[list]:
         if not isinstance(payload, list):
             raise ValueError("invalid rhs file: expected a JSON array")
         return [parse_entries(payload, parse, "rhs")]
-    rows = []
-    for lineno, line in enumerate(stripped.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append(list(map(parse, line.split(","))))
-        except ValueError as exc:
-            raise ValueError(f"rhs row {lineno}: {exc}") from exc
+    lines = stripped.splitlines()
+    rows = list(filter(None, map(str.strip, lines)))
     if not rows:
         raise ValueError("rhs file is empty")
-    width = len(rows[0])
-    if any(len(rw) != width for rw in rows):
+    try:
+        # the cells are split as the parser reads them, not held all at once
+        values = parse(chain.from_iterable(map(str.split, rows, repeat(","))))
+    except ValueError:
+        # parse again, one row at a time, to name the first row that fails
+        for lineno, line in enumerate(map(str.strip, lines), start=1):
+            try:
+                if line:
+                    parse(line.split(","))
+            except ValueError as exc:
+                raise ValueError(f"rhs row {lineno}: {exc}") from exc
+        raise
+    widths = set(map(str.count, rows, repeat(",")))
+    if len(widths) > 1:
         raise ValueError("rhs CSV rows have inconsistent width")
-    return [list(col) for col in zip(*rows)]
+    width = widths.pop() + 1
+    return [values[k::width] for k in range(width)]
 
 
 def vector_to_json(x: Sequence) -> str:

@@ -202,8 +202,10 @@ class TestBench:
         assert lines[0] == "n,command,wall_time_s,field_ops"
         commands = [line.split(",")[1] for line in lines[1:]]
         assert "det/exact" in commands and "inv/exact" in commands
-        # the float lane has one implementation: one inverse and one solve row
-        assert sorted(c for c in commands if "float" in c) == ["inv/float", "solve/float"]
+        # the float lane has one implementation: one inverse and one solve
+        # row, and a row for its read of the matrix file
+        assert sorted(c for c in commands if "float" in c) == ["inv/float", "read/float",
+                                                               "solve/float"]
         det_row = next(line for line in lines[1:] if line.split(",")[1] == "det/exact")
         assert int(det_row.split(",")[3]) > 0
 
@@ -217,9 +219,11 @@ class TestBench:
         assert code == 0 and err == ""
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert [row[1] for row in rows] == ["det/exact", "solve/exact", "inv/exact", "inv/float",
-                                            "solve/float"]
+                                            "solve/float", "read/float"]
         assert int(rows[0][3]) > 0 and float(rows[1][2]) >= 0 and float(rows[2][2]) >= 0
-        assert [row[2:] for row in rows[3:]] == [["refused", ""], ["refused", ""]]
+        assert [row[2:] for row in rows[3:5]] == [["refused", ""], ["refused", ""]]
+        # reading the file refuses nothing
+        assert float(rows[5][2]) >= 0 and rows[5][3] == ""
 
 
 class TestOracleCheck:

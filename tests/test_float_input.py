@@ -10,6 +10,7 @@ import json
 import random
 import struct
 import sys
+import warnings
 from fractions import Fraction as Fr
 
 import pytest
@@ -30,7 +31,7 @@ from heptacyclic.matrix import (
     to_dense,
 )
 from heptacyclic.oracle import dense_det
-from heptacyclic.scalars import float_scalar, parse_scalar
+from heptacyclic.scalars import float_entries, float_scalar, parse_scalar
 from heptacyclic.solve import solve_many, vector_from_text
 
 from conftest import fixture_path
@@ -79,21 +80,108 @@ def _exact_route(text):
         return exact
 
 
+def _random_texts():
+    """20,000 short texts over the scalar grammar's characters (seed 20101)."""
+    rng = random.Random(20101)
+    alphabet = "0123456789_./eE+- \t١"
+    return ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6))) for _ in range(20000)]
+
+
 class TestFloatScalar:
     @pytest.mark.parametrize("text", CORPUS)
     def test_same_bits_as_exact_parse(self, text):
         assert _outcome(lambda: float_scalar(text)) == _outcome(lambda: _exact_route(text))
 
     def test_random_texts_over_the_grammar(self):
-        rng = random.Random(20101)
-        alphabet = "0123456789_./eE+- \t١"
-        for _ in range(20000):
-            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+        for text in _random_texts():
             assert _outcome(lambda: float_scalar(text)) == _outcome(lambda: _exact_route(text)), text
 
     def test_zero_signs(self):
         assert struct.pack("<d", float_scalar("-0")) == struct.pack("<d", 0.0)
         assert struct.pack("<d", float_scalar("-1e-400")) == struct.pack("<d", -0.0)
+
+
+def _entries_outcome(fn):
+    """Per-entry ``_outcome`` of a list of values, or the error of the call."""
+    try:
+        values = fn()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return [_outcome(lambda v=v: v) for v in values]
+
+
+def _same_as_float_scalar(texts):
+    assert _entries_outcome(lambda: float_entries(texts)) == _entries_outcome(
+        lambda: list(map(float_scalar, texts))), texts
+
+
+# ordinary lists around a text: all decimal, all ratio, and mixed with zeros
+SURROUNDINGS = [
+    ["7", "-0.25", "1e-3"],
+    ["3/4", "-5/83", "+2/6"],
+    ["0", "3/4", "-2.5", "0/5", "-7/9", "12"],
+]
+
+
+class TestFloatEntries:
+    @pytest.mark.parametrize("around", SURROUNDINGS)
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_corpus_text_in_a_list(self, text, around):
+        for k in (0, 1, len(around)):
+            _same_as_float_scalar(around[:k] + [text] + around[k:])
+
+    def test_random_texts_in_lists(self):
+        texts = _random_texts()
+        for text in texts:
+            for around in SURROUNDINGS:
+                _same_as_float_scalar(around[:1] + [text] + around[1:])
+        # one list of every text that reads as a float: a single batch
+        readable = [t for t in texts if isinstance(_outcome(lambda t=t: float_scalar(t))[1], bytes)]
+        assert len(readable) > 1000
+        _same_as_float_scalar(readable)
+
+    def test_mixed_band(self):
+        rng = random.Random(7)
+        kinds = [lambda: f"{rng.randint(-99, 99)}/{rng.randint(1, 97)}",
+                 lambda: f"{rng.randint(-99, 99)}.{rng.randint(0, 99):02d}",
+                 lambda: str(rng.randint(-9, 9)), lambda: "0", lambda: "-0/3", lambda: "0.0"]
+        for _ in range(50):
+            _same_as_float_scalar([rng.choice(kinds)() for _ in range(200)])
+
+    def test_across_batches(self):
+        # odd entries and a ratio text on either side of each batch boundary
+        size = scalars._BATCH
+        rng = random.Random(11)
+        texts = [f"{rng.randint(-99, 99) or 1}/{rng.randint(1, 97)}" for _ in range(2 * size + 7)]
+        for k in (0, size - 1, size, size + 1, 2 * size):
+            texts[k] = rng.choice(["0", "-0/3", "1e400", "2.5", "1e-400"])
+        _same_as_float_scalar(texts)
+        _same_as_float_scalar(texts[:size] + ["1 /2"] + texts[size:])
+        for bad in (size - 1, size, 2 * size + 3):
+            _same_as_float_scalar(texts[:bad] + ["x"] + texts[bad:])
+        # any iterable of texts reads as its list
+        assert _entries_outcome(lambda: float_entries(iter(texts))) == _entries_outcome(
+            lambda: float_entries(texts))
+
+    def test_halves_around_2_to_the_53(self):
+        halves = [10**15 - 1, 10**15 + 7, 2**53 - 1, 2**53, 2**53 + 1, 10**16 - 1,
+                  10**17 - 3, 3 * 10**16 + 1]
+        texts = [f"{sign}{p}/{q}" for p in halves for q in halves + [3, 7]
+                 for sign in ("", "-", "+")]
+        texts += [f"{p}/{q}" for p in (1, 22, 355) for q in halves]
+        _same_as_float_scalar(texts)
+        for text in texts:
+            p, q = text.split("/")
+            assert float_entries([text]) == [int(p) / int(q)]
+
+    def test_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for first in ("1/0", "0/0", "nan"):
+                with pytest.raises(ValueError, match=f"invalid scalar '{first}'"):
+                    float_entries(["2/3", "1e400", first, "1/0", "5"])
+            values = float_entries(["2/3", "1e400", "-1e400", "0/7", "5"])
+        assert values[1:3] == [Fr(10**400), -Fr(10**400)]
 
 
 def _example_payload():
@@ -187,6 +275,69 @@ class TestRhsReader:
             assert [struct.pack("<d", v) for v in col] == [
                 struct.pack("<d", float(v)) for v in expected]
             assert struct.pack("<d", col[1]) == struct.pack("<d", -0.0)
+
+    @pytest.mark.parametrize("rhs, message", [
+        ("1,2\n3,x\n4\n", "rhs row 2: invalid scalar 'x'"),
+        ("1,2\n3\nx,4\n", "rhs row 3: invalid scalar 'x'"),
+        ("1,2\n\n3,4/0,x\n", "rhs row 3: invalid scalar '4/0'"),
+        ("1,2\n3\n4,5\n", "rhs CSV rows have inconsistent width"),
+    ])
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_csv_bad_entry_before_inconsistent_width(self, rhs, message, backend):
+        with pytest.raises(ValueError) as info:
+            vector_from_text(rhs, backend=backend)
+        assert str(info.value) == message
+
+
+def _float_or_error(text):
+    """("float", value) of ``float_scalar(text)``, ("exact", value) beyond
+    the float64 range, or ("error", message)."""
+    try:
+        value = float_scalar(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return ("exact" if isinstance(value, Fr) else "float"), value
+
+
+class TestReadersOverRandomTexts:
+    """Each random grammar text inside an ordinary band, JSON rhs and CSV rhs
+    reads as ``float_scalar`` reads it, or fails with its message."""
+
+    def test_band_entry(self):
+        base = matrix_from_json(fixture_path("example10.json").read_text(), "float").float_bands()
+        for text in set(_random_texts()):
+            kind, value = _float_or_error(text)
+            if kind == "error":
+                expected = "ValueError", f"band 'A' entry 5: {value}"
+            elif kind == "exact":
+                expected = ("ValueError",
+                            "band A entry 5 is beyond the float64 range; use the exact backend")
+            else:
+                bands = {name: band.tobytes() for name, band in base.items()}
+                bands["A"] = (base["A"][:5] + float_vector([value], "A")[1:]
+                              + base["A"][6:]).tobytes()
+                expected = "bands", bands
+            assert _bands_outcome(_matrix_text("A", 5, text=text), "float") == expected, text
+
+    def test_json_rhs_entry(self):
+        for text in set(_random_texts()):
+            entries = ["1", "-2/7", text, "0.5"]
+            kind, value = _float_or_error(text)
+            expected = (("ValueError", f"rhs entry 3: {value}") if kind == "error" else
+                        _entries_outcome(lambda: list(map(float_scalar, entries))))
+            got = _entries_outcome(lambda: vector_from_text(json.dumps(entries), "float")[0])
+            assert got == expected, text
+
+    def test_csv_rhs_cell(self):
+        for text in set(_random_texts()):
+            rhs = f"1,{text},3\n4/5,{text},-6\n"
+            kind, value = _float_or_error(text)
+            expected = (("ValueError", f"rhs row 1: {value}") if kind == "error" else
+                        _entries_outcome(lambda: list(map(float_scalar,
+                                                          ["1", "4/5", text, text, "3", "-6"]))))
+            got = _entries_outcome(
+                lambda: [v for col in vector_from_text(rhs, "float") for v in col])
+            assert got == expected, text
 
 
 def _run(argv, capsys):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as Fr
 
 import pytest
@@ -234,6 +235,33 @@ class TestScalarText:
     def test_exponent_beyond_bound_refused(self, text):
         with pytest.raises(ValueError, match="exponent beyond 100000"):
             parse_scalar(text)
+
+    @pytest.mark.parametrize("text", [
+        "0", "-0", "+0", "007", "+5", "-12", "\u0661\u0662", "-\u0663", "+-5", "--5", "-", "+",
+        "", " 5", "5 ", "1" * 640, "-" + "1" * 639, "-" + "1" * 640, "9" * 700, "1" * 4301,
+    ])
+    @pytest.mark.parametrize("limit", [None, 640])
+    def test_integer_text_as_fraction_reads_it(self, text, limit):
+        # an integer text skips Fraction's regex: same value, or the same error
+        def outcome(fn):
+            try:
+                return fn()
+            except ValueError as exc:
+                return str(exc)
+
+        def regex_route():
+            try:
+                return Fr(text.strip())
+            except ValueError as exc:
+                raise ValueError(f"invalid scalar {text!r}") from exc
+
+        saved = sys.get_int_max_str_digits()
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        try:
+            assert outcome(lambda: parse_scalar(text)) == outcome(regex_route)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_format_canonical(self):
         assert format_scalar(Fr(3, 4)) == "3/4"
