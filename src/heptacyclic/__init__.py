@@ -1,10 +1,11 @@
 """Determinants, inverses and linear solvers for cyclic heptadiagonal matrices.
 
-The exact lane factors the matrix with bordered LU recurrences over
-arbitrary-precision rationals; the determinant, solve and inverse run the
-same recurrences over residues modulo word-size primes first and rebuild
-exact integers by Chinese remaindering.  Quantities that would be exactly zero are
-substituted so the computation never breaks down.  ``factorize`` replaces a
+On the exact lane, ``factorize`` runs the bordered LU recurrences over
+arbitrary-precision rationals, and the determinant, solve and inverse run
+the same recurrences over residues modulo word-size primes, dropping any
+prime that divides a nonzero pivot, and rebuild exact integers by Chinese
+remaindering.  Quantities that would be exactly zero are substituted so
+the computation never breaks down.  ``factorize`` replaces a
 zero pivot by a symbolic indeterminate ``t``, as the paper does, while the
 determinant, solve and inverse evaluate H + s*G (G the structurally zero
 pivots) at concrete points s and interpolate to s = 0.  The inverse runs

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Input validation problems raise plain ``ValueError`` with a message naming
-the offending field/index; everything below signals a condition specific to
-the banded solvers.
+the offending field/index, and an entry the exact lane cannot take (one
+that is not a ``Fraction`` once converted) raises ``TypeError`` naming its
+type; everything below signals a condition specific to the banded solvers.
 """
 
 
@@ -28,18 +29,6 @@ class NearSingularPivotError(HeptaError):
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"near-singular pivot at {index}, use exact backend")
-
-
-class ZeroPivotError(HeptaError):
-    """A plain rational factor sweep met a pivot that is exactly zero.
-
-    Raised by ``factorize(H, symbolic=False)``; ``factor.interpolate``
-    catches it and moves to concrete points of H + s*G.
-    """
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"zero pivot at {index}")
 
 
 class DegreeCapError(HeptaError):

@@ -17,33 +17,27 @@ suite checks entry by entry on random instances.
 The determinant, solve and inverse paths never carry t.  A pivot that is
 structurally zero is handled at concrete points of H(s) = H + s*G, where G
 has a one at (i, i) for every such pivot i.  All three run them as lanes
-of one sweep over word-size primes (``residues``), zero pivot or not; only
-where that gives up (a prime divides a nonzero pivot, or an entry is not a
-``Fraction``) do they go through ``interpolate``: one plain rational sweep
-of H, or, with a structurally zero pivot, one rational sweep of H(s) per
-point.  At each point only what depends on the factors runs: det H(s) and
-a few columns taken by substitution through them (H(s)^-1 r for a solve,
-the seed and zero-C columns for the inverse).
-det H(s) and every entry of adj H(s) are polynomials in s of degree
-<= r = |G|, so r + 1 points fix their values at s = 0 (Lagrange
-interpolation).
+of one sweep over word-size primes (``residues``), zero pivot or not.  At
+each point only what depends on the factors runs: det H(s) and a few
+columns taken by substitution through them (H(s)^-1 r for a solve, the
+seed and zero-C columns for the inverse).  det H(s) and every entry of
+adj H(s) are polynomials in s of degree <= r = |G|, so r + 1 points fix
+their values at s = 0 (Lagrange interpolation).
 
 The recurrences themselves are ``kernels.sweep`` and ``kernels.substitute``,
 shared by both lanes; this module chooses the bands (exact or float64) and
-the pivot rule (override by t, refuse an exact zero, or refuse below the
-float tolerance) and packs the results.
+the pivot rule (override by t, or refuse below the float tolerance) and
+packs the results.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from typing import Callable, Optional
+from typing import Optional
 
 from . import kernels
-from .errors import SingularMatrixError, ZeroPivotError
+from .errors import SingularMatrixError
 from .matrix import BAND_NAMES, CyclicHeptaMatrix, DenseMatrix
 from .scalars import T, is_zero
 
@@ -92,21 +86,13 @@ def _padded(band) -> list:
     return [None, *band]
 
 
-def _refuse_zero(value, i):
-    if value == 0:
-        raise ZeroPivotError(i)
-    return value
-
-
-def factorize(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12,
-              symbolic: bool = True) -> FactorData:
+def factorize(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) -> FactorData:
     """Run the full recurrence sweep and return the factor vectors.
 
     Both lanes run ``kernels.sweep``; they differ in the bands and the pivot
-    rule.  Exact lane: entries are plain rationals.  With ``symbolic`` (the
-    paper's rule) the first zero pivot is replaced by ``T`` and recorded,
-    and from that point arithmetic mixes in rational functions of t via
-    operator coercion; without it a zero pivot raises ZeroPivotError.
+    rule.  Exact lane: entries are plain rationals, and by the paper's rule
+    the first zero pivot is replaced by ``T`` and recorded; from that point
+    arithmetic mixes in rational functions of t via operator coercion.
     Float lane: ``H`` may also be a ``FloatHeptaMatrix``; the bands are
     converted to float64 once, and a pivot that is zero, NaN or below
     tol * max(1, largest input magnitude) raises NearSingularPivotError; a
@@ -125,7 +111,7 @@ def factorize(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12,
             return value
 
         bands = [_padded(H.band(name)) for name in BAND_NAMES]
-        vectors = kernels.sweep(*bands, pivot if symbolic else _refuse_zero)
+        vectors = kernels.sweep(*bands, pivot)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return FactorData(H.n, *map(tuple, vectors), overrides=tuple(overrides),
@@ -184,15 +170,14 @@ def determinant(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12
 
     The exact lane runs one sweep over word-size primes
     (``residues.solve``), with the points of H + s*G as extra lanes when a
-    pivot is structurally zero; only where that lane gives up does it go
-    through ``interpolate``.  ``pivot_overrides`` counts the pivots found
-    structurally zero; a singular H gives value 0, not an error.
+    pivot is structurally zero; an entry that is not a ``Fraction`` raises
+    TypeError.  ``pivot_overrides`` counts the pivots found structurally
+    zero; a singular H gives value 0, not an error.
     """
     if backend == "exact":
         from . import residues  # residues imports this module, so it loads here
 
-        found = residues.solve(H, [])
-        value, overrides, _ = found if found is not None else interpolate(H, lambda fd: ())
+        value, overrides, _ = residues.solve(H, [])
     else:
         value, overrides = det_from_factors(factorize(H, backend=backend, tol=tol)), ()
     return DetResult(value=value, pivot_overrides=len(overrides), singular=value == 0)
@@ -218,70 +203,3 @@ def require_nonsingular(fd: FactorData):
         raise SingularMatrixError("singular matrix")
     return value
 
-
-# ---------------------------------------------------------------------------
-# concrete points of H(s) = H + s*G
-# ---------------------------------------------------------------------------
-
-def _shifted(H: CyclicHeptaMatrix, overrides, s) -> CyclicHeptaMatrix:
-    """H(s): s added to d_i for each pivot override i; H itself without any."""
-    if not overrides:
-        return H
-    d = list(H.band("d"))
-    for i in overrides:
-        d[i - 1] += s
-    return H.replace_band("d", d)
-
-
-def lagrange_at_zero(points) -> list:
-    """Lagrange weights l_k(0) = prod_{m != k} s_m / (s_m - s_k): a
-    polynomial f of degree < len(points) has f(0) = sum_k l_k(0) f(s_k)."""
-    return [prod((Fraction(sm, sm - sk) for sm in points if sm != sk), start=_ONE)
-            for sk in points]
-
-
-def interpolate(H: CyclicHeptaMatrix, evaluate: Callable) -> tuple:
-    """det H and values y of H^-1 over ``Fraction``: the path of det, solve
-    and inv where the residue lane gives up.
-
-    G starts empty, so without a zero pivot this is one plain sweep of H
-    (s = 0) and ``evaluate(fd)``.  A pivot found structurally zero joins G,
-    a one at (i, i) (the paper's override rule), and sampling restarts at
-    the points s = 1, 2, ... of H(s) = H + s*G.  There ``evaluate(fd)``
-    gives a flat list of values y(s) computed from the factors of H(s)
-    (columns of H(s)^-1 taken by substitution, or H(s)^-1 r) with
-    det H(s) * y(s) a polynomial of degree <= r = |G|, so r + 1 points
-    determine det H and y at s = 0.
-
-    A point where a pivot is zero is skipped.  Pivot i of H(s) is
-    N_i(s) / N_{i-1}(s), N_i the leading i x i minor, a polynomial of
-    degree <= r; if it is zero at r + 1 points where pivots 1..i-1 are not,
-    N_i vanishes identically and i is structurally zero.
-
-    Returns (det H, overrides, y(0)), with y(0) None when det H == 0.
-    """
-    overrides, s = (), 0
-    points, dets, samples, misses = [], [], [], Counter()
-    while len(points) <= len(overrides):
-        try:
-            fd = factorize(_shifted(H, overrides, s), symbolic=False)
-        except ZeroPivotError as exc:
-            misses[exc.index] += 1
-            if misses[exc.index] > len(overrides):
-                overrides += (exc.index,)
-                points, dets, samples, misses = [], [], [], Counter()
-                s = 0  # the next point is s = 1
-        else:
-            points.append(s)
-            dets.append(det_from_factors(fd))
-            samples.append(evaluate(fd))
-        s += 1
-    if not overrides:
-        return dets[0], overrides, samples[0]
-    weights = lagrange_at_zero(points)
-    det = sum(w * d for w, d in zip(weights, dets))
-    if det == 0:
-        return det, overrides, None
-    # y(0) = sum_k l_k(0) det_k y_k / det
-    lam = [w * d / det for w, d in zip(weights, dets)]
-    return det, overrides, [sum(l * v for l, v in zip(lam, vs)) for vs in zip(*samples)]

@@ -18,10 +18,9 @@ adj H' = det H' * H'^-1 as Python ints.  A structurally zero pivot is
 handled at concrete points rather than with a symbolic t: the lanes then
 cover the r + 1 points of H'(s) = H' + s*diag(L)*G (G a one at each such
 pivot), and the columns are interpolated to s = 0 before the remaindering.
-Where the lane gives up (a prime divides a nonzero pivot, or an entry is
-not a ``Fraction``), ``factor.interpolate`` computes the same columns of
-H^-1 over ``Fraction``, and they are converted and checked.  The peeling
-reads only the bands of H', so it runs once, whatever r.
+A prime that divides a nonzero pivot is dropped and the lane sweeps
+again.  The peeling reads only the bands of H', so it runs once, whatever
+r.
 
 The peeling runs over Python ints.  H' is an integer matrix, so
 adj H' is one too: each step of the recursion is one exact division by
@@ -35,11 +34,10 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from . import kernels
 from .errors import InternalContractError, SingularMatrixError
-from .factor import FactorData, factorize, interpolate
+from .factor import FactorData, factorize
 from .matrix import CyclicHeptaMatrix, DenseMatrix, row_scaled
 from .scalars import is_zero
 
@@ -171,36 +169,6 @@ def seed_columns(fd: FactorData, parallel: bool = False) -> tuple:
     return tuple(cols)
 
 
-def _rational_adjugate(H: CyclicHeptaMatrix, columns, indices) -> tuple:
-    """What ``residues.adjugate`` gives, without L, over ``Fraction``
-    through ``factor.interpolate``: the path for entries that are not
-    ``Fraction``s and for a prime that divides a nonzero pivot.
-
-    Here ``columns(fd)`` yields columns of H^-1, from the factors of H, and
-    each is turned into column j of adj H' (j from ``indices``) as
-    delta * col / L_j with delta = det H' = det H * prod(L), every entry
-    checked to be an integer.
-    """
-    n = H.n
-    det, overrides, values = interpolate(
-        H, lambda fd: [v for col in columns(fd) for v in col[1:]])
-    scales = row_scaled(H)[0]
-    delta = det * prod(scales)
-    if delta.denominator != 1:
-        raise InternalContractError("det H' is not an integer")
-    delta = delta.numerator
-    if values is None:
-        return delta, overrides, None
-    adj = []
-    for k, value in enumerate(values):
-        j = indices[k // n]
-        q, r = divmod(value.numerator * delta, value.denominator * scales[j - 1])
-        if r:
-            raise InternalContractError(f"adjugate entry ({k % n + 1}, {j}) is not an integer")
-        adj.append(q)
-    return delta, overrides, adj
-
-
 def _back_column(bands, cols, j: int, delta: int) -> list:
     """Column j of adj H' from columns j+1..j+6 and column j+3 of H'.
 
@@ -268,9 +236,9 @@ def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
     Pipeline: ``residues.adjugate`` factors H' = diag(L) H over residue
     lanes (H'(s) at concrete points, if a pivot is zero) and, from those
     factors, builds the five seed columns and one substitution of e_j for
-    each zero C_j, as columns of adj H'; where the lane gives up,
-    ``factor.interpolate`` builds them over ``Fraction``.  The recursion
-    then recovers the remaining columns once, from the bands of H'.
+    each zero C_j, as columns of adj H'.  The recursion then recovers the
+    remaining columns once, from the bands of H'.  An entry that is not a
+    ``Fraction`` raises TypeError.
     """
     from . import residues  # loaded on first use, outside the import time of the package
 
@@ -286,9 +254,7 @@ def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
             e_j = [None, *(one if i == j else zero for i in range(1, n + 1))]
             yield kernels.substitute(fd, e_j)
 
-    found = residues.adjugate(H, lambda fd, rhs: columns(fd))
-    delta, overrides, values = (found[1:] if found is not None
-                                else _rational_adjugate(H, columns, indices))
+    _, delta, overrides, values = residues.adjugate(H, lambda fd, rhs: columns(fd))
     if delta == 0:
         raise SingularMatrixError("singular matrix")
     given = {j: values[k * n:(k + 1) * n] for k, j in enumerate(indices)}

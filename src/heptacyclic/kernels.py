@@ -7,10 +7,10 @@ functions of t), over vectors of residues modulo word-size primes
 (``residues.Residues``) and over Python floats: the caller picks the field
 by the bands it passes in, and picks what happens to each pivot through
 ``pivot(value, i)``.  The exact lane replaces a zero pivot by the
-indeterminate (the symbolic factorization) or refuses it, and the caller
-moves to concrete points of H + s*G; the residue lane refuses a pivot that
-is zero in any lane, and the caller reads from those lanes whether to
-replace a point, add the pivot to G or fall back to rationals; the float
+indeterminate (the symbolic factorization); the residue lane refuses a
+pivot that is zero in any lane, and the caller reads from those lanes
+whether to replace a point of H + s*G, add the pivot to G or drop a
+prime; the op counter of ``bench`` refuses a zero pivot; the float
 lane (``float_pivot``) refuses a pivot that is zero, NaN or below its
 tolerance, and the caller tells the user to switch to the exact backend.
 

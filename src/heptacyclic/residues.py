@@ -17,14 +17,13 @@ The sweep runs on H' = diag(L) H, where L_i is the lcm of the denominators
 in row i of H and of the right-hand sides, so H' and r' = L r are integer
 and det H = det H' / prod(L_i).
 
-A structurally zero pivot is handled as ``factor.interpolate`` handles it,
-at concrete points of H'(s) = H' + s diag(L) G, G a one at (i, i) for each
-such pivot i.  The K primes are tiled over the points s = 1 ... r + 1
-(r = |G|), and only the lanes of d'_i + s L_i, i in G, differ between
-points.  det H'(s) and each entry of det H'(s) * y(s) are polynomials of
-degree <= r in s, so each is interpolated to s = 0 modulo each prime
-(Lagrange) before one CRT.  Without a zero pivot there is one point,
-s = 0, and G is empty.
+A structurally zero pivot is handled at concrete points of
+H'(s) = H' + s diag(L) G, G a one at (i, i) for each such pivot i.  The
+K primes are tiled over the points s = 1 ... r + 1 (r = |G|), and only
+the lanes of d'_i + s L_i, i in G, differ between points.  det H'(s) and
+each entry of det H'(s) * y(s) are polynomials of degree <= r in s, so
+each is interpolated to s = 0 modulo each prime (Lagrange) before one
+CRT.  Without a zero pivot there is one point, s = 0, and G is empty.
 
 K is chosen so that M = prod(p) exceeds twice the Hadamard bound of H'(s)
 at the largest point, with r' included and every row norm taken as at
@@ -40,11 +39,24 @@ the next integer.  The lane therefore finds the same G as the symbolic
 sweep, and it says when H is singular (det H' = 0) without dividing by
 it.
 
-The lane gives up, and ``solve`` and ``adjugate`` return None, when an
-entry is not a ``Fraction`` (the op-counting scalar, rational functions
-in t) or when a pivot is zero in some but not all lanes of a point: a
-prime divides a nonzero value.  The caller then runs the ``Fraction``
-path, so the lane never gives a wrong answer.
+A pivot that is zero in some but not all lanes of a point is not zero
+there: a lane prime divides a nonzero minor N_i(s).  Those primes are
+dropped, K primes are taken again from the table, skipping the dropped
+ones, until prod(p) again exceeds twice the bound, and the sweep
+restarts.  The point rule and the bound are unchanged, and with nothing
+dropped the primes are the first K of the table.  The restarts end:
+
+- G only grows, up to n;
+- with G fixed, each pivot skips at most r points, since a minor N_i(s)
+  that is not identically zero has at most r roots;
+- each such configuration, G and its points, has finitely many nonzero
+  leading minors, each with finitely many prime divisors, so only
+  finitely many primes are ever dropped (and the table holds some
+  5 * 10^7 primes above 2**30).
+
+So ``solve`` and ``adjugate`` always complete.  They take ``Fraction``
+entries only, and raise TypeError on any other (the op-counting scalar of
+``bench``, rational functions in t).
 """
 
 from __future__ import annotations
@@ -57,7 +69,7 @@ from math import isqrt, prod
 import numpy as np
 
 from . import kernels
-from .factor import FactorData, det_from_factors, lagrange_at_zero
+from .factor import FactorData, det_from_factors
 from .matrix import BAND_NAMES, CyclicHeptaMatrix, row_scaled
 
 _TOP = 1 << 31
@@ -220,6 +232,26 @@ def _garner(U: np.ndarray, p: np.ndarray) -> list:
     return [v - M if 2 * v > M else v for v in x]
 
 
+def _lagrange_at_zero(points) -> list:
+    """Lagrange weights l_k(0) = prod_{m != k} s_m / (s_m - s_k): a
+    polynomial f of degree < len(points) has f(0) = sum_k l_k(0) f(s_k)."""
+    return [prod((Fraction(sm, sm - sk) for sm in points if sm != sk), start=Fraction(1))
+            for sk in points]
+
+
+def _choose_primes(floor: int, dropped: set) -> np.ndarray:
+    """The first primes of the table, less ``dropped``, whose product
+    exceeds ``floor``; every prime is above 2**30."""
+    chosen, M = [], 1
+    for q in _PRIMES.take(floor.bit_length() // 30 + 1 + len(dropped)).tolist():
+        if q not in dropped:
+            chosen.append(q)
+            M *= q
+            if M > floor:
+                break
+    return np.array(chosen, dtype=np.int64)
+
+
 @cache
 def _malloc_trim():
     """The C library's ``malloc_trim`` (glibc), or None where it has none."""
@@ -234,28 +266,25 @@ def _malloc_trim():
     return trim
 
 
-def solve(H: CyclicHeptaMatrix, columns) -> tuple | None:
+def solve(H: CyclicHeptaMatrix, columns) -> tuple:
     """(det H, the pivots found structurally zero, the entries of x with
     H x = r for each of ``columns``, column after column) over residue
-    lanes, or None when the lane gives up.  The entries are None when
-    det H == 0.
+    lanes.  The entries are None when det H == 0.
 
     ``columns`` may be empty: then this is the determinant alone.
     """
-    found = adjugate(H, lambda fd, rhs: (kernels.substitute(fd, r) for r in rhs), columns)
-    if found is None:
-        return None
-    scales, delta, overrides, values = found
+    scales, delta, overrides, values = adjugate(
+        H, lambda fd, rhs: (kernels.substitute(fd, r) for r in rhs), columns)
     det = Fraction(delta, prod(scales))
     if delta == 0:
         return det, overrides, None
     return det, overrides, [Fraction(v, delta) for v in values]
 
 
-def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple | None:
+def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple:
     """(L, det H', the pivots found structurally zero, det H' * y as ints)
     over residue lanes, H' = diag(L) H the integer matrix of
-    ``matrix.row_scaled(H, columns)``, or None when the lane gives up.
+    ``matrix.row_scaled(H, columns)``.
 
     ``evaluate(fd, rhs)`` yields 1-based columns y from the factors ``fd``
     of H' (of H'(s), at the points, when a pivot is zero) and the
@@ -264,17 +293,22 @@ def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple | None:
     H' x = r' solved by Cramer's rule or a column of adj H', whose entries
     are (n-1)-minors of H': the Hadamard bound that K is chosen by covers
     both.  The ints come back flat, column after column.
+
+    An entry of H or of ``columns`` that is not a ``Fraction`` raises
+    TypeError.
     """
-    if not all(type(v) is Fraction for row in (*H.bands().values(), *columns) for v in row):
-        return None
+    odd = next((type(v) for row in (*H.bands().values(), *columns) for v in row
+                if type(v) is not Fraction), None)
+    if odd is not None:
+        raise TypeError(f"the exact lane takes Fraction entries, not {odd.__name__}")
     found, lane_bytes = _solve(H, columns, evaluate)
     # each lane vector is a small buffer on the C heap, and glibc keeps the
     # pages of freed small buffers: after a large call, hand them back, or a
     # process that runs more work after it (an inverse, say) holds them
     # resident next to what it allocates through Python's own allocator.
-    # After a small call, or when the lane gives up, the pages are reused
-    # at once by what follows (the next call, or the caller's Fraction
-    # path), and a trim would only make it fault them in again.
+    # After a small call the pages are reused at once by what follows, and
+    # a trim would only make it fault them in again.  A call that drops a
+    # prime trims once, after the sweep that completes.
     if lane_bytes >= _TRIM_BYTES:
         trim = _malloc_trim()
         if trim is not None:
@@ -283,15 +317,14 @@ def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple | None:
 
 
 def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
-    """(what ``adjugate`` returns, the bytes of the lane vectors made), or
-    (None, 0) when a prime divides a nonzero pivot."""
+    """(what ``adjugate`` returns, the bytes of the lane vectors made)."""
     n = H.n
     scales, bands, rhs = row_scaled(H, columns)
     d = bands[BAND_NAMES.index("d")]
     norms = [sum(v * v for v in entries) for entries in zip(*bands)]
     for i, entries in enumerate(zip(*rhs)):
         norms[i] += max(v * v for v in entries)
-    overrides, skipped = (), set()
+    overrides, skipped, dropped = (), set(), set()
     while True:
         if overrides:
             # s = 1, 2, ..., less the points where a pivot was zero
@@ -306,12 +339,8 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
         # every det H'(s) * x_j(s) and every entry of adj H'(s) are at most
         # prod(sqrt(max(1, norm_i)))
         bound = isqrt(prod(max(1, v) for v in grown)) + 1
-        candidates = _PRIMES.take((2 * bound).bit_length() // 30 + 1).tolist()
-        K, M = 0, 1
-        while M <= 2 * bound:
-            M *= candidates[K]
-            K += 1
-        primes = _PRIMES.take(K)
+        primes = _choose_primes(2 * bound, dropped)
+        K = len(primes)
         # lane k * K + j is point k modulo prime j
         p = np.tile(primes, len(points))
         s_lanes = np.repeat(np.array(points, dtype=np.int64), K)
@@ -324,8 +353,11 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
         except _ZeroLanes as exc:
             zero = exc.zero.reshape(len(points), K)
             zero_at = zero.all(axis=1)  # the points where the pivot is zero
-            if (zero.any(axis=1) != zero_at).any():
-                return None, 0  # a prime divides a nonzero pivot
+            unlucky = zero[zero.any(axis=1) != zero_at].any(axis=0)
+            if unlucky.any():
+                # a prime divides a nonzero pivot: drop it and sweep again
+                dropped.update(primes[unlucky].tolist())
+                continue
             # zero modulo M, and below M/2 in magnitude, so zero: pivot i is
             # N_i / N_{i-1}, N_i the leading i x i minor, a polynomial in s of
             # degree <= r, and zero at all r + 1 points makes it vanish
@@ -339,7 +371,7 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
     # y(s) times it, summed over the points, is det H' * y at s = 0 mod each
     # prime (a polynomial of degree <= r in s)
     weights = [w.numerator * pow(w.denominator, -1, q) % q
-               for w in lagrange_at_zero(points) for q in primes.tolist()]
+               for w in _lagrange_at_zero(points) for q in primes.tolist()]
     scaled_det = det_from_factors(fd).v * np.array(weights, dtype=np.int64) % p
 
     def at_zero(rows):

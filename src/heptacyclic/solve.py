@@ -7,9 +7,8 @@ by Chinese remaindering (``residues.solve``).  When a pivot of H is
 structurally zero, it solves H(s) x(s) = r at concrete points of
 H(s) = H + s*G (G the zero pivots), as more lanes of the same sweep, with
 det * x interpolated to s = 0; the right-hand side needs no substitution,
-since the band entries are never divided by.  Only where the lane gives
-up does it go through ``factor.interpolate``, which does the same over
-``Fraction``, one sweep per point.
+since the band entries are never divided by.  A prime that divides a
+nonzero pivot is dropped and the lane sweeps again.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .factor import (
     FactorData,
     det_from_factors,
     factorize,
-    interpolate,
     lu_substitute,
     require_nonsingular,
 )
@@ -74,14 +72,12 @@ def solve_via_lu(fd: FactorData, H: CyclicHeptaMatrix, r: Sequence) -> SolveRepo
 
 def _solve_exact(H: CyclicHeptaMatrix, columns: list) -> list[SolveReport]:
     """Exact solutions of checked columns: one sweep over word-size primes,
-    zero pivot or not, or, where that lane gives up, ``interpolate``.  A
-    singular H raises SingularMatrixError."""
+    zero pivot or not.  A singular H raises SingularMatrixError, an entry
+    that is not a ``Fraction`` TypeError."""
     from . import residues  # loaded on first use, outside the import time of the package
 
     n = H.n
-    found = residues.solve(H, columns)
-    det, overrides, values = found if found is not None else interpolate(
-        H, lambda fd: [v for col in columns for v in lu_substitute(fd, col)])
+    det, overrides, values = residues.solve(H, columns)
     if values is None:
         raise SingularMatrixError("singular matrix")
     return [

@@ -1,11 +1,12 @@
 import json
 import random
+from contextlib import contextmanager
 from fractions import Fraction as Fr
 from math import prod
 
 import pytest
 
-from heptacyclic import factor, inverse, kernels, residues
+from heptacyclic import factor, inverse, kernels, residues, solve
 from heptacyclic.cli import main
 from heptacyclic.errors import InternalContractError, SingularMatrixError
 from heptacyclic.factor import determinant, factorize
@@ -125,6 +126,29 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+@contextmanager
+def on_the_lane():
+    """Inside, ``factor.factorize`` must not run and every ``kernels.sweep``
+    must run over residue bands; yields the lane primes of each sweep, as
+    a set per sweep."""
+    primes = []
+    sweep = kernels.sweep
+
+    def residue_sweep(*args):
+        assert all(isinstance(band, residues._Band) for band in args[:7])
+        primes.append(set(args[0].p.tolist()))
+        return sweep(*args)
+
+    def no_factorize(*args, **kwargs):
+        raise AssertionError("factor.factorize ran on the exact lane")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels, "sweep", residue_sweep)
+        for module in (factor, inverse, solve):
+            m.setattr(module, "factorize", no_factorize)
+        yield primes
 
 
 def oracle_adjugate(H):
@@ -269,28 +293,19 @@ class TestIntegerAdjugate:
             checked += 1
         assert checked >= 4
 
-    @pytest.mark.parametrize("lane, message", [
-        (True, "inexact division by C'_11"),
-        (False, r"adjugate entry \(1, 16\) is not an integer"),
-    ], ids=["inexact-division", "non-integral-seed"])
-    def test_corrupted_column_is_internal_error(self, lane, message, monkeypatch, tmp_path, capsys):
-        # H is integer, so L = 1 and entry (1, 16) of adj H moves by 1 on the
-        # residue lane, and by 1/3 on the Fraction path, forced here: the one
-        # that still converts rational columns
+    def test_corrupted_column_is_internal_error(self, monkeypatch, tmp_path, capsys):
+        # H is integer, so L = 1 and entry (1, 16) of adj H moves by 1
         H = inexact_matrix()
         seeds = inverse.seed_columns
 
         def corrupted(fd, parallel=False):
-            assert fd.backend == ("residues" if lane else "exact")
+            assert fd.backend == "residues"
             cols = seeds(fd, parallel)
-            shift = inverse._one(fd) if lane else Fr(1, 3)
-            cols[0][1] += shift / factor.det_from_factors(fd)
+            cols[0][1] += inverse._one(fd) / factor.det_from_factors(fd)
             return cols
 
         monkeypatch.setattr(inverse, "seed_columns", corrupted)
-        if not lane:
-            monkeypatch.setattr(residues, "adjugate", lambda *args: None)
-        with pytest.raises(InternalContractError, match=message):
+        with pytest.raises(InternalContractError, match="inexact division by C'_11"):
             invert(H)
         path = tmp_path / "m.json"
         path.write_text(matrix_to_json(H))
@@ -448,7 +463,7 @@ def override_only_through_zero_c(seed):
     is zero only because C_3 = 0, so with C_3 replaced by t it would not be."""
     H = random_instance(12, seed, "diagonally-dominant")
     H = H.replace_band("C", [0 if k == 2 else c for k, c in enumerate(H.band("C"))])
-    alpha6 = factorize(H, symbolic=False).alpha[6]
+    alpha6 = factorize(H).alpha[6]
     return H.replace_band("d", [v - alpha6 if k == 5 else v for k, v in enumerate(H.band("d"))])
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heptacyclic import factor, inverse, kernels, residues
+from heptacyclic import factor, kernels, residues
 from heptacyclic.bench import OpCounter, count_det_ops, counting_matrix
 from heptacyclic.errors import SingularMatrixError
 from heptacyclic.factor import determinant, factorize
@@ -23,10 +23,11 @@ from heptacyclic.inverse import invert
 from heptacyclic.matrix import BAND_NAMES, CyclicHeptaMatrix, random_instance, row_scaled, to_dense
 from heptacyclic.oracle import dense_det, dense_inverse
 from heptacyclic.residues import Residues
+from heptacyclic.scalars import T
 from heptacyclic.solve import solve_many
 
-from test_inverse import (acceptance_corpora, count_calls, point_skip_matrix, rational_entries,
-                          zero_rows)
+from test_inverse import (acceptance_corpora, count_calls, on_the_lane, point_skip_matrix,
+                          rational_entries, zero_rows)
 
 MERSENNE_31 = 2**31 - 1
 
@@ -40,41 +41,40 @@ def rhs_columns(n, seed):
     return [[Fr(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)] for _ in range(2)]
 
 
-def assert_equals_oracle(H, seed=0, fallback_too=False):
+def assert_equals_oracle(H, seed=0):
     """det and 1- and 2-column solves of H, through the lane and through the
-    public entry points, equal the dense oracle, and every entry point
-    reports the lane's overrides; returns whether the lane ran (did not give
-    up).  Where it gave up, the solves are compared only with
-    ``fallback_too``."""
+    public entry points, equal the dense oracle, every entry point reports
+    the lane's overrides, and every sweep runs over residue lanes; returns
+    the lane primes of each sweep of the public det, a set per sweep."""
     dense = to_dense(H)
     det = dense_det(dense)
-    result = determinant(H)
-    assert result.value == det
     r1, r2 = rhs_columns(H.n, seed)
-    found = residues.solve(H, [r1, r2])
+    with on_the_lane() as sweeps:
+        result = determinant(H)
+        det_sweeps = sweeps.copy()
+        found = residues.solve(H, [r1, r2])
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                solve_many(H, [r1])
+        else:
+            (one,) = solve_many(H, [r1])
+            two = solve_many(H, [r1, r2])
+    assert result.value == det
     if det == 0:
         # the lane says singular and returns no entries: it never divides by 0
-        assert found is not None and found[::2] == (det, None)
+        assert found[::2] == (det, None)
         assert result.singular and result.pivot_overrides == len(found[1])
-        with pytest.raises(SingularMatrixError):
-            solve_many(H, [r1])
-        return True
-    if found is None and not fallback_too:
-        return False
+        return det_sweeps
     S = dense_inverse(dense)
     x1, x2 = times(S, r1), times(S, r2)
-    (one,) = solve_many(H, [r1])
     assert list(one.x) == x1 and one.det == det
-    two = solve_many(H, [r1, r2])
     assert [list(rep.x) for rep in two] == [x1, x2]
-    if found is None:
-        return False
     overrides = found[1]
     assert found == (det, overrides, x1 + x2)
     assert residues.solve(H, []) == (det, overrides, [])
     assert result.pivot_overrides == len(overrides)
     assert one.substitutions_fired == {"pivot_overrides": len(overrides)}
-    return True
+    return det_sweeps
 
 
 def with_bands(H, **changes):
@@ -85,10 +85,9 @@ def with_bands(H, **changes):
 
 class TestEqualsOracle:
     def test_acceptance_and_collision_corpora(self):
-        corpus = list(acceptance_corpora())
-        ran = sum(assert_equals_oracle(H, seed=k) for k, H in enumerate(corpus))
         # zero pivots and singular draws run on the lane too
-        assert ran == len(corpus)
+        for k, H in enumerate(acceptance_corpora()):
+            assert_equals_oracle(H, seed=k)
 
     def test_rational_entries(self):
         for seed in range(20):
@@ -96,20 +95,18 @@ class TestEqualsOracle:
             rng = random.Random(seed)
             H = with_bands(H, **{name: [v / rng.randint(1, 12) for v in H.band(name)]
                                  for name in BAND_NAMES})
-            assert assert_equals_oracle(H, seed) or dense_det(to_dense(H)) == 0
+            assert_equals_oracle(H, seed)
 
     def test_entries_at_p_minus_one_and_two(self):
         # -1 and -2 sit at p-1 and p-2 in every lane, so each product of two
         # lanes is as large as the reduction ever lets one be
-        ran = 0
         for seed in range(40):
             rng = random.Random(seed)
             n = 8 + seed % 5
             H = random_instance(n, seed, "general")
             H = with_bands(H, **{name: [rng.choice((-1, -2)) if v != 0 or name not in "DC" else 0
                                         for v in H.band(name)] for name in BAND_NAMES})
-            ran += assert_equals_oracle(H, seed)
-        assert ran >= 5
+            assert_equals_oracle(H, seed)
 
     def test_entries_beyond_int64(self):
         big = 10**600
@@ -117,7 +114,7 @@ class TestEqualsOracle:
             H = random_instance(8 + 2 * seed, seed, "diagonally-dominant")
             H = with_bands(H, d=[v * big for v in H.band("d")],
                            a=[v * big if k % 2 else v for k, v in enumerate(H.band("a"))])
-            assert assert_equals_oracle(H, seed)
+            assert_equals_oracle(H, seed)
 
 
 class TestZeroPivots:
@@ -127,7 +124,7 @@ class TestZeroPivots:
     def test_zero_rows(self, rows):
         for seed in range(4):
             H = zero_rows(random_instance(20 + seed, seed, "diagonally-dominant"), rows)
-            assert assert_equals_oracle(H, seed)
+            assert_equals_oracle(H, seed)
             assert residues.solve(H, [])[1] == rows
 
     def test_rational_entries(self):
@@ -135,7 +132,7 @@ class TestZeroPivots:
             H = zero_rows(random_instance(12 + seed, seed, "diagonally-dominant"), (1, 7))
             H = rational_entries(H, seed)
             assert set(row_scaled(H)[0]) != {1}
-            assert assert_equals_oracle(H, seed)
+            assert_equals_oracle(H, seed)
             assert residues.solve(H, [])[1] == (1, 7)
 
     def test_point_with_a_zero_pivot_is_skipped(self, monkeypatch):
@@ -144,52 +141,103 @@ class TestZeroPivots:
         assert residues.solve(H, []) == (dense_det(to_dense(H)), (1,), [])
         # s = 0 stops at pivot 1, s = 1 at pivot 2, and s = 2, 3 run through
         assert len(sweeps) == 3
-        assert assert_equals_oracle(H)
+        assert_equals_oracle(H)
 
     def test_zero_row_override_count_is_the_symbolic_one(self):
         # row 10 is zero, so a bound read off the product of the row norms
         # alone would be 0 and leave one prime; pivot 6 is a nonzero multiple
-        # of that prime, and must not be taken for a structural zero
+        # of the prime of lane 0, and must not be taken for a structural zero
         H = random_instance(24, 2, "diagonally-dominant")
         H = with_bands(H, **{name: [0 if k == 9 else v for k, v in enumerate(H.band(name))]
                              for name in BAND_NAMES})
         assert residues.solve(H, []) == (0, (10,), None) and factorize(H).overrides == (10,)
-        rest = H.band("d")[5] - factorize(H).alpha[6]  # pivot 6 is d_6 - rest
-        d6 = rest.numerator * pow(rest.denominator, -1, MERSENNE_31) % MERSENNE_31
-        H = with_bands(H, d=[d6 if k == 5 else v for k, v in enumerate(H.band("d"))])
+        H = with_pivot_multiple(H, 6, MERSENNE_31)
         pivot = factorize(H).alpha[6]
         assert pivot != 0 and pivot.numerator % MERSENNE_31 == 0
-        assert residues.solve(H, []) is None
-        det = determinant(H)
+        with on_the_lane() as sweeps:
+            assert residues.solve(H, []) == (0, (10,), None)
+            det = determinant(H)
         assert det.singular and det.value == 0 == dense_det(to_dense(H))
         assert det.pivot_overrides == len(factorize(H).overrides) == 1
+        # s = 0 with lane 0, s = 0 without it, then s = 1, 2 without it
+        assert [MERSENNE_31 in primes for primes in sweeps] == [True, False, False] * 2
 
 
-class TestFallback:
+def with_pivot_multiple(H, i, q):
+    """H with d_i moved so that pivot i is a nonzero multiple of q (the
+    pivots before i do not read d_i)."""
+    rest = H.band("d")[i - 1] - factorize(H).alpha[i]  # pivot i is d_i - rest
+    d_i = rest.numerator * pow(rest.denominator, -1, q) % q
+    return with_bands(H, d=[d_i if k == i - 1 else v for k, v in enumerate(H.band("d"))])
+
+
+def lane_primes(K):
+    return residues._PRIMES.take(K).tolist()
+
+
+class TestDroppedPrimes:
+    """A prime that divides a nonzero pivot is dropped, and the sweep runs
+    again without it: every result is the oracle's, from the lanes."""
+
     def test_first_pivot_divisible_by_one_lane_prime(self):
         H = random_instance(12, 1, "diagonally-dominant")
         H = with_bands(H, d=[MERSENNE_31, *H.band("d")[1:]])
-        assert residues._PRIMES.take(1)[0] == MERSENNE_31  # lane 0 of every sweep
-        assert residues.solve(H, []) is None
-        assert not assert_equals_oracle(H, fallback_too=True)
+        assert lane_primes(1) == [MERSENNE_31]  # lane 0 of every sweep
+        sweeps = assert_equals_oracle(H)
+        assert [MERSENNE_31 in primes for primes in sweeps] == [True, False]
 
     def test_later_pivot_divisible_by_one_lane_prime(self):
-        H = random_instance(12, 2, "diagonally-dominant")
-        alpha6 = factorize(H, symbolic=False).alpha[6]
-        rest = H.band("d")[5] - alpha6  # pivot 6 is d_6 - rest
-        d6 = rest.numerator * pow(rest.denominator, -1, MERSENNE_31) % MERSENNE_31
-        H = with_bands(H, d=[d6 if k == 5 else v for k, v in enumerate(H.band("d"))])
-        pivot = factorize(H, symbolic=False).alpha[6]
-        lanes = residues._PRIMES.take(64).tolist()
-        assert [p for p in lanes if pivot.numerator % p == 0] == [MERSENNE_31]
-        assert residues.solve(H, []) is None
-        assert not assert_equals_oracle(H, fallback_too=True)
+        H = with_pivot_multiple(random_instance(12, 2, "diagonally-dominant"), 6, MERSENNE_31)
+        pivot = factorize(H).alpha[6]
+        assert [p for p in lane_primes(64) if pivot.numerator % p == 0] == [MERSENNE_31]
+        sweeps = assert_equals_oracle(H)
+        assert [MERSENNE_31 in primes for primes in sweeps] == [True, False]
+        # the prime after the last one of the first sweep takes its place
+        assert sweeps[1] == set(lane_primes(len(sweeps[0]) + 1)) - {MERSENNE_31}
 
-    def test_entries_that_are_not_fractions(self):
+    def test_pivot_divisible_by_the_two_largest_lane_primes(self):
+        p0, p1 = lane_primes(2)
+        H = random_instance(12, 3, "diagonally-dominant")
+        H = with_bands(H, d=[p0 * p1, *H.band("d")[1:]])
+        sweeps = assert_equals_oracle(H)
+        assert len(sweeps) == 2 and {p0, p1} <= sweeps[0]
+        assert not {p0, p1} & sweeps[1]
+        assert assert_inverse_equals_oracle(H) == sweeps
+
+    def test_with_zero_pivots(self):
+        # d_1 = 2^31 - 1 and rows 5 and 15 zero: lane 0 is dropped at s = 0,
+        # then pivots 5 and 15 join G one after the other
+        H = random_instance(20, 1, "diagonally-dominant")
+        H = zero_rows(with_bands(H, d=[MERSENNE_31, *H.band("d")[1:]]), (5, 15))
+        sweeps = assert_equals_oracle(H)
+        assert residues.solve(H, [])[1] == (5, 15)
+        assert [MERSENNE_31 in primes for primes in sweeps] == [True, False, False, False]
+        assert assert_inverse_equals_oracle(H) == sweeps
+
+    def test_zero_c_inverse(self):
+        H = with_pivot_multiple(random_instance(16, 2, "zero-C"), 6, MERSENNE_31)
+        assert invert(H).c_substitutions
+        sweeps = assert_inverse_equals_oracle(H)
+        assert [MERSENNE_31 in primes for primes in sweeps] == [True, False]
+        assert_equals_oracle(H)
+
+    def test_counting_scalars_are_refused(self):
         counter = OpCounter()
         H = counting_matrix(random_instance(10, 0, "diagonally-dominant"), counter)
-        assert residues.solve(H, []) is None
+        with pytest.raises(TypeError, match="CountingScalar"):
+            residues.solve(H, [])
         assert counter.count == 0
+
+    def test_rational_function_entries_are_refused(self):
+        H = random_instance(10, 0, "diagonally-dominant")
+        H = with_bands(H, a=[T + 1, *H.band("a")[1:]])
+        rhs = [Fr(1)] * 10
+        for call in (determinant, lambda H: solve_many(H, [rhs]), invert):
+            with pytest.raises(TypeError, match="RatFun"):
+                call(H)
+        H = random_instance(10, 0, "diagonally-dominant")
+        with pytest.raises(TypeError, match="RatFun"):
+            solve_many(H, [[T, *rhs[1:]]])
 
 
 class TestOneSweep:
@@ -242,11 +290,13 @@ class TestOneSweep:
         trims = []
         monkeypatch.setattr(residues, "_malloc_trim", lambda: trims.append)
         H = random_instance(320, 1, "diagonally-dominant")
-        assert residues.solve(H, []) is not None
+        residues.solve(H, [])
         assert trims == [0]
-        # pivot 1 zero in lane 0: the Fraction path that follows reuses the heap
-        residues.solve(with_bands(H, d=[MERSENNE_31, *H.band("d")[1:]]), [])
-        assert trims == [0]
+        # pivot 1 zero in lane 0: the sweep that stops there does not trim,
+        # the one that follows without that prime does, once
+        with on_the_lane() as sweeps:
+            residues.solve(with_bands(H, d=[MERSENNE_31, *H.band("d")[1:]]), [])
+        assert len(sweeps) == 2 and trims == [0, 0]
 
     @pytest.mark.parametrize("n, trimmed", [(64, False), (128, False), (256, True)])
     def test_malloc_trim_only_after_a_large_call(self, n, trimmed, monkeypatch):
@@ -264,6 +314,12 @@ class TestOneSweep:
                   for n in (200, 1000, 2000)]
         assert counts == [11774, 59774, 119774]  # 60n - 226
 
+    @pytest.mark.parametrize("rows", [(1,), (5, 15)])
+    def test_field_ops_refuse_a_zero_pivot(self, rows):
+        H = zero_rows(random_instance(20, 1, "diagonally-dominant"), rows)
+        with pytest.raises(ValueError, match=f"pivot {rows[0]} is zero"):
+            count_det_ops(H)
+
 
 def invert_or_none(H):
     try:
@@ -273,31 +329,21 @@ def invert_or_none(H):
 
 
 def assert_inverse_equals_oracle(H):
-    """invert(H) equals the dense oracle, and reports the pivot overrides and
-    zero-C columns of the Fraction path; a singular H is refused by both.
-    Returns whether the lane ran (did not give up)."""
-    ran = []
-    adjugate = residues.adjugate
-
-    def recording(*args):
-        found = adjugate(*args)
-        ran.append(found is not None)
-        return found
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(residues, "adjugate", recording)
-        lane = invert_or_none(H)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(residues, "adjugate", lambda *args: None)
-        rational = invert_or_none(H)
+    """invert(H) equals the dense oracle, reports the overrides of the
+    symbolic sweep and the zero C_j, and sweeps over residue lanes only; a
+    singular H is refused by both.  Returns the lane primes of each sweep,
+    a set per sweep."""
+    with on_the_lane() as sweeps:
+        res = invert_or_none(H)
     dense = to_dense(H)
     if dense_det(dense) == 0:
-        assert lane is None and rational is None
+        assert res is None
     else:
-        assert lane.S == rational.S == dense_inverse(dense)
-        assert lane.pivot_overrides == rational.pivot_overrides == factorize(H).overrides
-        assert lane.c_substitutions == rational.c_substitutions
-    return ran == [True]
+        assert res.S == dense_inverse(dense)
+        assert res.pivot_overrides == factorize(H).overrides
+        C = H.band("C")
+        assert res.c_substitutions == tuple(j for j in range(1, H.n - 4) if C[j - 1] == 0)
+    return sweeps
 
 
 class TestInverse:
@@ -305,17 +351,16 @@ class TestInverse:
     of adj H'."""
 
     def test_acceptance_and_collision_corpora(self):
-        corpus = list(acceptance_corpora())
-        ran = sum(assert_inverse_equals_oracle(H) for H in corpus)
         # zero pivots, zero C_j and singular draws run on the lane too
-        assert ran == len(corpus)
+        for H in acceptance_corpora():
+            assert_inverse_equals_oracle(H)
 
     def test_rational_entries(self):
         for seed in range(12):
             H = random_instance(8 + seed % 9, seed, ("zero-C", "zero-pivot-prone")[seed % 2])
             H = rational_entries(H, seed)
             assert set(row_scaled(H)[0]) != {1}
-            assert assert_inverse_equals_oracle(H)
+            assert_inverse_equals_oracle(H)
 
     def test_entries_beyond_int64(self):
         big = 10**600
@@ -323,31 +368,27 @@ class TestInverse:
             H = random_instance(8 + 2 * seed, seed, "zero-C")
             H = with_bands(H, d=[v * big for v in H.band("d")],
                            a=[v * big if k % 2 else v for k, v in enumerate(H.band("a"))])
-            assert assert_inverse_equals_oracle(H)
+            assert_inverse_equals_oracle(H)
 
     @pytest.mark.parametrize("rows", [(5, 15), (3, 8, 13)], ids=["r=2", "r=3"])
     def test_zero_rows(self, rows):
         for seed in range(3):
             H = zero_rows(random_instance(20 + seed, seed, "diagonally-dominant"), rows)
-            assert assert_inverse_equals_oracle(H)
+            assert_inverse_equals_oracle(H)
             assert invert(H).pivot_overrides == rows
 
     @pytest.mark.parametrize("pivot", [1, 6])
-    def test_prime_dividing_a_nonzero_pivot_falls_back(self, pivot, monkeypatch):
-        # the instances of TestFallback: pivot 1 or 6 is a nonzero multiple
-        # of 2^31 - 1, the prime of lane 0
+    def test_prime_dividing_a_nonzero_pivot_is_dropped(self, pivot):
+        # the instances of TestDroppedPrimes: pivot 1 or 6 is a nonzero
+        # multiple of 2^31 - 1, the prime of lane 0
         if pivot == 1:
             H = random_instance(12, 1, "diagonally-dominant")
             H = with_bands(H, d=[MERSENNE_31, *H.band("d")[1:]])
         else:
-            H = random_instance(12, 2, "diagonally-dominant")
-            rest = H.band("d")[5] - factorize(H, symbolic=False).alpha[6]
-            d6 = rest.numerator * pow(rest.denominator, -1, MERSENNE_31) % MERSENNE_31
-            H = with_bands(H, d=[d6 if k == 5 else v for k, v in enumerate(H.band("d"))])
-        assert factorize(H, symbolic=False).alpha[pivot].numerator % MERSENNE_31 == 0
-        interpolations = count_calls(monkeypatch, inverse, "interpolate")
-        assert not assert_inverse_equals_oracle(H)
-        assert interpolations == [1, 1]  # the lane's fallback, then the forced one
+            H = with_pivot_multiple(random_instance(12, 2, "diagonally-dominant"), 6, MERSENNE_31)
+        assert factorize(H).alpha[pivot].numerator % MERSENNE_31 == 0
+        sweeps = assert_inverse_equals_oracle(H)
+        assert [MERSENNE_31 in primes for primes in sweeps] == [True, False]
 
     def test_one_sweep(self, monkeypatch):
         H = random_instance(64, 1, "diagonally-dominant")
