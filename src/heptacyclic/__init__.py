@@ -60,11 +60,7 @@ from .scalars import (
     poly_gcd,
     set_degree_cap,
 )
-from .solve import (
-    SolveReport,
-    solve_many,
-    solve_via_lu,
-)
+from .solve import SolveReport, solve_many
 
 __version__ = "0.1.0"
 
@@ -112,6 +108,5 @@ __all__ = [
     "seed_columns",
     "set_degree_cap",
     "solve_many",
-    "solve_via_lu",
     "to_dense",
 ]

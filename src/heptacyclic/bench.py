@@ -97,15 +97,6 @@ class CountingScalar:
         return f"CountingScalar({self.value})"
 
 
-def counting_matrix(H: CyclicHeptaMatrix, counter: OpCounter) -> CyclicHeptaMatrix:
-    """Clone of H whose entries count their arithmetic (float-backed)."""
-    bands = {
-        name: [CountingScalar(float(v), counter) for v in H.band(name)]
-        for name in H.bands()
-    }
-    return CyclicHeptaMatrix(H.n, *(bands[k] for k in ("D", "B", "b", "d", "a", "A", "C")))
-
-
 def _nonzero_pivot(value, i):
     if value == 0:
         raise ValueError(f"pivot {i} is zero; field ops are counted only where no pivot is zero")
@@ -116,7 +107,8 @@ def count_det_ops(H: CyclicHeptaMatrix) -> int:
     """Field operations of the determinant at this order: one factor sweep
     and the pivot product.  A zero pivot raises ValueError."""
     counter = OpCounter()
-    bands = [[None, *band] for band in map(counting_matrix(H, counter).band, BAND_NAMES)]
+    bands = [[None, *(CountingScalar(float(v), counter) for v in H.band(name))]
+             for name in BAND_NAMES]
     vectors = kernels.sweep(*bands, _nonzero_pivot)
     det_from_factors(FactorData(H.n, *vectors, overrides=(), D=bands[0], C=bands[6]))
     return counter.count

@@ -19,13 +19,7 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .errors import (
-    DegreeCapError,
-    InternalContractError,
-    NearSingularPivotError,
-    PoleAtZeroError,
-    SingularMatrixError,
-)
+from .errors import InternalContractError, NearSingularPivotError, SingularMatrixError
 from .factor import determinant
 from .inverse import invert, inverse_float
 from .matrix import (
@@ -269,7 +263,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PoleAtZeroError, InternalContractError, DegreeCapError) as exc:
+    except InternalContractError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 Input validation problems raise plain ``ValueError`` with a message naming
-the offending field/index, and an entry the exact lane cannot take (one
-that is not a ``Fraction`` once converted) raises ``TypeError`` naming its
-type; everything below signals a condition specific to the banded solvers.
+the offending field/index, and an entry that is neither a real number nor
+a scalar text raises ``TypeError`` naming its type when a matrix or a
+right-hand side takes it in; everything below signals a condition
+specific to the banded solvers.
 """
 
 

@@ -34,12 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import kernels
-from .errors import SingularMatrixError
 from .matrix import BAND_NAMES, CyclicHeptaMatrix, DenseMatrix
-from .scalars import T, is_zero
+from .scalars import T
 
 # perfbench/tracer.py wraps this module attribute, so it stays bound
 from .scalars import eval_at_zero  # noqa: F401
@@ -105,7 +103,7 @@ def factorize(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) 
         vectors = kernels.ACTIVE_IMPLS["factor"](*bands, kernels.float_pivot(fb, tol))
     elif backend == "exact":
         def pivot(value, i):
-            if is_zero(value):
+            if value == 0:
                 overrides.append(i)
                 return T
             return value
@@ -118,12 +116,9 @@ def factorize(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) 
                       D=bands[0], C=bands[6], backend=backend)
 
 
-def materialize_LU(fd: FactorData, n: Optional[int] = None) -> tuple[DenseMatrix, DenseMatrix]:
+def materialize_LU(fd: FactorData) -> tuple[DenseMatrix, DenseMatrix]:
     """Dense L and U with the bordered shapes spelled out."""
-    if n is None:
-        n = fd.n
-    if n != fd.n:
-        raise ValueError(f"factor data has order {fd.n}, not {n}")
+    n = fd.n
     zero = 0.0 if fd.backend == "float" else _ZERO
     one = 1.0 if fd.backend == "float" else _ONE
     Dv, Cv = fd.D, fd.C
@@ -170,9 +165,8 @@ def determinant(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12
 
     The exact lane runs one sweep over word-size primes
     (``residues.solve``), with the points of H + s*G as extra lanes when a
-    pivot is structurally zero; an entry that is not a ``Fraction`` raises
-    TypeError.  ``pivot_overrides`` counts the pivots found structurally
-    zero; a singular H gives value 0, not an error.
+    pivot is structurally zero.  ``pivot_overrides`` counts the pivots
+    found structurally zero; a singular H gives value 0, not an error.
     """
     if backend == "exact":
         from . import residues  # residues imports this module, so it loads here
@@ -194,12 +188,4 @@ def lu_substitute(fd: FactorData, rhs) -> list:
         raise ValueError(f"right-hand side length {len(rhs)} != order {fd.n}")
     substitute = kernels.ACTIVE_IMPLS["solve"] if fd.backend == "float" else kernels.substitute
     return substitute(fd, _padded(rhs))[1:]
-
-
-def require_nonsingular(fd: FactorData):
-    """Determinant of the factored matrix, raising on zero."""
-    value = det_from_factors(fd)
-    if value == 0:
-        raise SingularMatrixError("singular matrix")
-    return value
 

@@ -39,7 +39,6 @@ from . import kernels
 from .errors import InternalContractError, SingularMatrixError
 from .factor import FactorData, factorize
 from .matrix import CyclicHeptaMatrix, DenseMatrix, row_scaled
-from .scalars import is_zero
 
 # perfbench/tracer.py wraps these module attributes, so they stay bound; the
 # zero-C columns call kernels.substitute directly
@@ -227,7 +226,7 @@ def _zero_c(H: CyclicHeptaMatrix) -> tuple:
     """Indices j <= n-5 whose C_j, a divisor of the back recursion, is zero:
     the columns taken by substitution instead."""
     C = H.band("C")
-    return tuple(j for j in range(1, H.n - 4) if is_zero(C[j - 1]))
+    return tuple(j for j in range(1, H.n - 4) if C[j - 1] == 0)
 
 
 def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
@@ -237,8 +236,7 @@ def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
     lanes (H'(s) at concrete points, if a pivot is zero) and, from those
     factors, builds the five seed columns and one substitution of e_j for
     each zero C_j, as columns of adj H'.  The recursion then recovers the
-    remaining columns once, from the bands of H'.  An entry that is not a
-    ``Fraction`` raises TypeError.
+    remaining columns once, from the bands of H'.
     """
     from . import residues  # loaded on first use, outside the import time of the package
 

@@ -28,7 +28,7 @@ from numbers import Rational, Real
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .scalars import float_entries, format_scalar, is_zero, parse_scalar
+from .scalars import float_entries, format_scalar, parse_scalar
 
 BAND_NAMES = ("D", "B", "b", "d", "a", "A", "C")
 
@@ -55,7 +55,8 @@ def _offset_band(n: int, i: int, j: int):
 
 
 def _to_scalar(value):
-    """A real number (int, float, numpy scalar, Decimal) as its exact Fraction."""
+    """A real number (int, float, numpy scalar, Decimal) or a scalar text as
+    its exact Fraction; TypeError naming the type of anything else."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -69,12 +70,13 @@ def _to_scalar(value):
             raise ValueError(f"cannot convert {value!r} to a rational") from None
     if isinstance(value, str):
         return parse_scalar(value)
-    # duck-typed scalars (rational functions, the op-counting wrapper) pass through
-    return value
+    raise TypeError(f"an entry must be a real number or a scalar text, not {type(value).__name__}")
 
 
 class CyclicHeptaMatrix:
-    """Immutable cyclic heptadiagonal matrix in band form."""
+    """Immutable cyclic heptadiagonal matrix in band form, every entry a
+    ``Fraction``: the constructor converts a real number or a scalar text
+    exactly and refuses any other scalar with TypeError naming its type."""
 
     __slots__ = ("n", "D", "B", "b", "d", "a", "A", "C")
 
@@ -197,10 +199,10 @@ class FloatHeptaMatrix:
 
 def _check_wraps(n: int, bands: dict) -> None:
     for idx in (1, 2, 3):
-        if not is_zero(bands["D"][idx - 1]):
+        if bands["D"][idx - 1] != 0:
             raise ValueError(f"band wrap violation: D_{idx} must be zero")
     for idx in (n - 2, n - 1, n):
-        if not is_zero(bands["C"][idx - 1]):
+        if bands["C"][idx - 1] != 0:
             raise ValueError(f"band wrap violation: C_{idx} must be zero")
 
 
@@ -306,7 +308,7 @@ def from_dense(M: DenseMatrix) -> CyclicHeptaMatrix:
             name = _offset_band(n, i, j)
             value = M.rows[i - 1][j - 1]
             if name is None:
-                if not is_zero(value):
+                if value != 0:
                     raise ValueError(f"pattern violation at ({i}, {j})")
             else:
                 bands[name][i - 1] = value

@@ -54,9 +54,10 @@ dropped the primes are the first K of the table.  The restarts end:
   finitely many primes are ever dropped (and the table holds some
   5 * 10^7 primes above 2**30).
 
-So ``solve`` and ``adjugate`` always complete.  They take ``Fraction``
-entries only, and raise TypeError on any other (the op-counting scalar of
-``bench``, rational functions in t).
+So ``solve`` and ``adjugate`` always complete.  They read rational
+entries (``Fraction`` or int): a ``CyclicHeptaMatrix`` holds nothing else,
+and ``solve_many`` converts each right-hand-side entry as the matrix
+converts its bands, refusing any other scalar with TypeError.
 """
 
 from __future__ import annotations
@@ -292,15 +293,9 @@ def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple:
     Each y must be H'^-1 r' or a column of H'^-1, so that det H' * y is
     H' x = r' solved by Cramer's rule or a column of adj H', whose entries
     are (n-1)-minors of H': the Hadamard bound that K is chosen by covers
-    both.  The ints come back flat, column after column.
-
-    An entry of H or of ``columns`` that is not a ``Fraction`` raises
-    TypeError.
+    both.  The ints come back flat, column after column.  The entries of
+    ``columns`` are rationals (``Fraction`` or int), as H's are.
     """
-    odd = next((type(v) for row in (*H.bands().values(), *columns) for v in row
-                if type(v) is not Fraction), None)
-    if odd is not None:
-        raise TypeError(f"the exact lane takes Fraction entries, not {odd.__name__}")
     found, lane_bytes = _solve(H, columns, evaluate)
     # each lane vector is a small buffer on the C heap, and glibc keeps the
     # pages of freed small buffers: after a large call, hand them back, or a

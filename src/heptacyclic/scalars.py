@@ -286,13 +286,6 @@ class RatFun:
 T = RatFun(Poly((0, 1)))
 
 
-def is_zero(x) -> bool:
-    """Exact zero test for any exact scalar."""
-    if isinstance(x, RatFun):
-        return x.is_zero
-    return x == 0
-
-
 def eval_at_zero(x) -> Fraction:
     """Substitute t=0 into a reduced scalar.
 

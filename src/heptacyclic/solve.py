@@ -1,14 +1,15 @@
-"""Linear system solvers Hx = r.
+"""Linear system solvers Hx = r: ``solve_many``, one factor sweep for any
+number of right-hand sides, on either lane.
 
-Forward/back substitution through the bordered LU factors, O(n) per
-right-hand side; the exact and float lanes run the same substitution.
-The exact lane runs one sweep over word-size primes and rebuilds det * x
-by Chinese remaindering (``residues.solve``).  When a pivot of H is
-structurally zero, it solves H(s) x(s) = r at concrete points of
-H(s) = H + s*G (G the zero pivots), as more lanes of the same sweep, with
-det * x interpolated to s = 0; the right-hand side needs no substitution,
-since the band entries are never divided by.  A prime that divides a
-nonzero pivot is dropped and the lane sweeps again.
+Both lanes run the same forward/back substitution through the bordered
+LU factors, O(n) per right-hand side.  The exact lane runs one sweep over
+word-size primes and rebuilds det * x by Chinese remaindering
+(``residues.solve``).  When a pivot of H is structurally zero, it solves
+H(s) x(s) = r at concrete points of H(s) = H + s*G (G the zero pivots),
+as more lanes of the same sweep, with det * x interpolated to s = 0; the
+right-hand side needs no substitution, since the band entries are never
+divided by.  A prime that divides a nonzero pivot is dropped and the lane
+sweeps again.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import SingularMatrixError
-from .factor import (
-    FactorData,
-    det_from_factors,
-    factorize,
-    lu_substitute,
-    require_nonsingular,
-)
+from .factor import det_from_factors, factorize, lu_substitute
 from .matrix import (CyclicHeptaMatrix, _to_scalar, entries_parser, float_vector, parse_entries,
                      row_scaled)
 
@@ -44,36 +39,17 @@ class SolveReport:
 
 
 def _check_rhs(H: CyclicHeptaMatrix, r: Sequence):
-    """The entries of r converted as the bands are: a float to its exact value."""
+    """The entries of r converted as the bands are: a float to its exact
+    value, and a scalar that is neither a real number nor a text refused
+    with TypeError."""
     if len(r) != H.n:
         raise ValueError(f"right-hand side length {len(r)} != order {H.n}")
     return [_to_scalar(v) for v in r]
 
 
-def solve_via_lu(fd: FactorData, H: CyclicHeptaMatrix, r: Sequence) -> SolveReport:
-    """Forward/back substitution through the factors.
-
-    The factor data must come from factorize(H).  If that sweep overrode
-    pivots, the solve runs at concrete points instead, so t never reaches
-    the substitution.
-    """
-    r = _check_rhs(H, r)
-    if fd.overrides:
-        return _solve_exact(H, [r])[0]
-    det = require_nonsingular(fd)
-    return SolveReport(
-        x=tuple(lu_substitute(fd, r)),
-        det=det,
-        method="via-lu",
-        backend=fd.backend,
-        substitutions_fired={"pivot_overrides": 0},
-    )
-
-
 def _solve_exact(H: CyclicHeptaMatrix, columns: list) -> list[SolveReport]:
     """Exact solutions of checked columns: one sweep over word-size primes,
-    zero pivot or not.  A singular H raises SingularMatrixError, an entry
-    that is not a ``Fraction`` TypeError."""
+    zero pivot or not.  A singular H raises SingularMatrixError."""
     from . import residues  # loaded on first use, outside the import time of the package
 
     n = H.n
@@ -173,9 +149,3 @@ def vector_from_text(text: str, backend: str = "exact") -> list[list]:
         raise ValueError("rhs CSV rows have inconsistent width")
     width = widths.pop() + 1
     return [values[k::width] for k in range(width)]
-
-
-def vector_to_json(x: Sequence) -> str:
-    from .scalars import format_scalar
-
-    return json.dumps([format_scalar(v) for v in x], indent=2) + "\n"

@@ -164,7 +164,7 @@ def test_criterion_4():
             dense = to_dense(H)
             if dense_det(dense) == 0:
                 continue
-            result = invert(H)  # PoleAtZeroError would propagate and fail
+            result = invert(H)  # any error propagates and fails the test
             assert getattr(result, provenance), "substitution path not exercised"
             assert compare(result.S, dense_inverse(dense)).equal
             assert determinant(H).value == dense_det(dense)

@@ -11,7 +11,7 @@ from heptacyclic.factor import (
 )
 from heptacyclic.matrix import CyclicHeptaMatrix, random_instance, to_dense
 from heptacyclic.oracle import dense_det
-from heptacyclic.scalars import RatFun, T, eval_at_zero, is_zero
+from heptacyclic.scalars import RatFun, T, eval_at_zero
 
 from test_scalars import assert_canonical
 
@@ -52,7 +52,7 @@ def assert_lu_product_identity(H):
             expected = dense.rows[i][j]
             if i == j and (i + 1) in overrides:
                 expected = expected + T
-            assert is_zero(product.rows[i][j] - expected), (i + 1, j + 1)
+            assert product.rows[i][j] - expected == 0, (i + 1, j + 1)
     return fd
 
 
@@ -101,7 +101,7 @@ class TestFactorize:
     def test_pivots_always_nonzero(self):
         for seed in range(8):
             fd = factorize(random_instance(8 + seed, seed, "zero-pivot-prone"))
-            assert all(not is_zero(fd.alpha[i]) for i in range(1, fd.n + 1))
+            assert all(fd.alpha[i] != 0 for i in range(1, fd.n + 1))
 
     def test_factor_vectors_are_canonical(self):
         # the zero-pivot-prone instances of acceptance criterion 5: every
@@ -123,11 +123,6 @@ class TestMaterializeLU:
         L, U = materialize_LU(fd)
         eye = to_dense(identity_matrix())
         assert L == eye and U == eye
-
-    def test_order_mismatch_rejected(self):
-        fd = factorize(identity_matrix())
-        with pytest.raises(ValueError, match="order"):
-            materialize_LU(fd, 12)
 
     @pytest.mark.parametrize("profile", ALL_PROFILES)
     def test_product_identity(self, profile):

@@ -6,6 +6,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
+from heptacyclic.bench import CountingScalar, OpCounter
 from heptacyclic.matrix import (
     BAND_NAMES,
     _to_scalar,
@@ -20,7 +21,8 @@ from heptacyclic.matrix import (
     to_dense,
 )
 from heptacyclic.oracle import dense_det
-from heptacyclic.scalars import format_scalar
+from heptacyclic.scalars import T, format_scalar
+from heptacyclic.solve import solve_many
 
 
 def identity_bands(n):
@@ -241,6 +243,26 @@ class TestExactConversion:
     def test_inf_and_nan_rejected(self, value):
         with pytest.raises(ValueError):
             _to_scalar(value)
+
+    @pytest.mark.parametrize("value", [T + 1, CountingScalar(1.0, OpCounter()), None, 1 + 2j],
+                             ids=["RatFun", "CountingScalar", "NoneType", "complex"])
+    def test_other_scalars_refused_when_taken_in(self, value):
+        # every way an entry comes in names its type, before any op runs
+        message = rf"real number or a scalar text, not {type(value).__name__}$"
+        H = random_instance(12, 3, "diagonally-dominant")
+        a = list(H.band("a"))
+        a[4] = value
+        bands = {**H.bands(), "a": a}
+        with pytest.raises(TypeError, match=message):
+            CyclicHeptaMatrix(12, *(bands[name] for name in BAND_NAMES))
+        with pytest.raises(TypeError, match=message):
+            H.replace_band("a", a)
+        dense = to_dense(H)
+        dense.rows[4][5] = value  # H[5, 6] = a_5
+        with pytest.raises(TypeError, match=message):
+            from_dense(dense)
+        with pytest.raises(TypeError, match=message):
+            solve_many(H, [[1] * 11 + [value]])
 
     def test_numpy_int_bands_and_rhs_take_the_residue_lane(self):
         from heptacyclic import factor, solve

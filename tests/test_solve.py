@@ -6,23 +6,15 @@ import pytest
 
 from heptacyclic import residues
 from heptacyclic.errors import SingularMatrixError
-from heptacyclic.factor import factorize
 from heptacyclic.matrix import random_instance, to_dense
 from heptacyclic.oracle import dense_det, dense_inverse
-from heptacyclic.solve import (
-    is_solution,
-    solve_many,
-    solve_via_lu,
-    vector_from_text,
-    vector_to_json,
-)
+from heptacyclic.solve import is_solution, solve_many, vector_from_text
 
 from test_factor import duplicated_row_matrix, identity_matrix
 
 
 def test_example_solution_via_lu(example10, example10_rhs):
-    fd = factorize(example10)
-    report = solve_via_lu(fd, example10, example10_rhs)
+    (report,) = solve_many(example10, [example10_rhs])
     assert list(report.x) == [Fr(i) for i in range(1, 11)]
     assert report.method == "via-lu" and report.backend == "exact"
 
@@ -30,14 +22,14 @@ def test_example_solution_via_lu(example10, example10_rhs):
 def test_identity_returns_rhs():
     H = identity_matrix()
     r = [Fr(k, 7) for k in range(10)]
-    assert list(solve_via_lu(factorize(H), H, r).x) == r
+    assert list(solve_many(H, [r])[0].x) == r
 
 
 def test_exact_residual_random():
     H = random_instance(12, 2, "general")
     assert dense_det(to_dense(H)) != 0
     r = [Fr(3 * k - 5, 2) for k in range(12)]
-    assert H.mat_vec(list(solve_via_lu(factorize(H), H, r).x)) == r
+    assert H.mat_vec(list(solve_many(H, [r])[0].x)) == r
 
 
 def test_residual_check_over_integers():
@@ -66,7 +58,7 @@ def test_methods_agree_across_instances():
         if det == 0:
             continue
         r = [Fr(k + 1) for k in range(n)]
-        report = solve_via_lu(factorize(H), H, r)
+        (report,) = solve_many(H, [r])
         S = dense_inverse(dense)
         assert list(report.x) == [sum(S.rows[i][j] * r[j] for j in range(n)) for i in range(n)]
         assert report.det == det
@@ -77,13 +69,13 @@ def test_methods_agree_across_instances():
 def test_singular_matrix_rejected():
     H = duplicated_row_matrix()
     with pytest.raises(SingularMatrixError):
-        solve_via_lu(factorize(H), H, [Fr(1)] * 10)
+        solve_many(H, [[Fr(1)] * 10])
 
 
 def test_rhs_length_checked():
     H = identity_matrix()
     with pytest.raises(ValueError, match="length"):
-        solve_via_lu(factorize(H), H, [Fr(1)] * 9)
+        solve_many(H, [[Fr(1)] * 9])
 
 
 def test_solve_many_independent_columns():
@@ -116,7 +108,7 @@ def test_float_lane_relative_residual():
 def test_float_matches_exact():
     H = random_instance(32, 7, "diagonally-dominant")
     r = [Fr(k - 16) for k in range(32)]
-    exact = solve_via_lu(factorize(H), H, r)
+    (exact,) = solve_many(H, [r])
     (approx,) = solve_many(H, [[float(v) for v in r]], backend="float")
     for u, v in zip(exact.x, approx.x):
         assert v == pytest.approx(float(u), rel=1e-9, abs=1e-12)
@@ -147,10 +139,6 @@ class TestRhsFiles:
         with pytest.raises(ValueError, match="empty"):
             vector_from_text("\n")
 
-    def test_vector_to_json_round_trip(self):
-        x = [Fr(1, 3), Fr(-2)]
-        assert vector_from_text(vector_to_json(x)) == [x]
-
 
 class TestExactRhsEntries:
     """The exact lane converts rhs entries as it converts band entries."""
@@ -172,7 +160,6 @@ class TestExactRhsEntries:
         (got,) = solve_many(H, [floats])
         assert lane == [True, True]
         assert got.x == expected.x and all(type(v) is Fr for v in got.x)
-        assert solve_via_lu(factorize(H), H, floats).x == expected.x
         texts = [str(Fr(v)) for v in floats]
         assert solve_many(H, [texts])[0].x == expected.x
 
@@ -182,7 +169,5 @@ class TestExactRhsEntries:
         r = [1.0] * 11 + [bad]
         with pytest.raises(ValueError):
             solve_many(H, [r])
-        with pytest.raises(ValueError):
-            solve_via_lu(factorize(H), H, r)
         with pytest.raises(ValueError):
             H.replace_band("d", [bad, *H.band("d")[1:]])
