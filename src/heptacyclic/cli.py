@@ -31,7 +31,7 @@ from .matrix import (
     to_dense,
 )
 from .oracle import compare, dense_inverse
-from .scalars import format_scalar
+from .scalars import format_scalar, scalar_formatter
 from .solve import is_solution, solve_many, vector_from_text
 
 
@@ -185,8 +185,9 @@ def _cmd_inv(args) -> int:
     if args.format == "csv":
         text = dense_to_csv(DenseMatrix(rows))
     else:
-        # format_scalar of a float is its repr
-        fmt = repr if args.backend == "float" else format_scalar
+        # format_scalar of a float is its repr; the exact entries share a
+        # few denominators, whose texts the formatter makes once
+        fmt = repr if args.backend == "float" else scalar_formatter()
         S = [list(map(fmt, row)) for row in rows]
         text = _json_dump({**meta, "n": H.n, "S": S}, verbatim="S")
     _emit(text, args.out)

@@ -6,8 +6,9 @@ five-term sweep.  They are mutually independent, so they may be computed
 concurrently.  The remaining n-5 columns follow from the band identity
 S @ H = I, peeled column by column: column j is obtained from columns
 j+1..j+6 by dividing through the band entry C_j.  Where C_j is zero, column
-j is instead one forward/back substitution of e_j through the factors
-already in hand, and the recursion continues above it.
+j is instead the forward/back substitution of e_j through the factors
+already in hand (one substitution of the block of all such e_j), and the
+recursion continues above it.
 
 Only the seeds and the zero-C columns read the factors, and they run over
 residue lanes (``residues.adjugate``): one sweep of H' = diag(L) H, L_i the
@@ -26,19 +27,24 @@ The peeling runs over Python ints.  H' is an integer matrix, so
 adj H' is one too: each step of the recursion is one exact division by
 C'_j = L_j C_j per entry, the fraction-free idea of Bareiss (Math. Comp.
 22, 1968), and no gcd is taken until each entry is put back over det H' at
-the end.
+the end.  There the rank of adj H' modulo a prime of det H' (at most 1)
+lets all but a few entries take their gcd with a small factor of det H'
+(``_gcd_screen``).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import compress
+from math import gcd, isqrt, prod
+from operator import floordiv
 
 from . import kernels
 from .errors import InternalContractError, SingularMatrixError
 from .factor import FactorData, factorize
 from .matrix import CyclicHeptaMatrix, DenseMatrix, row_scaled
+from .scalars import coprime_fraction
 
 # perfbench/tracer.py wraps these module attributes, so they stay bound; the
 # zero-C columns call kernels.substitute directly
@@ -198,6 +204,64 @@ def _back_column(bands, cols, j: int, delta: int) -> list:
     return col
 
 
+def _split(size: int, g: int) -> tuple:
+    """(S, size // S), S the full powers in ``size`` of the primes of ``g``."""
+    S = 1
+    g = gcd(size, g)
+    while g > 1:
+        size //= g
+        S *= g
+        g = gcd(size, g)
+    return S, size
+
+
+def _primorial(bound: int) -> int:
+    """The product of the primes below ``bound``."""
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for q in range(2, isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, bound, q)))
+    return prod(compress(range(bound), sieve))
+
+
+# the primes whose full powers in det H' ``_gcd_screen`` puts into S; their
+# product takes about 0.3 ms to make
+_SMALL_PRIMORIAL = _primorial(1 << 12)
+
+
+def _gcd_screen(delta: int, cols: list) -> tuple:
+    """(S, r, c) for the entries A_ij = ``cols[j][i - 1]`` of
+    A = adj H' diag(L) over delta = det H' (``back_columns``).
+
+    |delta| = S * R with S and R coprime: S holds the full powers of the
+    primes below 2**12 and of the primes that divide every A_ij, R the
+    rest.  r_i = gcd(A_in, R) and c_j = gcd(A_nj, R), 0-based
+    lists.  An entry with r_i = c_j = 1 has gcd(A_ij, delta) = gcd(A_ij, S).
+
+    Why: a prime q of R divides delta, so H' is singular mod q and
+    adj H' mod q has rank at most 1 (M. Newman, *Integral Matrices*,
+    Academic Press 1972), and so has A mod q; q does not divide every
+    A_ij, so A = u w^T mod q with u, w nonzero.  Then q | A_ij means
+    q | u_i, and so q | A_in, or q | w_j, and so q | A_nj.  With
+    r_i = c_j = 1 no prime of R divides A_ij, and gcd(A_ij, delta) =
+    gcd(A_ij, S) gcd(A_ij, R) = gcd(A_ij, S).  A small prime is in S
+    because it divides the u_i or w_j of one index in q, and would send
+    that share of the rows or columns to the full gcd.
+    """
+    S, R = _split(abs(delta), _SMALL_PRIMORIAL)
+    # the primes of R that divide every entry: gcd falls to 1 after a few
+    # entries, and gcd(1, ...) only checks the rest
+    common = R
+    for col in reversed(cols[1:]):
+        if common == 1:
+            break
+        common = gcd(common, *col)
+    S_common, R = _split(R, common)
+    S *= S_common
+    return S, [gcd(a, R) for a in cols[-1]], [gcd(col[-1], R) for col in cols[1:]]
+
+
 def back_columns(H: CyclicHeptaMatrix, delta: int, given: dict) -> list:
     """All n columns of H^-1, from column 1 to column n.
 
@@ -207,18 +271,42 @@ def back_columns(H: CyclicHeptaMatrix, delta: int, given: dict) -> list:
     the five seeds and each column whose C_j is zero.  Going from j = n
     down to 1, a given column is popped from ``given``; every other column
     follows by ``_back_column``.  Entry (i, j) of H^-1 is then
-    adj'[i][j] * L_j / delta.
+    A_ij / delta, A_ij = adj'[i][j] * L_j, reduced by gcd(A_ij, delta).
+    ``_gcd_screen`` takes that gcd by a small number S for all but the
+    entries it cannot vouch for, which take the full gcd.  Each reduced
+    denominator |delta| / g is made once per distinct g, and each entry
+    without a second gcd.
     """
     n = H.n
     scales, bands, _ = row_scaled(H)
     cols = [None] * (n + 1)
     for j in range(n, 0, -1):
         cols[j] = given.pop(j) if j in given else _back_column(bands, cols, j, delta)
+    if delta == 0:
+        raise ZeroDivisionError("det H' is zero: H has no inverse")
+    # A = sign(delta) adj H' diag(L), so that each reduced denominator,
+    # |delta| / g, is positive
+    for j, scale in enumerate(scales, start=1):
+        if delta < 0:
+            scale = -scale
+        if scale != 1:
+            cols[j] = [v * scale for v in cols[j]]
+    S, r, c = _gcd_screen(delta, cols)
+    size = abs(delta)
+    # the modulus each entry's gcd is taken with: S where the screen vouches
+    # for the entry, delta where it does not
+    screened = [S if r_i == 1 else delta for r_i in r]
+    unscreened = [delta] * n
+    denominators = {}  # g -> |delta| / g
     # each column is replaced in turn, so no column is held both as ints
     # and as Fractions
     for j in range(1, n + 1):
-        scale = scales[j - 1]
-        cols[j] = [Fraction(v * scale, delta) for v in cols[j]]
+        col = cols[j]
+        gs = list(map(gcd, col, screened if c[j - 1] == 1 else unscreened))
+        for g in set(gs).difference(denominators):
+            denominators[g] = size // g
+        cols[j] = list(map(coprime_fraction, map(floordiv, col, gs),
+                           map(denominators.__getitem__, gs)))
     return cols[1:]
 
 
@@ -234,8 +322,8 @@ def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
 
     Pipeline: ``residues.adjugate`` factors H' = diag(L) H over residue
     lanes (H'(s) at concrete points, if a pivot is zero) and, from those
-    factors, builds the five seed columns and one substitution of e_j for
-    each zero C_j, as columns of adj H'.  The recursion then recovers the
+    factors, builds the five seed columns and one substitution of the block
+    of e_j over the zero C_j, as columns of adj H'.  The recursion then recovers the
     remaining columns once, from the bands of H'.
     """
     from . import residues  # loaded on first use, outside the import time of the package
@@ -246,11 +334,8 @@ def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
 
     def columns(fd):
         yield from seed_columns(fd, parallel=parallel_seeds)
-        one = _one(fd)
-        zero = one - one
-        for j in zero_c:
-            e_j = [None, *(one if i == j else zero for i in range(1, n + 1))]
-            yield kernels.substitute(fd, e_j)
+        if zero_c:
+            yield kernels.substitute(fd, residues.unit_block(fd, zero_c))
 
     _, delta, overrides, values = residues.adjugate(H, lambda fd, rhs: columns(fd))
     if delta == 0:

@@ -28,7 +28,7 @@ from numbers import Rational, Real
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .scalars import float_entries, format_scalar, parse_scalar
+from .scalars import float_entries, format_scalar, parse_scalar, scalar_formatter
 
 BAND_NAMES = ("D", "B", "b", "d", "a", "A", "C")
 
@@ -364,9 +364,14 @@ def matrix_to_json(H: CyclicHeptaMatrix) -> str:
 def parse_entries(items, parse, label: str) -> list:
     """``parse`` (an ``entries_parser``) of the texts ``str(item)``, in one
     call; a ValueError names ``label`` and the first failing item's 1-based
-    position."""
+    position.
+
+    ``items`` is a list as JSON reads it: a string is its own text, and
+    only a list that holds anything else (a JSON integer, say) is
+    converted."""
+    texts = items if all(map(str.__instancecheck__, items)) else list(map(str, items))
     try:
-        return parse(map(str, items))
+        return parse(texts)
     except ValueError:
         # parse again, one entry at a time, to name the first entry that fails
         for k, item in enumerate(items, start=1):
@@ -435,9 +440,11 @@ def dense_to_csv(M: DenseMatrix) -> str:
     """Dense CSV: n rows of n comma-separated scalar strings.
 
     ``format_scalar`` text never holds a comma, a quote or a newline, so no
-    field needs CSV quoting.
+    field needs CSV quoting.  The texts are ``scalar_formatter``'s, which
+    makes each distinct denominator's text once.
     """
-    lines = [",".join(map(format_scalar, row)) for row in M.rows]
+    fmt = scalar_formatter()
+    lines = [",".join(map(fmt, row)) for row in M.rows]
     # the empty last line ends the text with a newline without copying it
     lines.append("")
     return "\n".join(lines)

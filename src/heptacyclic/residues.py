@@ -11,7 +11,8 @@ from their residues by Chinese remaindering (Garner's algorithm; von zur
 Gathen & Gerhard, *Modern Computer Algebra*, ch. 5).  ``solve`` takes
 H'^-1 r' for each right-hand side; ``adjugate`` takes the columns its
 caller's ``evaluate`` yields, for the inverse the five seed columns and
-one substitution of e_j per zero C_j, so det H' * y are columns of adj H'.
+one substitution of the block of e_j over the zero C_j, so det H' * y are
+columns of adj H'.
 
 The sweep runs on H' = diag(L) H, where L_i is the lcm of the denominators
 in row i of H and of the right-hand sides, so H' and r' = L r are integer
@@ -267,6 +268,25 @@ def _malloc_trim():
     return trim
 
 
+def unit_block(fd: FactorData, indices) -> list:
+    """The unit vectors e_j, j in ``indices``, as one 1-based right-hand
+    side over the lanes of ``fd``: entry i is a ``Residues`` block of
+    len(indices) x lanes, row k of it e_{indices[k]} at i.
+
+    ``kernels.substitute`` runs over the blocks as it runs over single
+    lanes (numpy broadcasts every factor entry over the rows), and a
+    caller of ``adjugate`` may yield the result as one block of columns.
+    """
+    p = fd.alpha[1].p
+    zero = Residues(np.zeros((len(indices), len(p)), dtype=np.int64), p)
+    rhs = [None, *repeat(zero, fd.n)]
+    for k, j in enumerate(indices):
+        unit = np.zeros_like(zero.v)
+        unit[k] = 1
+        rhs[j] = Residues(unit, p)
+    return rhs
+
+
 def solve(H: CyclicHeptaMatrix, columns) -> tuple:
     """(det H, the pivots found structurally zero, the entries of x with
     H x = r for each of ``columns``, column after column) over residue
@@ -293,7 +313,9 @@ def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple:
     Each y must be H'^-1 r' or a column of H'^-1, so that det H' * y is
     H' x = r' solved by Cramer's rule or a column of adj H', whose entries
     are (n-1)-minors of H': the Hadamard bound that K is chosen by covers
-    both.  The ints come back flat, column after column.  The entries of
+    both.  A y may also be a block of such columns, each entry z x lanes
+    (``unit_block``): it counts as its z columns, in order.  The ints come
+    back flat, column after column.  The entries of
     ``columns`` are rationals (``Fraction`` or int), as H's are.
     """
     found, lane_bytes = _solve(H, columns, evaluate)
@@ -376,7 +398,11 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
     # over every lane can be dropped as soon as its block is made
     blocks = [at_zero(scaled_det[None])]
     for y in evaluate(fd, [_Band(r, p) for r in rhs]):
+        # n x lanes for one column; n x z x lanes for a block of z columns,
+        # taken apart into its columns, in order
         Y = np.array([value.v for value in y[1:]])
+        if Y.ndim == 3:
+            Y = Y.transpose(1, 0, 2).reshape(-1, len(p))
         Y *= scaled_det
         Y %= p
         blocks.append(at_zero(Y))

@@ -18,8 +18,13 @@ from heptacyclic.matrix import (
 )
 
 from conftest import fixture_path
-from test_factor import duplicated_row_matrix
-from test_inverse import collision_matrix, override_only_through_zero_c, rational_entries
+from test_factor import duplicated_row_matrix, identity_matrix
+from test_inverse import (
+    block_triangular,
+    collision_matrix,
+    override_only_through_zero_c,
+    rational_entries,
+)
 
 
 def run(argv, capsys):
@@ -112,6 +117,32 @@ class TestInv:
         code, out, err = run(["inv", "--input", str(path)], capsys)
         assert (code, err) == (0, "")
         assert out == expected
+
+    @pytest.mark.parametrize("instance", ["example10", "negative-delta", "block-triangular",
+                                          "rational", "identity"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_every_entry_as_format_scalar(self, instance, fmt, tmp_path, capsys):
+        # negative entries, integers (denominator 1) and shared denominators
+        if instance == "example10":
+            H = matrix_from_json(fixture_path("example10.json").read_text())
+        elif instance == "negative-delta":
+            H = block_triangular(0, negative=True)
+        elif instance == "block-triangular":
+            H = block_triangular(1)
+        elif instance == "rational":
+            H = rational_entries(block_triangular(3), 3)
+        else:
+            H = identity_matrix()
+        path = tmp_path / "m.json"
+        path.write_text(matrix_to_json(H))
+        expected = [[scalars.format_scalar(v) for v in row] for row in invert(H).S.rows]
+        for extra in ([], ["--parallel-seeds"]):
+            code, out, err = run(["inv", "--input", str(path), "--format", fmt, *extra], capsys)
+            assert (code, err) == (0, "")
+            if fmt == "json":
+                assert json.loads(out)["S"] == expected
+            else:
+                assert out == "".join(",".join(row) + "\n" for row in expected)
 
     def test_csv_output(self, example_path, capsys, example10_inverse):
         code, out, _ = run(["inv", "--input", example_path, "--format", "csv"], capsys)

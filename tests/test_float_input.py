@@ -24,13 +24,15 @@ from heptacyclic.inverse import inverse_float
 from heptacyclic.matrix import (
     BAND_NAMES,
     FloatHeptaMatrix,
+    entries_parser,
     float_vector,
     matrix_from_json,
     matrix_to_json,
+    parse_entries,
     random_instance,
     to_dense,
 )
-from heptacyclic.oracle import dense_det
+from heptacyclic.oracle import dense_det, dense_inverse
 from heptacyclic.scalars import float_entries, float_scalar, parse_scalar
 from heptacyclic.solve import solve_many, vector_from_text
 
@@ -240,6 +242,29 @@ class TestMatrixReader:
     def test_json_number_below_float_range_at_wrap(self, backend):
         with pytest.raises(ValueError, match="band wrap violation: D_1 must be zero"):
             matrix_from_json(_matrix_text("D", 1, literal="1e-400"), backend)
+
+    def test_only_json_numbers_are_converted(self):
+        seen = []
+
+        def parse(texts):
+            seen.append(texts)
+            return list(texts)
+
+        strings = ["1", "2/3", "0.5"]
+        assert parse_entries(strings, parse, "band 'A'") == strings
+        assert seen[-1] is strings  # a list of strings is read as it is
+        assert parse_entries(["1", 2, True, None], parse, "band 'A'") == ["1", "2", "True", "None"]
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("items, message", [
+        (["1", "x", 3], "band 'A' entry 2: invalid scalar 'x'"),
+        (["1", 2, True], "band 'A' entry 3: invalid scalar 'True'"),
+        ([None, "1"], "band 'A' entry 1: invalid scalar 'None'"),
+    ])
+    def test_error_names_the_entry(self, items, message, backend):
+        with pytest.raises(ValueError) as info:
+            parse_entries(items, entries_parser(backend), "band 'A'")
+        assert str(info.value) == message
 
 
 def _rhs_outcome(text, backend):
@@ -535,6 +560,24 @@ class TestLongExactResults:
         assert len(det) > 4300
         expected = dense_det(to_dense(H))
         assert _text_of(expected) == det
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_inv_beyond_4300_digits(self, fmt, tmp_path, capsys):
+        H = random_instance(8, 1, "diagonally-dominant")
+        H = H.replace_band("d", [v * 10**600 + 1 for v in H.d])
+        (tmp_path / "m.json").write_text(matrix_to_json(H))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = _run(["inv", "--input", str(tmp_path / "m.json"), "--format", fmt],
+                              capsys)
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        expected = [[scalars.format_scalar(x) for x in row]
+                    for row in dense_inverse(to_dense(H)).rows]
+        assert max(len(text) for row in expected for text in row) > 4300
+        if fmt == "json":
+            assert json.loads(out)["S"] == expected
+        else:
+            assert out == "".join(",".join(row) + "\n" for row in expected)
 
     def test_format_scalar_restores_the_limit(self):
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -4,6 +4,7 @@ from contextlib import contextmanager
 from fractions import Fraction as Fr
 from math import prod
 
+import numpy as np
 import pytest
 
 from heptacyclic import factor, inverse, kernels, residues, solve
@@ -370,6 +371,167 @@ class TestZeroBEntries:
         assert checked >= 2
 
 
+def block_triangular(seed, negative=False):
+    """Integer n = 12, block upper triangular over rows and columns 1..6 and
+    7..12: every entry of H below the first block is zero, and the first
+    block is upper triangular, so det H = d_1 ... d_6 det B2 has no prime
+    above 100 but those of det B2.  Rows 7..12 of columns 1..6 of H^-1 are
+    zero, so row n has zeros; the entries above them are multiples of
+    det B2.  Row n is negated where that gives det H the sign asked for."""
+    H = random_instance(12, seed, "diagonally-dominant")
+    bands = {k: list(v) for k, v in H.bands().items()}
+    for i in range(2, 7):  # below the diagonal of the first block
+        for name, offset in (("D", 3), ("B", 2), ("b", 1)):
+            if i - offset >= 1:
+                bands[name][i - 1] = 0
+    for name, i in (("b", 7), ("B", 7), ("D", 7), ("B", 8), ("D", 8), ("D", 9),
+                    ("A", 11), ("a", 12), ("A", 12)):  # rows 7..12, columns 1..6
+        bands[name][i - 1] = 0
+    H = CyclicHeptaMatrix(12, **bands)
+    if (dense_det(to_dense(H)) < 0) != negative:
+        for name in BAND_NAMES:
+            bands[name][11] = -bands[name][11]
+    return CyclicHeptaMatrix(12, **bands)
+
+
+def scaled_by_prime(seed, q=4099):
+    """q H0, q a prime above the small primes of the gcd screen: q^(n-1)
+    divides every entry of adj H, so the screen's S must take q."""
+    H = random_instance(12, seed, "diagonally-dominant")
+    return CyclicHeptaMatrix(12, *([q * v for v in H.band(name)] for name in BAND_NAMES))
+
+
+def perfbench_style(n, seed):
+    """Strictly diagonally dominant with no zero band entry off the wraps,
+    as the benchmark's plain inverse instances are: no substitution fires."""
+    rng = random.Random(seed)
+    bands = {name: [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n)]
+             for name in BAND_NAMES}
+    bands["D"][:3] = [0, 0, 0]
+    bands["C"][n - 3:] = [0, 0, 0]
+    for i in range(n):
+        others = sum(abs(bands[k][i]) for k in BAND_NAMES if k != "d")
+        bands["d"][i] = rng.choice((-1, 1)) * (others + rng.randint(1, 9))
+    return CyclicHeptaMatrix(n, **bands)
+
+
+@contextmanager
+def screens():
+    """Inside, each ``inverse._gcd_screen`` call appends its (delta, S, r, c)
+    to the yielded list."""
+    calls = []
+    screen = inverse._gcd_screen
+
+    def recorded(delta, cols):
+        S, r, c = screen(delta, cols)
+        calls.append((delta, S, r, c))
+        return S, r, c
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(inverse, "_gcd_screen", recorded)
+        yield calls
+
+
+def assert_reduced_as_fractions(H):
+    """invert(H) equals the dense oracle, and entry (i, j) has the numerator
+    and denominator of Fraction(A_ij, delta), A_ij = adj'_ij L_j; returns
+    the screen's (delta, S, r, c)."""
+    with screens() as calls:
+        res = invert(H)
+    assert res.S == dense_inverse(to_dense(H))
+    scales, _, delta, adj = oracle_adjugate(H)
+    for j in range(1, H.n + 1):
+        for i in range(H.n):
+            x, expected = res.S.rows[i][j - 1], Fr(adj[j][i] * scales[j - 1], delta)
+            assert type(x) is Fr and type(x.numerator) is int
+            assert (x.numerator, x.denominator) == (expected.numerator, expected.denominator)
+    (screen,) = calls
+    assert screen[0] == delta
+    return screen
+
+
+def full_gcd_entries(r, c) -> int:
+    """How many entries the screen leaves to the full gcd."""
+    return sum(r_i != 1 for r_i in r) * len(c) + sum(c_j != 1 for c_j in c) * len(r) \
+        - sum(r_i != 1 for r_i in r) * sum(c_j != 1 for c_j in c)
+
+
+class TestGcdScreen:
+    """Each entry of the inverse is A_ij / delta reduced by gcd(A_ij, delta),
+    taken by the small part S of delta wherever r_i = c_j = 1."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_prime_dividing_every_entry_goes_to_S(self, seed):
+        q = 4099
+        delta, S, r, c = assert_reduced_as_fractions(scaled_by_prime(seed, q))
+        assert S % q == 0 and (abs(delta) // S) % q != 0
+        # with q left in R, every r_i and c_j would hold it
+        assert full_gcd_entries(r, c) == 0
+
+    @pytest.mark.parametrize("negative", [False, True], ids=["positive", "negative"])
+    # seeds whose det B2 has a prime above the small ones (2, 5 and 6 have none)
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4])
+    def test_zeros_in_row_n_take_the_full_gcd(self, seed, negative):
+        H = block_triangular(seed, negative)
+        res = invert(H)
+        assert all(v == 0 for v in res.S.rows[-1][:6])
+        delta, S, r, c = assert_reduced_as_fractions(H)
+        assert (delta < 0) == negative
+        # R > 1, so a zero A_nj makes c_j = R: the columns 1..6 take the full
+        # gcd (a zero reduced by S alone would keep the denominator R), and
+        # the others are screened
+        assert abs(delta) // S > 1
+        assert [c_j != 1 for c_j in c] == [True] * 6 + [False] * 6
+        assert 0 < full_gcd_entries(r, c) < 144
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_negative_delta(self, seed):
+        H = random_instance(12 + seed, seed, "diagonally-dominant")
+        if dense_det(to_dense(H)) > 0:
+            H = H.replace_band("d", [-v if k == 0 else v for k, v in enumerate(H.band("d"))])
+        delta, *_ = assert_reduced_as_fractions(H)
+        assert delta < 0
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: random_instance(10 + seed, seed, "general"),
+        lambda seed: block_triangular(seed, negative=seed % 2 == 1),
+    ], ids=["general", "block-triangular"])
+    def test_rational_entries(self, make):
+        checked = 0
+        for seed in range(4):
+            H = rational_entries(make(seed), seed)
+            if oracle_inverse_or_none(H) is None:
+                continue
+            assert set(row_scaled(H)[0]) != {1}
+            assert_reduced_as_fractions(H)
+            checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_pivot_and_zero_c(self, seed):
+        H = zero_rows(random_instance(14 + seed, seed, "zero-C"), (5,))
+        if oracle_inverse_or_none(H) is None:
+            pytest.skip("singular draw")
+        res = invert(H)
+        assert res.pivot_overrides == (5,) and res.c_substitutions
+        assert_reduced_as_fractions(H)
+
+    def test_no_full_gcd_on_a_plain_instance(self):
+        # the benchmark's plain inverse: every entry is screened
+        with screens() as calls:
+            res = invert(perfbench_style(64, 1))
+        assert res.c_substitutions == () and res.pivot_overrides == ()
+        ((delta, S, r, c),) = calls
+        assert abs(delta) // S > 1
+        assert full_gcd_entries(r, c) == 0
+
+    def test_zero_delta_refused(self):
+        # as Fraction(A_ij, 0) did
+        H = duplicated_row_matrix()
+        with pytest.raises(ZeroDivisionError):
+            inverse.back_columns(H, 0, {j: [0] * H.n for j in range(1, H.n + 1)})
+
+
 def point_skip_matrix():
     """The plain sweep of H (s = 0) finds d_1 = 0 and puts (1, 1) into G;
     pivot 2 of H(s) is d_2 - b_2 a_1 / s, zero at s = 1 only, so that point
@@ -481,6 +643,41 @@ class TestZeroCColumns:
         assert res.c_substitutions == tuple(range(1, H.n - 4))
         assert res.pivot_overrides == ()
         assert res.S == dense_inverse(to_dense(H))
+
+    def test_one_block_substitution(self, monkeypatch):
+        H = random_instance(64, 1, "diagonally-dominant")
+        substitutions = count_calls(monkeypatch, kernels, "substitute")
+        res = invert(H)
+        assert len(res.c_substitutions) == 3 and len(substitutions) == 1
+
+    @pytest.mark.parametrize("H", [
+        random_instance(40, 2, "diagonally-dominant"),
+        zero_rows(random_instance(24, 0, "zero-C"), (5, 9)),
+    ], ids=["one-point", "three-points"])
+    def test_block_lanes_are_the_column_lanes(self, H):
+        # every lane of the block, and every int of adj H' made from it, is
+        # the one of the substitution of its unit vector alone
+        zero_c = inverse._zero_c(H)
+        assert len(zero_c) >= 2
+
+        def blocks(fd, rhs):
+            block = kernels.substitute(fd, residues.unit_block(fd, zero_c))
+            one = inverse._one(fd)
+            zero = one - one
+            for k, j in enumerate(zero_c):
+                e_j = [None, *(one if i == j else zero for i in range(1, H.n + 1))]
+                column = kernels.substitute(fd, e_j)
+                assert all(np.array_equal(b.v[k], x.v) for b, x in zip(block[1:], column[1:]))
+            yield block
+
+        def columns(fd, rhs):
+            one = inverse._one(fd)
+            zero = one - one
+            for j in zero_c:
+                yield kernels.substitute(
+                    fd, [None, *(one if i == j else zero for i in range(1, H.n + 1))])
+
+        assert residues.adjugate(H, blocks) == residues.adjugate(H, columns)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_one_override_list_for_det_solve_and_inv(self, seed, tmp_path, capsys):

@@ -10,10 +10,12 @@ from heptacyclic.scalars import (
     Poly,
     RatFun,
     T,
+    coprime_fraction,
     eval_at_zero,
     format_scalar,
     parse_scalar,
     poly_gcd,
+    scalar_formatter,
     set_degree_cap,
 )
 
@@ -275,3 +277,55 @@ class TestScalarText:
 def test_indeterminate_renders_as_t():
     assert str(T) == "t"
     assert str(T * T - 1) == "t^2 - 1"
+
+
+LONG = 10**5000  # past CPython's default int -> str digit limit
+
+
+class TestCoprimeFraction:
+    @pytest.mark.parametrize("p, q", [
+        (0, 1), (1, 1), (-1, 1), (7, 3), (-7, 3), (5, 1), (-(2**521) + 1, 2**607 - 1),
+        (-LONG - 1, 3), (1, LONG + 3),
+    ], ids=["zero", "one", "minus-one", "7/3", "-7/3", "5", "mersenne", "long-num", "long-den"])
+    def test_same_as_the_normalised_fraction(self, p, q):
+        x, y = coprime_fraction(p, q), Fr(p, q)
+        assert type(x) is Fr
+        assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+        assert x == y and hash(x) == hash(y)
+        assert (x + 1, x * 3, -x, abs(x)) == (y + 1, y * 3, -y, abs(y))
+        assert x < y + 1 and x / 2 == y / 2
+
+    @given(st.fractions())
+    def test_any_reduced_pair(self, y):
+        x = coprime_fraction(y.numerator, y.denominator)
+        assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+        assert x == y and hash(x) == hash(y) and str(x) == str(y)
+
+
+class TestScalarFormatter:
+    VALUES = [
+        Fr(-3, 7), Fr(3, 7), Fr(10, 7), Fr(-5), Fr(5), Fr(0), 0, 7, -7, True,
+        2.5, -0.0, float("1e300"), Fr(-LONG - 1, 3), Fr(1, LONG + 3), Fr(LONG + 1),
+        Fr(2, LONG + 3),
+    ]
+
+    def test_each_entry_as_format_scalar(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        fmt = scalar_formatter()
+        # the second pass reads the denominators the first one kept
+        for x in self.VALUES * 2:
+            assert fmt(x) == format_scalar(x)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    @given(st.lists(st.fractions(), max_size=30), st.integers(1, 10**30))
+    def test_shared_denominators(self, values, q):
+        values += [v / q for v in values]
+        fmt = scalar_formatter()
+        assert list(map(fmt, values)) == list(map(format_scalar, values))
+
+    def test_other_types_as_format_scalar(self):
+        fmt = scalar_formatter()
+        with pytest.raises(TypeError):
+            fmt(T)
+        with pytest.raises(TypeError):
+            format_scalar(T)
