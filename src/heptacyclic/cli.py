@@ -23,8 +23,7 @@ from .errors import InternalContractError, NearSingularPivotError, SingularMatri
 from .factor import determinant
 from .inverse import invert, inverse_float
 from .matrix import (
-    DenseMatrix,
-    dense_to_csv,
+    csv_lines,
     matrix_from_json,
     matrix_to_json,
     random_instance,
@@ -96,11 +95,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(pieces, out_path) -> None:
+    """Write the strings of ``pieces`` in order, each as it is made, so no
+    more than one of them need be held at a time."""
     if out_path:
-        Path(out_path).write_text(text)
+        with open(out_path, "w") as out:
+            out.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _read(path) -> str:
@@ -110,44 +112,44 @@ def _read(path) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _json_dump(payload, verbatim=None) -> str:
-    """``payload`` as JSON with sorted keys and an indent of 2.
+def _json_dump(payload) -> str:
+    """``payload`` as JSON with sorted keys and an indent of 2."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _json_pieces(payload, verbatim: str):
+    """The text of ``_json_dump(payload)``, piece by piece.
 
     ``verbatim`` names a top-level key whose value is a list of strings
-    that JSON leaves unescaped, or a list of such lists: float reprs and
-    ``format_scalar`` texts, which hold only digits, signs, letters, ``.``
-    and ``/``.  These strings are joined as they are, in one join, so no
-    copy of them is made before the result; ``json.dumps`` with an indent
-    would run its pure-Python encoder over every one.  The bytes are the
-    same.
+    that JSON leaves unescaped, or an iterable of such lists, each taken as
+    it is written: float reprs and ``format_scalar`` texts, which hold only
+    digits, signs, letters, ``.`` and ``/``.  Each list is joined as it
+    is, in one join; ``json.dumps`` with an indent would run its
+    pure-Python encoder over every string.  The bytes are the same.
     """
-    if verbatim is None:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     head, tail = _json_dump({**payload, verbatim: None}).split(f'"{verbatim}": null', 1)
-    pieces = [head, f'"{verbatim}": ']
-    _json_strings(payload[verbatim], "  ", pieces)
-    pieces.append(tail)
-    return "".join(pieces)
+    yield head + f'"{verbatim}": '
+    yield from _json_strings(payload[verbatim], "  ")
+    yield tail
 
 
-def _json_strings(items, pad: str, pieces: list) -> None:
-    """Append to ``pieces`` a list of unescaped strings, or of lists of
-    them, laid out as ``_json_dump`` does at indentation ``pad``."""
-    if not items:
-        pieces.append("[]")
-        return
+def _json_strings(items, pad: str):
+    """A list of unescaped strings, or an iterable of lists of them, laid
+    out as ``json.dumps`` does at indentation ``pad``, a list a piece."""
     inner = "\n" + pad + "  "
-    pieces.append("[" + inner)
-    if isinstance(items[0], list):
-        for k, row in enumerate(items):
-            if k:
-                pieces.append("," + inner)
-            _json_strings(row, pad + "  ", pieces)
+    rows = iter(items)
+    first = next(rows, None)
+    if first is None:
+        yield "[]"
+    elif isinstance(first, list):
+        yield "[" + inner
+        yield from _json_strings(first, pad + "  ")
+        for row in rows:
+            yield "," + inner
+            yield from _json_strings(row, pad + "  ")
+        yield "\n" + pad + "]"
     else:
-        quoted = ['",' + inner + '"'] * (2 * len(items) - 1)
-        quoted[::2] = items
-        pieces += ['"', *quoted, '"']
-    pieces.append("\n" + pad + "]")
+        yield "[" + inner + '"' + ('",' + inner + '"').join(items) + '"\n' + pad + "]"
 
 
 def _cmd_det(args) -> int:
@@ -163,7 +165,7 @@ def _cmd_det(args) -> int:
             f"{payload['det']},{str(payload['singular']).lower()},{payload['pivot_overrides']}\n"
     else:
         text = _json_dump(payload)
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 2 if result.singular else 0
 
 
@@ -182,15 +184,17 @@ def _cmd_inv(args) -> int:
             "pivot_overrides": list(result.pivot_overrides),
             "back_path": result.back_path,
         }
+    # each row is formatted as it is written, so the n^2 texts are never
+    # held at once
     if args.format == "csv":
-        text = dense_to_csv(DenseMatrix(rows))
+        pieces = csv_lines(rows)
     else:
         # format_scalar of a float is its repr; the exact entries share a
         # few denominators, whose texts the formatter makes once
         fmt = repr if args.backend == "float" else scalar_formatter()
-        S = [list(map(fmt, row)) for row in rows]
-        text = _json_dump({**meta, "n": H.n, "S": S}, verbatim="S")
-    _emit(text, args.out)
+        S = (list(map(fmt, row)) for row in rows)
+        pieces = _json_pieces({**meta, "n": H.n, "S": S}, verbatim="S")
+    _emit(pieces, args.out)
     return 0
 
 
@@ -212,22 +216,24 @@ def _cmd_solve(args) -> int:
     }
     if args.format == "csv":
         lines = [",".join(col[i] for col in xs) for i in range(H.n)]
-        text = "\n".join(lines) + "\n"
+        pieces = ["\n".join(lines) + "\n"]
+    elif args.backend == "float":
+        pieces = _json_pieces(payload, verbatim="x")
     else:
-        text = _json_dump(payload, verbatim="x" if args.backend == "float" else None)
-    _emit(text, args.out)
+        pieces = [_json_dump(payload)]
+    _emit(pieces, args.out)
     return 0
 
 
 def _cmd_gen(args) -> int:
     H = random_instance(args.n, args.seed, args.profile)
-    _emit(matrix_to_json(H), args.out)
+    _emit([matrix_to_json(H)], args.out)
     return 0
 
 
 def _cmd_bench(args) -> int:
     rows = bench_mod.bench_suite(args.n, args.seed, args.profile)
-    _emit(bench_mod.rows_to_csv(rows), args.out)
+    _emit([bench_mod.rows_to_csv(rows)], args.out)
     return 0
 
 
@@ -240,7 +246,7 @@ def _cmd_oracle_check(args) -> int:
         "diff_count": len(report.positions),
         "positions": [list(p) for p in report.positions[:20]],
     }
-    _emit(_json_dump(payload), args.out)
+    _emit([_json_dump(payload)], args.out)
     return 0 if not report.positions else 4
 
 

@@ -440,14 +440,17 @@ def dense_to_csv(M: DenseMatrix) -> str:
     """Dense CSV: n rows of n comma-separated scalar strings.
 
     ``format_scalar`` text never holds a comma, a quote or a newline, so no
-    field needs CSV quoting.  The texts are ``scalar_formatter``'s, which
-    makes each distinct denominator's text once.
+    field needs CSV quoting.
     """
+    return "".join(csv_lines(M.rows))
+
+
+def csv_lines(rows):
+    """The lines of ``dense_to_csv`` for ``rows``, each made as it is taken.
+    The texts are ``scalar_formatter``'s, which makes each distinct
+    denominator's text once."""
     fmt = scalar_formatter()
-    lines = [",".join(map(fmt, row)) for row in M.rows]
-    # the empty last line ends the text with a newline without copying it
-    lines.append("")
-    return "\n".join(lines)
+    return (",".join(map(fmt, row)) + "\n" for row in rows)
 
 
 def dense_from_csv(text: str) -> DenseMatrix:

@@ -3,12 +3,15 @@
 The bordered LU sweep does O(n) field operations, but over ``Fraction``
 each one works on operands of O(n) digits and takes their gcd.  Here the
 sweep runs once over many lanes at the same time: every value is a
-``Residues``, a numpy int64 vector holding one lane per (point, prime),
-and ``kernels.sweep`` and ``kernels.substitute`` run over it unchanged,
-as do the inverse's seed formulas.  The integers det H' and det H' * y,
-for the columns y each caller takes from the factors, are then rebuilt
-from their residues by Chinese remaindering (Garner's algorithm; von zur
-Gathen & Gerhard, *Modern Computer Algebra*, ch. 5).  ``solve`` takes
+``Residues``, a numpy int64 vector holding one lane per (point, prime)
+for primes below 2**30, and ``kernels.sweep`` and ``kernels.substitute``
+run over it unchanged, as do the inverse's seed formulas.  Each value
+carries a bound on its lanes and is reduced only when the next operation
+could overflow int64, so most field operations are one numpy call.  The
+integers det H' and det H' * y, for the columns y each caller takes from
+the factors, are then rebuilt from their residues by Chinese remaindering
+(Garner's algorithm; von zur Gathen & Gerhard, *Modern Computer Algebra*,
+ch. 5).  ``solve`` takes
 H'^-1 r' for each right-hand side; ``adjugate`` takes the columns its
 caller's ``evaluate`` yields, for the inverse the five seed columns and
 one substitution of the block of e_j over the zero C_j, so det H' * y are
@@ -53,7 +56,7 @@ dropped the primes are the first K of the table.  The restarts end:
 - each such configuration, G and its points, has finitely many nonzero
   leading minors, each with finitely many prime divisors, so only
   finitely many primes are ever dropped (and the table holds some
-  5 * 10^7 primes above 2**30).
+  2.6 * 10^7 primes in (2**29, 2**30) alone).
 
 So ``solve`` and ``adjugate`` always complete.  They read rational
 entries (``Fraction`` or int): a ``CyclicHeptaMatrix`` holds nothing else,
@@ -67,6 +70,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import count, islice, repeat
 from math import isqrt, prod
+from operator import add, mul
 
 import numpy as np
 
@@ -74,17 +78,21 @@ from . import kernels
 from .factor import FactorData, det_from_factors
 from .matrix import BAND_NAMES, CyclicHeptaMatrix, row_scaled
 
-_TOP = 1 << 31
+_TOP = 1 << 30
 _SEGMENT = 1 << 18
 _INT64 = 1 << 63
+# the bound of a reduced lane, in [0, p) with p < 2**30, and of a product of two
+_REDUCED = _TOP - 1
+_PRODUCT = _REDUCED * _REDUCED
 # a call whose lane vectors took this many bytes or more trims the C heap
 _TRIM_BYTES = 768 << 10
 
 
 class _PrimeTable:
-    """The largest primes below 2**31, in descending order, sieved on demand
-    one segment of 2**18 integers at a time (a segmented sieve of
-    Eratosthenes, so the table is the same on every run)."""
+    """The largest primes below 2**30, in descending order (2**30 - 35
+    first), sieved on demand one segment of 2**18 integers at a time (a
+    segmented sieve of Eratosthenes, so the table is the same on every
+    run).  Some 2.6 * 10**7 of them lie in (2**29, 2**30)."""
 
     def __init__(self):
         self.low = _TOP
@@ -111,6 +119,11 @@ class _PrimeTable:
             self.low = low
         return self.found[:count]
 
+    def __iter__(self):
+        """The primes of the table one by one, sieving more as they run out."""
+        for start in count(0, 64):
+            yield from self.take(start + 64)[start:].tolist()
+
 
 _PRIMES = _PrimeTable()
 
@@ -128,45 +141,96 @@ def _inverse_lanes(v: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 class Residues:
-    """A value modulo each of K primes below 2**31: ``v[k]`` is the value
-    mod ``p[k]``, reduced into [0, p[k]).
+    """A value modulo each of K primes below 2**30, reduced lazily.
 
-    Supports ``+ - * /`` with another ``Residues`` over the same primes, and
-    unary minus.  Every result is reduced before it is returned, so a
-    product of two lanes stays below 2**62 and fits int64.  A divisor's
-    inverse is computed once and kept on it: the sweep divides by each
-    pivot several times.
+    ``v[k]`` is congruent to the value mod ``p[k]``, and the int ``b``
+    bounds every lane: |v[k]| <= b < 2**63, so int64 holds each lane
+    exactly.  ``b`` is 2**30 - 1 exactly when every lane is reduced, in
+    [0, p[k]); every other bound is larger.
+
+    Reduction is lazy, as in multi-modular and NTT code (D. Harvey, J.
+    Symb. Comput. 60, 2014): ``+``, ``-`` and unary minus are one numpy
+    call each and add the bounds, and ``*`` is one call that multiplies
+    them.  An operation whose bound would reach 2**63 first reduces an
+    operand, the one with the larger bound, and then, if need be, the
+    other; two reduced lanes multiply to below 2**60, so every operation
+    ends with a bound below 2**63.  That headroom is why the primes sit
+    below 2**30: eight products of reduced lanes, or one reduced lane and
+    seven products, sum within int64, so a sum of the sweep's three or
+    four products reduces nothing.  ``/`` reduces the dividend and
+    multiplies by the divisor's inverse, computed once and kept on it:
+    the sweep divides by each pivot several times.
+
+    An operand is reduced in place (``reduced``), so a factor entry that
+    the sweep reads again is reduced once.  ``reduced`` assigns ``v``
+    before it lowers ``b``, and every operation reads ``b`` before ``v``,
+    so a thread that reads a value while another reduces it (the seed
+    columns of ``inverse.seed_columns(parallel=True)``) sees a bound that
+    holds for the lanes it reads.
     """
 
-    __slots__ = ("v", "p", "_inv")
+    __slots__ = ("v", "p", "b", "_inv")
 
-    def __init__(self, v: np.ndarray, p: np.ndarray):
+    def __init__(self, v: np.ndarray, p: np.ndarray, b: int = _REDUCED):
         self.v = v
         self.p = p
+        self.b = b
         self._inv = None
+
+    def reduced(self) -> np.ndarray:
+        """The lanes reduced into [0, p); this value is reduced in place."""
+        if self.b != _REDUCED:
+            v = self.v % self.p
+            self.v = v
+            self.b = _REDUCED
+            return v
+        return self.v
 
     def inverse(self) -> np.ndarray:
         """The lanes of 1/self; ZeroDivisionError when a lane is zero."""
         if self._inv is None:
-            if not self.v.all():
+            v = self.reduced()
+            if not v.all():
                 raise ZeroDivisionError("residue vector is zero in some lane")
-            self._inv = _inverse_lanes(self.v, self.p)
+            self._inv = _inverse_lanes(v, self.p)
         return self._inv
 
     def __add__(self, other: Residues) -> Residues:
-        return Residues((self.v + other.v) % self.p, self.p)
+        b = self.b + other.b
+        if b >= _INT64:
+            b = _make_room(self, other, add)
+        return Residues(self.v + other.v, self.p, b)
 
     def __sub__(self, other: Residues) -> Residues:
-        return Residues((self.v - other.v) % self.p, self.p)
+        b = self.b + other.b
+        if b >= _INT64:
+            b = _make_room(self, other, add)
+        return Residues(self.v - other.v, self.p, b)
 
     def __mul__(self, other: Residues) -> Residues:
-        return Residues(self.v * other.v % self.p, self.p)
+        b = self.b * other.b
+        if b >= _INT64:
+            b = _make_room(self, other, mul)
+        return Residues(self.v * other.v, self.p, b)
 
     def __truediv__(self, other: Residues) -> Residues:
-        return Residues(self.v * other.inverse() % self.p, self.p)
+        inv = other.inverse()
+        return Residues(self.reduced() * inv, self.p, _PRODUCT)
 
     def __neg__(self) -> Residues:
-        return Residues(-self.v % self.p, self.p)
+        b = self.b
+        # -v of a reduced value lies in (-p, 0]: not reduced, so a larger bound
+        return Residues(-self.v, self.p, b if b != _REDUCED else _REDUCED + 1)
+
+
+def _make_room(x: Residues, y: Residues, combine) -> int:
+    """Reduce x or y in place, the one with the larger bound first, until
+    combine(x.b, y.b) is below 2**63; returns that bound."""
+    b = combine(x.b, y.b)
+    while b >= _INT64:
+        (x if x.b >= y.b else y).reduced()
+        b = combine(x.b, y.b)
+    return b
 
 
 class _Band:
@@ -201,8 +265,9 @@ class _ZeroLanes(Exception):
 
 
 def _nonzero(value, i):
-    if not value.v.all():
-        raise _ZeroLanes(i, value.v == 0)
+    v = value.reduced()
+    if not v.all():
+        raise _ZeroLanes(i, v == 0)
     return value
 
 
@@ -214,7 +279,10 @@ def _garner(U: np.ndarray, p: np.ndarray) -> list:
     columns.  The radices P_j = p_0 ... p_{j-1} are carried mod every prime
     as one vector w, so the memory is O(K m), not O(K^2).  Until step k
     turns it into V_k, row k of V holds the sum of P_i V_i mod p_k over the
-    digits i < k found so far.
+    digits i < k found so far.  The Python-int Horner recombination then
+    takes two digits a step, V_k + p_k V_{k+1} < p_k p_{k+1} < 2**60 in
+    int64 with radix p_k p_{k+1}, starting from V_{K-1} alone when K is
+    odd.
     """
     K = len(p)
     primes = p.tolist()
@@ -223,13 +291,14 @@ def _garner(U: np.ndarray, p: np.ndarray) -> list:
     terms = np.empty(U.shape, dtype=np.int64)
     for j, q in enumerate(primes):
         V[j] = (U[j] - V[j]) % q * pow(int(w[j]), -1, q) % q
-        # each term is below 2**31, so K of them sum within int64
+        # each term is below 2**30, so K of them sum within int64
         t = np.multiply(w[j + 1:, None], V[j], out=terms[j + 1:])
         V[j + 1:] += np.remainder(t, p[j + 1:, None], out=t)
         w = w * q % p
-    x = V[K - 1].tolist()
-    for k in range(K - 2, -1, -1):
-        x = [a * primes[k] + b for a, b in zip(x, V[k].tolist())]
+    x = V[K - 1].tolist() if K % 2 else [0] * U.shape[1]
+    for k in range(K - 2 - K % 2, -1, -2):
+        radix = primes[k] * primes[k + 1]
+        x = [a * radix + b for a, b in zip(x, (V[k + 1] * primes[k] + V[k]).tolist())]
     M = prod(primes)
     return [v - M if 2 * v > M else v for v in x]
 
@@ -243,9 +312,9 @@ def _lagrange_at_zero(points) -> list:
 
 def _choose_primes(floor: int, dropped: set) -> np.ndarray:
     """The first primes of the table, less ``dropped``, whose product
-    exceeds ``floor``; every prime is above 2**30."""
+    exceeds ``floor``: primes are taken until it does, whatever their size."""
     chosen, M = [], 1
-    for q in _PRIMES.take(floor.bit_length() // 30 + 1 + len(dropped)).tolist():
+    for q in _PRIMES:
         if q not in dropped:
             chosen.append(q)
             M *= q
@@ -389,7 +458,7 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
     # prime (a polynomial of degree <= r in s)
     weights = [w.numerator * pow(w.denominator, -1, q) % q
                for w in _lagrange_at_zero(points) for q in primes.tolist()]
-    scaled_det = det_from_factors(fd).v * np.array(weights, dtype=np.int64) % p
+    scaled_det = det_from_factors(fd).reduced() * np.array(weights, dtype=np.int64) % p
 
     def at_zero(rows):
         return rows.reshape(len(rows), len(points), K).sum(axis=1) % primes
@@ -400,7 +469,7 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
     for y in evaluate(fd, [_Band(r, p) for r in rhs]):
         # n x lanes for one column; n x z x lanes for a block of z columns,
         # taken apart into its columns, in order
-        Y = np.array([value.v for value in y[1:]])
+        Y = np.array([value.reduced() for value in y[1:]])
         if Y.ndim == 3:
             Y = Y.transpose(1, 0, 2).reshape(-1, len(p))
         Y *= scaled_det

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction as Fr
 
@@ -143,6 +144,36 @@ class TestInv:
                 assert json.loads(out)["S"] == expected
             else:
                 assert out == "".join(",".join(row) + "\n" for row in expected)
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_written_a_row_at_a_time(self, backend, fmt, tmp_path, monkeypatch):
+        # no write holds more than one row of S, so the n^2 texts need not
+        # be held at once; --out gets the same bytes
+        class Writes:
+            def __init__(self):
+                self.pieces = []
+
+            def write(self, text):
+                self.pieces.append(text)
+
+            def writelines(self, texts):
+                for text in texts:
+                    self.write(text)
+
+        n = 32
+        path, out = tmp_path / "m.json", tmp_path / "S.out"
+        path.write_text(matrix_to_json(random_instance(n, 1, "diagonally-dominant")))
+        argv = ["inv", "--input", str(path), "--format", fmt, "--backend", backend]
+        stdout = Writes()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        text = "".join(stdout.pieces)
+        rows = json.loads(text)["S"] if fmt == "json" else text.splitlines()
+        assert len(rows) == n
+        assert max(piece.count("\n") for piece in stdout.pieces) <= (n + 1 if fmt == "json" else 1)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == text
 
     def test_csv_output(self, example_path, capsys, example10_inverse):
         code, out, _ = run(["inv", "--input", example_path, "--format", "csv"], capsys)

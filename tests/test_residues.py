@@ -29,7 +29,8 @@ from heptacyclic.solve import solve_many
 from test_inverse import (acceptance_corpora, count_calls, on_the_lane, point_skip_matrix,
                           rational_entries, zero_rows)
 
-MERSENNE_31 = 2**31 - 1
+# the largest prime below 2**30: lane 0 of every sweep
+LANE_0_PRIME = 2**30 - 35
 
 
 def times(S, r):
@@ -151,16 +152,16 @@ class TestZeroPivots:
         H = with_bands(H, **{name: [0 if k == 9 else v for k, v in enumerate(H.band(name))]
                              for name in BAND_NAMES})
         assert residues.solve(H, []) == (0, (10,), None) and factorize(H).overrides == (10,)
-        H = with_pivot_multiple(H, 6, MERSENNE_31)
+        H = with_pivot_multiple(H, 6, LANE_0_PRIME)
         pivot = factorize(H).alpha[6]
-        assert pivot != 0 and pivot.numerator % MERSENNE_31 == 0
+        assert pivot != 0 and pivot.numerator % LANE_0_PRIME == 0
         with on_the_lane() as sweeps:
             assert residues.solve(H, []) == (0, (10,), None)
             det = determinant(H)
         assert det.singular and det.value == 0 == dense_det(to_dense(H))
         assert det.pivot_overrides == len(factorize(H).overrides) == 1
         # s = 0 with lane 0, s = 0 without it, then s = 1, 2 without it
-        assert [MERSENNE_31 in primes for primes in sweeps] == [True, False, False] * 2
+        assert [LANE_0_PRIME in primes for primes in sweeps] == [True, False, False] * 2
 
 
 def with_pivot_multiple(H, i, q):
@@ -181,19 +182,19 @@ class TestDroppedPrimes:
 
     def test_first_pivot_divisible_by_one_lane_prime(self):
         H = random_instance(12, 1, "diagonally-dominant")
-        H = with_bands(H, d=[MERSENNE_31, *H.band("d")[1:]])
-        assert lane_primes(1) == [MERSENNE_31]  # lane 0 of every sweep
+        H = with_bands(H, d=[LANE_0_PRIME, *H.band("d")[1:]])
+        assert lane_primes(1) == [LANE_0_PRIME]  # lane 0 of every sweep
         sweeps = assert_equals_oracle(H)
-        assert [MERSENNE_31 in primes for primes in sweeps] == [True, False]
+        assert [LANE_0_PRIME in primes for primes in sweeps] == [True, False]
 
     def test_later_pivot_divisible_by_one_lane_prime(self):
-        H = with_pivot_multiple(random_instance(12, 2, "diagonally-dominant"), 6, MERSENNE_31)
+        H = with_pivot_multiple(random_instance(12, 2, "diagonally-dominant"), 6, LANE_0_PRIME)
         pivot = factorize(H).alpha[6]
-        assert [p for p in lane_primes(64) if pivot.numerator % p == 0] == [MERSENNE_31]
+        assert [p for p in lane_primes(64) if pivot.numerator % p == 0] == [LANE_0_PRIME]
         sweeps = assert_equals_oracle(H)
-        assert [MERSENNE_31 in primes for primes in sweeps] == [True, False]
+        assert [LANE_0_PRIME in primes for primes in sweeps] == [True, False]
         # the prime after the last one of the first sweep takes its place
-        assert sweeps[1] == set(lane_primes(len(sweeps[0]) + 1)) - {MERSENNE_31}
+        assert sweeps[1] == set(lane_primes(len(sweeps[0]) + 1)) - {LANE_0_PRIME}
 
     def test_pivot_divisible_by_the_two_largest_lane_primes(self):
         p0, p1 = lane_primes(2)
@@ -205,20 +206,20 @@ class TestDroppedPrimes:
         assert assert_inverse_equals_oracle(H) == sweeps
 
     def test_with_zero_pivots(self):
-        # d_1 = 2^31 - 1 and rows 5 and 15 zero: lane 0 is dropped at s = 0,
+        # d_1 = 2^30 - 35 and rows 5 and 15 zero: lane 0 is dropped at s = 0,
         # then pivots 5 and 15 join G one after the other
         H = random_instance(20, 1, "diagonally-dominant")
-        H = zero_rows(with_bands(H, d=[MERSENNE_31, *H.band("d")[1:]]), (5, 15))
+        H = zero_rows(with_bands(H, d=[LANE_0_PRIME, *H.band("d")[1:]]), (5, 15))
         sweeps = assert_equals_oracle(H)
         assert residues.solve(H, [])[1] == (5, 15)
-        assert [MERSENNE_31 in primes for primes in sweeps] == [True, False, False, False]
+        assert [LANE_0_PRIME in primes for primes in sweeps] == [True, False, False, False]
         assert assert_inverse_equals_oracle(H) == sweeps
 
     def test_zero_c_inverse(self):
-        H = with_pivot_multiple(random_instance(16, 2, "zero-C"), 6, MERSENNE_31)
+        H = with_pivot_multiple(random_instance(16, 2, "zero-C"), 6, LANE_0_PRIME)
         assert invert(H).c_substitutions
         sweeps = assert_inverse_equals_oracle(H)
-        assert [MERSENNE_31 in primes for primes in sweeps] == [True, False]
+        assert [LANE_0_PRIME in primes for primes in sweeps] == [True, False]
         assert_equals_oracle(H)
 
     def test_counting_scalars_are_refused(self):
@@ -294,7 +295,7 @@ class TestOneSweep:
         # pivot 1 zero in lane 0: the sweep that stops there does not trim,
         # the one that follows without that prime does, once
         with on_the_lane() as sweeps:
-            residues.solve(with_bands(H, d=[MERSENNE_31, *H.band("d")[1:]]), [])
+            residues.solve(with_bands(H, d=[LANE_0_PRIME, *H.band("d")[1:]]), [])
         assert len(sweeps) == 2 and trims == [0, 0]
 
     @pytest.mark.parametrize("n, trimmed", [(64, False), (128, False), (256, True)])
@@ -379,15 +380,15 @@ class TestInverse:
     @pytest.mark.parametrize("pivot", [1, 6])
     def test_prime_dividing_a_nonzero_pivot_is_dropped(self, pivot):
         # the instances of TestDroppedPrimes: pivot 1 or 6 is a nonzero
-        # multiple of 2^31 - 1, the prime of lane 0
+        # multiple of 2^30 - 35, the prime of lane 0
         if pivot == 1:
             H = random_instance(12, 1, "diagonally-dominant")
-            H = with_bands(H, d=[MERSENNE_31, *H.band("d")[1:]])
+            H = with_bands(H, d=[LANE_0_PRIME, *H.band("d")[1:]])
         else:
-            H = with_pivot_multiple(random_instance(12, 2, "diagonally-dominant"), 6, MERSENNE_31)
-        assert factorize(H).alpha[pivot].numerator % MERSENNE_31 == 0
+            H = with_pivot_multiple(random_instance(12, 2, "diagonally-dominant"), 6, LANE_0_PRIME)
+        assert factorize(H).alpha[pivot].numerator % LANE_0_PRIME == 0
         sweeps = assert_inverse_equals_oracle(H)
-        assert [MERSENNE_31 in primes for primes in sweeps] == [True, False]
+        assert [LANE_0_PRIME in primes for primes in sweeps] == [True, False]
 
     def test_one_sweep(self, monkeypatch):
         H = random_instance(64, 1, "diagonally-dominant")
@@ -434,6 +435,34 @@ class TestGarner:
             chunk = values[start:start + m]
             assert residues._garner(self.residues_of(chunk, p), p) == chunk
 
+    @staticmethod
+    def one_digit_garner(column, primes):
+        """Garner's mixed-radix digits over Python ints, recombined one digit
+        a Horner step, in the symmetric range."""
+        digits, M = [], prod(primes)
+        for k, q in enumerate(primes):
+            value, radix = 0, 1
+            for d, r in zip(digits, primes):
+                value, radix = value + d * radix, radix * r
+            digits.append((column[k] - value) * pow(radix, -1, q) % q)
+        x = 0
+        for d, q in zip(reversed(digits), reversed(primes)):
+            x = x * q + d
+        return x - M if 2 * x > M else x
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 17, 50, 51])
+    def test_two_digit_steps_equal_one_digit_steps(self, K):
+        p = residues._PRIMES.take(K)
+        primes = p.tolist()
+        M = prod(primes)
+        rng = random.Random(K)
+        values = [0, 1, -1, M // 2, -((M - 1) // 2), M // 2 - 1, -((M - 1) // 2) + 1]
+        values += [rng.randrange(-((M - 1) // 2), M // 2 + 1) for _ in range(20)]
+        U = self.residues_of(values, p)
+        expected = [self.one_digit_garner(column, primes) for column in U.T.tolist()]
+        assert expected == values
+        assert residues._garner(U, p) == expected
+
     def test_memory_linear_in_primes(self):
         # a K x K table of the radices mod every prime would take 32 MB here
         K = 2000
@@ -450,14 +479,48 @@ class TestGarner:
         assert peak < 2 * 2**20
 
 
+class TestChoosePrimes:
+    @staticmethod
+    def assert_first_primes_past(floor, dropped):
+        chosen = residues._choose_primes(floor, dropped).tolist()
+        table = [q for q in residues._PRIMES.take(len(chosen) + len(dropped)).tolist()
+                 if q not in dropped]
+        assert chosen == table[:len(chosen)]
+        assert prod(chosen) > floor >= prod(chosen[:-1])
+
+    def test_every_bit_length(self):
+        # the product, not a count of primes from the floor's bit length,
+        # decides: each prime is below 2**30, so bit_length // 30 + 1 primes
+        # can fall short
+        for bits in range(1, 4001):
+            for floor in (1 << (bits - 1), (1 << bits) - 1):
+                self.assert_first_primes_past(floor, set())
+
+    def test_a_floor_past_bit_length_over_30_primes(self):
+        # the first 8,467 primes multiply to below 2**254009 - 1, a floor of
+        # 254,009 bits: bit_length // 30 + 1 primes would fall short of it
+        floor = (1 << 254009) - 1
+        assert prod(residues._PRIMES.take(254009 // 30 + 1).tolist()) <= floor
+        self.assert_first_primes_past(floor, set())
+        self.assert_first_primes_past(floor, set(residues._PRIMES.take(100).tolist()[::2]))
+
+    def test_every_bit_length_with_dropped_primes(self):
+        table = residues._PRIMES.take(200).tolist()
+        dropped = set(table[::3]) | {table[1]}
+        for bits in range(1, 4001):
+            for floor in (1 << (bits - 1), (1 << bits) - 1):
+                self.assert_first_primes_past(floor, dropped)
+
+
 class TestPrimeTable:
-    def test_largest_primes_below_2_31_descending(self):
+    def test_largest_primes_below_2_30_descending(self):
         p = residues._PRIMES.take(300).tolist()
-        assert p[0] == MERSENNE_31 and p == sorted(set(p), reverse=True)
+        assert p[0] == LANE_0_PRIME and p == sorted(set(p), reverse=True)
         for q in p[:20] + p[-20:]:
             assert all(q % f for f in range(2, int(q**0.5) + 1))
-        # no prime skipped between the first two
-        assert all(any(m % f == 0 for f in range(2, 50000)) for m in range(p[1] + 1, p[0]))
+        # no prime above the first below 2**30, and none skipped between the first two
+        assert all(any(m % f == 0 for f in range(2, 50000))
+                   for m in [*range(p[1] + 1, p[0]), *range(p[0] + 1, 2**30)])
 
     def test_not_built_at_import(self):
         code = "import heptacyclic.residues as r; print(len(r._PRIMES.found))"
@@ -500,13 +563,100 @@ class TestResiduesArithmetic:
             "*": [x * y % q for x, y, q in zip(a, b, p)],
             "neg": [-x % q for x, q in zip(a, p)],
         }
-        assert (A + B).v.tolist() == expect["+"]
-        assert (A - B).v.tolist() == expect["-"]
-        assert (A * B).v.tolist() == expect["*"]
-        assert (-A).v.tolist() == expect["neg"]
+        assert (A + B).reduced().tolist() == expect["+"]
+        assert (A - B).reduced().tolist() == expect["-"]
+        assert (A * B).reduced().tolist() == expect["*"]
+        assert (-A).reduced().tolist() == expect["neg"]
         if all(y % q for y, q in zip(b, p)):
             quotient = [x * pow(y, -1, q) % q for x, y, q in zip(a, b, p)]
-            assert (A / B).v.tolist() == quotient
+            assert (A / B).reduced().tolist() == quotient
         else:
             with pytest.raises(ZeroDivisionError):
                 A / B
+
+
+def assert_bounded(value, reference, p):
+    """The lanes of ``value`` are congruent to ``reference`` mod each prime,
+    and its bound holds: |v| <= b < 2**63, b = 2**30 - 1 only when reduced."""
+    v = value.v.tolist()
+    assert [x % q for x, q in zip(v, p)] == [r % q for r, q in zip(reference, p)]
+    assert max(map(abs, v)) <= value.b < 2**63
+    if value.b == 2**30 - 1:
+        assert all(0 <= x < q for x, q in zip(v, p))
+
+
+OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}
+
+
+@st.composite
+def chains(draw):
+    p = residues._PRIMES.take(LANES).tolist()
+    worst = [st.sampled_from((0, 1, q - 1)) for q in p]
+    starts = draw(st.lists(st.tuples(*worst), min_size=2, max_size=4))
+    steps = draw(st.lists(st.tuples(st.sampled_from(("+", "-", "*", "/", "neg")),
+                                    st.integers(0, 10**6), st.integers(0, 10**6)),
+                          min_size=1, max_size=60))
+    return p, starts, steps
+
+
+class TestLazyLanes:
+    """Values carry a bound and are reduced only when an operation could
+    overflow int64."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chains())
+    def test_chain_against_python_ints(self, case):
+        p, starts, steps = case
+        primes = np.array(p, dtype=np.int64)
+        pool = [(Residues(np.array(lanes, dtype=np.int64), primes), list(lanes))
+                for lanes in starts]
+        for op, i, j in steps:
+            (x, xs), (y, ys) = pool[i % len(pool)], pool[j % len(pool)]
+            if op == "neg":
+                result, ref = -x, [-a for a in xs]
+            elif op == "/":
+                if any(b % q == 0 for b, q in zip(ys, p)):
+                    with pytest.raises(ZeroDivisionError):
+                        x / y
+                    continue
+                result = x / y
+                ref = [a * pow(b, -1, q) for a, b, q in zip(xs, ys, p)]
+            else:
+                result, ref = OPS[op](x, y), [OPS[op](a, b) for a, b in zip(xs, ys)]
+            pool.append((result, ref))
+            # an operand reduced in place must still hold its value and bound
+            for value, reference in ((result, ref), (x, xs), (y, ys)):
+                assert_bounded(value, reference, p)
+        for value, reference in pool:
+            assert_bounded(value, reference, p)
+            assert value.reduced().tolist() == [r % q for r, q in zip(reference, p)]
+
+    def test_ksum_of_64_largest_products(self):
+        p = residues._PRIMES.take(LANES)
+        top = Residues(p - 1, p)
+        total = kernels._ksum([None, *[top] * 64], [None, *[top] * 64], 64)
+        assert_bounded(total, [64] * LANES, p.tolist())
+        assert top.b == 2**30 - 1 and np.array_equal(top.v, p - 1)
+
+    def test_a_det_reduces_fewer_than_half_its_field_ops(self):
+        # eager reduction takes one remainder per field op; lazily, the
+        # dividends and, once each, the stored factor entries are reduced
+        class Primes(np.ndarray):
+            """Lane primes that count every remainder taken with them."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.remainder:
+                    self.remainders += 1
+                return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+        H = random_instance(64, 1, "diagonally-dominant")
+        assert set(row_scaled(H)[0]) == {1}
+        p = residues._PRIMES.take(LANES).view(Primes)
+        bands = [[None, *(Residues(np.array([int(v) % q for q in p.tolist()]), p)
+                          for v in H.band(name))] for name in BAND_NAMES]
+        p.remainders = 0
+        vectors = kernels.sweep(*bands, residues._nonzero)
+        det = factor.det_from_factors(factor.FactorData(64, *vectors, overrides=(),
+                                                        D=bands[0], C=bands[6]))
+        assert det.reduced().tolist() == [dense_det(to_dense(H)) % q for q in p.tolist()]
+        assert 0 < p.remainders < count_det_ops(H) / 2
