@@ -53,45 +53,24 @@ class CountingScalar:
         self.counter.count += 1
         return self._wrap(self.value + self._unwrap(other))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         self.counter.count += 1
         return self._wrap(self.value - self._unwrap(other))
-
-    def __rsub__(self, other):
-        self.counter.count += 1
-        return self._wrap(self._unwrap(other) - self.value)
 
     def __mul__(self, other):
         self.counter.count += 1
         return self._wrap(self.value * self._unwrap(other))
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         self.counter.count += 1
         return self._wrap(self.value / self._unwrap(other))
-
-    def __rtruediv__(self, other):
-        self.counter.count += 1
-        return self._wrap(self._unwrap(other) / self.value)
 
     def __neg__(self):
         self.counter.count += 1
         return self._wrap(-self.value)
 
-    def __abs__(self):
-        return self._wrap(abs(self.value))
-
     def __eq__(self, other):
         return self.value == self._unwrap(other)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __float__(self):
-        return float(self.value)
 
     def __repr__(self):
         return f"CountingScalar({self.value})"

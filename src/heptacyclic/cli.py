@@ -97,9 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(pieces, out_path) -> None:
     """Write the strings of ``pieces`` in order, each as it is made, so no
-    more than one of them need be held at a time."""
+    more than one of them need be held at a time.  A path that cannot be
+    opened is invalid input, as an unreadable input file is."""
     if out_path:
-        with open(out_path, "w") as out:
+        try:
+            out = open(out_path, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc}") from exc
+        with out:
             out.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
@@ -204,8 +209,9 @@ def _cmd_solve(args) -> int:
     reports = solve_many(H, columns, backend=args.backend, tol=args.tol)
     exact_residual = args.backend == "exact" and all(
         is_solution(H, rep.x, col) for rep, col in zip(reports, columns))
-    # format_scalar of a float is its repr
-    fmt = repr if args.backend == "float" else format_scalar
+    # format_scalar of a float is its repr; the exact entries share a few
+    # denominators, whose texts the formatter makes once
+    fmt = repr if args.backend == "float" else scalar_formatter()
     xs = [list(map(fmt, rep.x)) for rep in reports]
     payload = {
         "det": format_scalar(reports[0].det),
@@ -217,10 +223,8 @@ def _cmd_solve(args) -> int:
     if args.format == "csv":
         lines = [",".join(col[i] for col in xs) for i in range(H.n)]
         pieces = ["\n".join(lines) + "\n"]
-    elif args.backend == "float":
-        pieces = _json_pieces(payload, verbatim="x")
     else:
-        pieces = [_json_dump(payload)]
+        pieces = _json_pieces(payload, verbatim="x")
     _emit(pieces, args.out)
     return 0
 

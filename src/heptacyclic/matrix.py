@@ -266,10 +266,6 @@ class DenseMatrix:
             [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         )
 
-    def entry(self, i: int, j: int):
-        """1-based accessor."""
-        return self.rows[i - 1][j - 1]
-
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")

@@ -10,8 +10,8 @@ carries a bound on its lanes and is reduced only when the next operation
 could overflow int64, so most field operations are one numpy call.  The
 integers det H' and det H' * y, for the columns y each caller takes from
 the factors, are then rebuilt from their residues by Chinese remaindering
-(Garner's algorithm; von zur Gathen & Gerhard, *Modern Computer Algebra*,
-ch. 5).  ``solve`` takes
+(the sum of each residue times the idempotent of its prime; von zur
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 5).  ``solve`` takes
 H'^-1 r' for each right-hand side; ``adjugate`` takes the columns its
 caller's ``evaluate`` yields, for the inverse the five seed columns and
 one substitution of the block of e_j over the zero C_j, so det H' * y are
@@ -271,36 +271,24 @@ def _nonzero(value, i):
     return value
 
 
-def _garner(U: np.ndarray, p: np.ndarray) -> list:
+def _crt(U: np.ndarray, p: np.ndarray) -> list:
     """The integers in (-M/2, M/2], M = prod(p), whose residues are the
-    columns of U (lane k in row k); Garner's mixed-radix algorithm.
+    columns of U (lane k in row k): the textbook Chinese remainder sum
+    x = sum_k U[k] c_k mod M, with c_k = (M/p_k) ((M/p_k)^-1 mod p_k), which
+    is 1 mod p_k and 0 mod every other prime.
 
-    The radix digits V_j come one at a time, each step vectorised over the
-    columns.  The radices P_j = p_0 ... p_{j-1} are carried mod every prime
-    as one vector w, so the memory is O(K m), not O(K^2).  Until step k
-    turns it into V_k, row k of V holds the sum of P_i V_i mod p_k over the
-    digits i < k found so far.  The Python-int Horner recombination then
-    takes two digits a step, V_k + p_k V_{k+1} < p_k p_{k+1} < 2**60 in
-    int64 with radix p_k p_{k+1}, starting from V_{K-1} alone when K is
-    odd.
+    One c_k is held at a time, and the sums are Python ints, one per column,
+    so the memory is O(K m).
     """
-    K = len(p)
     primes = p.tolist()
-    w = np.ones(K, dtype=np.int64)
-    V = np.zeros(U.shape, dtype=np.int64)
-    terms = np.empty(U.shape, dtype=np.int64)
-    for j, q in enumerate(primes):
-        V[j] = (U[j] - V[j]) % q * pow(int(w[j]), -1, q) % q
-        # each term is below 2**30, so K of them sum within int64
-        t = np.multiply(w[j + 1:, None], V[j], out=terms[j + 1:])
-        V[j + 1:] += np.remainder(t, p[j + 1:, None], out=t)
-        w = w * q % p
-    x = V[K - 1].tolist() if K % 2 else [0] * U.shape[1]
-    for k in range(K - 2 - K % 2, -1, -2):
-        radix = primes[k] * primes[k + 1]
-        x = [a * radix + b for a, b in zip(x, (V[k + 1] * primes[k] + V[k]).tolist())]
     M = prod(primes)
-    return [v - M if 2 * v > M else v for v in x]
+    acc = [0] * U.shape[1]
+    for q, row in zip(primes, U):
+        c = M // q
+        c *= pow(c % q, -1, q)
+        acc = list(map(add, acc, map(mul, row.tolist(), repeat(c))))
+    half = M // 2
+    return [v - M if v > half else v for v in (a % M for a in acc)]
 
 
 def _lagrange_at_zero(points) -> list:
@@ -477,6 +465,6 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
         blocks.append(at_zero(Y))
     U = np.concatenate(blocks)
     del blocks
-    values = _garner(U.T, primes)
+    values = _crt(U.T, primes)
     # the lane vectors made: 9 factor vectors, and about 3 per entry of y
     return (scales, values[0], overrides, values[1:]), p.nbytes * (9 * n + 3 * (len(U) - 1))

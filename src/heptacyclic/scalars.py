@@ -347,46 +347,24 @@ def parse_scalar(text: str) -> Fraction:
         raise ValueError(f"invalid scalar {text!r}") from exc
 
 
-# Fraction's p/q form: an optional sign on p, digits with single underscores
-# between them, and no space around the slash (``1/ 2`` and ``1/-2`` are
-# invalid, although int() would take either half)
-_RATIO = re.compile(r"\s*[-+]?\d+(?:_\d+)*/\d+(?:_\d+)*\s*")
-
 _INF = float("inf")
 
 
 def float_scalar(text: str):
-    """The float64 value of a scalar text, with the bits of
-    ``float(parse_scalar(text))`` and without building a Fraction for a
-    plain entry.
+    """The float64 value of a scalar text: ``float(parse_scalar(text))``.
 
-    ``float(str)`` rounds correctly, and so does ``int / int``, which is what
-    ``Fraction.__float__`` computes, so a finite nonzero result needs no
-    Fraction.  Any other text takes the exact route: a zero keeps the exact
-    parse's sign (``-0`` gives 0.0, ``-1e-400`` gives -0.0), and a text that
-    ``parse_scalar`` rejects (``inf``, ``nan``, ``1/0``) raises its ValueError.
-    A value beyond the float64 range comes back as the exact Fraction, for
-    the caller to report with its position (``matrix.float_vector``).
+    ``Fraction.__float__`` divides two ints, which CPython rounds correctly,
+    so this is the correctly rounded value, and a zero keeps the exact
+    parse's sign (``-0`` gives 0.0, ``-1e-400`` gives -0.0).  A text that
+    ``parse_scalar`` rejects (``inf``, ``nan``, ``1/0``) raises its
+    ValueError.  A value beyond the float64 range comes back as the exact
+    Fraction, for the caller to report with its position
+    (``matrix.float_vector``).
 
     This is the one definition of an entry's float; the file readers call
     it through ``float_entries``, which reads the common shapes a batch at a
     time and sends every other entry here.
     """
-    value = 0.0
-    if "/" not in text:
-        if len(text) <= _SHORT_TEXT:
-            try:
-                value = float(text)
-            except ValueError:
-                pass
-    elif _RATIO.fullmatch(text):
-        p, q = text.split("/")
-        try:
-            value = int(p) / int(q)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            pass
-    if 0.0 < abs(value) < _INF:
-        return value
     exact = parse_scalar(text)
     try:
         return float(exact)

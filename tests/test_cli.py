@@ -17,6 +17,7 @@ from heptacyclic.matrix import (
     matrix_to_json,
     random_instance,
 )
+from heptacyclic.solve import solve_many
 
 from conftest import fixture_path
 from test_factor import duplicated_row_matrix, identity_matrix
@@ -219,6 +220,35 @@ class TestSolve:
         assert payload["x"][0] == [str(i) for i in range(1, 11)]
         assert payload["x"][1] == [str(2 * i) for i in range(1, 11)]
 
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("instance", ["example10", "rational-collision"])
+    def test_json_bytes_as_json_dumps(self, instance, columns, tmp_path, capsys):
+        # the x strings are joined as they are; json.dumps lays them out the
+        # same, x nested a list per column when there are two
+        if instance == "example10":
+            H = matrix_from_json(fixture_path("example10.json").read_text())
+        else:
+            H = rational_entries(collision_matrix(0), 0)
+        path, rhs = tmp_path / "m.json", tmp_path / "r.csv"
+        path.write_text(matrix_to_json(H))
+        cols = [[Fr(3 * i - 7 * k, 1 + (i + k) % 4) for i in range(H.n)] for k in range(columns)]
+        rhs.write_text("".join(",".join(map(str, row)) + "\n" for row in zip(*cols)))
+        reports = solve_many(H, cols)
+        xs = [[scalars.format_scalar(v) for v in rep.x] for rep in reports]
+        assert any("/" in text for text in xs[0])
+        expected = json.dumps({
+            "det": scalars.format_scalar(reports[0].det), "method": reports[0].method,
+            "backend": "exact", "exact_residual": True,
+            "x": xs[0] if columns == 1 else xs,
+        }, sort_keys=True, indent=2) + "\n"
+        code, out, err = run(["solve", "--input", str(path), "--rhs", str(rhs)], capsys)
+        assert (code, err) == (0, "")
+        assert out == expected
+        out_path = tmp_path / "x.json"
+        assert main(["solve", "--input", str(path), "--rhs", str(rhs),
+                     "--out", str(out_path)]) == 0
+        assert out_path.read_text() == expected
+
     def test_float_backend(self, example_path, rhs_path, capsys):
         code, out, _ = run(["solve", "--input", example_path, "--rhs", rhs_path,
                             "--backend", "float"], capsys)
@@ -352,6 +382,25 @@ class TestInputErrors:
         code, _, err = run(["det", "--input", "/nonexistent/m.json"], capsys)
         assert code == 3
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["det", "inv", "solve", "gen", "bench", "oracle-check"])
+    def test_unwritable_out_exits_3(self, command, kind, example_path, rhs_path, tmp_path,
+                                    capsys):
+        target = tmp_path / "missing" / "o.json" if kind == "missing-directory" else tmp_path
+        argv = {
+            "det": ["det", "--input", example_path],
+            "inv": ["inv", "--input", example_path],
+            "solve": ["solve", "--input", example_path, "--rhs", rhs_path],
+            "gen": ["gen", "--n", "12", "--seed", "0"],
+            "bench": ["bench", "--n", "8", "--seed", "0"],
+            "oracle-check": ["oracle-check", "--input", example_path],
+        }[command]
+        code, out, err = run([*argv, "--out", str(target)], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
 
     def test_invalid_matrix_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

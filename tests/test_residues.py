@@ -416,7 +416,7 @@ class TestInverse:
         assert trims == ([0] if trimmed else [])
 
 
-class TestGarner:
+class TestCRT:
     @staticmethod
     def residues_of(values, p):
         return np.array([[v % q for v in values] for q in p.tolist()], dtype=np.int64)
@@ -433,7 +433,7 @@ class TestGarner:
         values += [0] * (-len(values) % m)
         for start in range(0, len(values), m):
             chunk = values[start:start + m]
-            assert residues._garner(self.residues_of(chunk, p), p) == chunk
+            assert residues._crt(self.residues_of(chunk, p), p) == chunk
 
     @staticmethod
     def one_digit_garner(column, primes):
@@ -450,28 +450,34 @@ class TestGarner:
             x = x * q + d
         return x - M if 2 * x > M else x
 
-    @pytest.mark.parametrize("K", [1, 2, 3, 4, 17, 50, 51])
-    def test_two_digit_steps_equal_one_digit_steps(self, K):
+    @pytest.mark.parametrize("m", [1, 2, 56, 641])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 17, 50, 51, 56, 89, 107])
+    def test_equals_garner(self, K, m):
+        """The sum gives what Garner's digits give, at the (K, m) shapes the
+        lane makes, the ends +-M/2 and their neighbours in every call."""
         p = residues._PRIMES.take(K)
         primes = p.tolist()
         M = prod(primes)
-        rng = random.Random(K)
-        values = [0, 1, -1, M // 2, -((M - 1) // 2), M // 2 - 1, -((M - 1) // 2) + 1]
-        values += [rng.randrange(-((M - 1) // 2), M // 2 + 1) for _ in range(20)]
-        U = self.residues_of(values, p)
-        expected = [self.one_digit_garner(column, primes) for column in U.T.tolist()]
-        assert expected == values
-        assert residues._garner(U, p) == expected
+        rng = random.Random(1000 * K + m)
+        ends = [0, 1, -1, M // 2, -((M - 1) // 2), M // 2 - 1, -((M - 1) // 2) + 1]
+        for start in range(0, len(ends), m):
+            values = ends[start:start + m]
+            values += [rng.randrange(-((M - 1) // 2), M // 2 + 1) for _ in range(m - len(values))]
+            U = self.residues_of(values, p)
+            expected = [self.one_digit_garner(column, primes) for column in U.T.tolist()]
+            assert expected == values
+            assert residues._crt(U, p) == expected
 
     def test_memory_linear_in_primes(self):
-        # a K x K table of the radices mod every prime would take 32 MB here
+        # the K coefficients (M/p_k) ((M/p_k)^-1 mod p_k), held at once,
+        # would take some 15 MB here
         K = 2000
         p = residues._PRIMES.take(K)
         value = -(prod(p.tolist()) // 3)
         U = self.residues_of([value], p)
         tracemalloc.start()
         try:
-            got = residues._garner(U, p)
+            got = residues._crt(U, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
