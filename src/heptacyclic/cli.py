@@ -5,7 +5,8 @@ Subcommands: det, inv, solve, gen, bench, oracle-check.  Exit codes:
 near-singular refusal), 3 invalid input, including a usage error such as
 an unknown flag or a malformed option value, 4 internal contract violation
 (e.g. a zero divisor or an inexact division in the back recursion, which
-cannot happen unless there is a bug).
+cannot happen unless there is a bug), 5 out of memory (an exact request
+whose residue lanes do not fit, for one).
 
 Output is deterministic for fixed inputs and flags: JSON is emitted with
 sorted keys and canonical p/q scalar strings.
@@ -277,6 +278,9 @@ def main(argv=None) -> int:
     except InternalContractError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

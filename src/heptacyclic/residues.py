@@ -86,6 +86,12 @@ _REDUCED = _TOP - 1
 _PRODUCT = _REDUCED * _REDUCED
 # a call whose lane vectors took this many bytes or more trims the C heap
 _TRIM_BYTES = 768 << 10
+# from this many lanes on, a pivot's inverse is Fermat's power over the lane
+# vector, below it one Python pow per lane: the two cross between about 56
+# and 80 lanes (README, "Exact det, solve and inverse over word-size primes")
+_FERMAT_LANES = 64
+# the band entries reduced by one numpy call, kept while the sweep reads them
+_BLOCK = 16
 
 
 class _PrimeTable:
@@ -136,8 +142,45 @@ def _lanes(x: int, p: np.ndarray) -> np.ndarray:
 
 
 def _inverse_lanes(v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """v^-1 mod p lane by lane; every lane of v must be nonzero."""
-    return np.array(list(map(pow, v.tolist(), repeat(-1), p.tolist())), dtype=np.int64)
+    """v^-1 mod p lane by lane; every lane of v must be reduced and nonzero.
+
+    Below ``_FERMAT_LANES`` lanes, one Python ``pow`` per lane.  From there
+    on, v^(p-2) (Fermat) over the whole vector, by 4-bit windows of the
+    exponents e = p - 2, high to low: a table of v^0 ... v^15, then per
+    window four squarings and one product by a row of the table.  The
+    exponents agree above their highest differing bit (the table's primes
+    lie just below 2**30), so a window above it is one row for every lane,
+    and only the low windows gather a row per lane.  Every step multiplies
+    two reduced lanes, below 2**60, and reduces the product in place.
+    """
+    K = len(p)
+    if K < _FERMAT_LANES:
+        return np.array(list(map(pow, v.tolist(), repeat(-1), p.tolist())), dtype=np.int64)
+    mul, rem = np.multiply, np.remainder
+    e = p - 2
+    # the windows from bit ``low`` up are the same in every exponent
+    low = -(-int(np.bitwise_xor(e, e[0]).max()).bit_length() // 4) * 4
+    T = np.empty((16, K), dtype=np.int64)
+    T[0], T[1] = 1, v
+    T[2] = v * v % p
+    T[3] = T[2] * v % p
+    for lo, hi in ((4, 8), (8, 16)):
+        mul(T[:hi - lo], T[lo - 1] * v % p, out=T[lo:hi])
+        rem(T[lo:hi], p, out=T[lo:hi])
+    first, lanes = int(e[0]), np.arange(K)
+
+    def window(t):
+        return T[first >> t & 15] if t >= low else T[e >> t & 15, lanes]
+
+    top = max(int(e.max()).bit_length() - 1, 0) // 4 * 4
+    x = window(top).copy()
+    for t in range(top - 4, -1, -4):
+        for _ in range(4):
+            mul(x, x, out=x)
+            rem(x, p, out=x)
+        mul(x, window(t), out=x)
+        rem(x, p, out=x)
+    return x
 
 
 class Residues:
@@ -166,7 +209,9 @@ class Residues:
     before it lowers ``b``, and every operation reads ``b`` before ``v``,
     so a thread that reads a value while another reduces it (the seed
     columns of ``inverse.seed_columns(parallel=True)``) sees a bound that
-    holds for the lanes it reads.
+    holds for the lanes it reads.  The same threads read band entries
+    through one block cache (``_Band``), which is one attribute for that
+    reason.
     """
 
     __slots__ = ("v", "p", "b", "_inv")
@@ -234,25 +279,49 @@ def _make_room(x: Residues, y: Residues, combine) -> int:
 
 
 class _Band:
-    """1-based integer band read as residue vectors, each made when it is
-    read, so no residue array is kept per band entry.  ``shifted`` maps an
-    index to its lanes given outright (d'_i + s L_i for a pivot override)."""
+    """1-based integer band read as residue vectors, ``_BLOCK`` entries at a
+    time: a read reduces the block of entries that holds it in one numpy
+    call (an int beyond int64 through ``_lanes``) and keeps that block's
+    values until a read leaves it, so no residue array is kept per band
+    entry and a repeat read returns the same value.  Blocks are aligned
+    (1, 1 + _BLOCK, ...), so reads that run down the band, as the back
+    substitution's do, reuse a block as well as reads that run up.
+    ``shifted`` maps an index to its lanes given outright (d'_i + s L_i for
+    a pivot override).
 
-    __slots__ = ("ints", "p", "shifted")
+    The block is one attribute, a tuple (first index, values), read once
+    per read: threads reading one band (the seed columns of
+    ``inverse.seed_columns(parallel=True)`` read C) each see some whole
+    block, never the index of one and the values of another.
+    """
+
+    __slots__ = ("ints", "p", "shifted", "block")
 
     def __init__(self, ints, p, shifted=None):
         self.ints = [None, *ints]
         self.p = p
         self.shifted = shifted or {}
+        self.block = (0, ())
 
     def __len__(self):
         return len(self.ints)
 
     def __getitem__(self, i):
         lanes = self.shifted.get(i)
-        if lanes is None:
-            lanes = _lanes(self.ints[i], self.p)
-        return Residues(lanes, self.p)
+        if lanes is not None:
+            return Residues(lanes, self.p)
+        start, values = self.block
+        if 0 <= i - start < len(values):
+            return values[i - start]
+        start = i - (i - 1) % _BLOCK
+        ints, p = self.ints[start:start + _BLOCK], self.p
+        try:
+            rows = np.array(ints, dtype=np.int64)[:, None] % p
+        except OverflowError:
+            rows = [_lanes(x, p) for x in ints]
+        values = [Residues(row, p) for row in rows]
+        self.block = (start, values)
+        return values[i - start]
 
 
 class _ZeroLanes(Exception):

@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from heptacyclic import kernels, scalars
+from heptacyclic import kernels, residues, scalars
 from heptacyclic.cli import main
 from heptacyclic.factor import factorize
 from heptacyclic.inverse import invert
@@ -401,6 +401,21 @@ class TestInputErrors:
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", ["det", "inv", "solve"])
+    def test_out_of_memory_exits_5(self, command, example_path, rhs_path, tmp_path,
+                                   monkeypatch, capsys):
+        # every exact det, solve and inverse makes its lanes in residues.adjugate
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(residues, "adjugate", no_memory)
+        argv = [command, "--input", example_path]
+        if command == "solve":
+            argv += ["--rhs", rhs_path]
+        for out in ([], ["--out", str(tmp_path / "o.json")]):
+            assert run(argv + out, capsys) == (5, "", "error: out of memory\n")
+        assert not (tmp_path / "o.json").exists()
 
     def test_invalid_matrix_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from contextlib import contextmanager
 from fractions import Fraction as Fr
 from math import prod
@@ -264,6 +265,24 @@ class TestInvert:
             a = invert(H, parallel_seeds=False)
             b = invert(H, parallel_seeds=True)
             assert a.S == b.S and a.c_substitutions == b.c_substitutions
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_parallel_seeds_across_band_blocks(self, seed):
+        # at n = 128 the five seed columns read C over eight blocks of its
+        # band, each thread at its own row, with the interpreter asked to
+        # switch threads every microsecond.  The pool starts its threads one
+        # by one and the columns overlap little, so
+        # test_residues.TestBandBlocks::test_threads_reading_one_band is the
+        # sharper check of the band's block cache
+        H = random_instance(128, seed, "diagonally-dominant")
+        serial = invert(H, parallel_seeds=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = invert(H, parallel_seeds=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel.S == serial.S and parallel.c_substitutions == serial.c_substitutions
 
 
 class TestIntegerAdjugate:

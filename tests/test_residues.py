@@ -5,9 +5,10 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction as Fr
-from math import prod
+from math import isqrt, prod
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,8 @@ from heptacyclic.residues import Residues
 from heptacyclic.scalars import T
 from heptacyclic.solve import solve_many
 
-from test_inverse import (acceptance_corpora, count_calls, on_the_lane, point_skip_matrix,
-                          rational_entries, zero_rows)
+from test_inverse import (ALL_PROFILES, acceptance_corpora, collision_matrix, count_calls,
+                          on_the_lane, point_skip_matrix, rational_entries, zero_rows)
 
 # the largest prime below 2**30: lane 0 of every sweep
 LANE_0_PRIME = 2**30 - 35
@@ -116,6 +117,18 @@ class TestEqualsOracle:
             H = with_bands(H, d=[v * big for v in H.band("d")],
                            a=[v * big if k % 2 else v for k, v in enumerate(H.band("a"))])
             assert_equals_oracle(H, seed)
+
+    def test_lanes_past_the_fermat_switch(self):
+        # entries near 10**100 take some 90 primes at these orders, so every
+        # pivot inverse is Fermat's power, at one point or tiled over several
+        instances = [random_instance(8 + seed, seed, profile)
+                     for seed in range(3) for profile in ALL_PROFILES]
+        instances += [collision_matrix(seed) for seed in range(2)]
+        big = 10**100
+        for k, H in enumerate(instances):
+            H = with_bands(H, **{name: [v * big for v in H.band(name)] for name in BAND_NAMES})
+            for primes in assert_equals_oracle(H, seed=k):
+                assert len(primes) >= residues._FERMAT_LANES
 
 
 class TestZeroPivots:
@@ -666,3 +679,168 @@ class TestLazyLanes:
                                                         D=bands[0], C=bands[6]))
         assert det.reduced().tolist() == [dense_det(to_dense(H)) % q for q in p.tolist()]
         assert 0 < p.remainders < count_det_ops(H) / 2
+
+
+SWITCH = residues._FERMAT_LANES
+# the primes below 400, whose exponents p - 2 share no high window with the table's
+SMALL_PRIMES = [q for q in range(2, 400) if all(q % d for d in range(2, isqrt(q) + 1))]
+
+
+class TestInverseLanes:
+    """Both paths of the pivot inverse, one ``pow`` per lane below
+    ``_FERMAT_LANES`` lanes and v^(p-2) over the lane vector from there on,
+    equal pow(v, -1, p) in every lane."""
+
+    @staticmethod
+    def assert_inverse(p, seed=0):
+        p = np.array(p, dtype=np.int64)
+        rng = random.Random(seed)
+        v = [rng.randrange(1, q) for q in p.tolist()]
+        # 1 and p - 1 in some lanes
+        v[0], v[len(v) // 2], v[-1] = 1, int(p[len(v) // 2]) - 1, int(p[-1]) - 1
+        v = np.array(v, dtype=np.int64)
+        inverse = residues._inverse_lanes(v, p)
+        assert inverse.dtype == np.int64
+        assert inverse.tolist() == [pow(a, -1, q) for a, q in zip(v.tolist(), p.tolist())]
+
+    @pytest.mark.parametrize("K", [SWITCH - 1, SWITCH, 89, 107, 343])
+    def test_table_primes(self, K):
+        for seed in range(3):
+            self.assert_inverse(residues._PRIMES.take(K), seed)
+
+    @pytest.mark.parametrize("K", [SWITCH - 1, SWITCH, 89])
+    def test_every_lane_one_or_p_minus_one(self, K):
+        p = residues._PRIMES.take(K)
+        for v in (np.ones_like(p), p - 1):
+            assert residues._inverse_lanes(v, p).tolist() == v.tolist()
+
+    @pytest.mark.parametrize("points", [2, 3, 5])
+    @pytest.mark.parametrize("K", [SWITCH // 2, 45, 89])
+    def test_tiled_points(self, K, points):
+        # lane k * K + j is point k modulo prime j: the primes repeat
+        self.assert_inverse(np.tile(residues._PRIMES.take(K), points), seed=points)
+
+    def test_dropped_primes(self):
+        table = lane_primes(120)
+        for dropped in ({table[0]}, {table[1], table[40], table[89]}, set(table[:30])):
+            p = residues._choose_primes(prod(table[:100]), dropped)
+            assert not dropped & set(p.tolist()) and len(p) >= SWITCH
+            self.assert_inverse(p)
+
+    @pytest.mark.parametrize("order", ["small-first", "small-last", "small-only"])
+    def test_no_common_high_window(self, order):
+        table = lane_primes(SWITCH)
+        p = {"small-first": SMALL_PRIMES + table, "small-last": table + SMALL_PRIMES,
+             "small-only": SMALL_PRIMES}[order]
+        assert len(p) >= SWITCH
+        for seed in range(3):
+            self.assert_inverse(p, seed)
+
+    def test_the_first_prime_repeated(self):
+        # every exponent the same: no window is gathered
+        for q in (2, 3, LANE_0_PRIME):
+            self.assert_inverse([q] * SWITCH)
+
+
+class TestBandBlocks:
+    """A band reduces a block of ``_BLOCK`` entries per numpy call and keeps
+    that block's values while its reads stay in the block."""
+
+    @staticmethod
+    def entries(n, seed=0):
+        rng = random.Random(seed)
+        values = [rng.randint(-(2**63), 2**63 - 1) for _ in range(n)]
+        # beyond int64 in one block, and p - 1 and p
+        values[residues._BLOCK + 3] = 2**70 + 5
+        values[residues._BLOCK + 4] = -(2**90)
+        values[2], values[3] = LANE_0_PRIME - 1, LANE_0_PRIME
+        return values
+
+    def test_reads_in_any_order(self):
+        p = residues._PRIMES.take(SWITCH)
+        n = 3 * residues._BLOCK + 5
+        values = self.entries(n)
+        band = residues._Band(values, p)
+        order = [*range(1, n + 1), *range(n, 0, -1)]
+        order += random.Random(1).sample(range(1, n + 1), n)
+        for i in order:
+            value = band[i]
+            assert value.b == 2**30 - 1
+            assert value.v.tolist() == [values[i - 1] % q for q in p.tolist()]
+        assert len(band) == n + 1
+
+    def test_a_repeat_read_is_the_same_value(self):
+        p = residues._PRIMES.take(8)
+        band = residues._Band(range(1, 3 * residues._BLOCK), p)
+        first = band[3]
+        assert band[3] is first and band[residues._BLOCK] is band[residues._BLOCK]
+        band[residues._BLOCK + 1]  # the next block
+        again = band[3]
+        assert again is not first and again.v.tolist() == first.v.tolist()
+
+    def test_blocks_are_aligned(self):
+        p = residues._PRIMES.take(8)
+        band = residues._Band(range(100), p)
+        for i, start in ((1, 1), (residues._BLOCK, 1), (residues._BLOCK + 1, residues._BLOCK + 1),
+                         (100, 100 - (100 - 1) % residues._BLOCK)):
+            band[i]
+            assert band.block[0] == start
+        assert len(band.block[1]) == 100 - band.block[0] + 1
+
+    def test_shifted_entries_are_given_outright(self):
+        p = residues._PRIMES.take(8)
+        lanes = np.arange(8, dtype=np.int64)
+        band = residues._Band(range(10, 40), p, {2: lanes})
+        assert band[2].v is lanes
+        assert band[1].v.tolist() == [10 % q for q in p.tolist()]
+        assert band[3].v.tolist() == [12 % q for q in p.tolist()]
+
+    def test_threads_reading_one_band(self):
+        # four threads read every entry of one band, each in its own order,
+        # with the interpreter asked to switch threads every microsecond: a
+        # read must never pair one block's first index with another's values
+        p = residues._PRIMES.take(8)
+        n = 8 * residues._BLOCK
+        values = list(range(10**6, 10**6 + n))
+        band = residues._Band(values, p)
+        expect = {i: [values[i - 1] % q for q in p.tolist()] for i in range(1, n + 1)}
+        wrong = []
+
+        def reader(seed):
+            order = random.Random(seed).sample(range(1, n + 1), n)
+            try:
+                for _ in range(30):
+                    wrong.extend(i for i in order if band[i].v.tolist() != expect[i])
+            except Exception as exc:  # an index paired with the wrong block
+                wrong.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+    def test_factor_entries_pin_at_most_one_block_per_band(self):
+        # g_1 = a_1, z_1 = A_1, v_1 = b_1, w_1 = B_1 and alpha_1 = d_1 are
+        # band values: each keeps one block of its band alive, no more
+        H = random_instance(256, 1, "diagonally-dominant")
+        captured = []
+
+        def evaluate(fd, rhs):
+            captured.append(fd)
+            return ()
+
+        residues.adjugate(H, evaluate)
+        (fd,) = captured
+        K = len(fd.alpha[1].p)
+        blocks = {id(x.v.base): x.v.base.shape
+                  for vector in (fd.alpha, fd.f, fd.e, fd.g, fd.z, fd.k, fd.h, fd.v, fd.w)
+                  for x in vector if x is not None and x.v.base is not None}
+        assert len(blocks) == 5
+        assert set(blocks.values()) == {(residues._BLOCK, K)}
