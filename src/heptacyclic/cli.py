@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -68,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("inv", help="full inverse")
     add_common(p_inv)
     p_inv.add_argument("--parallel-seeds", action="store_true",
-                       help="compute the five seed columns on a thread pool; the output is "
+                       help="substitute the five seed columns and the zero-C_j columns one "
+                            "at a time on a thread pool, not as one block; the output is "
                             "byte-identical, and the pool gives no speed-up (the work holds "
                             "the interpreter lock)")
 
@@ -98,17 +100,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(pieces, out_path) -> None:
     """Write the strings of ``pieces`` in order, each as it is made, so no
-    more than one of them need be held at a time.  A path that cannot be
-    opened is invalid input, as an unreadable input file is."""
-    if out_path:
-        try:
-            out = open(out_path, "w")
-        except OSError as exc:
-            raise ValueError(f"cannot write {out_path}: {exc}") from exc
+    more than one of them need be held at a time.
+
+    Standard output takes each piece as it comes.  A path takes them
+    through a temporary file beside it, which replaces the path only once
+    the last piece is written: an error on the way (the formatter out of
+    memory, say) removes the temporary file and propagates, and the path
+    keeps what it held.  A path that cannot be written is invalid input,
+    as an unreadable input file is.
+    """
+    if not out_path:
+        sys.stdout.writelines(pieces)
+        return
+    path = Path(out_path)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        out = open(tmp, "x")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc}") from exc
+    try:
         with out:
             out.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc}") from exc
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read(path) -> str:

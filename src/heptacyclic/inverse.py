@@ -1,20 +1,20 @@
 """Exact inversion from the bordered factors.
 
-The last five columns of the inverse come straight from the factor vectors:
-each one is a closed-form pass down the border entries followed by an upward
-five-term sweep.  They are mutually independent, so they may be computed
-concurrently.  The remaining n-5 columns follow from the band identity
-S @ H = I, peeled column by column: column j is obtained from columns
-j+1..j+6 by dividing through the band entry C_j.  Where C_j is zero, column
-j is instead the forward/back substitution of e_j through the factors
-already in hand (one substitution of the block of all such e_j), and the
-recursion continues above it.
+The last five columns of the inverse are the forward/back substitutions of
+e_n, ..., e_{n-4} through the factors, each from its first nonzero row on.
+They are mutually independent, so they may be computed concurrently.  The
+remaining n-5 columns follow from the band identity S @ H = I, peeled
+column by column: column j is obtained from columns j+1..j+6 by dividing
+through the band entry C_j.  Where C_j is zero, column j is instead the
+substitution of e_j through the same factors, and the recursion continues
+above it.
 
 Only the seeds and the zero-C columns read the factors, and they run over
 residue lanes (``residues.adjugate``): one sweep of H' = diag(L) H, L_i the
-lcm of the denominators in row i, over word-size primes, the seed formulas
-and the substitutions over the same lanes, each column times det H', and
-one Chinese remaindering.  That gives det H' and those 5 + z columns of
+lcm of the denominators in row i, over word-size primes, one substitution
+of the block of all their e_j over the same lanes (one per column under
+``parallel_seeds``), each column times det H', and one Chinese
+remaindering.  That gives det H' and those 5 + z columns of
 adj H' = det H' * H'^-1 as Python ints.  A structurally zero pivot is
 handled at concrete points rather than with a symbolic t: the lanes then
 cover the r + 1 points of H'(s) = H' + s*diag(L)*G (G a one at each such
@@ -36,9 +36,11 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, isqrt, prod
 from operator import floordiv
+
+import numpy as np
 
 from . import kernels
 from .errors import InternalContractError, SingularMatrixError
@@ -46,8 +48,7 @@ from .factor import FactorData, factorize
 from .matrix import CyclicHeptaMatrix, DenseMatrix, row_scaled
 from .scalars import coprime_fraction
 
-# perfbench/tracer.py wraps these module attributes, so they stay bound; the
-# zero-C columns call kernels.substitute directly
+# perfbench/tracer.py wraps these module attributes, so they stay bound
 from .factor import lu_substitute  # noqa: F401
 from .scalars import eval_at_zero  # noqa: F401
 
@@ -71,107 +72,48 @@ class InverseResult:
     back_path: str = "recursion"
 
 
-def _upper_sweep(col, fd: FactorData):
-    """Rows n-5 down to 1 of one seed column (five-term recurrence)."""
-    n = fd.n
-    al, g, z, Cv, v, w = fd.alpha, fd.g, fd.z, fd.C, fd.v, fd.w
-    for i in range(n - 5, 0, -1):
-        col[i] = -(
-            g[i] * col[i + 1]
-            + z[i] * col[i + 2]
-            + Cv[i] * col[i + 3]
-            + w[i] * col[n - 1]
-            + v[i] * col[n]
-        ) / al[i]
-
-
-def _fill_closure_rows(col, fd: FactorData):
-    """Rows n-2, n-3, n-4 for whichever of them the column head left open."""
-    n = fd.n
-    al, g, z, v, w = fd.alpha, fd.g, fd.z, fd.v, fd.w
-    if col[n - 2] is None:
-        col[n - 2] = -(w[n - 2] * col[n - 1] + v[n - 2] * col[n]) / al[n - 2]
-    if col[n - 3] is None:
-        col[n - 3] = -(
-            g[n - 3] * col[n - 2] + w[n - 3] * col[n - 1] + v[n - 3] * col[n]
-        ) / al[n - 3]
-    if col[n - 4] is None:
-        col[n - 4] = -(
-            g[n - 4] * col[n - 3]
-            + z[n - 4] * col[n - 2]
-            + w[n - 4] * col[n - 1]
-            + v[n - 4] * col[n]
-        ) / al[n - 4]
-
-
 def _one(fd: FactorData):
     """The one of the field the factors are over: pivot 1 divided by itself,
     a ``Fraction`` or residue lanes (whose pivot inverse the sweep keeps)."""
     return fd.alpha[1] / fd.alpha[1]
 
 
-def _seed_column(fd: FactorData, j: int):
-    """Column j of the inverse for j in {n, n-1, n-2, n-3, n-4}."""
-    n = fd.n
-    al, f, e, k, h, v, w, g = fd.alpha, fd.f, fd.e, fd.k, fd.h, fd.v, fd.w, fd.g
-    one = _one(fd)
-    c = [None] * (n + 1)
-    if j == n:
-        c[n] = one / al[n]
-        c[n - 1] = -v[n - 1] * c[n] / al[n - 1]
-    elif j == n - 1:
-        c[n] = -h[n - 1] / al[n]
-        c[n - 1] = (one - v[n - 1] * c[n]) / al[n - 1]
-    elif j == n - 2:
-        c[n] = (-h[n - 2] + h[n - 1] * k[n - 2]) / al[n]
-        c[n - 1] = -(k[n - 2] + v[n - 1] * c[n]) / al[n - 1]
-        c[n - 2] = (one - w[n - 2] * c[n - 1] - v[n - 2] * c[n]) / al[n - 2]
-    elif j == n - 3:
-        c[n] = (-h[n - 3] + h[n - 2] * f[n - 2] - h[n - 1] * (k[n - 2] * f[n - 2] - k[n - 3])) / al[n]
-        c[n - 1] = (k[n - 2] * f[n - 2] - k[n - 3] - v[n - 1] * c[n]) / al[n - 1]
-        c[n - 2] = -(f[n - 2] + w[n - 2] * c[n - 1] + v[n - 2] * c[n]) / al[n - 2]
-        c[n - 3] = (one - g[n - 3] * c[n - 2] - w[n - 3] * c[n - 1] - v[n - 3] * c[n]) / al[n - 3]
-    elif j == n - 4:
-        # the forward pass through row n-2 leaves e[n-2] - f[n-2]*f[n-3];
-        # the same grouping must appear inside the k and h folds
-        emff = e[n - 2] - f[n - 2] * f[n - 3]
-        c[n] = (
-            -h[n - 4]
-            + h[n - 3] * f[n - 3]
-            + h[n - 2] * emff
-            + h[n - 1] * (k[n - 4] - k[n - 3] * f[n - 3] - k[n - 2] * emff)
-        ) / al[n]
-        c[n - 1] = (-k[n - 4] + k[n - 3] * f[n - 3] + k[n - 2] * emff - v[n - 1] * c[n]) / al[n - 1]
-        c[n - 2] = -(emff + w[n - 2] * c[n - 1] + v[n - 2] * c[n]) / al[n - 2]
-        c[n - 3] = -(f[n - 3] + g[n - 3] * c[n - 2] + w[n - 3] * c[n - 1] + v[n - 3] * c[n]) / al[n - 3]
-        c[n - 4] = (
-            one
-            - g[n - 4] * c[n - 3]
-            - fd.z[n - 4] * c[n - 2]
-            - w[n - 4] * c[n - 1]
-            - v[n - 4] * c[n]
-        ) / al[n - 4]
-    else:
-        raise ValueError(f"not a seed column index: {j}")
-    _fill_closure_rows(c, fd)
-    _upper_sweep(c, fd)
-    return c
+def seed_columns(fd: FactorData, parallel: bool = False, zero_c=()) -> tuple:
+    """Columns n, n-1, ..., n-4 of the inverse, then column j for each j of
+    ``zero_c``, as 1-based lists over the field of ``fd``.
 
+    Column j is the substitution of e_j through the factors, run from row
+    j on (``kernels.substitute``'s ``start``).  The columns are batched:
 
-def seed_columns(fd: FactorData, parallel: bool = False) -> tuple:
-    """The five rightmost columns of the inverse: (Col_n, ..., Col_{n-4}).
+    - serially over residue lanes, as one substitution of the block of all
+      their e_j (``residues.unit_block``) from its first nonzero row, then
+      taken apart into columns;
+    - with ``parallel``, one substitution per column on a thread pool;
+    - serially over a scalar field (``Fraction``, rational functions of
+      t), one substitution per column in turn.
 
-    Independent given the factor data; with ``parallel`` they run on a small
-    thread pool.  Results are identical either way.
+    The columns are the same either way.
     """
     n = fd.n
-    indices = [n, n - 1, n - 2, n - 3, n - 4]
+    indices = (*range(n, n - SEED_COLUMN_COUNT, -1), *zero_c)
+    if fd.backend == "residues" and not parallel:
+        from . import residues
+
+        block = kernels.substitute(fd, residues.unit_block(fd, indices), start=min(indices))
+        # rows x columns x lanes, turned to columns x rows x lanes
+        lanes = np.array([value.reduced() for value in block[1:]]).transpose(1, 0, 2)
+        return tuple([None, *map(residues.Residues, col, repeat(fd.alpha[1].p))] for col in lanes)
+    one = _one(fd)
+    zero = one - one
+
+    def column(j):
+        e_j = [None, *(one if i == j else zero for i in range(1, n + 1))]
+        return kernels.substitute(fd, e_j, start=min(j, n - 2))
+
     if parallel:
         with ThreadPoolExecutor(max_workers=SEED_COLUMN_COUNT) as pool:
-            cols = list(pool.map(lambda j: _seed_column(fd, j), indices))
-    else:
-        cols = [_seed_column(fd, j) for j in indices]
-    return tuple(cols)
+            return tuple(pool.map(column, indices))
+    return tuple(map(column, indices))
 
 
 def _back_column(bands, cols, j: int, delta: int) -> list:
@@ -322,9 +264,9 @@ def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
 
     Pipeline: ``residues.adjugate`` factors H' = diag(L) H over residue
     lanes (H'(s) at concrete points, if a pivot is zero) and, from those
-    factors, builds the five seed columns and one substitution of the block
-    of e_j over the zero C_j, as columns of adj H'.  The recursion then recovers the
-    remaining columns once, from the bands of H'.
+    factors, takes the five seed columns and the columns of the zero C_j
+    by one call of ``seed_columns``, as columns of adj H'.  The recursion
+    then recovers the remaining columns once, from the bands of H'.
     """
     from . import residues  # loaded on first use, outside the import time of the package
 
@@ -332,12 +274,8 @@ def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
     zero_c = _zero_c(H)
     indices = (*range(n, n - SEED_COLUMN_COUNT, -1), *zero_c)
 
-    def columns(fd):
-        yield from seed_columns(fd, parallel=parallel_seeds)
-        if zero_c:
-            yield kernels.substitute(fd, residues.unit_block(fd, zero_c))
-
-    _, delta, overrides, values = residues.adjugate(H, lambda fd, rhs: columns(fd))
+    _, delta, overrides, values = residues.adjugate(
+        H, lambda fd, rhs: seed_columns(fd, parallel_seeds, zero_c))
     if delta == 0:
         raise SingularMatrixError("singular matrix")
     given = {j: values[k * n:(k + 1) * n] for k, j in enumerate(indices)}

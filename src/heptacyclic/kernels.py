@@ -32,9 +32,9 @@ import numpy as np
 from .errors import NearSingularPivotError
 
 
-def _ksum(xs, ys, upto):
-    acc = xs[1] * ys[1]
-    for j in range(2, upto + 1):
+def _ksum(xs, ys, upto, start=1):
+    acc = xs[start] * ys[start]
+    for j in range(start + 1, upto + 1):
         acc = acc + xs[j] * ys[j]
     return acc
 
@@ -109,21 +109,29 @@ def sweep(D, B, b, d, a, A, C, pivot):
     return al, f, e, g, z, k, h, v, w
 
 
-def substitute(fd, r):
+def substitute(fd, r, start=1):
     """Forward/back substitution of one 1-based right-hand side through the
-    factors in ``fd`` (a ``factor.FactorData``); returns 1-based x.  O(n)."""
+    factors in ``fd`` (a ``factor.FactorData``); returns 1-based x.  O(n).
+
+    Rows of r before ``start`` (1 <= start <= n-2) must be zero: y = r
+    there, the forward pass begins at row ``start`` and the border sums
+    skip those rows.  A unit vector e_j runs from row j on.
+    """
     n = fd.n
     al, f, e, g, z, k, h, v, w = fd.alpha, fd.f, fd.e, fd.g, fd.z, fd.k, fd.h, fd.v, fd.w
     D, C = fd.D, fd.C
 
     y = [None] * (n + 1)
-    y[1] = r[1]
-    y[2] = r[2] - f[2] * y[1]
-    y[3] = r[3] - f[3] * y[2] - e[3] * y[1]
-    for i in range(4, n - 1):
+    for i in range(1, max(start, 2)):
+        y[i] = r[i]
+    if start <= 2:
+        y[2] = r[2] - f[2] * y[1]
+    if start <= 3:
+        y[3] = r[3] - f[3] * y[2] - e[3] * y[1]
+    for i in range(max(start, 4), n - 1):
         y[i] = r[i] - f[i] * y[i - 1] - e[i] * y[i - 2] - D[i] * y[i - 3] / al[i - 3]
-    y[n - 1] = r[n - 1] - _ksum(k, y, n - 2)
-    y[n] = r[n] - _ksum(h, y, n - 1)
+    y[n - 1] = r[n - 1] - _ksum(k, y, n - 2, start)
+    y[n] = r[n] - _ksum(h, y, n - 1, start)
 
     x = [None] * (n + 1)
     x[n] = y[n] / al[n]

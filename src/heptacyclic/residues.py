@@ -5,17 +5,16 @@ each one works on operands of O(n) digits and takes their gcd.  Here the
 sweep runs once over many lanes at the same time: every value is a
 ``Residues``, a numpy int64 vector holding one lane per (point, prime)
 for primes below 2**30, and ``kernels.sweep`` and ``kernels.substitute``
-run over it unchanged, as do the inverse's seed formulas.  Each value
-carries a bound on its lanes and is reduced only when the next operation
-could overflow int64, so most field operations are one numpy call.  The
-integers det H' and det H' * y, for the columns y each caller takes from
-the factors, are then rebuilt from their residues by Chinese remaindering
-(the sum of each residue times the idempotent of its prime; von zur
-Gathen & Gerhard, *Modern Computer Algebra*, ch. 5).  ``solve`` takes
+run over it unchanged.  Each value carries a bound on its lanes and is
+reduced only when the next operation could overflow int64, so most field
+operations are one numpy call.  The integers det H' and det H' * y, for
+the columns y each caller takes from the factors, are then rebuilt from
+their residues by Chinese remaindering (the sum of each residue times the
+idempotent of its prime; von zur Gathen & Gerhard, *Modern Computer
+Algebra*, ch. 5).  ``solve`` takes
 H'^-1 r' for each right-hand side; ``adjugate`` takes the columns its
 caller's ``evaluate`` yields, for the inverse the five seed columns and
-one substitution of the block of e_j over the zero C_j, so det H' * y are
-columns of adj H'.
+the columns of the zero C_j, so det H' * y are columns of adj H'.
 
 The sweep runs on H' = diag(L) H, where L_i is the lcm of the denominators
 in row i of H and of the right-hand sides, so H' and r' = L r are integer
@@ -69,14 +68,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice, repeat
-from math import isqrt, prod
-from operator import add, mul
+from math import gcd, isqrt, prod
+from operator import add, floordiv, mul, neg
 
 import numpy as np
 
 from . import kernels
 from .factor import FactorData, det_from_factors
 from .matrix import BAND_NAMES, CyclicHeptaMatrix, row_scaled
+from .scalars import coprime_fraction
 
 _TOP = 1 << 30
 _SEGMENT = 1 << 18
@@ -207,11 +207,11 @@ class Residues:
     An operand is reduced in place (``reduced``), so a factor entry that
     the sweep reads again is reduced once.  ``reduced`` assigns ``v``
     before it lowers ``b``, and every operation reads ``b`` before ``v``,
-    so a thread that reads a value while another reduces it (the seed
-    columns of ``inverse.seed_columns(parallel=True)``) sees a bound that
-    holds for the lanes it reads.  The same threads read band entries
-    through one block cache (``_Band``), which is one attribute for that
-    reason.
+    so a thread that reads a value while another reduces it (the
+    per-column substitutions that ``inverse.seed_columns(parallel=True)``
+    runs on its thread pool) sees a bound that holds for the lanes it
+    reads.  The same threads read band entries through one block cache
+    (``_Band``), which is one attribute for that reason.
     """
 
     __slots__ = ("v", "p", "b", "_inv")
@@ -290,9 +290,10 @@ class _Band:
     a pivot override).
 
     The block is one attribute, a tuple (first index, values), read once
-    per read: threads reading one band (the seed columns of
-    ``inverse.seed_columns(parallel=True)`` read C) each see some whole
-    block, never the index of one and the values of another.
+    per read: threads reading one band (the per-column substitutions that
+    ``inverse.seed_columns(parallel=True)`` runs on its thread pool read D
+    and C) each see some whole block, never the index of one and the
+    values of another.
     """
 
     __slots__ = ("ints", "p", "shifted", "block")
@@ -400,8 +401,10 @@ def unit_block(fd: FactorData, indices) -> list:
     len(indices) x lanes, row k of it e_{indices[k]} at i.
 
     ``kernels.substitute`` runs over the blocks as it runs over single
-    lanes (numpy broadcasts every factor entry over the rows), and a
-    caller of ``adjugate`` may yield the result as one block of columns.
+    lanes (numpy broadcasts every factor entry over the rows), so row k of
+    each entry of its result holds the residues of that entry of the
+    substitution of e_{indices[k]} alone.  The entries before min(indices)
+    are zero, so the substitution may start there.
     """
     p = fd.alpha[1].p
     zero = Residues(np.zeros((len(indices), len(p)), dtype=np.int64), p)
@@ -425,7 +428,14 @@ def solve(H: CyclicHeptaMatrix, columns) -> tuple:
     det = Fraction(delta, prod(scales))
     if delta == 0:
         return det, overrides, None
-    return det, overrides, [Fraction(v, delta) for v in values]
+    # x_i = v / delta reduced by g = gcd(v, delta), the sign put on the
+    # numerator; each reduced denominator |delta| / g is made once
+    gs = list(map(gcd, values, repeat(delta)))
+    denominators = {g: abs(delta) // g for g in set(gs)}
+    if delta < 0:
+        values = map(neg, values)
+    return det, overrides, list(map(coprime_fraction, map(floordiv, values, gs),
+                                    map(denominators.__getitem__, gs)))
 
 
 def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple:
@@ -439,9 +449,7 @@ def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple:
     Each y must be H'^-1 r' or a column of H'^-1, so that det H' * y is
     H' x = r' solved by Cramer's rule or a column of adj H', whose entries
     are (n-1)-minors of H': the Hadamard bound that K is chosen by covers
-    both.  A y may also be a block of such columns, each entry z x lanes
-    (``unit_block``): it counts as its z columns, in order.  The ints come
-    back flat, column after column.  The entries of
+    both.  The ints come back flat, column after column.  The entries of
     ``columns`` are rationals (``Fraction`` or int), as H's are.
     """
     found, lane_bytes = _solve(H, columns, evaluate)
@@ -524,11 +532,7 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
     # over every lane can be dropped as soon as its block is made
     blocks = [at_zero(scaled_det[None])]
     for y in evaluate(fd, [_Band(r, p) for r in rhs]):
-        # n x lanes for one column; n x z x lanes for a block of z columns,
-        # taken apart into its columns, in order
         Y = np.array([value.reduced() for value in y[1:]])
-        if Y.ndim == 3:
-            Y = Y.transpose(1, 0, 2).reshape(-1, len(p))
         Y *= scaled_det
         Y %= p
         blocks.append(at_zero(Y))

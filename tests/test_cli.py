@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from heptacyclic import kernels, residues, scalars
+from heptacyclic import cli, kernels, residues, scalars
 from heptacyclic.cli import main
 from heptacyclic.factor import factorize
 from heptacyclic.inverse import invert
@@ -416,6 +416,35 @@ class TestInputErrors:
         for out in ([], ["--out", str(tmp_path / "o.json")]):
             assert run(argv + out, capsys) == (5, "", "error: out of memory\n")
         assert not (tmp_path / "o.json").exists()
+
+    def test_failed_write_keeps_the_previous_out_file(self, example_path, tmp_path,
+                                                     monkeypatch, capsys):
+        # the formatter runs out of memory after 50 entries, midway through
+        # the JSON stream: the exit code is that of the error, and --out
+        # keeps its bytes, with no temporary file left beside it
+        formatter = cli.scalar_formatter
+
+        def failing_formatter():
+            fmt, calls = formatter(), iter(range(50))
+
+            def fail_after_50(value):
+                if next(calls, None) is None:
+                    raise MemoryError
+                return fmt(value)
+
+            return fail_after_50
+
+        target = tmp_path / "F.json"
+        target.write_text("previous\n")
+        argv = ["inv", "--input", example_path, "--out", str(target)]
+        monkeypatch.setattr(cli, "scalar_formatter", failing_formatter)
+        assert run(argv, capsys) == (5, "", "error: out of memory\n")
+        assert target.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [target]
+        monkeypatch.undo()
+        assert run(argv, capsys) == (0, "", "")
+        assert run(argv[:-2], capsys)[1] == target.read_text()
+        assert list(tmp_path.iterdir()) == [target]
 
     def test_invalid_matrix_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -318,9 +318,9 @@ class TestIntegerAdjugate:
         H = inexact_matrix()
         seeds = inverse.seed_columns
 
-        def corrupted(fd, parallel=False):
+        def corrupted(fd, parallel=False, zero_c=()):
             assert fd.backend == "residues"
-            cols = seeds(fd, parallel)
+            cols = seeds(fd, parallel, zero_c)
             cols[0][1] += inverse._one(fd) / factor.det_from_factors(fd)
             return cols
 
@@ -674,8 +674,9 @@ class TestZeroCColumns:
         zero_rows(random_instance(24, 0, "zero-C"), (5, 9)),
     ], ids=["one-point", "three-points"])
     def test_block_lanes_are_the_column_lanes(self, H):
-        # every lane of the block, and every int of adj H' made from it, is
-        # the one of the substitution of its unit vector alone
+        # every lane of the block, and every int of adj H' made from the
+        # columns seed_columns takes from it, is the one of the
+        # substitution of its unit vector alone
         zero_c = inverse._zero_c(H)
         assert len(zero_c) >= 2
 
@@ -688,7 +689,7 @@ class TestZeroCColumns:
                 column = kernels.substitute(fd, e_j)
                 assert all(np.array_equal(b.reduced()[k], x.reduced())
                            for b, x in zip(block[1:], column[1:]))
-            yield block
+            return inverse.seed_columns(fd, zero_c=zero_c)[inverse.SEED_COLUMN_COUNT:]
 
         def columns(fd, rhs):
             one = inverse._one(fd)
@@ -720,6 +721,66 @@ class TestZeroCColumns:
         path.write_text(matrix_to_json(H))
         assert main(["inv", "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["pivot_overrides"] == [6]
+
+
+def zero_c_at(H, js):
+    """H with C_j set to zero for each j in ``js``."""
+    return H.replace_band("C", [0 if k + 1 in js else c for k, c in enumerate(H.band("C"))])
+
+
+def residue_factors(H):
+    """The factors of H' = diag(L) H over the residue lanes of its inverse."""
+    found = []
+    residues.adjugate(H, lambda fd, rhs: found.append(fd) or ())
+    return found[0]
+
+
+class TestSubstitutionStart:
+    """``kernels.substitute(fd, r, start=j)`` with r zero before row j is
+    the substitution from row 1, and the one block of ``seed_columns``
+    gives the inverse that its columns one at a time give."""
+
+    @pytest.mark.parametrize("H, points", [
+        (random_instance(20, 4, "diagonally-dominant"), 1),
+        (zero_rows(random_instance(24, 0, "diagonally-dominant"), (5, 9)), 3),
+    ], ids=["one-point", "three-points"])
+    def test_residue_lanes(self, H, points):
+        fd = residue_factors(H)
+        n, p = H.n, fd.alpha[1].p
+        assert len(p) == points * len(set(p.tolist()))
+        rng = random.Random(n)
+        for j in (1, 4, n - 5, n - 4):
+            ints = [0] * (j - 1) + [rng.choice((-3, 2, 7))]
+            ints += [rng.randint(-50, 50) for _ in range(n - j)]
+            r = residues._Band(ints, p)
+            x, ref = kernels.substitute(fd, r, start=j), kernels.substitute(fd, r)
+            assert all(np.array_equal(a.reduced(), b.reduced()) for a, b in zip(x[1:], ref[1:]))
+
+    @pytest.mark.parametrize("profile", ["general", "zero-pivot-prone"])
+    def test_fraction_factors(self, profile):
+        H = random_instance(14, 3, profile)
+        fd = factorize(H)
+        assert bool(fd.overrides) == (profile == "zero-pivot-prone")
+        rng = random.Random(14)
+        for j in (1, 4, 14 - 5, 14 - 4):
+            r = [None, *[Fr(0)] * (j - 1), Fr(rng.choice((-3, 2, 7)), 5)]
+            r += [Fr(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(14 - j)]
+            assert kernels.substitute(fd, r, start=j) == kernels.substitute(fd, r)
+
+    @pytest.mark.parametrize("H", [
+        zero_c_at(random_instance(20, 4, "diagonally-dominant"), (1,)),
+        zero_c_at(random_instance(20, 4, "diagonally-dominant"), (15,)),
+        zero_c_at(random_instance(24, 5, "diagonally-dominant"), (1, 2, 3, 7, 12, 13, 19)),
+        zero_rows(zero_c_at(random_instance(20, 6, "diagonally-dominant"), (1, 15)), (1,)),
+        zero_rows(zero_c_at(random_instance(20, 6, "diagonally-dominant"), (4, 9)), (1, 7)),
+        *(collision_matrix(seed) for seed in range(8)),
+    ], ids=["C1", "C_n-5", "many", "pivot-1-C1", "pivots-1-7", *(f"collision-{s}" for s in range(8))])
+    def test_block_equals_per_column(self, H):
+        expected = dense_inverse(to_dense(H))
+        block, per_column = invert(H), invert(H, parallel_seeds=True)
+        assert block.S == per_column.S == expected
+        assert block.c_substitutions == per_column.c_substitutions == inverse._zero_c(H)
+        assert block.pivot_overrides == per_column.pivot_overrides
 
 
 def test_unknown_backend_rejected():

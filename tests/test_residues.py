@@ -131,6 +131,30 @@ class TestEqualsOracle:
                 assert len(primes) >= residues._FERMAT_LANES
 
 
+class TestSolutionEntries:
+    """``solve`` puts each Cramer int v over det H' = delta by one gcd and
+    no Fraction normalisation: the entries are Fraction(v, delta) exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_entries_are_fraction_of_the_ints(self, seed):
+        H = random_instance(12, seed, "general")
+        # x0 has zeros (v = 0) and ints (g = |delta|); a random r has
+        # entries with 1 < g < |delta| too
+        x0 = [0, 1, -2, 0, 5, 0, 7, 1, 0, -3, 2, 0]
+        rng = random.Random(seed)
+        columns = [H.mat_vec(x0), [Fr(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(12)]]
+        _, delta, _, values = residues.adjugate(
+            H, lambda fd, rhs: (kernels.substitute(fd, r) for r in rhs), columns)
+        _, _, x = residues.solve(H, columns)
+        expected = [Fr(v, delta) for v in values]
+        assert [(e.numerator, e.denominator) for e in x] == \
+            [(e.numerator, e.denominator) for e in expected]
+        assert x[:12] == x0
+        gs = [abs(delta) // e.denominator for e in expected[12:] if e]
+        assert any(1 < g < abs(delta) for g in gs)
+        assert (delta < 0) == (seed != 0)
+
+
 class TestZeroPivots:
     """Structurally zero pivots run on the lane, at concrete points."""
 
