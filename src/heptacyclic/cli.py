@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -102,32 +103,54 @@ def _emit(pieces, out_path) -> None:
     """Write the strings of ``pieces`` in order, each as it is made, so no
     more than one of them need be held at a time.
 
-    Standard output takes each piece as it comes.  A path takes them
-    through a temporary file beside it, which replaces the path only once
-    the last piece is written: an error on the way (the formatter out of
-    memory, say) removes the temporary file and propagates, and the path
-    keeps what it held.  A path that cannot be written is invalid input,
-    as an unreadable input file is.
+    Standard output takes each piece as it comes, and so does a path that
+    is there but is no regular file (a device such as /dev/null, a FIFO).
+    A regular file, or a path where none is yet, takes them through a
+    temporary file beside it (beside the file it names, for a symlink),
+    which replaces it with its permission bits only once the last piece is
+    written: an error on the way (the formatter out of memory, say)
+    removes the temporary file and propagates, and the file keeps what it
+    held.  A path that cannot be written is invalid input, as an
+    unreadable input file is.
     """
     if not out_path:
         sys.stdout.writelines(pieces)
         return
-    path = Path(out_path)
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
-        out = open(tmp, "x")
-    except OSError as exc:
-        raise ValueError(f"cannot write {out_path}: {exc}") from exc
+        mode = os.stat(out_path).st_mode
+    except OSError:  # no file there yet
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with _open_out(out_path, "w", out_path) as out:
+            out.writelines(pieces)
+        return
+    target = Path(os.path.realpath(out_path))
+    if mode is not None:
+        # a file this user may not write is refused, not replaced
+        _open_out(target, "a", out_path).close()
+    # a random name: a temporary file a killed run left cannot clash
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    out = _open_out(tmp, "x", out_path)
     try:
         with out:
             out.writelines(pieces)
         try:
-            os.replace(tmp, path)
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            os.replace(tmp, target)
         except OSError as exc:
             raise ValueError(f"cannot write {out_path}: {exc}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _open_out(path, mode: str, out_path):
+    """``open(path, mode)``; a failure is invalid input naming ``out_path``."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _read(path) -> str:

@@ -68,15 +68,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice, repeat
-from math import gcd, isqrt, prod
-from operator import add, floordiv, mul, neg
+from math import isqrt, prod
+from operator import add, mul
 
 import numpy as np
 
 from . import kernels
 from .factor import FactorData, det_from_factors
 from .matrix import BAND_NAMES, CyclicHeptaMatrix, row_scaled
-from .scalars import coprime_fraction
 
 _TOP = 1 << 30
 _SEGMENT = 1 << 18
@@ -428,14 +427,7 @@ def solve(H: CyclicHeptaMatrix, columns) -> tuple:
     det = Fraction(delta, prod(scales))
     if delta == 0:
         return det, overrides, None
-    # x_i = v / delta reduced by g = gcd(v, delta), the sign put on the
-    # numerator; each reduced denominator |delta| / g is made once
-    gs = list(map(gcd, values, repeat(delta)))
-    denominators = {g: abs(delta) // g for g in set(gs)}
-    if delta < 0:
-        values = map(neg, values)
-    return det, overrides, list(map(coprime_fraction, map(floordiv, values, gs),
-                                    map(denominators.__getitem__, gs)))
+    return det, overrides, [Fraction(v, delta) for v in values]
 
 
 def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple:

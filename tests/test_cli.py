@@ -1,5 +1,8 @@
 import json
+import os
+import stat
 import sys
+import threading
 import time
 from fractions import Fraction as Fr
 
@@ -444,6 +447,58 @@ class TestInputErrors:
         monkeypatch.undo()
         assert run(argv, capsys) == (0, "", "")
         assert run(argv[:-2], capsys)[1] == target.read_text()
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_symlinked_out_writes_the_file_it_names(self, example_path, tmp_path, capsys):
+        # the link stays a link, and the file it names takes the bytes
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "F.json"
+        target.write_text("previous\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        argv = ["inv", "--input", example_path]
+        assert run([*argv, "--out", str(link)], capsys) == (0, "", "")
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_text() == run(argv, capsys)[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "link.json"]
+        assert list((tmp_path / "data").iterdir()) == [target]
+
+    def test_fifo_out_is_written_in_place(self, example_path, tmp_path, capsys):
+        # a path that is no regular file is opened and written as it is,
+        # never replaced by a file of the same name
+        fifo = tmp_path / "F.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        argv = ["inv", "--input", example_path]
+        assert run([*argv, "--out", str(fifo)], capsys) == (0, "", "")
+        reader.join(timeout=30)
+        assert got == [run(argv, capsys)[1]]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_out_keeps_its_permission_bits(self, example_path, tmp_path, capsys):
+        # a file there keeps its mode; a new one gets that of open(..., "w")
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text("previous\n")
+        old.chmod(0o640)
+        with open(tmp_path / "reference", "w"):
+            pass
+        for out in (old, new):
+            assert run(["det", "--input", example_path, "--out", str(out)], capsys) == (0, "", "")
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert new.stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
+    def test_read_only_out_exits_3(self, example_path, tmp_path, capsys):
+        target = tmp_path / "F.json"
+        target.write_text("previous\n")
+        target.chmod(0o444)
+        code, out, err = run(["det", "--input", example_path, "--out", str(target)], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert target.read_text() == "previous\n"
         assert list(tmp_path.iterdir()) == [target]
 
     def test_invalid_matrix_exits_3(self, tmp_path, capsys):

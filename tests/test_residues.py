@@ -132,8 +132,9 @@ class TestEqualsOracle:
 
 
 class TestSolutionEntries:
-    """``solve`` puts each Cramer int v over det H' = delta by one gcd and
-    no Fraction normalisation: the entries are Fraction(v, delta) exactly."""
+    """``solve`` puts each Cramer int v over det H' = delta: the entries are
+    Fraction(v, delta) exactly, delta < 0, v = 0 and 1 < g < |delta|
+    included, g = gcd(v, delta)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_entries_are_fraction_of_the_ints(self, seed):
