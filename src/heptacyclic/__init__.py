@@ -35,7 +35,7 @@ from .factor import (
     lu_substitute,
     materialize_LU,
 )
-from .inverse import InverseResult, back_columns, invert, inverse_float, seed_columns
+from .inverse import InverseResult, back_columns, invert, inverse_float
 from .matrix import (
     BAND_NAMES,
     CyclicHeptaMatrix,
@@ -105,7 +105,6 @@ __all__ = [
     "parse_scalar",
     "poly_gcd",
     "random_instance",
-    "seed_columns",
     "set_degree_cap",
     "solve_many",
     "to_dense",

@@ -69,11 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("inv", help="full inverse")
     add_common(p_inv)
-    p_inv.add_argument("--parallel-seeds", action="store_true",
-                       help="substitute the five seed columns and the zero-C_j columns one "
-                            "at a time on a thread pool, not as one block; the output is "
-                            "byte-identical, and the pool gives no speed-up (the work holds "
-                            "the interpreter lock)")
 
     p_solve = sub.add_parser("solve", help="solve Hx = r")
     add_common(p_solve, rhs=True)
@@ -224,7 +219,7 @@ def _cmd_inv(args) -> int:
         meta = {"backend": "float", "c_substitutions": [], "pivot_overrides": [],
                 "back_path": "bordered-solve"}
     else:
-        result = invert(H, parallel_seeds=args.parallel_seeds)
+        result = invert(H)
         rows = result.S.rows
         meta = {
             "backend": "exact",

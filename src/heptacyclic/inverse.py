@@ -2,26 +2,26 @@
 
 The last five columns of the inverse are the forward/back substitutions of
 e_n, ..., e_{n-4} through the factors, each from its first nonzero row on.
-They are mutually independent, so they may be computed concurrently.  The
-remaining n-5 columns follow from the band identity S @ H = I, peeled
-column by column: column j is obtained from columns j+1..j+6 by dividing
-through the band entry C_j.  Where C_j is zero, column j is instead the
-substitution of e_j through the same factors, and the recursion continues
-above it.
+They are mutually independent, so they run as one substitution of the
+block of their unit vectors, data-parallel over its rows.  The remaining
+n-5 columns follow from the band identity S @ H = I, peeled column by
+column: column j is obtained from columns j+1..j+6 by dividing through the
+band entry C_j.  Where C_j is zero, column j is instead the substitution
+of e_j through the same factors, a row more of the block, and the
+recursion continues above it.
 
 Only the seeds and the zero-C columns read the factors, and they run over
 residue lanes (``residues.adjugate``): one sweep of H' = diag(L) H, L_i the
 lcm of the denominators in row i, over word-size primes, one substitution
-of the block of all their e_j over the same lanes (one per column under
-``parallel_seeds``), each column times det H', and one Chinese
-remaindering.  That gives det H' and those 5 + z columns of
-adj H' = det H' * H'^-1 as Python ints.  A structurally zero pivot is
-handled at concrete points rather than with a symbolic t: the lanes then
-cover the r + 1 points of H'(s) = H' + s*diag(L)*G (G a one at each such
-pivot), and the columns are interpolated to s = 0 before the remaindering.
-A prime that divides a nonzero pivot is dropped and the lane sweeps
-again.  The peeling reads only the bands of H', so it runs once, whatever
-r.
+of the block of all their e_j over the same lanes, each column times
+det H', and one Chinese remaindering.  That gives det H' and those 5 + z
+columns of adj H' = det H' * H'^-1 as Python ints.  A structurally zero
+pivot is handled at concrete points rather than with a symbolic t: the
+lanes then cover the r + 1 points of H'(s) = H' + s*diag(L)*G (G a one at
+each such pivot), and the columns are interpolated to s = 0 before the
+remaindering.  A prime that divides a nonzero pivot is dropped and the
+lane sweeps again.  The peeling reads only the bands of H', so it runs
+once, whatever r.
 
 The peeling runs over Python ints.  H' is an integer matrix, so
 adj H' is one too: each step of the recursion is one exact division by
@@ -34,13 +34,10 @@ lets all but a few entries take their gcd with a small factor of det H'
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd, isqrt, prod
 from operator import floordiv
-
-import numpy as np
 
 from . import kernels
 from .errors import InternalContractError, SingularMatrixError
@@ -72,48 +69,21 @@ class InverseResult:
     back_path: str = "recursion"
 
 
-def _one(fd: FactorData):
-    """The one of the field the factors are over: pivot 1 divided by itself,
-    a ``Fraction`` or residue lanes (whose pivot inverse the sweep keeps)."""
-    return fd.alpha[1] / fd.alpha[1]
-
-
-def seed_columns(fd: FactorData, parallel: bool = False, zero_c=()) -> tuple:
+def seed_columns(fd: FactorData, zero_c=()) -> list:
     """Columns n, n-1, ..., n-4 of the inverse, then column j for each j of
-    ``zero_c``, as 1-based lists over the field of ``fd``.
+    ``zero_c``, as one block over the residue lanes of ``fd`` (the factors
+    that ``residues.adjugate`` hands its ``evaluate``): a 1-based list
+    whose entry i holds, in row k, the lanes of entry i of the k-th column.
 
-    Column j is the substitution of e_j through the factors, run from row
-    j on (``kernels.substitute``'s ``start``).  The columns are batched:
-
-    - serially over residue lanes, as one substitution of the block of all
-      their e_j (``residues.unit_block``) from its first nonzero row, then
-      taken apart into columns;
-    - with ``parallel``, one substitution per column on a thread pool;
-    - serially over a scalar field (``Fraction``, rational functions of
-      t), one substitution per column in turn.
-
-    The columns are the same either way.
+    The block is one substitution of their unit vectors
+    (``residues.unit_block``) through the factors, run from its first
+    nonzero row on (``kernels.substitute``'s ``start``).
     """
+    from . import residues
+
     n = fd.n
     indices = (*range(n, n - SEED_COLUMN_COUNT, -1), *zero_c)
-    if fd.backend == "residues" and not parallel:
-        from . import residues
-
-        block = kernels.substitute(fd, residues.unit_block(fd, indices), start=min(indices))
-        # rows x columns x lanes, turned to columns x rows x lanes
-        lanes = np.array([value.reduced() for value in block[1:]]).transpose(1, 0, 2)
-        return tuple([None, *map(residues.Residues, col, repeat(fd.alpha[1].p))] for col in lanes)
-    one = _one(fd)
-    zero = one - one
-
-    def column(j):
-        e_j = [None, *(one if i == j else zero for i in range(1, n + 1))]
-        return kernels.substitute(fd, e_j, start=min(j, n - 2))
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=SEED_COLUMN_COUNT) as pool:
-            return tuple(pool.map(column, indices))
-    return tuple(map(column, indices))
+    return kernels.substitute(fd, residues.unit_block(fd, indices), start=min(indices))
 
 
 def _back_column(bands, cols, j: int, delta: int) -> list:
@@ -259,14 +229,15 @@ def _zero_c(H: CyclicHeptaMatrix) -> tuple:
     return tuple(j for j in range(1, H.n - 4) if C[j - 1] == 0)
 
 
-def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
+def invert(H: CyclicHeptaMatrix) -> InverseResult:
     """Exact inverse of H, or SingularMatrixError.
 
     Pipeline: ``residues.adjugate`` factors H' = diag(L) H over residue
     lanes (H'(s) at concrete points, if a pivot is zero) and, from those
     factors, takes the five seed columns and the columns of the zero C_j
-    by one call of ``seed_columns``, as columns of adj H'.  The recursion
-    then recovers the remaining columns once, from the bands of H'.
+    as one block, by one call of ``seed_columns``, as columns of adj H'.
+    The recursion then recovers the remaining columns once, from the bands
+    of H'.
     """
     from . import residues  # loaded on first use, outside the import time of the package
 
@@ -275,7 +246,7 @@ def invert(H: CyclicHeptaMatrix, parallel_seeds: bool = False) -> InverseResult:
     indices = (*range(n, n - SEED_COLUMN_COUNT, -1), *zero_c)
 
     _, delta, overrides, values = residues.adjugate(
-        H, lambda fd, rhs: seed_columns(fd, parallel_seeds, zero_c))
+        H, lambda fd, rhs: [seed_columns(fd, zero_c)])
     if delta == 0:
         raise SingularMatrixError("singular matrix")
     given = {j: values[k * n:(k + 1) * n] for k, j in enumerate(indices)}

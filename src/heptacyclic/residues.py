@@ -204,13 +204,7 @@ class Residues:
     the sweep divides by each pivot several times.
 
     An operand is reduced in place (``reduced``), so a factor entry that
-    the sweep reads again is reduced once.  ``reduced`` assigns ``v``
-    before it lowers ``b``, and every operation reads ``b`` before ``v``,
-    so a thread that reads a value while another reduces it (the
-    per-column substitutions that ``inverse.seed_columns(parallel=True)``
-    runs on its thread pool) sees a bound that holds for the lanes it
-    reads.  The same threads read band entries through one block cache
-    (``_Band``), which is one attribute for that reason.
+    the sweep reads again is reduced once.
     """
 
     __slots__ = ("v", "p", "b", "_inv")
@@ -287,12 +281,6 @@ class _Band:
     substitution's do, reuse a block as well as reads that run up.
     ``shifted`` maps an index to its lanes given outright (d'_i + s L_i for
     a pivot override).
-
-    The block is one attribute, a tuple (first index, values), read once
-    per read: threads reading one band (the per-column substitutions that
-    ``inverse.seed_columns(parallel=True)`` runs on its thread pool read D
-    and C) each see some whole block, never the index of one and the
-    values of another.
     """
 
     __slots__ = ("ints", "p", "shifted", "block")
@@ -437,8 +425,10 @@ def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple:
 
     ``evaluate(fd, rhs)`` yields 1-based columns y from the factors ``fd``
     of H' (of H'(s), at the points, when a pivot is zero) and the
-    right-hand sides r' = L r of ``columns`` as residue bands ``rhs``.
-    Each y must be H'^-1 r' or a column of H'^-1, so that det H' * y is
+    right-hand sides r' = L r of ``columns`` as residue bands ``rhs``.  A
+    y may also be a block of m columns, entry i a ``Residues`` of m x lanes
+    with column k in row k (``unit_block``).  Each column y must be
+    H'^-1 r' or a column of H'^-1, so that det H' * y is
     H' x = r' solved by Cramer's rule or a column of adj H', whose entries
     are (n-1)-minors of H': the Hadamard bound that K is chosen by covers
     both.  The ints come back flat, column after column.  The entries of
@@ -520,11 +510,12 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
     def at_zero(rows):
         return rows.reshape(len(rows), len(points), K).sum(axis=1) % primes
 
-    # one block of rows per column, n x K once taken to s = 0: a column
+    # one block of rows per y, n x K per column once taken to s = 0: a y
     # over every lane can be dropped as soon as its block is made
     blocks = [at_zero(scaled_det[None])]
     for y in evaluate(fd, [_Band(r, p) for r in rhs]):
-        Y = np.array([value.reduced() for value in y[1:]])
+        # n x lanes, or n x m x lanes for a block: its columns one after the other
+        Y = np.moveaxis(np.array([value.reduced() for value in y[1:]]), 0, -2).reshape(-1, len(p))
         Y *= scaled_det
         Y %= p
         blocks.append(at_zero(Y))

@@ -231,26 +231,3 @@ def test_criterion_7():
         ratios.append(w1024 / ((w512[-2] + w512[-1]) / 2))
     assert statistics.median(ratios) <= 5.0, (w512, ratios)
 
-
-@criterion(8, "20 seeded instances: inv output bytes identical with and without "
-              "--parallel-seeds")
-def test_criterion_8(tmp_path):
-    done = 0
-    seed = 0
-    while done < 20:
-        assert seed < 100
-        profile = ALL_PROFILES[seed % 4]
-        n = 8 + (seed % 7)
-        H = random_instance(n, seed, profile)
-        seed += 1
-        if dense_det(to_dense(H)) == 0:
-            continue
-        path = tmp_path / f"m{seed}.json"
-        path.write_text(matrix_to_json(H))
-        serial = tmp_path / f"s{seed}.json"
-        parallel = tmp_path / f"p{seed}.json"
-        assert cli_main(["inv", "--input", str(path), "--out", str(serial)]) == 0
-        assert cli_main(["inv", "--input", str(path), "--parallel-seeds",
-                         "--out", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-        done += 1

@@ -95,13 +95,6 @@ class TestInv:
         assert main(["inv", "--input", example_path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_parallel_seeds_byte_identical(self, example_path, tmp_path):
-        serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-        assert main(["inv", "--input", example_path, "--out", str(serial)]) == 0
-        assert main(["inv", "--input", example_path, "--parallel-seeds",
-                     "--out", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-
     @pytest.mark.parametrize("instance", ["example10", "rational-collision"])
     def test_json_bytes_as_json_dumps(self, instance, tmp_path, capsys):
         # the S strings are joined as they are; json.dumps lays them out the same
@@ -141,13 +134,12 @@ class TestInv:
         path = tmp_path / "m.json"
         path.write_text(matrix_to_json(H))
         expected = [[scalars.format_scalar(v) for v in row] for row in invert(H).S.rows]
-        for extra in ([], ["--parallel-seeds"]):
-            code, out, err = run(["inv", "--input", str(path), "--format", fmt, *extra], capsys)
-            assert (code, err) == (0, "")
-            if fmt == "json":
-                assert json.loads(out)["S"] == expected
-            else:
-                assert out == "".join(",".join(row) + "\n" for row in expected)
+        code, out, err = run(["inv", "--input", str(path), "--format", fmt], capsys)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert json.loads(out)["S"] == expected
+        else:
+            assert out == "".join(",".join(row) + "\n" for row in expected)
 
     @pytest.mark.parametrize("backend", ["exact", "float"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -333,7 +325,7 @@ class TestUsageErrors:
     """argparse's own exit code, 2, is the code for a singular matrix."""
 
     @pytest.mark.parametrize("command", ["det", "inv", "solve"])
-    @pytest.mark.parametrize("bad", [["--no-such-flag"], ["--tol", "abc"]])
+    @pytest.mark.parametrize("bad", [["--no-such-flag"], ["--tol", "abc"], ["--parallel-seeds"]])
     def test_usage_error_exits_3(self, command, bad, example_path, rhs_path, capsys):
         argv = [command, "--input", example_path, *bad]
         if command == "solve":

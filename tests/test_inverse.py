@@ -1,6 +1,5 @@
 import json
 import random
-import sys
 from contextlib import contextmanager
 from fractions import Fraction as Fr
 from math import prod
@@ -22,7 +21,6 @@ from heptacyclic.matrix import (
     to_dense,
 )
 from heptacyclic.oracle import compare, dense_det, dense_inverse
-from heptacyclic.scalars import eval_at_zero
 from heptacyclic.solve import solve_many
 
 from test_factor import duplicated_row_matrix, identity_matrix
@@ -37,16 +35,24 @@ def oracle_inverse_or_none(H):
     return dense_inverse(dense)
 
 
+def unit_column(fd, j):
+    """e_j as a 1-based right-hand side over the residue lanes of ``fd``."""
+    return residues._Band([int(i == j) for i in range(1, fd.n + 1)], fd.alpha[1].p)
+
+
 class TestSeedColumns:
+    """``seed_columns`` over the residue factors of H' = diag(L) H: one
+    block, row k of each entry the lanes of the k-th column."""
+
     def test_identity_seeds_are_basis_columns(self):
         H = identity_matrix()
-        fd = factorize(H)
-        seeds = seed_columns(fd)
-        for offset, col in enumerate(seeds):
-            j = 10 - offset
-            assert [eval_at_zero(v) for v in col[1:]] == [
-                1 if i == j else 0 for i in range(1, 11)
-            ]
+        fd = residue_factors(H)
+        block = seed_columns(fd)
+        for i, entry in enumerate(block[1:], start=1):
+            lanes = entry.reduced()
+            assert lanes.shape == (5, len(fd.alpha[1].p))
+            for offset, row in enumerate(lanes.tolist()):
+                assert set(row) == {1 if i == 10 - offset else 0}
 
     def test_example_seed_entries(self, example10, example10_inverse):
         # last five columns straight from the factorization; published spot
@@ -63,18 +69,34 @@ class TestSeedColumns:
         H = random_instance(8, 6, "general")
         if oracle_inverse_or_none(H) is None:
             pytest.skip("singular draw")
-        fd = factorize(H)
-        seeds = seed_columns(fd)
-        for offset, col in enumerate(seeds):
+        fd = residue_factors(H)
+        p = fd.alpha[1].p.tolist()
+        # one point and L = 1: the lanes are those of H^-1 itself
+        assert len(set(p)) == len(p) and set(row_scaled(H)[0]) == {1}
+        block = np.array([value.reduced() for value in seed_columns(fd)[1:]])
+        for offset in range(5):
             j = 8 - offset
-            values = [eval_at_zero(v) for v in col[1:]]
-            assert H.mat_vec(values) == [1 if i == j else 0 for i in range(1, 9)]
+            for lane, q in enumerate(p):
+                values = block[:, offset, lane].tolist()
+                assert [v % q for v in H.mat_vec(values)] == [int(i == j) for i in range(1, 9)]
 
-    def test_parallel_equals_sequential(self):
-        # seed columns never divide by C, so zero C entries need no substitution
-        H = random_instance(12, 13, "zero-C")
-        fd = factorize(H)
-        assert seed_columns(fd, parallel=True) == seed_columns(fd, parallel=False)
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_rows_are_the_column_substitutions(self, points):
+        # row k of the block, substituted from its first nonzero row on, is
+        # the substitution from row 1 of the k-th unit vector alone
+        if points == 1:
+            H = random_instance(40, 2, "diagonally-dominant")
+        else:
+            H = zero_rows(random_instance(24, 0, "zero-C"), (5, 9))
+        fd = residue_factors(H)
+        assert len(fd.alpha[1].p) == points * len(set(fd.alpha[1].p.tolist()))
+        zero_c = inverse._zero_c(H)
+        assert len(zero_c) >= 2
+        block = seed_columns(fd, zero_c)
+        for k, j in enumerate((*range(H.n, H.n - 5, -1), *zero_c)):
+            column = kernels.substitute(fd, unit_column(fd, j))
+            assert all(np.array_equal(b.reduced()[k], x.reduced())
+                       for b, x in zip(block[1:], column[1:]))
 
 
 class TestBackColumns:
@@ -257,33 +279,6 @@ class TestInvert:
             checked += 1
         assert checked >= 6
 
-    def test_parallel_seeds_identical_result(self):
-        for seed in (0, 1, 2):
-            H = random_instance(10, seed, "zero-C")
-            if oracle_inverse_or_none(H) is None:
-                continue
-            a = invert(H, parallel_seeds=False)
-            b = invert(H, parallel_seeds=True)
-            assert a.S == b.S and a.c_substitutions == b.c_substitutions
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_parallel_seeds_across_band_blocks(self, seed):
-        # at n = 128 the five seed columns read C over eight blocks of its
-        # band, each thread at its own row, with the interpreter asked to
-        # switch threads every microsecond.  The pool starts its threads one
-        # by one and the columns overlap little, so
-        # test_residues.TestBandBlocks::test_threads_reading_one_band is the
-        # sharper check of the band's block cache
-        H = random_instance(128, seed, "diagonally-dominant")
-        serial = invert(H, parallel_seeds=False)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            parallel = invert(H, parallel_seeds=True)
-        finally:
-            sys.setswitchinterval(interval)
-        assert parallel.S == serial.S and parallel.c_substitutions == serial.c_substitutions
-
 
 class TestIntegerAdjugate:
     """The back recursion runs over the integer adjugate of H' = diag(L) H
@@ -318,11 +313,15 @@ class TestIntegerAdjugate:
         H = inexact_matrix()
         seeds = inverse.seed_columns
 
-        def corrupted(fd, parallel=False, zero_c=()):
+        def corrupted(fd, zero_c=()):
+            # row 0 of the block is column n: its entry 1 gains 1 / det H'
             assert fd.backend == "residues"
-            cols = seeds(fd, parallel, zero_c)
-            cols[0][1] += inverse._one(fd) / factor.det_from_factors(fd)
-            return cols
+            block = seeds(fd, zero_c)
+            p = fd.alpha[1].p
+            lanes = block[1].reduced().copy()
+            lanes[0] = (lanes[0] + factor.det_from_factors(fd).inverse()) % p
+            block[1] = residues.Residues(lanes, p)
+            return block
 
         monkeypatch.setattr(inverse, "seed_columns", corrupted)
         with pytest.raises(InternalContractError, match="inexact division by C'_11"):
@@ -674,31 +673,20 @@ class TestZeroCColumns:
         zero_rows(random_instance(24, 0, "zero-C"), (5, 9)),
     ], ids=["one-point", "three-points"])
     def test_block_lanes_are_the_column_lanes(self, H):
-        # every lane of the block, and every int of adj H' made from the
-        # columns seed_columns takes from it, is the one of the
-        # substitution of its unit vector alone
+        # the block of seed_columns, yielded whole, gives adjugate the ints
+        # that the substitutions of its unit vectors one at a time give
         zero_c = inverse._zero_c(H)
         assert len(zero_c) >= 2
+        indices = (*range(H.n, H.n - inverse.SEED_COLUMN_COUNT, -1), *zero_c)
 
-        def blocks(fd, rhs):
-            block = kernels.substitute(fd, residues.unit_block(fd, zero_c))
-            one = inverse._one(fd)
-            zero = one - one
-            for k, j in enumerate(zero_c):
-                e_j = [None, *(one if i == j else zero for i in range(1, H.n + 1))]
-                column = kernels.substitute(fd, e_j)
-                assert all(np.array_equal(b.reduced()[k], x.reduced())
-                           for b, x in zip(block[1:], column[1:]))
-            return inverse.seed_columns(fd, zero_c=zero_c)[inverse.SEED_COLUMN_COUNT:]
+        def block(fd, rhs):
+            return [inverse.seed_columns(fd, zero_c)]
 
         def columns(fd, rhs):
-            one = inverse._one(fd)
-            zero = one - one
-            for j in zero_c:
-                yield kernels.substitute(
-                    fd, [None, *(one if i == j else zero for i in range(1, H.n + 1))])
+            for j in indices:
+                yield kernels.substitute(fd, unit_column(fd, j))
 
-        assert residues.adjugate(H, blocks) == residues.adjugate(H, columns)
+        assert residues.adjugate(H, block) == residues.adjugate(H, columns)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_one_override_list_for_det_solve_and_inv(self, seed, tmp_path, capsys):
@@ -738,7 +726,7 @@ def residue_factors(H):
 class TestSubstitutionStart:
     """``kernels.substitute(fd, r, start=j)`` with r zero before row j is
     the substitution from row 1, and the one block of ``seed_columns``
-    gives the inverse that its columns one at a time give."""
+    gives the oracle's inverse."""
 
     @pytest.mark.parametrize("H, points", [
         (random_instance(20, 4, "diagonally-dominant"), 1),
@@ -776,11 +764,10 @@ class TestSubstitutionStart:
         *(collision_matrix(seed) for seed in range(8)),
     ], ids=["C1", "C_n-5", "many", "pivot-1-C1", "pivots-1-7", *(f"collision-{s}" for s in range(8))])
     def test_block_equals_per_column(self, H):
-        expected = dense_inverse(to_dense(H))
-        block, per_column = invert(H), invert(H, parallel_seeds=True)
-        assert block.S == per_column.S == expected
-        assert block.c_substitutions == per_column.c_substitutions == inverse._zero_c(H)
-        assert block.pivot_overrides == per_column.pivot_overrides
+        res = invert(H)
+        assert res.S == dense_inverse(to_dense(H))
+        assert res.c_substitutions == inverse._zero_c(H)
+        assert res.pivot_overrides == factorize(H).overrides
 
 
 def test_unknown_backend_rejected():

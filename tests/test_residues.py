@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 import tracemalloc
 from fractions import Fraction as Fr
 from math import isqrt, prod
@@ -819,37 +818,6 @@ class TestBandBlocks:
         assert band[2].v is lanes
         assert band[1].v.tolist() == [10 % q for q in p.tolist()]
         assert band[3].v.tolist() == [12 % q for q in p.tolist()]
-
-    def test_threads_reading_one_band(self):
-        # four threads read every entry of one band, each in its own order,
-        # with the interpreter asked to switch threads every microsecond: a
-        # read must never pair one block's first index with another's values
-        p = residues._PRIMES.take(8)
-        n = 8 * residues._BLOCK
-        values = list(range(10**6, 10**6 + n))
-        band = residues._Band(values, p)
-        expect = {i: [values[i - 1] % q for q in p.tolist()] for i in range(1, n + 1)}
-        wrong = []
-
-        def reader(seed):
-            order = random.Random(seed).sample(range(1, n + 1), n)
-            try:
-                for _ in range(30):
-                    wrong.extend(i for i in order if band[i].v.tolist() != expect[i])
-            except Exception as exc:  # an index paired with the wrong block
-                wrong.append(exc)
-
-        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            sys.setswitchinterval(interval)
-        assert wrong == []
 
     def test_factor_entries_pin_at_most_one_block_per_band(self):
         # g_1 = a_1, z_1 = A_1, v_1 = b_1, w_1 = B_1 and alpha_1 = d_1 are
