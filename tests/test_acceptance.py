@@ -20,6 +20,7 @@ from heptacyclic.factor import determinant
 from heptacyclic.inverse import invert, inverse_float
 from heptacyclic.matrix import matrix_to_json, random_instance, to_dense
 from heptacyclic.oracle import compare, dense_det, dense_inverse
+from heptacyclic.scalars import format_scalar
 
 from conftest import fixture_path
 from test_factor import assert_lu_product_identity
@@ -231,3 +232,28 @@ def test_criterion_7():
         ratios.append(w1024 / ((w512[-2] + w512[-1]) / 2))
     assert statistics.median(ratios) <= 5.0, (w512, ratios)
 
+
+@criterion(8, "20 seeded instances: inv output bytes the same on every run, "
+              "its S the oracle's inverse")
+def test_criterion_8(tmp_path):
+    done = 0
+    seed = 0
+    while done < 20:
+        assert seed < 100
+        profile = ALL_PROFILES[seed % 4]
+        n = 8 + (seed % 7)
+        H = random_instance(n, seed, profile)
+        seed += 1
+        dense = to_dense(H)
+        if dense_det(dense) == 0:
+            continue
+        path = tmp_path / f"m{seed}.json"
+        path.write_text(matrix_to_json(H))
+        first = tmp_path / f"a{seed}.json"
+        second = tmp_path / f"b{seed}.json"
+        assert cli_main(["inv", "--input", str(path), "--out", str(first)]) == 0
+        assert cli_main(["inv", "--input", str(path), "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        expected = [[format_scalar(v) for v in row] for row in dense_inverse(dense).rows]
+        assert json.loads(first.read_text())["S"] == expected
+        done += 1

@@ -80,6 +80,19 @@ class TestSeedColumns:
                 values = block[:, offset, lane].tolist()
                 assert [v % q for v in H.mat_vec(values)] == [int(i == j) for i in range(1, 9)]
 
+    def test_parallel_equals_sequential(self):
+        # the five seed columns substituted side by side in one block are
+        # the five substituted one after another; seed columns never divide
+        # by C, so zero C entries need no substitution
+        H = random_instance(12, 13, "zero-C")
+        assert inverse._zero_c(H)
+        fd = residue_factors(H)
+        block = seed_columns(fd)
+        for k, j in enumerate(range(12, 7, -1)):
+            column = kernels.substitute(fd, unit_column(fd, j))
+            assert all(np.array_equal(b.reduced()[k], x.reduced())
+                       for b, x in zip(block[1:], column[1:]))
+
     @pytest.mark.parametrize("points", [1, 3])
     def test_rows_are_the_column_substitutions(self, points):
         # row k of the block, substituted from its first nonzero row on, is
@@ -278,6 +291,20 @@ class TestInvert:
             assert (S @ dense).rows == eye
             checked += 1
         assert checked >= 6
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seed_block_across_band_blocks(self, seed):
+        # at n = 128 the block substitution reads the bands over eight
+        # blocks of residues._BLOCK rows, starting at its first nonzero row;
+        # each column it makes, seed or zero-C, is a column of H^-1
+        H = random_instance(128, seed, "diagonally-dominant")
+        assert 128 // residues._BLOCK == 8
+        res = invert(H)
+        zero_c = inverse._zero_c(H)
+        assert res.c_substitutions == zero_c and len(zero_c) >= 2
+        for j in (*range(124, 129), *zero_c):
+            column = [row[j - 1] for row in res.S.rows]
+            assert H.mat_vec(column) == [int(i == j) for i in range(1, 129)]
 
 
 class TestIntegerAdjugate:
