@@ -75,7 +75,7 @@ def seed_columns(fd: FactorData, zero_c=()) -> list:
     that ``residues.adjugate`` hands its ``evaluate``): a 1-based list
     whose entry i holds, in row k, the lanes of entry i of the k-th column.
 
-    The block is one substitution of their unit vectors
+    The block is one substitution of the band of their unit vectors
     (``residues.unit_block``) through the factors, run from its first
     nonzero row on (``kernels.substitute``'s ``start``).
     """

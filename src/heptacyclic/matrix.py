@@ -412,7 +412,7 @@ def matrix_from_json(text: str, backend: str = "exact"):
     if not isinstance(payload, dict) or "n" not in payload:
         raise ValueError("invalid matrix file: missing field 'n'")
     n = payload["n"]
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError("invalid matrix file: field 'n' must be an integer")
     bands = {}
     for name in BAND_NAMES:

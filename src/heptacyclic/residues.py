@@ -11,10 +11,10 @@ operations are one numpy call.  The integers det H' and det H' * y, for
 the columns y each caller takes from the factors, are then rebuilt from
 their residues by Chinese remaindering (the sum of each residue times the
 idempotent of its prime; von zur Gathen & Gerhard, *Modern Computer
-Algebra*, ch. 5).  ``solve`` takes
-H'^-1 r' for each right-hand side; ``adjugate`` takes the columns its
-caller's ``evaluate`` yields, for the inverse the five seed columns and
-the columns of the zero C_j, so det H' * y are columns of adj H'.
+Algebra*, ch. 5).  ``solve`` takes H'^-1 r' for all its right-hand sides
+by one substitution; ``adjugate`` takes the columns its caller's
+``evaluate`` yields, for the inverse one block of the five seed columns
+and the columns of the zero C_j, so det H' * y are columns of adj H'.
 
 The sweep runs on H' = diag(L) H, where L_i is the lcm of the denominators
 in row i of H and of the right-hand sides, so H' and r' = L r are integer
@@ -133,11 +133,15 @@ class _PrimeTable:
 _PRIMES = _PrimeTable()
 
 
-def _lanes(x: int, p: np.ndarray) -> np.ndarray:
-    """x mod each prime of ``p``; an int beyond int64 goes through Python ints."""
-    if -_INT64 <= x < _INT64:
-        return np.remainder(x, p)
-    return np.array([x % q for q in p.tolist()], dtype=np.int64)
+def _lanes(x, p: np.ndarray) -> np.ndarray:
+    """x mod each prime of ``p``, one lane axis after the axes of x: an int,
+    a list of ints or a list of rows of ints.  An int beyond int64 sends
+    the whole of x through Python ints."""
+    try:
+        return np.array(x, dtype=np.int64)[..., None] % p
+    except OverflowError:
+        q = np.array(p.tolist(), dtype=object)
+        return (np.array(x, dtype=object)[..., None] % q).astype(np.int64)
 
 
 def _inverse_lanes(v: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -272,15 +276,15 @@ def _make_room(x: Residues, y: Residues, combine) -> int:
 
 
 class _Band:
-    """1-based integer band read as residue vectors, ``_BLOCK`` entries at a
-    time: a read reduces the block of entries that holds it in one numpy
-    call (an int beyond int64 through ``_lanes``) and keeps that block's
-    values until a read leaves it, so no residue array is kept per band
-    entry and a repeat read returns the same value.  Blocks are aligned
-    (1, 1 + _BLOCK, ...), so reads that run down the band, as the back
-    substitution's do, reuse a block as well as reads that run up.
-    ``shifted`` maps an index to its lanes given outright (d'_i + s L_i for
-    a pivot override).
+    """1-based band of ints, or of rows of m ints (m right-hand sides),
+    read as residue vectors, or m x lanes blocks, ``_BLOCK`` entries at a
+    time: a read reduces the block of entries that holds it by one
+    ``_lanes`` call and keeps that block's values until a read leaves it,
+    so no residue array is kept per band entry and a repeat read returns
+    the same value.  Blocks are aligned (1, 1 + _BLOCK, ...), so reads
+    that run down the band, as the back substitution's do, reuse a block
+    as well as reads that run up.  ``shifted`` maps an index to its lanes
+    given outright (d'_i + s L_i for a pivot override).
     """
 
     __slots__ = ("ints", "p", "shifted", "block")
@@ -302,12 +306,7 @@ class _Band:
         if 0 <= i - start < len(values):
             return values[i - start]
         start = i - (i - 1) % _BLOCK
-        ints, p = self.ints[start:start + _BLOCK], self.p
-        try:
-            rows = np.array(ints, dtype=np.int64)[:, None] % p
-        except OverflowError:
-            rows = [_lanes(x, p) for x in ints]
-        values = [Residues(row, p) for row in rows]
+        values = [Residues(row, self.p) for row in _lanes(self.ints[start:start + _BLOCK], self.p)]
         self.block = (start, values)
         return values[i - start]
 
@@ -382,25 +381,13 @@ def _malloc_trim():
     return trim
 
 
-def unit_block(fd: FactorData, indices) -> list:
-    """The unit vectors e_j, j in ``indices``, as one 1-based right-hand
-    side over the lanes of ``fd``: entry i is a ``Residues`` block of
-    len(indices) x lanes, row k of it e_{indices[k]} at i.
-
-    ``kernels.substitute`` runs over the blocks as it runs over single
-    lanes (numpy broadcasts every factor entry over the rows), so row k of
-    each entry of its result holds the residues of that entry of the
-    substitution of e_{indices[k]} alone.  The entries before min(indices)
-    are zero, so the substitution may start there.
+def unit_block(fd: FactorData, indices) -> _Band:
+    """The unit vectors e_j, j in ``indices``, as one right-hand-side band
+    over the lanes of ``fd``: entry i reads as a len(indices) x lanes
+    block, row k of it e_{indices[k]} at i.  The entries before
+    min(indices) are zero, so a substitution may start there.
     """
-    p = fd.alpha[1].p
-    zero = Residues(np.zeros((len(indices), len(p)), dtype=np.int64), p)
-    rhs = [None, *repeat(zero, fd.n)]
-    for k, j in enumerate(indices):
-        unit = np.zeros_like(zero.v)
-        unit[k] = 1
-        rhs[j] = Residues(unit, p)
-    return rhs
+    return _Band([[int(i == j) for j in indices] for i in range(1, fd.n + 1)], fd.alpha[1].p)
 
 
 def solve(H: CyclicHeptaMatrix, columns) -> tuple:
@@ -411,7 +398,7 @@ def solve(H: CyclicHeptaMatrix, columns) -> tuple:
     ``columns`` may be empty: then this is the determinant alone.
     """
     scales, delta, overrides, values = adjugate(
-        H, lambda fd, rhs: (kernels.substitute(fd, r) for r in rhs), columns)
+        H, lambda fd, rhs: [kernels.substitute(fd, rhs)] if columns else (), columns)
     det = Fraction(delta, prod(scales))
     if delta == 0:
         return det, overrides, None
@@ -423,11 +410,12 @@ def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple:
     over residue lanes, H' = diag(L) H the integer matrix of
     ``matrix.row_scaled(H, columns)``.
 
-    ``evaluate(fd, rhs)`` yields 1-based columns y from the factors ``fd``
-    of H' (of H'(s), at the points, when a pivot is zero) and the
-    right-hand sides r' = L r of ``columns`` as residue bands ``rhs``.  A
-    y may also be a block of m columns, entry i a ``Residues`` of m x lanes
-    with column k in row k (``unit_block``).  Each column y must be
+    ``evaluate(fd, rhs)`` yields 1-based y, each one substitution, from the
+    factors ``fd`` of H' (of H'(s), at the points, when a pivot is zero)
+    and the right-hand sides r' = L r of ``columns`` as one residue band
+    ``rhs``, an m x lanes block per entry for m > 1.  A y is a column or a
+    block of m columns, entry i m x lanes with column k in row k (``solve``
+    and ``unit_block`` yield one).  Each column of y must be
     H'^-1 r' or a column of H'^-1, so that det H' * y is
     H' x = r' solved by Cramer's rule or a column of adj H', whose entries
     are (n-1)-minors of H': the Hadamard bound that K is chosen by covers
@@ -511,9 +499,10 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
         return rows.reshape(len(rows), len(points), K).sum(axis=1) % primes
 
     # one block of rows per y, n x K per column once taken to s = 0: a y
-    # over every lane can be dropped as soon as its block is made
+    # over every lane can be dropped as soon as its block is made.  One
+    # column stays one: numpy multiplies (K,) by (K,) faster than by (1, K)
     blocks = [at_zero(scaled_det[None])]
-    for y in evaluate(fd, [_Band(r, p) for r in rhs]):
+    for y in evaluate(fd, _Band(rhs[0] if len(rhs) == 1 else list(zip(*rhs)), p)):
         # n x lanes, or n x m x lanes for a block: its columns one after the other
         Y = np.moveaxis(np.array([value.reduced() for value in y[1:]]), 0, -2).reshape(-1, len(p))
         Y *= scaled_det

@@ -2,14 +2,14 @@
 number of right-hand sides, on either lane.
 
 Both lanes run the same forward/back substitution through the bordered
-LU factors, O(n) per right-hand side.  The exact lane runs one sweep over
-word-size primes and rebuilds det * x by Chinese remaindering
-(``residues.solve``).  When a pivot of H is structurally zero, it solves
-H(s) x(s) = r at concrete points of H(s) = H + s*G (G the zero pivots),
-as more lanes of the same sweep, with det * x interpolated to s = 0; the
-right-hand side needs no substitution, since the band entries are never
-divided by.  A prime that divides a nonzero pivot is dropped and the lane
-sweeps again.
+LU factors, O(n) per right-hand side.  The exact lane runs one sweep and
+one substitution of all its columns over word-size primes and rebuilds
+det * x by Chinese remaindering (``residues.solve``).  When a pivot of H
+is structurally zero, it solves H(s) x(s) = r at concrete points of
+H(s) = H + s*G (G the zero pivots), as more lanes of the same sweep, with
+det * x interpolated to s = 0; the right-hand side needs no substitution,
+since the band entries are never divided by.  A prime that divides a
+nonzero pivot is dropped and the lane sweeps again.
 """
 
 from __future__ import annotations

@@ -499,6 +499,17 @@ class TestInputErrors:
         code, _, err = run(["det", "--input", str(bad)], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_order_exits_3(self, backend, value, tmp_path, capsys):
+        # True == 1 is an int to isinstance: with bands of length 1 it got
+        # past the field check to "order too small: n=True"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": value, **{name: [1] * value for name in "DBbdaAC"}}))
+        code, out, err = run(["det", "--input", str(bad), "--backend", backend], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: invalid matrix file: field 'n' must be an integer\n"
+
     def test_float_near_singular_exits_2(self, singular_path, capsys):
         code, _, err = run(["det", "--input", singular_path, "--backend", "float"], capsys)
         assert code == 2

@@ -130,6 +130,43 @@ class TestEqualsOracle:
                 assert len(primes) >= residues._FERMAT_LANES
 
 
+def wide_rhs(n, seed):
+    """Three rational columns whose denominators are distinct primes near
+    2**32, so each row's lcm L_i and every entry of r' = L r pass int64."""
+    rng = random.Random(seed)
+    primes = [2**32 - 5, 2**32 - 17, 2**32 + 15]
+    return [[Fr(rng.randint(1, 9), q) for _ in range(n)] for q in primes]
+
+
+class TestSolveBlock:
+    """``solve`` substitutes all its columns as one block, and gets the x
+    that each column solved alone gets."""
+
+    @pytest.mark.parametrize("H, columns", [
+        (random_instance(24, 1, "diagonally-dominant"),
+         rhs_columns(24, 1) + rhs_columns(24, 2)[:1]),
+        (zero_rows(random_instance(24, 0, "diagonally-dominant"), (5, 9)),
+         rhs_columns(24, 3) + rhs_columns(24, 4)[:1]),
+        (random_instance(16, 2, "diagonally-dominant"), wide_rhs(16, 2)),
+    ], ids=["dominant", "three-points", "beyond-int64"])
+    def test_block_is_each_column_alone(self, H, columns, monkeypatch):
+        assert len(columns) == 3
+        alone = [residues.solve(H, [c]) for c in columns]
+        substitutions = count_calls(monkeypatch, kernels, "substitute")
+        det, overrides, x = residues.solve(H, columns)
+        assert len(substitutions) == 1
+        assert all(found[:2] == (det, overrides) for found in alone)
+        assert x == [v for _, _, xs in alone for v in xs]
+        S = dense_inverse(to_dense(H))
+        assert x == [v for r in columns for v in times(S, r)]
+
+    def test_instances_reach_the_paths_they_name(self):
+        assert residues.solve(zero_rows(random_instance(24, 0, "diagonally-dominant"), (5, 9)),
+                              [])[1] == (5, 9)
+        _, _, rhs = row_scaled(random_instance(16, 2, "diagonally-dominant"), wide_rhs(16, 2))
+        assert all(abs(v) >= 2**63 for col in rhs for v in col)
+
+
 class TestSolutionEntries:
     """``solve`` puts each Cramer int v over det H' = delta: the entries are
     Fraction(v, delta) exactly, delta < 0, v = 0 and 1 < g < |delta|
@@ -144,7 +181,7 @@ class TestSolutionEntries:
         rng = random.Random(seed)
         columns = [H.mat_vec(x0), [Fr(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(12)]]
         _, delta, _, values = residues.adjugate(
-            H, lambda fd, rhs: (kernels.substitute(fd, r) for r in rhs), columns)
+            H, lambda fd, rhs: [kernels.substitute(fd, rhs)], columns)
         _, _, x = residues.solve(H, columns)
         expected = [Fr(v, delta) for v in values]
         assert [(e.numerator, e.denominator) for e in x] == \
@@ -764,6 +801,30 @@ class TestInverseLanes:
         # every exponent the same: no window is gathered
         for q in (2, 3, LANE_0_PRIME):
             self.assert_inverse([q] * SWITCH)
+
+
+class TestLanes:
+    """``_lanes`` is x mod each prime, lanes last, for an int, a list of
+    ints and a list of rows, at the edges of int64 and far past them."""
+
+    EDGES = [-(2**63) - 1, -(2**63), 0, 2**63 - 1, 2**63]
+    BIG = -(2**9999) - 12345  # 10,000 bits
+
+    @staticmethod
+    def expected(x, p):
+        if isinstance(x, int):
+            return [x % q for q in p.tolist()]
+        return [TestLanes.expected(v, p) for v in x]
+
+    @pytest.mark.parametrize("x", [
+        *EDGES, BIG, EDGES[1:4], [*EDGES, BIG],
+        [EDGES[1:4], EDGES[3:0:-1]], [EDGES[:3], [EDGES[3], EDGES[4], BIG]],
+    ], ids=["-2^63-1", "-2^63", "0", "2^63-1", "2^63", "10000-bit", "list", "list-beyond",
+            "rows", "rows-beyond"])
+    def test_x_mod_each_prime(self, x):
+        p = residues._PRIMES.take(SWITCH + 3)
+        lanes = residues._lanes(x, p)
+        assert lanes.dtype == np.int64 and lanes.tolist() == self.expected(x, p)
 
 
 class TestBandBlocks:
