@@ -58,7 +58,6 @@ from .scalars import (
     format_scalar,
     parse_scalar,
     poly_gcd,
-    set_degree_cap,
 )
 from .solve import SolveReport, solve_many
 
@@ -105,7 +104,6 @@ __all__ = [
     "parse_scalar",
     "poly_gcd",
     "random_instance",
-    "set_degree_cap",
     "solve_many",
     "to_dense",
 ]

@@ -26,6 +26,7 @@ from .errors import InternalContractError, NearSingularPivotError, SingularMatri
 from .factor import determinant
 from .inverse import invert, inverse_float
 from .matrix import (
+    PROFILES,
     csv_lines,
     matrix_from_json,
     matrix_to_json,
@@ -53,15 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, rhs=False, backend=True, fmt=True):
+    def add_common(p, rhs=False):
         p.add_argument("--input", required=True, help="matrix file (JSON band format)")
         if rhs:
             p.add_argument("--rhs", required=True, help="right-hand-side file (JSON array or CSV column)")
-        if backend:
-            p.add_argument("--backend", choices=("exact", "float"), default="exact")
-            p.add_argument("--tol", type=float, default=1e-12, help="float-lane pivot tolerance")
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--backend", choices=("exact", "float"), default="exact")
+        p.add_argument("--tol", type=float, default=1e-12, help="float-lane pivot tolerance")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="output path (stdout when omitted)")
 
     p_det = sub.add_parser("det", help="determinant")
@@ -76,15 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="write a random test instance")
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--profile", default="general",
-                       choices=("general", "diagonally-dominant", "zero-pivot-prone", "zero-C"))
+    p_gen.add_argument("--profile", default="general", choices=PROFILES)
     p_gen.add_argument("--out", help="output path (stdout when omitted)")
 
     p_bench = sub.add_parser("bench", help="timing and field-op-count rows (CSV)")
     p_bench.add_argument("--n", type=int, required=True)
     p_bench.add_argument("--seed", type=int, required=True)
-    p_bench.add_argument("--profile", default="diagonally-dominant",
-                         choices=("general", "diagonally-dominant", "zero-pivot-prone", "zero-C"))
+    p_bench.add_argument("--profile", default="diagonally-dominant", choices=PROFILES)
     p_bench.add_argument("--out", help="output path (stdout when omitted)")
 
     # debugging aid: exact inversion cross-checked against the dense oracle
@@ -134,18 +131,20 @@ def _emit(pieces, out_path) -> None:
                 os.chmod(tmp, stat.S_IMODE(mode))
             os.replace(tmp, target)
         except OSError as exc:
-            raise ValueError(f"cannot write {out_path}: {exc}") from exc
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
 def _open_out(path, mode: str, out_path):
-    """``open(path, mode)``; a failure is invalid input naming ``out_path``."""
+    """``open(path, mode)``; a failure is invalid input naming ``out_path``
+    and the reason, not the file that failed, which may be the temporary
+    file of a random name."""
     try:
         return open(path, mode)
     except OSError as exc:
-        raise ValueError(f"cannot write {out_path}: {exc}") from exc
+        raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 def _read(path) -> str:

@@ -33,7 +33,7 @@ class NearSingularPivotError(HeptaError):
 
 
 class DegreeCapError(HeptaError):
-    """Symbolic polynomial degree exceeded the configured cap."""
+    """Symbolic polynomial degree exceeded the cap of 64."""
 
 
 class InternalContractError(HeptaError):

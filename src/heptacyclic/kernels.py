@@ -1,18 +1,20 @@
 """The bordered LU recurrences, written once over any field.
 
-``sweep`` runs the factor recurrences and ``substitute`` the forward/back
-substitution of one right-hand side.  They only add, subtract, multiply and
-divide, so the same code runs over exact scalars (rationals, rational
-functions of t), over vectors of residues modulo word-size primes
-(``residues.Residues``) and over Python floats: the caller picks the field
-by the bands it passes in, and picks what happens to each pivot through
-``pivot(value, i)``.  The exact lane replaces a zero pivot by the
-indeterminate (the symbolic factorization); the residue lane refuses a
-pivot that is zero in any lane, and the caller reads from those lanes
-whether to replace a point of H + s*G, add the pivot to G or drop a
-prime; the op counter of ``bench`` refuses a zero pivot; the float
-lane (``float_pivot``) refuses a pivot that is zero, NaN or below its
-tolerance, and the caller tells the user to switch to the exact backend.
+``sweep`` runs the factor recurrences, one loop over the rows, and
+``substitute`` the forward/back substitution of one right-hand side.  They
+only add, subtract, multiply and divide, so the same code runs over exact
+scalars (rationals, rational functions of t), over vectors of residues
+modulo word-size primes (``residues.Residues``) and over Python floats: the
+caller picks the field by the bands it passes in, and picks what happens to
+each pivot through ``pivot(value, i)``.  Every lane's zero-pivot handling
+is its pivot rule.  The exact lane replaces a zero pivot by the
+indeterminate (the symbolic factorization); the residue lane adds s L_i to
+pivot i for each i in G, the points of H + s*G, and then refuses a pivot
+that is zero in any lane, and the caller reads from those lanes whether
+to replace a point, add the pivot to G or drop a prime; the op counter
+of ``bench`` refuses a zero pivot; the float lane (``float_pivot``)
+refuses a pivot that is zero, NaN or below its tolerance, and the caller
+tells the user to switch to the exact backend.
 
 The float inverse is the same ``substitute`` with numpy rows for scalars:
 the right-hand side is the identity, row by row, so x[i] comes out as row
@@ -71,7 +73,8 @@ def sweep(D, B, b, d, a, A, C, pivot):
     v[3] = -e[3] * v[1] - f[3] * v[2]
     w[3] = -f[3] * w[2] - e[3] * w[1]
 
-    # interior sweep: multipliers and pivots interleaved so every value a
+    # one row loop: the multipliers and pivot of row i, then the border
+    # entries of column i, which read only rows up to i, so every value a
     # formula reads has already been produced
     for i in range(4, n - 1):
         e[i] = (B[i] - D[i] * g[i - 3] / al[i - 3]) / al[i - 2]
@@ -79,14 +82,12 @@ def sweep(D, B, b, d, a, A, C, pivot):
         z[i - 2] = A[i - 2] - f[i - 2] * C[i - 3]
         g[i - 1] = a[i - 1] - f[i - 1] * z[i - 2] - e[i - 1] * C[i - 3]
         al[i] = pivot(d[i] - D[i] * C[i - 3] / al[i - 3] - e[i] * z[i - 2] - f[i] * g[i - 1], i)
-
-    # border interiors
-    for i in range(4, n - 4):
-        k[i] = -(k[i - 3] * C[i - 3] + k[i - 2] * z[i - 2] + k[i - 1] * g[i - 1]) / al[i]
-        w[i] = -(D[i] * w[i - 3] / al[i - 3] + e[i] * w[i - 2] + f[i] * w[i - 1])
-    for i in range(4, n - 3):
-        h[i] = -(h[i - 3] * C[i - 3] + h[i - 2] * z[i - 2] + h[i - 1] * g[i - 1]) / al[i]
-        v[i] = -(D[i] * v[i - 3] / al[i - 3] + e[i] * v[i - 2] + f[i] * v[i - 1])
+        if i < n - 4:
+            k[i] = -(k[i - 3] * C[i - 3] + k[i - 2] * z[i - 2] + k[i - 1] * g[i - 1]) / al[i]
+            w[i] = -(D[i] * w[i - 3] / al[i - 3] + e[i] * w[i - 2] + f[i] * w[i - 1])
+        if i < n - 3:
+            h[i] = -(h[i - 3] * C[i - 3] + h[i - 2] * z[i - 2] + h[i - 1] * g[i - 1]) / al[i]
+            v[i] = -(D[i] * v[i - 3] / al[i - 3] + e[i] * v[i - 2] + f[i] * v[i - 1])
 
     # border closures: from here on the entries of row n-1/n and column
     # n-1/n meet the genuine bands D, B, b / C, A, a of the corner region

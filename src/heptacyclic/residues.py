@@ -23,7 +23,9 @@ and det H = det H' / prod(L_i).
 A structurally zero pivot is handled at concrete points of
 H'(s) = H' + s diag(L) G, G a one at (i, i) for each such pivot i.  The
 K primes are tiled over the points s = 1 ... r + 1 (r = |G|), and only
-the lanes of d'_i + s L_i, i in G, differ between points.  det H'(s) and
+pivot i, i in G, differs between points: the sweep reads d'_i only as the
+first term of pivot i, so the lane's pivot rule adds the lanes of s L_i
+to that pivot, and the bands read the same on every lane.  det H'(s) and
 each entry of det H'(s) * y(s) are polynomials of degree <= r in s, so
 each is interpolated to s = 0 modulo each prime (Lagrange) before one
 CRT.  Without a zero pivot there is one point, s = 0, and G is empty.
@@ -283,25 +285,21 @@ class _Band:
     so no residue array is kept per band entry and a repeat read returns
     the same value.  Blocks are aligned (1, 1 + _BLOCK, ...), so reads
     that run down the band, as the back substitution's do, reuse a block
-    as well as reads that run up.  ``shifted`` maps an index to its lanes
-    given outright (d'_i + s L_i for a pivot override).
+    as well as reads that run up.  An entry reads the same at every point
+    of H'(s): the shift of a zero pivot is made by the sweep's pivot rule.
     """
 
-    __slots__ = ("ints", "p", "shifted", "block")
+    __slots__ = ("ints", "p", "block")
 
-    def __init__(self, ints, p, shifted=None):
+    def __init__(self, ints, p):
         self.ints = [None, *ints]
         self.p = p
-        self.shifted = shifted or {}
         self.block = (0, ())
 
     def __len__(self):
         return len(self.ints)
 
     def __getitem__(self, i):
-        lanes = self.shifted.get(i)
-        if lanes is not None:
-            return Residues(lanes, self.p)
         start, values = self.block
         if 0 <= i - start < len(values):
             return values[i - start]
@@ -465,11 +463,15 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
         # lane k * K + j is point k modulo prime j
         p = np.tile(primes, len(points))
         s_lanes = np.repeat(np.array(points, dtype=np.int64), K)
-        shifted = {i: (_lanes(d[i - 1], p) + s_lanes * _lanes(scales[i - 1], p)) % p
-                   for i in overrides}
-        lanes = [_Band(band, p, shifted if band is d else None) for band in bands]
+        shifts = {i: Residues(s_lanes * _lanes(scales[i - 1], p) % p, p) for i in overrides}
+
+        def pivot(value, i):
+            shift = shifts.get(i)
+            return _nonzero(value if shift is None else value + shift, i)
+
+        lanes = [_Band(band, p) for band in bands]
         try:
-            vectors = kernels.sweep(*lanes, _nonzero)
+            vectors = kernels.sweep(*lanes, pivot)
             break
         except _ZeroLanes as exc:
             zero = exc.zero.reshape(len(points), K)

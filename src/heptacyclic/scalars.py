@@ -37,22 +37,12 @@ _F_ZERO = Fraction(0)
 
 # Degree cap: symbolic substitutions keep degrees tiny in practice, but the
 # recurrences give no a-priori bound, so runaway growth is converted into a
-# clear diagnostic instead of memory exhaustion.
+# clear diagnostic instead of memory exhaustion.  The cap bounds every
+# polynomial built, including the unreduced numerator and denominator of a
+# RatFun sum, product or quotient before the gcd cancels: their degree is the
+# sum of the operands' degrees, so a reduced result of degree above 32 may
+# already be refused.
 _DEGREE_CAP = 64
-
-
-def set_degree_cap(cap: int) -> None:
-    """Adjust the maximum polynomial degree allowed (default 64).
-
-    The cap bounds every polynomial built, including the unreduced numerator
-    and denominator of a RatFun sum, product or quotient before the gcd
-    cancels: their degree is the sum of the operands' degrees, so a reduced
-    result of degree above cap/2 may already be refused.
-    """
-    global _DEGREE_CAP
-    if cap < 1:
-        raise ValueError("degree cap must be positive")
-    _DEGREE_CAP = cap
 
 
 class Poly:
@@ -66,9 +56,7 @@ class Poly:
             c.pop()
         if len(c) - 1 > _DEGREE_CAP:
             raise DegreeCapError(
-                f"polynomial degree {len(c) - 1} exceeds cap {_DEGREE_CAP}; "
-                "raise it with scalars.set_degree_cap() if this input is legitimate"
-            )
+                f"polynomial degree {len(c) - 1} exceeds cap {_DEGREE_CAP}")
         self.coeffs = tuple(c)
 
     @property

@@ -321,6 +321,84 @@ class TestOracleCheck:
         assert json.loads(out) == {"diff_count": 0, "positions": []}
 
 
+# the --help texts, held as literals so that a change to any choice shows
+_EXACT_OR_FLOAT = """
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         matrix file (JSON band format)
+  --backend {exact,float}
+  --tol TOL             float-lane pivot tolerance
+  --format {json,csv}
+  --out OUT             output path (stdout when omitted)
+"""
+_RANDOM_INSTANCE = """
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --seed SEED
+  --profile {general,diagonally-dominant,zero-pivot-prone,zero-C}
+  --out OUT             output path (stdout when omitted)
+"""
+HELP = {
+    "": """\
+usage: heptacyclic [-h] {det,inv,solve,gen,bench,oracle-check} ...
+
+Determinants, inverses and linear solvers for cyclic heptadiagonal matrices.
+
+positional arguments:
+  {det,inv,solve,gen,bench,oracle-check}
+    det                 determinant
+    inv                 full inverse
+    solve               solve Hx = r
+    gen                 write a random test instance
+    bench               timing and field-op-count rows (CSV)
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "det": """\
+usage: heptacyclic det [-h] --input INPUT [--backend {exact,float}]
+                       [--tol TOL] [--format {json,csv}] [--out OUT]
+""" + _EXACT_OR_FLOAT,
+    "inv": """\
+usage: heptacyclic inv [-h] --input INPUT [--backend {exact,float}]
+                       [--tol TOL] [--format {json,csv}] [--out OUT]
+""" + _EXACT_OR_FLOAT,
+    "solve": """\
+usage: heptacyclic solve [-h] --input INPUT --rhs RHS
+                         [--backend {exact,float}] [--tol TOL]
+                         [--format {json,csv}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         matrix file (JSON band format)
+  --rhs RHS             right-hand-side file (JSON array or CSV column)
+  --backend {exact,float}
+  --tol TOL             float-lane pivot tolerance
+  --format {json,csv}
+  --out OUT             output path (stdout when omitted)
+""",
+    "gen": """\
+usage: heptacyclic gen [-h] --n N --seed SEED
+                       [--profile {general,diagonally-dominant,zero-pivot-prone,zero-C}]
+                       [--out OUT]
+""" + _RANDOM_INSTANCE,
+    "bench": """\
+usage: heptacyclic bench [-h] --n N --seed SEED
+                         [--profile {general,diagonally-dominant,zero-pivot-prone,zero-C}]
+                         [--out OUT]
+""" + _RANDOM_INSTANCE,
+    "oracle-check": """\
+usage: heptacyclic oracle-check [-h] --input INPUT [--out OUT]
+
+options:
+  -h, --help     show this help message and exit
+  --input INPUT
+  --out OUT      output path (stdout when omitted)
+""",
+}
+
+
 class TestUsageErrors:
     """argparse's own exit code, 2, is the code for a singular matrix."""
 
@@ -340,6 +418,15 @@ class TestUsageErrors:
             main(["det", "--help"])
         assert exc.value.code == 0
         assert "usage: heptacyclic det" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [*HELP])
+    def test_help_text_is_pinned(self, command, monkeypatch, capsys):
+        # argparse wraps to $COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
 
 
 class TestSingularWithOverrides:
@@ -396,6 +483,18 @@ class TestInputErrors:
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "missing").exists()
+
+    def test_failed_write_names_the_out_path_alone(self, example_path, tmp_path, capsys):
+        # the temporary file beside --out has a random name: naming it would
+        # make two identical runs print different errors
+        target = tmp_path / "missing" / "x.json"
+        runs = [run(["det", "--input", example_path, "--out", str(target)], capsys)
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert (code, out) == (3, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        assert ".tmp" not in err
 
     @pytest.mark.parametrize("command", ["det", "inv", "solve"])
     def test_out_of_memory_exits_5(self, command, example_path, rhs_path, tmp_path,

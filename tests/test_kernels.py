@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction as Fr
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from heptacyclic import kernels
 from heptacyclic.errors import NearSingularPivotError
 from heptacyclic.factor import determinant, factorize, lu_substitute
 from heptacyclic.inverse import invert, inverse_float
-from heptacyclic.matrix import random_instance
+from heptacyclic.matrix import BAND_NAMES, random_instance
 from heptacyclic.solve import solve_many
 
 from test_factor import duplicated_row_matrix
@@ -188,3 +190,52 @@ def test_non_finite_tolerance_rejected(tol):
 def test_pure_numpy_flag_has_no_effect():
     # there is one kernel lane, so the variable must not change any result
     assert child_probe("1") == child_probe()
+
+
+FACTORS = ("alpha", "f", "e", "g", "z", "k", "h", "v", "w")
+# sha256 of the float.hex texts of the nine factor vectors, as the sweep of
+# three consecutive loops (the interior, then k and w, then h and v) gave them
+FLOAT_FACTOR_DIGESTS = {
+    ("diagonally-dominant", 8): "57b646642d3a582825ce648de402736036f89663030fcd62e018e7a5b371b5b8",
+    ("diagonally-dominant", 9): "86bad21ab97d254646a7daab69294f56b1aa48f4ce6ee8a1c760240c2fc74e7e",
+    ("diagonally-dominant", 12): "aeaab9f57e4a9754aa61b8931a9086f169cb0fbb29f6a2e2ff42320ad73b5ac9",
+    ("diagonally-dominant", 64): "c8434612a6526343f580ccb6350278584c42d576277a257920a64e039ad8b098",
+    ("diagonally-dominant", 257): "8a70d4b1823aae91dbb4dad9d78dd37c749040eabf08ff34786ee4f57edf3fb4",
+    ("general", 8): "0afc84ec2e019a32b72db93a4bbbbe0ab520d74dbf9ed6a325a6ea89e2b7dfe2",
+    ("general", 9): "d44d620c6ab6512308b5dc23b0b30f39d9c8871cbcc3f9d788054be37382868b",
+    ("general", 12): "f8a5597a8fe18a4f87f3c99f826609cefb08d8e2ee88297bf0a86b2027967af7",
+    ("general", 64): "2847434b2670f60933fd4e6df424ae4e5d1d8d6b00bf514b165357ea758822b3",
+    ("general", 257): "82c400c861719e0640bc034308e78257867d90873b33a5b80c2a4e71272e3b20",
+}
+
+
+@pytest.mark.parametrize("profile, n", [*FLOAT_FACTOR_DIGESTS])
+def test_float_sweep_bits_are_pinned(profile, n):
+    """Every formula of the one row loop keeps its order of operations, so
+    the float factors are those of the three loops, bit for bit."""
+    fd = factorize(random_instance(n, 3, profile), "float")
+    digest = hashlib.sha256()
+    for name in FACTORS:
+        texts = ("-" if x is None else float(x).hex() for x in getattr(fd, name))
+        digest.update(" ".join(texts).encode() + b"\n")
+    assert digest.hexdigest() == FLOAT_FACTOR_DIGESTS[profile, n]
+
+
+@pytest.mark.parametrize("n", [8, 13])
+@pytest.mark.parametrize("row", [1, 2, 3, 4, -4, -3, -2, -1, 0], ids=[
+    "1", "2", "3", "4", "n-4", "n-3", "n-2", "n-1", "n"])
+def test_band_shift_is_a_pivot_shift(n, row):
+    """The sweep reads d_i only as the first term of pivot i, so d_i + x in
+    the band gives the factors of x added to pivot i by the pivot rule: the
+    residue lane shifts the pivots of G that way."""
+    i = row if row > 0 else n + row
+    x = Fr(7, 3)
+    bands = [[None, *map(Fr, random_instance(n, 5, "diagonally-dominant").band(name))]
+             for name in BAND_NAMES]
+    shifted = [list(band) for band in bands]
+    shifted[BAND_NAMES.index("d")][i] += x
+    by_band = kernels.sweep(*shifted, lambda value, k: value)
+    by_pivot = kernels.sweep(*bands, lambda value, k: value + x if k == i else value)
+    for name, u, v in zip(FACTORS, by_band, by_pivot):
+        assert u == v, name
+    assert by_band[0][i] != kernels.sweep(*bands, lambda value, k: value)[0][i]

@@ -384,9 +384,9 @@ class TestOneSweep:
         assert trims == ([0] if trimmed else [])
 
     def test_field_ops_still_count_the_generic_sweep(self):
-        counts = [count_det_ops(random_instance(n, 1, "diagonally-dominant"))
-                  for n in (200, 1000, 2000)]
-        assert counts == [11774, 59774, 119774]  # 60n - 226
+        orders = (8, 9, 12, 64, 200, 257, 1000, 2000)
+        counts = [count_det_ops(random_instance(n, 1, "diagonally-dominant")) for n in orders]
+        assert counts == [60 * n - 226 for n in orders]
 
     @pytest.mark.parametrize("rows", [(1,), (5, 15)])
     def test_field_ops_refuse_a_zero_pivot(self, rows):
@@ -827,6 +827,51 @@ class TestLanes:
         assert lanes.dtype == np.int64 and lanes.tolist() == self.expected(x, p)
 
 
+class TestOverrideShift:
+    """The lanes of point s sweep H'(s) = H' + s diag(L) G: the pivot rule
+    adds the lanes of s L_i to pivot i, once, for each i in G."""
+
+    def test_factor_lanes_are_those_of_each_point(self, monkeypatch):
+        # rows 1, 5 and 9 zero, entries rational so that L_i > 1
+        H = rational_entries(zero_rows(random_instance(16, 1, "diagonally-dominant"), (1, 5, 9)), 1)
+        scales, bands, _ = row_scaled(H, [])
+        assert len(set(scales)) > 1
+        sweep, sweeps, captured = kernels.sweep, [], []
+
+        def counted(*args):
+            # a shift that misses its pivot leaves that pivot zero at every
+            # point, and the lane would sweep again without end
+            sweeps.append(1)
+            assert len(sweeps) <= 8
+            return sweep(*args)
+
+        def evaluate(fd, rhs):
+            captured.append(fd)
+            return ()
+
+        monkeypatch.setattr(kernels, "sweep", counted)
+        overrides = residues.adjugate(H, evaluate)[2]
+        assert overrides == (1, 5, 9) and len(sweeps) == 4
+        (fd,) = captured
+        p = fd.alpha[1].p
+        K = len(p) // (len(overrides) + 1)
+        names = ("alpha", "f", "e", "g", "z", "k", "h", "v", "w")
+        for k, s in enumerate(range(1, len(overrides) + 2)):
+            shifted = [[Fr(v + s * L if band is bands[3] and i in overrides else v)
+                        for i, (v, L) in enumerate(zip(band, scales), start=1)]
+                       for band in bands]
+            exact = sweep(*([None, *band] for band in shifted), lambda value, i: value)
+            primes = p[k * K:(k + 1) * K].tolist()
+            for name, expected in zip(names, exact):
+                got = getattr(fd, name)
+                for i, (x, y) in enumerate(zip(got, expected)):
+                    assert (x is None) == (y is None), (name, i)
+                    if y is not None:
+                        lanes = x.reduced()[k * K:(k + 1) * K].tolist()
+                        assert lanes == [y.numerator * pow(y.denominator, -1, q) % q
+                                         for q in primes], (name, i, s)
+
+
 class TestBandBlocks:
     """A band reduces a block of ``_BLOCK`` entries per numpy call and keeps
     that block's values while its reads stay in the block."""
@@ -871,14 +916,6 @@ class TestBandBlocks:
             band[i]
             assert band.block[0] == start
         assert len(band.block[1]) == 100 - band.block[0] + 1
-
-    def test_shifted_entries_are_given_outright(self):
-        p = residues._PRIMES.take(8)
-        lanes = np.arange(8, dtype=np.int64)
-        band = residues._Band(range(10, 40), p, {2: lanes})
-        assert band[2].v is lanes
-        assert band[1].v.tolist() == [10 % q for q in p.tolist()]
-        assert band[3].v.tolist() == [12 % q for q in p.tolist()]
 
     def test_factor_entries_pin_at_most_one_block_per_band(self):
         # g_1 = a_1, z_1 = A_1, v_1 = b_1, w_1 = B_1 and alpha_1 = d_1 are

@@ -16,7 +16,6 @@ from heptacyclic.scalars import (
     parse_scalar,
     poly_gcd,
     scalar_formatter,
-    set_degree_cap,
 )
 
 
@@ -167,42 +166,43 @@ def test_division_by_zero_ratfun():
         T / RatFun(0)
 
 
+def t_power(k):
+    return Poly([0] * k + [1])
+
+
 def test_degree_cap_aborts_with_diagnostic():
-    set_degree_cap(8)
-    try:
-        with pytest.raises(DegreeCapError, match="exceeds cap 8"):
-            Poly([0] * 9 + [1])
-    finally:
-        set_degree_cap(64)
+    assert t_power(64).degree == 64
+    with pytest.raises(DegreeCapError) as exc:
+        t_power(65)
+    assert str(exc.value) == "polynomial degree 65 exceeds cap 64"
 
 
 def test_degree_cap_applies_to_products():
-    set_degree_cap(8)
-    try:
-        t5 = Poly([0] * 5 + [1])
-        with pytest.raises(DegreeCapError):
-            t5 * t5
-    finally:
-        set_degree_cap(64)
+    assert (t_power(32) * t_power(32)).degree == 64
+    with pytest.raises(DegreeCapError, match="degree 65 exceeds cap 64"):
+        t_power(33) * t_power(32)
 
 
-def test_degree_cap_bounds_unreduced_intermediates():
-    # t^5/(t^5+1) * (t^5+1)/t^5 reduces to 1 and 1/(t^5+1) + t/(t^5+1) to
-    # 1/(t^4 - t^3 + t^2 - t + 1), but both build a degree-10 polynomial first
-    t5 = RatFun(Poly([0] * 5 + [1]))
-    quotient = t5 / (t5 + 1)
-    summand = 1 / (t5 + 1)
-    set_degree_cap(8)
-    try:
-        with pytest.raises(DegreeCapError, match="degree 10 exceeds cap 8"):
+@pytest.mark.parametrize("k", [32, 33])
+def test_degree_cap_bounds_unreduced_intermediates(k):
+    # t^k/(t^k+1) * (t^k+1)/t^k reduces to 1 and 1/(t^k+1) + t/(t^k+1) to
+    # (1+t)/(t^k+1), which for odd k cancels to a denominator of degree
+    # k-1, but both build a polynomial of degree 2k first: at the cap for
+    # k = 32, beyond it for k = 33
+    tk = RatFun(t_power(k))
+    quotient = tk / (tk + 1)
+    summand = 1 / (tk + 1)
+    if k == 33:
+        with pytest.raises(DegreeCapError, match="degree 66 exceeds cap 64"):
             quotient * (1 / quotient)
-        with pytest.raises(DegreeCapError, match="degree 10 exceeds cap 8"):
+        with pytest.raises(DegreeCapError, match="degree 66 exceeds cap 64"):
             summand + T * summand
-        set_degree_cap(10)
+    else:
         assert quotient * (1 / quotient) == 1
-        assert summand + T * summand == RatFun(1, Poly([1, -1, 1, -1, 1]))
-    finally:
-        set_degree_cap(64)
+        assert summand + T * summand == RatFun(P(1, 1), P(1, *[0] * 31, 1))
+        # t^31 + 1 = (t + 1)(t^30 - t^29 + ... + 1): the sum cancels
+        s31 = 1 / RatFun(t_power(31) + Poly([1]))
+        assert s31 + T * s31 == RatFun(1, Poly([(-1) ** j for j in range(31)]))
 
 
 class TestScalarText:
