@@ -1,20 +1,18 @@
 """The bordered LU recurrences, written once over any field.
 
-``sweep`` runs the factor recurrences, one loop over the rows, and
+``sweep`` runs the factor recurrences in one loop over the rows and
 ``substitute`` the forward/back substitution of one right-hand side.  They
 only add, subtract, multiply and divide, so the same code runs over exact
 scalars (rationals, rational functions of t), over vectors of residues
 modulo word-size primes (``residues.Residues``) and over Python floats: the
-caller picks the field by the bands it passes in, and picks what happens to
-each pivot through ``pivot(value, i)``.  Every lane's zero-pivot handling
-is its pivot rule.  The exact lane replaces a zero pivot by the
-indeterminate (the symbolic factorization); the residue lane adds s L_i to
-pivot i for each i in G, the points of H + s*G, and then refuses a pivot
-that is zero in any lane, and the caller reads from those lanes whether
-to replace a point, add the pivot to G or drop a prime; the op counter
-of ``bench`` refuses a zero pivot; the float lane (``float_pivot``)
-refuses a pivot that is zero, NaN or below its tolerance, and the caller
-tells the user to switch to the exact backend.
+caller picks the field by the bands it passes in, and every lane's
+zero-pivot handling is its pivot rule, ``pivot(value, i)``.  The exact lane
+replaces a zero pivot by the indeterminate (the symbolic factorization);
+the residue lane adds s L_i to pivot i, i in G, at the points of H + s*G,
+refuses a pivot zero in any lane, and its caller reads from those lanes
+whether to skip a point, add the pivot to G or drop a prime; the op
+counter of ``bench`` refuses a zero pivot; the float lane (``float_pivot``)
+refuses a pivot that is zero, NaN or below its tolerance.
 
 The float inverse is the same ``substitute`` with numpy rows for scalars:
 the right-hand side is the identity, row by row, so x[i] comes out as row
@@ -73,9 +71,8 @@ def sweep(D, B, b, d, a, A, C, pivot):
     v[3] = -e[3] * v[1] - f[3] * v[2]
     w[3] = -f[3] * w[2] - e[3] * w[1]
 
-    # one row loop: the multipliers and pivot of row i, then the border
-    # entries of column i, which read only rows up to i, so every value a
-    # formula reads has already been produced
+    # one row loop: row i's multipliers and pivot, then the border entries
+    # of column i, which read only values that rows up to i have produced
     for i in range(4, n - 1):
         e[i] = (B[i] - D[i] * g[i - 3] / al[i - 3]) / al[i - 2]
         f[i] = (b[i] - D[i] * z[i - 3] / al[i - 3] - e[i] * g[i - 2]) / al[i - 1]

@@ -23,9 +23,8 @@ and det H = det H' / prod(L_i).
 A structurally zero pivot is handled at concrete points of
 H'(s) = H' + s diag(L) G, G a one at (i, i) for each such pivot i.  The
 K primes are tiled over the points s = 1 ... r + 1 (r = |G|), and only
-pivot i, i in G, differs between points: the sweep reads d'_i only as the
-first term of pivot i, so the lane's pivot rule adds the lanes of s L_i
-to that pivot, and the bands read the same on every lane.  det H'(s) and
+pivot i, i in G, differs between points: the sweep reads d'_i only there,
+so the lane's pivot rule adds the lanes of s L_i to it.  det H'(s) and
 each entry of det H'(s) * y(s) are polynomials of degree <= r in s, so
 each is interpolated to s = 0 modulo each prime (Lagrange) before one
 CRT.  Without a zero pivot there is one point, s = 0, and G is empty.
