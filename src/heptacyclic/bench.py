@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from . import kernels
 from .errors import NearSingularPivotError
-from .factor import FactorData, det_from_factors, determinant
+from .factor import determinant
 from .inverse import inverse_float, invert
 from .matrix import (BAND_NAMES, CyclicHeptaMatrix, matrix_from_json, matrix_to_json,
                      random_instance)
@@ -84,12 +86,12 @@ def _nonzero_pivot(value, i):
 
 def count_det_ops(H: CyclicHeptaMatrix) -> int:
     """Field operations of the determinant at this order: one factor sweep
-    and the pivot product.  A zero pivot raises ValueError."""
+    and the product of the pivots it hands over.  A zero pivot raises
+    ValueError."""
     counter = OpCounter()
     bands = [[None, *(CountingScalar(float(v), counter) for v in H.band(name))]
              for name in BAND_NAMES]
-    vectors = kernels.sweep(*bands, _nonzero_pivot)
-    det_from_factors(FactorData(H.n, *vectors, overrides=(), D=bands[0], C=bands[6]))
+    reduce(mul, (row[0] for row in kernels.sweep(*bands, _nonzero_pivot)))
     return counter.count
 
 

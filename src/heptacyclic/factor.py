@@ -98,9 +98,7 @@ def factorize(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) 
     """
     overrides = []
     if backend == "float":
-        fb = H.float_bands()
-        bands = [fb[name] for name in BAND_NAMES]
-        vectors = kernels.ACTIVE_IMPLS["factor"](*bands, kernels.float_pivot(fb, tol))
+        bands, rows = _float_sweep(H, tol)
     elif backend == "exact":
         def pivot(value, i):
             if value == 0:
@@ -109,11 +107,18 @@ def factorize(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) 
             return value
 
         bands = [_padded(H.band(name)) for name in BAND_NAMES]
-        vectors = kernels.sweep(*bands, pivot)
+        rows = kernels.sweep(*bands, pivot)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return FactorData(H.n, *map(tuple, vectors), overrides=tuple(overrides),
+    return FactorData(H.n, *kernels.factor_vectors(rows), overrides=tuple(overrides),
                       D=bands[0], C=bands[6], backend=backend)
+
+
+def _float_sweep(H, tol: float) -> tuple:
+    """(the float64 bands of ``H``, the rows of the float lane's sweep)."""
+    fb = H.float_bands()
+    bands = [fb[name] for name in BAND_NAMES]
+    return bands, kernels.ACTIVE_IMPLS["factor"](*bands, kernels.float_pivot(fb, tol))
 
 
 def materialize_LU(fd: FactorData) -> tuple[DenseMatrix, DenseMatrix]:
@@ -163,17 +168,23 @@ def det_from_factors(fd: FactorData):
 def determinant(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) -> DetResult:
     """Determinant via the pivot product.
 
-    The exact lane runs one sweep over word-size primes
-    (``residues.solve``), with the points of H + s*G as extra lanes when a
-    pivot is structurally zero.  ``pivot_overrides`` counts the pivots
-    found structurally zero; a singular H gives value 0, not an error.
+    Neither lane keeps the factors: each pivot joins the product as the
+    sweep hands its row over, so a determinant holds the sweep's window of
+    rows, not nine vectors of n entries.  The exact lane runs one sweep
+    over word-size primes (``residues.solve``), with the points of H + s*G
+    as extra lanes when a pivot is structurally zero.  ``pivot_overrides``
+    counts the pivots found structurally zero; a singular H gives value 0,
+    not an error.  The float lane refuses pivots as ``factorize`` does.
     """
     if backend == "exact":
         from . import residues  # residues imports this module, so it loads here
 
         value, overrides, _ = residues.solve(H, [])
+    elif backend == "float":
+        _, rows = _float_sweep(H, tol)
+        value, overrides = kernels.pivot_product(row[0] for row in rows), ()
     else:
-        value, overrides = det_from_factors(factorize(H, backend=backend, tol=tol)), ()
+        raise ValueError(f"unknown backend {backend!r}")
     return DetResult(value=value, pivot_overrides=len(overrides), singular=value == 0)
 
 

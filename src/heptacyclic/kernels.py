@@ -14,13 +14,25 @@ whether to skip a point, add the pivot to G or drop a prime; the op
 counter of ``bench`` refuses a zero pivot; the float lane (``float_pivot``)
 refuses a pivot that is zero, NaN or below its tolerance.
 
+``sweep`` streams: a generator, it hands row i's factor entries over, in
+row order, once no recurrence reads them again, and keeps only the rows
+they read back to, i-3 in the loop and n-7 at the border closures.  The
+closures' border sums (sum_j v_j k_j, w_j k_j, h_j w_j and v_j h_j) are
+added up as their entries are made, in ascending j, with the products and
+additions of ``_ksum`` in its order, so every field sees the operations
+that ``_ksum`` makes over kept vectors.  A determinant keeps only the
+running pivot product; ``factor.factorize`` and the residue lane's solve
+and inverse collect every row (``factor_vectors``), since the
+substitutions read the whole factors.
+
 The float inverse is the same ``substitute`` with numpy rows for scalars:
 the right-hand side is the identity, row by row, so x[i] comes out as row
 i of the inverse, and every entry is bit-identical to the substitution of
 its identity column alone.
 
 All vectors are 1-based (length n+1, slot 0 unused) to keep the formulas
-aligned with the band indexing.
+aligned with the band indexing; in the sweep's own vectors only the slots
+of the window hold entries.
 """
 
 from __future__ import annotations
@@ -39,14 +51,27 @@ def _ksum(xs, ys, upto, start=1):
     return acc
 
 
+# the most rows a sweep keeps at once: rows n-7 ... n at its closures
+WINDOW = 8
+
+
 def sweep(D, B, b, d, a, A, C, pivot):
-    """Factor sweep over 1-based bands; returns (alpha, f, e, g, z, k, h, v, w).
+    """Factor sweep over 1-based bands: yields the entries of row i,
+    (alpha_i, f_i, e_i, g_i, z_i, k_i, h_i, v_i, w_i), for i = 1, ..., n.
 
     Every pivot passes through ``pivot(value, i)``, which returns the value
-    to use or raises.  Slots outside a vector's index range hold None.
+    to use or raises.  Entries outside a vector's index range are None.
+    Row i is yielded when it leaves the window (rows 1 to n-8 in the loop,
+    the last eight after the closures), and its slots then hold None: the
+    sweep keeps the entries of at most ``WINDOW`` rows, whatever n.
     """
     n = len(D) - 1
     al, f, e, g, z, k, h, v, w = ([None] * (n + 1) for _ in range(9))
+
+    def row(j):
+        entries = al[j], f[j], e[j], g[j], z[j], k[j], h[j], v[j], w[j]
+        al[j] = f[j] = e[j] = g[j] = z[j] = k[j] = h[j] = v[j] = w[j] = None
+        return entries
 
     # first three pivots and the border heads
     al[1] = pivot(d[1], 1)
@@ -71,6 +96,11 @@ def sweep(D, B, b, d, a, A, C, pivot):
     v[3] = -e[3] * v[1] - f[3] * v[2]
     w[3] = -f[3] * w[2] - e[3] * w[1]
 
+    # the closures' border sums, added up in ascending j as ``_ksum`` adds them
+    vk, wk, hw, vh = v[1] * k[1], w[1] * k[1], h[1] * w[1], v[1] * h[1]
+    for j in (2, 3):
+        vk, wk, hw, vh = vk + v[j] * k[j], wk + w[j] * k[j], hw + h[j] * w[j], vh + v[j] * h[j]
+
     # one row loop: row i's multipliers and pivot, then the border entries
     # of column i, which read only values that rows up to i have produced
     for i in range(4, n - 1):
@@ -85,6 +115,11 @@ def sweep(D, B, b, d, a, A, C, pivot):
         if i < n - 3:
             h[i] = -(h[i - 3] * C[i - 3] + h[i - 2] * z[i - 2] + h[i - 1] * g[i - 1]) / al[i]
             v[i] = -(D[i] * v[i - 3] / al[i - 3] + e[i] * v[i - 2] + f[i] * v[i - 1])
+            vh = vh + v[i] * h[i]
+        if i < n - 4:
+            vk, wk, hw = vk + v[i] * k[i], wk + w[i] * k[i], hw + h[i] * w[i]
+            # no later step reads row i-3, and no closure reads below row n-7
+            yield row(i - 3)
 
     # border closures: from here on the entries of row n-1/n and column
     # n-1/n meet the genuine bands D, B, b / C, A, a of the corner region
@@ -100,11 +135,21 @@ def sweep(D, B, b, d, a, A, C, pivot):
     h[n - 2] = (B[n] - h[n - 5] * C[n - 5] - h[n - 4] * z[n - 4] - h[n - 3] * g[n - 3]) / al[n - 2]
     v[n - 3] = C[n - 3] - D[n - 3] * v[n - 6] / al[n - 6] - e[n - 3] * v[n - 5] - f[n - 3] * v[n - 4]
     v[n - 2] = A[n - 2] - D[n - 2] * v[n - 5] / al[n - 5] - e[n - 2] * v[n - 4] - f[n - 2] * v[n - 3]
-    v[n - 1] = a[n - 1] - _ksum(v, k, n - 2)
-    al[n - 1] = pivot(d[n - 1] - _ksum(w, k, n - 2), n - 1)
-    h[n - 1] = (b[n] - _ksum(h, w, n - 2)) / al[n - 1]
-    al[n] = pivot(d[n] - _ksum(v, h, n - 1), n)
-    return al, f, e, g, z, k, h, v, w
+    for j in range(n - 4, n - 1):
+        vk, wk, hw = vk + v[j] * k[j], wk + w[j] * k[j], hw + h[j] * w[j]
+    vh = vh + v[n - 3] * h[n - 3] + v[n - 2] * h[n - 2]
+    v[n - 1] = a[n - 1] - vk
+    al[n - 1] = pivot(d[n - 1] - wk, n - 1)
+    h[n - 1] = (b[n] - hw) / al[n - 1]
+    al[n] = pivot(d[n] - (vh + v[n - 1] * h[n - 1]), n)
+    for j in range(n - 7, n + 1):
+        yield row(j)
+
+
+def factor_vectors(rows):
+    """The nine 1-based factor vectors (alpha, f, e, g, z, k, h, v, w) of
+    the rows a ``sweep`` yields, slot 0 None."""
+    return [(None, *vector) for vector in zip(*rows)]
 
 
 def substitute(fd, r, start=1):
@@ -195,16 +240,19 @@ def float_pivot(bands: dict, tol: float):
 
 
 def pivot_product(values) -> float:
-    """Product of float pivots without intermediate overflow or underflow."""
+    """Product of float pivots without intermediate overflow or underflow.
+
+    Every value is drawn, even after the product reaches zero: the values
+    of a sweep's rows are its pivots, so a later pivot is still refused."""
     # accumulate mantissa/exponent separately so long products do not
     # overflow before the final fold
     mant, exp = 1.0, 0
     for value in values:
-        mant *= value
-        if mant == 0.0:
-            return 0.0
-        m, e = math.frexp(mant)
-        mant, exp = m, exp + e
+        if mant:
+            mant, e = math.frexp(mant * value)
+            exp += e
+    if not mant:
+        return 0.0
     try:
         return math.ldexp(mant, exp)
     except OverflowError:

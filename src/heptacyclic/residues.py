@@ -15,6 +15,10 @@ Algebra*, ch. 5).  ``solve`` takes H'^-1 r' for all its right-hand sides
 by one substitution; ``adjugate`` takes the columns its caller's
 ``evaluate`` yields, for the inverse one block of the five seed columns
 and the columns of the zero C_j, so det H' * y are columns of adj H'.
+Those substitutions read the whole factors, so they keep every row that
+the sweep hands over.  A determinant alone keeps none: each pivot joins a
+running product as its row arrives, and the lanes held are the sweep's
+window of rows (``kernels.WINDOW``), at most 72 vectors, not 9 n.
 
 The sweep runs on H' = diag(L) H, where L_i is the lcm of the denominators
 in row i of H and of the right-hand sides, so H' and r' = L r are integer
@@ -67,7 +71,7 @@ converts its bands, refusing any other scalar with TypeError.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import count, islice, repeat
 from math import isqrt, prod
 from operator import add, mul
@@ -395,7 +399,7 @@ def solve(H: CyclicHeptaMatrix, columns) -> tuple:
     ``columns`` may be empty: then this is the determinant alone.
     """
     scales, delta, overrides, values = adjugate(
-        H, lambda fd, rhs: [kernels.substitute(fd, rhs)] if columns else (), columns)
+        H, (lambda fd, rhs: [kernels.substitute(fd, rhs)]) if columns else None, columns)
     det = Fraction(delta, prod(scales))
     if delta == 0:
         return det, overrides, None
@@ -417,7 +421,8 @@ def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple:
     H' x = r' solved by Cramer's rule or a column of adj H', whose entries
     are (n-1)-minors of H': the Hadamard bound that K is chosen by covers
     both.  The ints come back flat, column after column.  The entries of
-    ``columns`` are rationals (``Fraction`` or int), as H's are.
+    ``columns`` are rationals (``Fraction`` or int), as H's are.  With
+    ``evaluate`` None this is det H' alone, and no factor row is kept.
     """
     found, lane_bytes = _solve(H, columns, evaluate)
     # each lane vector is a small buffer on the C heap, and glibc keeps the
@@ -426,7 +431,8 @@ def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple:
     # resident next to what it allocates through Python's own allocator.
     # After a small call the pages are reused at once by what follows, and
     # a trim would only make it fault them in again.  A call that drops a
-    # prime trims once, after the sweep that completes.
+    # prime trims once, after the sweep that completes.  A determinant
+    # alone holds the sweep's window, so it trims from 1,366 lanes on.
     if lane_bytes >= _TRIM_BYTES:
         trim = _malloc_trim()
         if trim is not None:
@@ -435,7 +441,7 @@ def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple:
 
 
 def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
-    """(what ``adjugate`` returns, the bytes of the lane vectors made)."""
+    """(what ``adjugate`` returns, the bytes of the lane vectors held at once)."""
     n = H.n
     scales, bands, rhs = row_scaled(H, columns)
     d = bands[BAND_NAMES.index("d")]
@@ -469,8 +475,14 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
             return _nonzero(value if shift is None else value + shift, i)
 
         lanes = [_Band(band, p) for band in bands]
+        rows = kernels.sweep(*lanes, pivot)
         try:
-            vectors = kernels.sweep(*lanes, pivot)
+            if evaluate is None:  # each pivot joins the product as its row arrives
+                det = reduce(mul, (row[0] for row in rows))
+            else:
+                fd = FactorData(n, *kernels.factor_vectors(rows), overrides=(), D=lanes[0],
+                                C=lanes[6], backend="residues")
+                det = det_from_factors(fd)
             break
         except _ZeroLanes as exc:
             zero = exc.zero.reshape(len(points), K)
@@ -487,14 +499,12 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
                 overrides, skipped = overrides + (exc.index,), set()
             else:
                 skipped.update(s for s, hit in zip(points, zero_at.tolist()) if hit)
-    fd = FactorData(n, *map(tuple, vectors), overrides=(), D=lanes[0], C=lanes[6],
-                    backend="residues")
     # det H'(s) times the Lagrange weight of its point, lane by lane: a value
     # y(s) times it, summed over the points, is det H' * y at s = 0 mod each
     # prime (a polynomial of degree <= r in s)
     weights = [w.numerator * pow(w.denominator, -1, q) % q
                for w in _lagrange_at_zero(points) for q in primes.tolist()]
-    scaled_det = det_from_factors(fd).reduced() * np.array(weights, dtype=np.int64) % p
+    scaled_det = det.reduced() * np.array(weights, dtype=np.int64) % p
 
     def at_zero(rows):
         return rows.reshape(len(rows), len(points), K).sum(axis=1) % primes
@@ -503,7 +513,11 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
     # over every lane can be dropped as soon as its block is made.  One
     # column stays one: numpy multiplies (K,) by (K,) faster than by (1, K)
     blocks = [at_zero(scaled_det[None])]
-    for y in evaluate(fd, _Band(rhs[0] if len(rhs) == 1 else list(zip(*rhs)), p)):
+    if evaluate is None:
+        ys = ()
+    else:
+        ys = evaluate(fd, _Band(rhs[0] if len(rhs) == 1 else list(zip(*rhs)), p))
+    for y in ys:
         # n x lanes, or n x m x lanes for a block: its columns one after the other
         Y = np.moveaxis(np.array([value.reduced() for value in y[1:]]), 0, -2).reshape(-1, len(p))
         Y *= scaled_det
@@ -512,5 +526,6 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
     U = np.concatenate(blocks)
     del blocks
     values = _crt(U.T, primes)
-    # the lane vectors made: 9 factor vectors, and about 3 per entry of y
-    return (scales, values[0], overrides, values[1:]), p.nbytes * (9 * n + 3 * (len(U) - 1))
+    # the lane vectors held at once: 9 per factor row kept, and about 3 per entry of y
+    kept = kernels.WINDOW if evaluate is None else n
+    return (scales, values[0], overrides, values[1:]), p.nbytes * (9 * kept + 3 * (len(U) - 1))

@@ -221,6 +221,47 @@ def test_float_sweep_bits_are_pinned(profile, n):
     assert digest.hexdigest() == FLOAT_FACTOR_DIGESTS[profile, n]
 
 
+# float.hex of the float determinant over the corpus of the factor digests,
+# as the pivot product of ``factorize``'s vectors gave it
+FLOAT_DET_HEX = {
+    ("diagonally-dominant", 8): "0x1.5c4824711ffffp+37",
+    ("diagonally-dominant", 9): "0x1.29c4391659002p+44",
+    ("diagonally-dominant", 12): "0x1.5352247570f25p+57",
+    ("diagonally-dominant", 64): "-0x1.0af3d1a80654fp+320",
+    ("diagonally-dominant", 257): "-inf",
+    ("general", 8): "0x1.613f6fffffff7p+22",
+    ("general", 9): "-0x1.fb5a56ffffff8p+26",
+    ("general", 12): "-0x1.f577e7de00025p+33",
+    ("general", 64): "0x1.5d90de86f0ffcp+198",
+    ("general", 257): "0x1.7b013b7fda371p+775",
+}
+
+
+@pytest.mark.parametrize("profile, n", [*FLOAT_DET_HEX])
+def test_float_det_bits_are_pinned(profile, n):
+    """The determinant takes each pivot as the sweep hands its row over,
+    and its border sums add the terms of ``_ksum`` in its order, so the
+    float determinant is that of the kept factors, bit for bit."""
+    value = determinant(random_instance(n, 3, profile), "float").value
+    assert float.hex(value) == FLOAT_DET_HEX[profile, n]
+
+
+def test_pivot_product_draws_every_pivot():
+    # the float determinant's values are a sweep's pivots: after the product
+    # underflows to zero the rest are still drawn, so the sweep runs on and
+    # refuses a later pivot as ``factorize`` does
+    drawn = []
+
+    def pivots():
+        for value in (5e-324, 5e-324, -3.0, 2.0):
+            drawn.append(value)
+            yield value
+
+    product = kernels.pivot_product(pivots())
+    assert product == 0.0 and math.copysign(1.0, product) == 1.0
+    assert len(drawn) == 4
+
+
 @pytest.mark.parametrize("n", [8, 13])
 @pytest.mark.parametrize("row", [1, 2, 3, 4, -4, -3, -2, -1, 0], ids=[
     "1", "2", "3", "4", "n-4", "n-3", "n-2", "n-1", "n"])
@@ -234,8 +275,9 @@ def test_band_shift_is_a_pivot_shift(n, row):
              for name in BAND_NAMES]
     shifted = [list(band) for band in bands]
     shifted[BAND_NAMES.index("d")][i] += x
-    by_band = kernels.sweep(*shifted, lambda value, k: value)
-    by_pivot = kernels.sweep(*bands, lambda value, k: value + x if k == i else value)
+    by_band = kernels.factor_vectors(kernels.sweep(*shifted, lambda value, k: value))
+    by_pivot = kernels.factor_vectors(
+        kernels.sweep(*bands, lambda value, k: value + x if k == i else value))
     for name, u, v in zip(FACTORS, by_band, by_pivot):
         assert u == v, name
-    assert by_band[0][i] != kernels.sweep(*bands, lambda value, k: value)[0][i]
+    assert by_band[0][i] != kernels.factor_vectors(kernels.sweep(*bands, lambda value, k: value))[0][i]

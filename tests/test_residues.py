@@ -364,13 +364,43 @@ class TestOneSweep:
         trims = []
         monkeypatch.setattr(residues, "_malloc_trim", lambda: trims.append)
         H = random_instance(320, 1, "diagonally-dominant")
-        residues.solve(H, [])
+        rhs = rhs_columns(320, 1)[:1]
+        residues.solve(H, rhs)
         assert trims == [0]
         # pivot 1 zero in lane 0: the sweep that stops there does not trim,
         # the one that follows without that prime does, once
         with on_the_lane() as sweeps:
-            residues.solve(with_bands(H, d=[LANE_0_PRIME, *H.band("d")[1:]]), [])
+            residues.solve(with_bands(H, d=[LANE_0_PRIME, *H.band("d")[1:]]), rhs)
         assert len(sweeps) == 2 and trims == [0, 0]
+
+    def test_a_det_keeps_no_rows_to_trim(self, monkeypatch):
+        # a determinant holds the sweep's window of rows, not its nine
+        # vectors, so at this size it hands nothing back
+        trims = []
+        monkeypatch.setattr(residues, "_malloc_trim", lambda: trims.append)
+        H = random_instance(320, 1, "diagonally-dominant")
+        residues.solve(H, [])
+        residues.solve(with_bands(H, d=[LANE_0_PRIME, *H.band("d")[1:]]), [])
+        assert trims == []
+
+    def test_det_memory_is_linear_in_lanes(self):
+        # a det keeps the running pivot product and the sweep's window of
+        # rows, not its nine vectors: with the vectors kept whole the
+        # tracemalloc peaks read 6,672 / 11,670 / 21,655 K * 8 bytes (4.6 /
+        # 16.1 / 59.4 MB at K = 86 / 172 / 343), growing with n; streamed,
+        # they stay near 500
+        determinant(random_instance(64, 1, "diagonally-dominant"))  # sieve the prime table
+        for n in (500, 1000, 2000):
+            H = random_instance(n, 1, "diagonally-dominant")
+            with on_the_lane() as sweeps:
+                tracemalloc.start()
+                try:
+                    determinant(H)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            (primes,) = sweeps
+            assert peak < 1000 * 8 * len(primes), n
 
     @pytest.mark.parametrize("n, trimmed", [(64, False), (128, False), (256, True)])
     def test_malloc_trim_only_after_a_large_call(self, n, trimmed, monkeypatch):
@@ -735,7 +765,7 @@ class TestLazyLanes:
         bands = [[None, *(Residues(np.array([int(v) % q for q in p.tolist()]), p)
                           for v in H.band(name))] for name in BAND_NAMES]
         p.remainders = 0
-        vectors = kernels.sweep(*bands, residues._nonzero)
+        vectors = kernels.factor_vectors(kernels.sweep(*bands, residues._nonzero))
         det = factor.det_from_factors(factor.FactorData(64, *vectors, overrides=(),
                                                         D=bands[0], C=bands[6]))
         assert det.reduced().tolist() == [dense_det(to_dense(H)) % q for q in p.tolist()]
@@ -860,7 +890,8 @@ class TestOverrideShift:
             shifted = [[Fr(v + s * L if band is bands[3] and i in overrides else v)
                         for i, (v, L) in enumerate(zip(band, scales), start=1)]
                        for band in bands]
-            exact = sweep(*([None, *band] for band in shifted), lambda value, i: value)
+            exact = kernels.factor_vectors(
+                sweep(*([None, *band] for band in shifted), lambda value, i: value))
             primes = p[k * K:(k + 1) * K].tolist()
             for name, expected in zip(names, exact):
                 got = getattr(fd, name)
