@@ -155,22 +155,12 @@ def materialize_LU(fd: FactorData) -> tuple[DenseMatrix, DenseMatrix]:
     return DenseMatrix(L), DenseMatrix(U)
 
 
-def det_from_factors(fd: FactorData):
-    """Pivot product of factors with no pivot overrides."""
-    if fd.backend == "float":
-        return kernels.pivot_product(fd.alpha[1:])
-    det = fd.alpha[1]
-    for i in range(2, fd.n + 1):
-        det = det * fd.alpha[i]
-    return det
-
-
 def determinant(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) -> DetResult:
     """Determinant via the pivot product.
 
-    Neither lane keeps the factors: each pivot joins the product as the
+    Neither lane keeps a factor row: each pivot joins the product as the
     sweep hands its row over, so a determinant holds the sweep's window of
-    rows, not nine vectors of n entries.  The exact lane runs one sweep
+    eight rows, not nine vectors of n entries.  The exact lane runs one sweep
     over word-size primes (``residues.solve``), with the points of H + s*G
     as extra lanes when a pivot is structurally zero.  ``pivot_overrides``
     counts the pivots found structurally zero; a singular H gives value 0,

@@ -20,10 +20,10 @@ they read back to, i-3 in the loop and n-7 at the border closures.  The
 closures' border sums (sum_j v_j k_j, w_j k_j, h_j w_j and v_j h_j) are
 added up as their entries are made, in ascending j, with the products and
 additions of ``_ksum`` in its order, so every field sees the operations
-that ``_ksum`` makes over kept vectors.  A determinant keeps only the
-running pivot product; ``factor.factorize`` and the residue lane's solve
-and inverse collect every row (``factor_vectors``), since the
-substitutions read the whole factors.
+that ``_ksum`` makes over kept vectors.  A determinant keeps no row, only
+the pivot product, so it holds the sweep's eight rows; ``factorize`` and
+the residue lane's solve and inverse collect every row
+(``factor_vectors``), since the substitutions read the whole factors.
 
 The float inverse is the same ``substitute`` with numpy rows for scalars:
 the right-hand side is the identity, row by row, so x[i] comes out as row
@@ -51,10 +51,6 @@ def _ksum(xs, ys, upto, start=1):
     return acc
 
 
-# the most rows a sweep keeps at once: rows n-7 ... n at its closures
-WINDOW = 8
-
-
 def sweep(D, B, b, d, a, A, C, pivot):
     """Factor sweep over 1-based bands: yields the entries of row i,
     (alpha_i, f_i, e_i, g_i, z_i, k_i, h_i, v_i, w_i), for i = 1, ..., n.
@@ -63,7 +59,7 @@ def sweep(D, B, b, d, a, A, C, pivot):
     to use or raises.  Entries outside a vector's index range are None.
     Row i is yielded when it leaves the window (rows 1 to n-8 in the loop,
     the last eight after the closures), and its slots then hold None: the
-    sweep keeps the entries of at most ``WINDOW`` rows, whatever n.
+    sweep keeps the entries of at most eight rows, whatever n.
     """
     n = len(D) - 1
     al, f, e, g, z, k, h, v, w = ([None] * (n + 1) for _ in range(9))
@@ -149,7 +145,8 @@ def sweep(D, B, b, d, a, A, C, pivot):
 def factor_vectors(rows):
     """The nine 1-based factor vectors (alpha, f, e, g, z, k, h, v, w) of
     the rows a ``sweep`` yields, slot 0 None."""
-    return [(None, *vector) for vector in zip(*rows)]
+    # nine Nones as the first row put slot 0 in place without another copy
+    return list(zip((None,) * 9, *rows))
 
 
 def substitute(fd, r, start=1):

@@ -23,7 +23,7 @@ import random
 from array import array
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from numbers import Rational, Real
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -224,27 +224,39 @@ def float_vector(values, label: str) -> array:
     """A sequence ``values`` as a 1-based array of doubles (slot 0 unused).
 
     An array holds the values in a quarter of the memory of a list of
-    floats.  An entry beyond the float64 range raises ValueError naming
-    ``label`` and the entry's 1-based index.
+    floats.  A float entry is taken as it is; any other entry is read as
+    ``_to_scalar`` reads it, exactly (a text, a ``Fraction``, an int), and
+    rounded once, so the entries the exact lane refuses are refused here
+    too.  An entry that is not finite, or lies beyond the float64 range,
+    raises ValueError naming ``label`` and the entry's 1-based index.
     """
     try:
         # array converts through __float__, for a Fraction the division below
-        return array("d", [0.0, *values])
+        out = array("d", [0.0, *values])
     except (OverflowError, TypeError):
-        pass  # the loop names the entry beyond range, and float() reads a text
-    out = [0.0]
+        pass  # the loop names the entry beyond range, and reads a text
+    else:
+        # NaN or infinity in any entry makes the sum one of them; a sum of
+        # finite entries that overflows only sends them through the loop
+        if isfinite(sum(out)):
+            return out
+    out = array("d", [0.0])
     for i, value in enumerate(values, start=1):
-        try:
-            if type(value) is Fraction:
-                # the division float() does, without its generic dispatch
-                out.append(value.numerator / value.denominator)
-            else:
-                out.append(float(value))
-        except OverflowError:
-            raise ValueError(
-                f"{label} entry {i} is beyond the float64 range; use the exact backend"
-            ) from None
-    return array("d", out)
+        if not isinstance(value, float):
+            try:
+                value = _to_scalar(value)
+            except ValueError as exc:
+                raise ValueError(f"{label} entry {i}: {exc}") from None
+            try:
+                value = value.numerator / value.denominator
+            except OverflowError:
+                raise ValueError(
+                    f"{label} entry {i} is beyond the float64 range; use the exact backend"
+                ) from None
+        if not isfinite(value):
+            raise ValueError(f"{label} entry {i} is not finite")
+        out.append(value)
+    return out
 
 
 class DenseMatrix:

@@ -18,7 +18,7 @@ and the columns of the zero C_j, so det H' * y are columns of adj H'.
 Those substitutions read the whole factors, so they keep every row that
 the sweep hands over.  A determinant alone keeps none: each pivot joins a
 running product as its row arrives, and the lanes held are the sweep's
-window of rows (``kernels.WINDOW``), at most 72 vectors, not 9 n.
+window of eight rows, at most 72 vectors, not 9 n.
 
 The sweep runs on H' = diag(L) H, where L_i is the lcm of the denominators
 in row i of H and of the right-hand sides, so H' and r' = L r are integer
@@ -79,7 +79,7 @@ from operator import add, mul
 import numpy as np
 
 from . import kernels
-from .factor import FactorData, det_from_factors
+from .factor import FactorData
 from .matrix import BAND_NAMES, CyclicHeptaMatrix, row_scaled
 
 _TOP = 1 << 30
@@ -431,8 +431,9 @@ def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple:
     # resident next to what it allocates through Python's own allocator.
     # After a small call the pages are reused at once by what follows, and
     # a trim would only make it fault them in again.  A call that drops a
-    # prime trims once, after the sweep that completes.  A determinant
-    # alone holds the sweep's window, so it trims from 1,366 lanes on.
+    # prime trims once, after the sweep that completes; a determinant keeps
+    # no factor row and never trims.  Returning from ``_solve`` frees its
+    # rows, factors and blocks, so the trim runs here.
     if lane_bytes >= _TRIM_BYTES:
         trim = _malloc_trim()
         if trim is not None:
@@ -477,12 +478,9 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
         lanes = [_Band(band, p) for band in bands]
         rows = kernels.sweep(*lanes, pivot)
         try:
-            if evaluate is None:  # each pivot joins the product as its row arrives
-                det = reduce(mul, (row[0] for row in rows))
-            else:
-                fd = FactorData(n, *kernels.factor_vectors(rows), overrides=(), D=lanes[0],
-                                C=lanes[6], backend="residues")
-                det = det_from_factors(fd)
+            if evaluate is not None:  # the substitutions read every row; a det streams
+                rows = list(rows)
+            det = reduce(mul, (row[0] for row in rows))
             break
         except _ZeroLanes as exc:
             zero = exc.zero.reshape(len(points), K)
@@ -513,10 +511,12 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
     # over every lane can be dropped as soon as its block is made.  One
     # column stays one: numpy multiplies (K,) by (K,) faster than by (1, K)
     blocks = [at_zero(scaled_det[None])]
-    if evaluate is None:
-        ys = ()
-    else:
-        ys = evaluate(fd, _Band(rhs[0] if len(rhs) == 1 else list(zip(*rhs)), p))
+    kept, ys = 0, ()  # a det keeps no factor row, only the sweep's window
+    if evaluate is not None:
+        fd = FactorData(n, *kernels.factor_vectors(rows), overrides=(), D=lanes[0], C=lanes[6],
+                        backend="residues")
+        del rows
+        kept, ys = n, evaluate(fd, _Band(rhs[0] if len(rhs) == 1 else list(zip(*rhs)), p))
     for y in ys:
         # n x lanes, or n x m x lanes for a block: its columns one after the other
         Y = np.moveaxis(np.array([value.reduced() for value in y[1:]]), 0, -2).reshape(-1, len(p))
@@ -527,5 +527,4 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
     del blocks
     values = _crt(U.T, primes)
     # the lane vectors held at once: 9 per factor row kept, and about 3 per entry of y
-    kept = kernels.WINDOW if evaluate is None else n
     return (scales, values[0], overrides, values[1:]), p.nbytes * (9 * kept + 3 * (len(U) - 1))

@@ -20,8 +20,9 @@ from itertools import chain, repeat
 from math import lcm
 from typing import Sequence
 
+from . import kernels
 from .errors import SingularMatrixError
-from .factor import det_from_factors, factorize, lu_substitute
+from .factor import factorize, lu_substitute
 from .matrix import (CyclicHeptaMatrix, _to_scalar, entries_parser, float_vector, parse_entries,
                      row_scaled)
 
@@ -98,7 +99,7 @@ def solve_many(H: CyclicHeptaMatrix, columns: Sequence[Sequence], backend: str =
             raise ValueError(f"right-hand side length {len(col)} != order {H.n}")
         rhs.append(float_vector(col, "rhs" if len(columns) == 1 else f"rhs column {idx}"))
     fd = factorize(H, backend, tol)
-    det = det_from_factors(fd)
+    det = kernels.pivot_product(fd.alpha[1:])
     return [
         SolveReport(x=tuple(lu_substitute(fd, r[1:])), det=det, method="via-lu", backend="float")
         for r in rhs

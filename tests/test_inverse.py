@@ -2,7 +2,9 @@ import json
 import random
 from contextlib import contextmanager
 from fractions import Fraction as Fr
+from functools import reduce
 from math import prod
+from operator import mul
 
 import numpy as np
 import pytest
@@ -346,7 +348,7 @@ class TestIntegerAdjugate:
             block = seeds(fd, zero_c)
             p = fd.alpha[1].p
             lanes = block[1].reduced().copy()
-            lanes[0] = (lanes[0] + factor.det_from_factors(fd).inverse()) % p
+            lanes[0] = (lanes[0] + reduce(mul, fd.alpha[1:]).inverse()) % p
             block[1] = residues.Residues(lanes, p)
             return block
 

@@ -7,7 +7,9 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as Fr
+from functools import reduce
 from math import isqrt, prod
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +384,19 @@ class TestOneSweep:
         residues.solve(H, [])
         residues.solve(with_bands(H, d=[LANE_0_PRIME, *H.band("d")[1:]]), [])
         assert trims == []
+
+    def test_a_det_never_trims(self, monkeypatch):
+        # entries of 10^200 take 1,429 lanes, where a count of the sweep's
+        # eight rows would pass the trim threshold; a det keeps no factor row
+        trims = []
+        monkeypatch.setattr(residues, "_malloc_trim", lambda: trims.append)
+        H = random_instance(64, 1, "diagonally-dominant")
+        H = with_bands(H, **{name: [v * 10**200 for v in H.band(name)] for name in BAND_NAMES})
+        with on_the_lane() as sweeps:
+            det, _, _ = residues.solve(H, [])
+        (primes,) = sweeps
+        assert len(primes) == 1429 and trims == []
+        assert det == dense_det(to_dense(H))
 
     def test_det_memory_is_linear_in_lanes(self):
         # a det keeps the running pivot product and the sweep's window of
@@ -765,9 +780,8 @@ class TestLazyLanes:
         bands = [[None, *(Residues(np.array([int(v) % q for q in p.tolist()]), p)
                           for v in H.band(name))] for name in BAND_NAMES]
         p.remainders = 0
-        vectors = kernels.factor_vectors(kernels.sweep(*bands, residues._nonzero))
-        det = factor.det_from_factors(factor.FactorData(64, *vectors, overrides=(),
-                                                        D=bands[0], C=bands[6]))
+        alpha = kernels.factor_vectors(kernels.sweep(*bands, residues._nonzero))[0]
+        det = reduce(mul, alpha[1:])
         assert det.reduced().tolist() == [dense_det(to_dense(H)) % q for q in p.tolist()]
         assert 0 < p.remainders < count_det_ops(H) / 2
 

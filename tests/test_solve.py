@@ -1,4 +1,5 @@
 import math
+from array import array
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from heptacyclic import residues
 from heptacyclic.errors import SingularMatrixError
-from heptacyclic.matrix import random_instance, to_dense
+from heptacyclic.matrix import float_vector, random_instance, to_dense
 from heptacyclic.oracle import dense_det, dense_inverse
 from heptacyclic.solve import is_solution, solve_many, vector_from_text
 
@@ -171,3 +172,46 @@ class TestExactRhsEntries:
             solve_many(H, [r])
         with pytest.raises(ValueError):
             H.replace_band("d", [bad, *H.band("d")[1:]])
+
+
+class TestFloatRhsEntries:
+    """The float lane reads rhs entries as the exact lane does, then rounds
+    each once: what the exact lane refuses, it refuses, naming the entry."""
+
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", "rhs entry 12: invalid scalar 'nan'"),
+        ("inf", "rhs entry 12: invalid scalar 'inf'"),
+        ("1e400", "rhs entry 12 is beyond the float64 range; use the exact backend"),
+        (math.nan, "rhs entry 12 is not finite"),
+        (math.inf, "rhs entry 12 is not finite"),
+        (np.float64("inf"), "rhs entry 12 is not finite"),
+    ], ids=["text-nan", "text-inf", "text-1e400", "nan", "inf", "numpy-inf"])
+    def test_non_finite_entry_refused(self, bad, message):
+        H = random_instance(12, 1, "diagonally-dominant")
+        r = [1.0] * 11 + [bad]
+        with pytest.raises(ValueError) as info:
+            solve_many(H, [r], backend="float")
+        assert str(info.value) == message
+        if bad != "1e400":  # the exact lane reads 10^400 as it is
+            with pytest.raises(ValueError):
+                solve_many(H, [r])
+
+    def test_second_column_is_named(self):
+        H = random_instance(12, 1, "diagonally-dominant")
+        with pytest.raises(ValueError, match="^rhs column 2 entry 3 is not finite$"):
+            solve_many(H, [[1.0] * 12, [1.0, 2.0, math.nan] + [0.0] * 9], backend="float")
+
+    def test_text_and_fraction_are_rounded_once(self):
+        H = random_instance(12, 1, "diagonally-dominant")
+        texts = ["1/3", "-2/7", "0.1", "-1e-400", "12345678901234567890.5", "3"] * 2
+        (expected,) = solve_many(H, [[float(Fr(t)) for t in texts]], backend="float")
+        (got,) = solve_many(H, [texts], backend="float")
+        assert got.x == expected.x
+        (got,) = solve_many(H, [[Fr(t) for t in texts]], backend="float")
+        assert got.x == expected.x
+
+    def test_finite_entries_whose_sum_overflows(self):
+        # the one-call path checks only its sum; the loop keeps every entry
+        values = [1e308, 1e308, -0.0, 5e-324, Fr(1, 3)]
+        got = float_vector(values, "rhs")
+        assert got.tobytes() == array("d", [0.0, 1e308, 1e308, -0.0, 5e-324, 1 / 3]).tobytes()
