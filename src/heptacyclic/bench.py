@@ -28,6 +28,9 @@ from .matrix import (BAND_NAMES, CyclicHeptaMatrix, matrix_from_json, matrix_to_
                      random_instance)
 from .solve import solve_many
 
+# every wall time is the best of this many runs
+REPEATS = 3
+
 
 class OpCounter:
     __slots__ = ("count",)
@@ -95,9 +98,9 @@ def count_det_ops(H: CyclicHeptaMatrix) -> int:
     return counter.count
 
 
-def _best_of(fn, repeats: int = 3) -> float:
+def _best_of(fn) -> float:
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -112,7 +115,7 @@ class BenchRow:
     field_ops: object  # int where counted, "" otherwise
 
 
-def bench_suite(n: int, seed: int, profile: str = "diagonally-dominant", repeats: int = 3):
+def bench_suite(n: int, seed: int, profile: str = "diagonally-dominant"):
     """Benchmark rows for one instance: exact det (timed, and counted where
     no pivot is zero), exact solve, exact inverse, float inverse, float
     solve and the float read of its matrix file.  A float row whose pivot
@@ -120,7 +123,7 @@ def bench_suite(n: int, seed: int, profile: str = "diagonally-dominant", repeats
     H = random_instance(n, seed, profile)
     rows = []
 
-    wall = _best_of(lambda: determinant(H), repeats)
+    wall = _best_of(lambda: determinant(H))
     try:
         ops = count_det_ops(H)
     except ValueError:  # a zero pivot: the sweep at concrete points is not counted
@@ -128,22 +131,22 @@ def bench_suite(n: int, seed: int, profile: str = "diagonally-dominant", repeats
     rows.append(BenchRow(n, "det/exact", wall, ops))
 
     rhs = [1] * n
-    wall = _best_of(lambda: solve_many(H, [rhs]), repeats)
+    wall = _best_of(lambda: solve_many(H, [rhs]))
     rows.append(BenchRow(n, "solve/exact", wall, ""))
 
-    wall = _best_of(lambda: invert(H), repeats)
+    wall = _best_of(lambda: invert(H))
     rows.append(BenchRow(n, "inv/exact", wall, ""))
 
     for command, fn in (("inv/float", lambda: inverse_float(H)),
                         ("solve/float", lambda: solve_many(H, [rhs], backend="float"))):
         try:
-            wall = _best_of(fn, repeats)
+            wall = _best_of(fn)
         except NearSingularPivotError:
             wall = "refused"
         rows.append(BenchRow(n, command, wall, ""))
 
     text = matrix_to_json(H)
-    wall = _best_of(lambda: matrix_from_json(text, "float").float_bands(), repeats)
+    wall = _best_of(lambda: matrix_from_json(text, "float").float_bands())
     rows.append(BenchRow(n, "read/float", wall, ""))
     return rows
 

@@ -13,12 +13,12 @@ recursion continues above it.
 Only the seeds and the zero-C columns read the factors, and they run over
 residue lanes (``residues.adjugate``): one sweep of H' = diag(L) H, L_i the
 lcm of the denominators in row i, over word-size primes, one substitution
-of the block of all their e_j over the same lanes, each column times
-det H', and one Chinese remaindering.  That gives det H' and those 5 + z
-columns of adj H' = det H' * H'^-1 as Python ints.  A structurally zero
-pivot is handled at concrete points rather than with a symbolic t: the
-lanes then cover the r + 1 points of H'(s) = H' + s*diag(L)*G (G a one at
-each such pivot), and the columns are interpolated to s = 0 before the
+of their unit vectors e_j over the same lanes, each column times det H',
+and one Chinese remaindering.  That gives det H' and those 5 + z columns
+of adj H' = det H' * H'^-1 as Python ints.  A structurally zero pivot is
+handled at concrete points rather than with a symbolic t: the lanes then
+cover the r + 1 points of H'(s) = H' + s*diag(L)*G (G a one at each such
+pivot), and the columns are interpolated to s = 0 before the
 remaindering.  A prime that divides a nonzero pivot is dropped and the
 lane sweeps again.  The peeling reads only the bands of H', so it runs
 once, whatever r.
@@ -41,7 +41,7 @@ from operator import floordiv
 
 from . import kernels
 from .errors import InternalContractError, SingularMatrixError
-from .factor import FactorData, factorize
+from .factor import factorize
 from .matrix import CyclicHeptaMatrix, DenseMatrix, row_scaled
 from .scalars import coprime_fraction
 
@@ -69,21 +69,21 @@ class InverseResult:
     back_path: str = "recursion"
 
 
-def seed_columns(fd: FactorData, zero_c=()) -> list:
-    """Columns n, n-1, ..., n-4 of the inverse, then column j for each j of
-    ``zero_c``, as one block over the residue lanes of ``fd`` (the factors
-    that ``residues.adjugate`` hands its ``evaluate``): a 1-based list
-    whose entry i holds, in row k, the lanes of entry i of the k-th column.
-
-    The block is one substitution of the band of their unit vectors
-    (``residues.unit_block``) through the factors, run from its first
-    nonzero row on (``kernels.substitute``'s ``start``).
+def seed_columns(H: CyclicHeptaMatrix, zero_c=()) -> tuple:
+    """(det H', the pivots found structurally zero, given) with
+    H' = diag(L) H: ``given`` maps j to column j of adj H' (0-based ints)
+    for j = n, n-1, ..., n-4 and each j of ``zero_c``.  They are one
+    ``residues.adjugate`` with r' = e_j, not L e_j, so its ints are the
+    columns det H' * H'^-1 e_j of adj H' themselves.
     """
-    from . import residues
+    from . import residues  # loaded on first use, outside the import time of the package
 
-    n = fd.n
+    n = H.n
     indices = (*range(n, n - SEED_COLUMN_COUNT, -1), *zero_c)
-    return kernels.substitute(fd, residues.unit_block(fd, indices), start=min(indices))
+    scales, bands, _ = row_scaled(H)
+    units = [[int(i == j) for i in range(1, n + 1)] for j in indices]
+    delta, overrides, values = residues.adjugate(scales, bands, units)
+    return delta, overrides, {j: values[k * n:(k + 1) * n] for k, j in enumerate(indices)}
 
 
 def _back_column(bands, cols, j: int, delta: int) -> list:
@@ -232,25 +232,16 @@ def _zero_c(H: CyclicHeptaMatrix) -> tuple:
 def invert(H: CyclicHeptaMatrix) -> InverseResult:
     """Exact inverse of H, or SingularMatrixError.
 
-    Pipeline: ``residues.adjugate`` factors H' = diag(L) H over residue
-    lanes (H'(s) at concrete points, if a pivot is zero) and, from those
-    factors, takes the five seed columns and the columns of the zero C_j
-    as one block, by one call of ``seed_columns``, as columns of adj H'.
-    The recursion then recovers the remaining columns once, from the bands
-    of H'.
+    Pipeline: ``seed_columns`` takes det H' and the five seed columns and
+    the columns of the zero C_j as columns of adj H', H' = diag(L) H, by
+    one ``residues.adjugate`` over residue lanes (H'(s) at concrete
+    points, if a pivot is zero).  The recursion then recovers the
+    remaining columns once, from the bands of H'.
     """
-    from . import residues  # loaded on first use, outside the import time of the package
-
-    n = H.n
     zero_c = _zero_c(H)
-    indices = (*range(n, n - SEED_COLUMN_COUNT, -1), *zero_c)
-
-    _, delta, overrides, values = residues.adjugate(
-        H, lambda fd, rhs: [seed_columns(fd, zero_c)])
+    delta, overrides, given = seed_columns(H, zero_c)
     if delta == 0:
         raise SingularMatrixError("singular matrix")
-    given = {j: values[k * n:(k + 1) * n] for k, j in enumerate(indices)}
-    del values  # each given column is dropped once back_columns takes it
     return InverseResult(
         S=DenseMatrix(zip(*back_columns(H, delta, given))),
         c_substitutions=zero_c,

@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import NearSingularPivotError
 
 
@@ -198,6 +196,8 @@ class _IdentityRows:
         self.n = n
 
     def __getitem__(self, i):
+        import numpy as np
+
         row = np.zeros(self.n)
         row[i - 1] = 1.0
         return row
@@ -209,6 +209,8 @@ def invert(fd):
     inverse; O(n^2).  A float times an array runs the scalar operations
     entry by entry, in the same order, so every entry is bit-identical to
     the substitution of its identity column alone."""
+    import numpy as np  # loaded on first use, outside the import time of the package
+
     return np.stack(substitute(fd, _IdentityRows(fd.n))[1:])
 
 

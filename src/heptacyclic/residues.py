@@ -8,14 +8,14 @@ for primes below 2**30, and ``kernels.sweep`` and ``kernels.substitute``
 run over it unchanged.  Each value carries a bound on its lanes and is
 reduced only when the next operation could overflow int64, so most field
 operations are one numpy call.  The integers det H' and det H' * y, for
-the columns y each caller takes from the factors, are then rebuilt from
+y = H'^-1 r' and each integer right-hand side r', are then rebuilt from
 their residues by Chinese remaindering (the sum of each residue times the
 idempotent of its prime; von zur Gathen & Gerhard, *Modern Computer
-Algebra*, ch. 5).  ``solve`` takes H'^-1 r' for all its right-hand sides
-by one substitution; ``adjugate`` takes the columns its caller's
-``evaluate`` yields, for the inverse one block of the five seed columns
-and the columns of the zero C_j, so det H' * y are columns of adj H'.
-Those substitutions read the whole factors, so they keep every row that
+Algebra*, ch. 5).  ``adjugate`` takes all its right-hand sides by one
+substitution, from the first row where some column is nonzero: for
+``solve`` they are r' = L r, and for the inverse the unit vectors e_j of
+its seed and zero-C columns, so that det H' * y are columns of adj H'.
+That substitution reads the whole factors, so it keeps every row that
 the sweep hands over.  A determinant alone keeps none: each pivot joins a
 running product as its row arrives, and the lanes held are the sweep's
 window of eight rows, at most 72 vectors, not 9 n.
@@ -62,10 +62,11 @@ dropped the primes are the first K of the table.  The restarts end:
   finitely many primes are ever dropped (and the table holds some
   2.6 * 10^7 primes in (2**29, 2**30) alone).
 
-So ``solve`` and ``adjugate`` always complete.  They read rational
+So ``solve`` and ``adjugate`` always complete.  ``solve`` reads rational
 entries (``Fraction`` or int): a ``CyclicHeptaMatrix`` holds nothing else,
 and ``solve_many`` converts each right-hand-side entry as the matrix
 converts its bands, refusing any other scalar with TypeError.
+``adjugate`` reads the ints that ``matrix.row_scaled`` makes of them.
 """
 
 from __future__ import annotations
@@ -382,15 +383,6 @@ def _malloc_trim():
     return trim
 
 
-def unit_block(fd: FactorData, indices) -> _Band:
-    """The unit vectors e_j, j in ``indices``, as one right-hand-side band
-    over the lanes of ``fd``: entry i reads as a len(indices) x lanes
-    block, row k of it e_{indices[k]} at i.  The entries before
-    min(indices) are zero, so a substitution may start there.
-    """
-    return _Band([[int(i == j) for j in indices] for i in range(1, fd.n + 1)], fd.alpha[1].p)
-
-
 def solve(H: CyclicHeptaMatrix, columns) -> tuple:
     """(det H, the pivots found structurally zero, the entries of x with
     H x = r for each of ``columns``, column after column) over residue
@@ -398,33 +390,25 @@ def solve(H: CyclicHeptaMatrix, columns) -> tuple:
 
     ``columns`` may be empty: then this is the determinant alone.
     """
-    scales, delta, overrides, values = adjugate(
-        H, (lambda fd, rhs: [kernels.substitute(fd, rhs)]) if columns else None, columns)
+    scales, bands, rhs = row_scaled(H, columns)
+    delta, overrides, values = adjugate(scales, bands, rhs)
     det = Fraction(delta, prod(scales))
     if delta == 0:
         return det, overrides, None
     return det, overrides, [Fraction(v, delta) for v in values]
 
 
-def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple:
-    """(L, det H', the pivots found structurally zero, det H' * y as ints)
-    over residue lanes, H' = diag(L) H the integer matrix of
-    ``matrix.row_scaled(H, columns)``.
-
-    ``evaluate(fd, rhs)`` yields 1-based y, each one substitution, from the
-    factors ``fd`` of H' (of H'(s), at the points, when a pivot is zero)
-    and the right-hand sides r' = L r of ``columns`` as one residue band
-    ``rhs``, an m x lanes block per entry for m > 1.  A y is a column or a
-    block of m columns, entry i m x lanes with column k in row k (``solve``
-    and ``unit_block`` yield one).  Each column of y must be
-    H'^-1 r' or a column of H'^-1, so that det H' * y is
-    H' x = r' solved by Cramer's rule or a column of adj H', whose entries
-    are (n-1)-minors of H': the Hadamard bound that K is chosen by covers
-    both.  The ints come back flat, column after column.  The entries of
-    ``columns`` are rationals (``Fraction`` or int), as H's are.  With
-    ``evaluate`` None this is det H' alone, and no factor row is kept.
+def adjugate(scales, bands, rhs) -> tuple:
+    """(det H', the pivots found structurally zero, det H' * H'^-1 r' as
+    ints for each r' of ``rhs``, column after column) over residue lanes,
+    for L, the bands of H' = diag(L) H and the integer r' as
+    ``matrix.row_scaled`` returns them.  By Cramer's rule the ints are
+    determinants of H' with a column replaced by r', and for r' = e_j the
+    entries of column j of adj H': the Hadamard bound that K is chosen by,
+    r' included, covers both.  With ``rhs`` empty this is det H' alone,
+    and no factor row is kept.
     """
-    found, lane_bytes = _solve(H, columns, evaluate)
+    found, lane_bytes = _solve(scales, bands, rhs)
     # each lane vector is a small buffer on the C heap, and glibc keeps the
     # pages of freed small buffers: after a large call, hand them back, or a
     # process that runs more work after it (an inverse, say) holds them
@@ -441,14 +425,19 @@ def adjugate(H: CyclicHeptaMatrix, evaluate, columns=()) -> tuple:
     return found
 
 
-def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
+def _solve(scales, bands, rhs) -> tuple:
     """(what ``adjugate`` returns, the bytes of the lane vectors held at once)."""
-    n = H.n
-    scales, bands, rhs = row_scaled(H, columns)
+    n = len(scales)
     d = bands[BAND_NAMES.index("d")]
     norms = [sum(v * v for v in entries) for entries in zip(*bands)]
-    for i, entries in enumerate(zip(*rhs)):
-        norms[i] += max(v * v for v in entries)
+    # r' and the forward pass are zero above the first row where some
+    # column is nonzero, so the substitution starts there (at most n - 2)
+    start = n - 2
+    for i, entries in enumerate(zip(*rhs), start=1):
+        largest = max(v * v for v in entries)
+        norms[i - 1] += largest
+        if largest:
+            start = min(start, i)
     overrides, skipped, dropped = (), set(), set()
     while True:
         if overrides:
@@ -478,7 +467,7 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
         lanes = [_Band(band, p) for band in bands]
         rows = kernels.sweep(*lanes, pivot)
         try:
-            if evaluate is not None:  # the substitutions read every row; a det streams
+            if rhs:  # the substitution reads every row; a det streams
                 rows = list(rows)
             det = reduce(mul, (row[0] for row in rows))
             break
@@ -507,18 +496,18 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
     def at_zero(rows):
         return rows.reshape(len(rows), len(points), K).sum(axis=1) % primes
 
-    # one block of rows per y, n x K per column once taken to s = 0: a y
-    # over every lane can be dropped as soon as its block is made.  One
-    # column stays one: numpy multiplies (K,) by (K,) faster than by (1, K)
+    # one block of rows for det H' and one for y, n x K per column once taken
+    # to s = 0.  One column stays one: numpy multiplies (K,) by (K,) faster
+    # than by (1, K)
     blocks = [at_zero(scaled_det[None])]
-    kept, ys = 0, ()  # a det keeps no factor row, only the sweep's window
-    if evaluate is not None:
+    kept = 0  # a det keeps no factor row, only the sweep's window
+    if rhs:
         fd = FactorData(n, *kernels.factor_vectors(rows), overrides=(), D=lanes[0], C=lanes[6],
                         backend="residues")
         del rows
-        kept, ys = n, evaluate(fd, _Band(rhs[0] if len(rhs) == 1 else list(zip(*rhs)), p))
-    for y in ys:
-        # n x lanes, or n x m x lanes for a block: its columns one after the other
+        kept = n
+        y = kernels.substitute(fd, _Band(rhs[0] if len(rhs) == 1 else list(zip(*rhs)), p), start)
+        # n x lanes, or n x m x lanes for m columns: its columns one after the other
         Y = np.moveaxis(np.array([value.reduced() for value in y[1:]]), 0, -2).reshape(-1, len(p))
         Y *= scaled_det
         Y %= p
@@ -527,4 +516,4 @@ def _solve(H: CyclicHeptaMatrix, columns, evaluate) -> tuple:
     del blocks
     values = _crt(U.T, primes)
     # the lane vectors held at once: 9 per factor row kept, and about 3 per entry of y
-    return (scales, values[0], overrides, values[1:]), p.nbytes * (9 * kept + 3 * (len(U) - 1))
+    return (values[0], overrides, values[1:]), p.nbytes * (9 * kept + 3 * (len(U) - 1))

@@ -39,13 +39,18 @@ class SolveReport:
     substitutions_fired: dict = field(default_factory=dict)
 
 
-def _check_rhs(H: CyclicHeptaMatrix, r: Sequence):
-    """The entries of r converted as the bands are: a float to its exact
-    value, and a scalar that is neither a real number nor a text refused
-    with TypeError."""
-    if len(r) != H.n:
-        raise ValueError(f"right-hand side length {len(r)} != order {H.n}")
-    return [_to_scalar(v) for v in r]
+def _exact_vector(values, label: str) -> list:
+    """The entries of a right-hand side converted as the bands are: a float
+    to its exact value, and a scalar that is neither a real number nor a
+    text refused with TypeError.  An entry that has no exact value raises
+    ValueError naming ``label`` and the entry's 1-based index."""
+    out = []
+    for i, value in enumerate(values, start=1):
+        try:
+            out.append(_to_scalar(value))
+        except ValueError as exc:
+            raise ValueError(f"{label} entry {i}: {exc}") from None
+    return out
 
 
 def _solve_exact(H: CyclicHeptaMatrix, columns: list) -> list[SolveReport]:
@@ -91,13 +96,14 @@ def solve_many(H: CyclicHeptaMatrix, columns: Sequence[Sequence], backend: str =
     zero).  On the float lane ``H`` may also be a ``FloatHeptaMatrix``, and
     every column is converted to float64 before the sweep.
     """
-    if backend == "exact":
-        return _solve_exact(H, [_check_rhs(H, col) for col in columns])
+    read = _exact_vector if backend == "exact" else float_vector
     rhs = []
     for idx, col in enumerate(columns, start=1):
         if len(col) != H.n:
             raise ValueError(f"right-hand side length {len(col)} != order {H.n}")
-        rhs.append(float_vector(col, "rhs" if len(columns) == 1 else f"rhs column {idx}"))
+        rhs.append(read(col, "rhs" if len(columns) == 1 else f"rhs column {idx}"))
+    if backend == "exact":
+        return _solve_exact(H, rhs)
     fd = factorize(H, backend, tol)
     det = kernels.pivot_product(fd.alpha[1:])
     return [

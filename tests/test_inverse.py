@@ -2,9 +2,7 @@ import json
 import random
 from contextlib import contextmanager
 from fractions import Fraction as Fr
-from functools import reduce
 from math import prod
-from operator import mul
 
 import numpy as np
 import pytest
@@ -43,18 +41,23 @@ def unit_column(fd, j):
 
 
 class TestSeedColumns:
-    """``seed_columns`` over the residue factors of H' = diag(L) H: one
-    block, row k of each entry the lanes of the k-th column."""
+    """``seed_columns`` is one substitution over the residue factors of
+    H' = diag(L) H: one block, row k of each entry the lanes of the k-th
+    column, and its ints are the columns of adj H'."""
 
     def test_identity_seeds_are_basis_columns(self):
         H = identity_matrix()
-        fd = residue_factors(H)
-        block = seed_columns(fd)
+        with substitutions() as calls:
+            delta, overrides, given = seed_columns(H)
+        ((fd, _, start, block),) = calls
+        assert start == 6
         for i, entry in enumerate(block[1:], start=1):
             lanes = entry.reduced()
             assert lanes.shape == (5, len(fd.alpha[1].p))
             for offset, row in enumerate(lanes.tolist()):
                 assert set(row) == {1 if i == 10 - offset else 0}
+        assert (delta, overrides) == (1, ())
+        assert given == {j: [int(i == j) for i in range(1, 11)] for j in range(10, 5, -1)}
 
     def test_example_seed_entries(self, example10, example10_inverse):
         # last five columns straight from the factorization; published spot
@@ -71,16 +74,19 @@ class TestSeedColumns:
         H = random_instance(8, 6, "general")
         if oracle_inverse_or_none(H) is None:
             pytest.skip("singular draw")
-        fd = residue_factors(H)
+        with substitutions() as calls:
+            delta, _, given = seed_columns(H)
+        ((fd, _, _, x),) = calls
         p = fd.alpha[1].p.tolist()
         # one point and L = 1: the lanes are those of H^-1 itself
         assert len(set(p)) == len(p) and set(row_scaled(H)[0]) == {1}
-        block = np.array([value.reduced() for value in seed_columns(fd)[1:]])
+        block = np.array([value.reduced() for value in x[1:]])
         for offset in range(5):
             j = 8 - offset
             for lane, q in enumerate(p):
                 values = block[:, offset, lane].tolist()
                 assert [v % q for v in H.mat_vec(values)] == [int(i == j) for i in range(1, 9)]
+            assert H.mat_vec(given[j]) == [delta * (i == j) for i in range(1, 9)]
 
     def test_parallel_equals_sequential(self):
         # the five seed columns substituted side by side in one block are
@@ -88,8 +94,9 @@ class TestSeedColumns:
         # by C, so zero C entries need no substitution
         H = random_instance(12, 13, "zero-C")
         assert inverse._zero_c(H)
-        fd = residue_factors(H)
-        block = seed_columns(fd)
+        with substitutions() as calls:
+            seed_columns(H)
+        ((fd, _, _, block),) = calls
         for k, j in enumerate(range(12, 7, -1)):
             column = kernels.substitute(fd, unit_column(fd, j))
             assert all(np.array_equal(b.reduced()[k], x.reduced())
@@ -103,11 +110,13 @@ class TestSeedColumns:
             H = random_instance(40, 2, "diagonally-dominant")
         else:
             H = zero_rows(random_instance(24, 0, "zero-C"), (5, 9))
-        fd = residue_factors(H)
-        assert len(fd.alpha[1].p) == points * len(set(fd.alpha[1].p.tolist()))
         zero_c = inverse._zero_c(H)
         assert len(zero_c) >= 2
-        block = seed_columns(fd, zero_c)
+        with substitutions() as calls:
+            seed_columns(H, zero_c)
+        ((fd, _, start, block),) = calls
+        assert len(fd.alpha[1].p) == points * len(set(fd.alpha[1].p.tolist()))
+        assert start == min(zero_c)
         for k, j in enumerate((*range(H.n, H.n - 5, -1), *zero_c)):
             column = kernels.substitute(fd, unit_column(fd, j))
             assert all(np.array_equal(b.reduced()[k], x.reduced())
@@ -342,15 +351,10 @@ class TestIntegerAdjugate:
         H = inexact_matrix()
         seeds = inverse.seed_columns
 
-        def corrupted(fd, zero_c=()):
-            # row 0 of the block is column n: its entry 1 gains 1 / det H'
-            assert fd.backend == "residues"
-            block = seeds(fd, zero_c)
-            p = fd.alpha[1].p
-            lanes = block[1].reduced().copy()
-            lanes[0] = (lanes[0] + reduce(mul, fd.alpha[1:]).inverse()) % p
-            block[1] = residues.Residues(lanes, p)
-            return block
+        def corrupted(H, zero_c=()):
+            delta, overrides, given = seeds(H, zero_c)
+            given[H.n][0] += 1
+            return delta, overrides, given
 
         monkeypatch.setattr(inverse, "seed_columns", corrupted)
         with pytest.raises(InternalContractError, match="inexact division by C'_11"):
@@ -702,20 +706,19 @@ class TestZeroCColumns:
         zero_rows(random_instance(24, 0, "zero-C"), (5, 9)),
     ], ids=["one-point", "three-points"])
     def test_block_lanes_are_the_column_lanes(self, H):
-        # the block of seed_columns, yielded whole, gives adjugate the ints
-        # that the substitutions of its unit vectors one at a time give
+        # one adjugate of the block of unit vectors gives the ints that one
+        # adjugate per unit vector gives
         zero_c = inverse._zero_c(H)
         assert len(zero_c) >= 2
         indices = (*range(H.n, H.n - inverse.SEED_COLUMN_COUNT, -1), *zero_c)
-
-        def block(fd, rhs):
-            return [inverse.seed_columns(fd, zero_c)]
-
-        def columns(fd, rhs):
-            for j in indices:
-                yield kernels.substitute(fd, unit_column(fd, j))
-
-        assert residues.adjugate(H, block) == residues.adjugate(H, columns)
+        scales, bands, _ = row_scaled(H)
+        units = [[int(i == j) for i in range(1, H.n + 1)] for j in indices]
+        delta, overrides, values = residues.adjugate(scales, bands, units)
+        alone = [residues.adjugate(scales, bands, [unit]) for unit in units]
+        assert all(found[:2] == (delta, overrides) for found in alone)
+        assert values == [v for _, _, column in alone for v in column]
+        given = inverse.seed_columns(H, zero_c)[2]
+        assert [given[j] for j in indices] == [column for _, _, column in alone]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_one_override_list_for_det_solve_and_inv(self, seed, tmp_path, capsys):
@@ -745,11 +748,29 @@ def zero_c_at(H, js):
     return H.replace_band("C", [0 if k + 1 in js else c for k, c in enumerate(H.band("C"))])
 
 
+@contextmanager
+def substitutions():
+    """Inside, every ``kernels.substitute`` runs as before; yields the list
+    of its calls, (fd, r, start, x) each."""
+    calls = []
+    substitute = kernels.substitute
+
+    def spy(fd, r, start=1):
+        x = substitute(fd, r, start)
+        calls.append((fd, r, start, x))
+        return x
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels, "substitute", spy)
+        yield calls
+
+
 def residue_factors(H):
-    """The factors of H' = diag(L) H over the residue lanes of its inverse."""
-    found = []
-    residues.adjugate(H, lambda fd, rhs: found.append(fd) or ())
-    return found[0]
+    """The factors of H' = diag(L) H over residue lanes, from a solve of one
+    zero column: it adds nothing to the row norms, so K is that of det H."""
+    with substitutions() as calls:
+        residues.adjugate(*row_scaled(H, [[0] * H.n]))
+    return calls[0][0]
 
 
 class TestSubstitutionStart:
@@ -772,6 +793,35 @@ class TestSubstitutionStart:
             r = residues._Band(ints, p)
             x, ref = kernels.substitute(fd, r, start=j), kernels.substitute(fd, r)
             assert all(np.array_equal(a.reduced(), b.reduced()) for a, b in zip(x[1:], ref[1:]))
+
+    @pytest.mark.parametrize("H", [
+        random_instance(20, 4, "diagonally-dominant"),
+        zero_rows(random_instance(24, 0, "diagonally-dominant"), (5, 9)),
+    ], ids=["one-point", "three-points"])
+    def test_solve_starts_at_the_first_nonzero_row(self, H):
+        # the lane reads its start from r: the first row where some column
+        # is nonzero, at most n - 2; x is the oracle's in every case
+        n = H.n
+        S = dense_inverse(to_dense(H))
+        rng = random.Random(n)
+
+        def from_row(j):
+            return [Fr(0)] * (j - 1) + [Fr(rng.randint(1, 9), rng.randint(1, 4))
+                                        for _ in range(n - j + 1)]
+
+        cases = [(j, [from_row(j)]) for j in (1, 2, 4, 9, n - 3, n - 2)]
+        cases += [
+            (4, [from_row(7), from_row(4)]),
+            (n - 2, [[0] * (n - 2) + [Fr(3, 2), -5]]),
+            (n - 2, [[0] * (n - 1) + [1]]),
+            (n - 2, [[0] * n]),
+        ]
+        for start, columns in cases:
+            with substitutions() as calls:
+                _, _, x = residues.solve(H, columns)
+            assert [call[2] for call in calls] == [start]
+            assert x == [sum(u * v for u, v in zip(row, r)) for r in columns for row in S.rows]
+        assert x == [0] * n
 
     @pytest.mark.parametrize("profile", ["general", "zero-pivot-prone"])
     def test_fraction_factors(self, profile):

@@ -53,6 +53,18 @@ def child_probe(flag=None, prelude=""):
     return json.loads(out.stdout)
 
 
+def test_cli_import_loads_no_numpy():
+    # numpy loads with the first float inverse or residue lane, not with the CLI
+    env = dict(os.environ)
+    package_root = str(Path(heptacyclic.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, heptacyclic.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout == "False\n"
+
+
 def test_imports_and_inverts_without_numba():
     # a None entry in sys.modules makes every "import numba" raise ImportError
     blocked = child_probe(prelude="import sys\nsys.modules['numba'] = None\n")

@@ -29,7 +29,8 @@ from heptacyclic.scalars import T
 from heptacyclic.solve import solve_many
 
 from test_inverse import (ALL_PROFILES, acceptance_corpora, collision_matrix, count_calls,
-                          on_the_lane, point_skip_matrix, rational_entries, zero_rows)
+                          on_the_lane, point_skip_matrix, rational_entries, residue_factors,
+                          substitutions, zero_rows)
 
 # the largest prime below 2**30: lane 0 of every sweep
 LANE_0_PRIME = 2**30 - 35
@@ -182,8 +183,7 @@ class TestSolutionEntries:
         x0 = [0, 1, -2, 0, 5, 0, 7, 1, 0, -3, 2, 0]
         rng = random.Random(seed)
         columns = [H.mat_vec(x0), [Fr(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(12)]]
-        _, delta, _, values = residues.adjugate(
-            H, lambda fd, rhs: [kernels.substitute(fd, rhs)], columns)
+        delta, _, values = residues.adjugate(*row_scaled(H, columns))
         _, _, x = residues.solve(H, columns)
         expected = [Fr(v, delta) for v in values]
         assert [(e.numerator, e.denominator) for e in x] == \
@@ -880,7 +880,7 @@ class TestOverrideShift:
         H = rational_entries(zero_rows(random_instance(16, 1, "diagonally-dominant"), (1, 5, 9)), 1)
         scales, bands, _ = row_scaled(H, [])
         assert len(set(scales)) > 1
-        sweep, sweeps, captured = kernels.sweep, [], []
+        sweep, sweeps = kernels.sweep, []
 
         def counted(*args):
             # a shift that misses its pivot leaves that pivot zero at every
@@ -889,14 +889,12 @@ class TestOverrideShift:
             assert len(sweeps) <= 8
             return sweep(*args)
 
-        def evaluate(fd, rhs):
-            captured.append(fd)
-            return ()
-
         monkeypatch.setattr(kernels, "sweep", counted)
-        overrides = residues.adjugate(H, evaluate)[2]
+        # a zero column adds nothing to the row norms: K is that of det H
+        with substitutions() as calls:
+            overrides = residues.adjugate(*row_scaled(H, [[0] * H.n]))[1]
         assert overrides == (1, 5, 9) and len(sweeps) == 4
-        (fd,) = captured
+        ((fd, _, _, _),) = calls
         p = fd.alpha[1].p
         K = len(p) // (len(overrides) + 1)
         names = ("alpha", "f", "e", "g", "z", "k", "h", "v", "w")
@@ -965,15 +963,7 @@ class TestBandBlocks:
     def test_factor_entries_pin_at_most_one_block_per_band(self):
         # g_1 = a_1, z_1 = A_1, v_1 = b_1, w_1 = B_1 and alpha_1 = d_1 are
         # band values: each keeps one block of its band alive, no more
-        H = random_instance(256, 1, "diagonally-dominant")
-        captured = []
-
-        def evaluate(fd, rhs):
-            captured.append(fd)
-            return ()
-
-        residues.adjugate(H, evaluate)
-        (fd,) = captured
+        fd = residue_factors(random_instance(256, 1, "diagonally-dominant"))
         K = len(fd.alpha[1].p)
         blocks = {id(x.v.base): x.v.base.shape
                   for vector in (fd.alpha, fd.f, fd.e, fd.g, fd.z, fd.k, fd.h, fd.v, fd.w)

@@ -174,6 +174,35 @@ class TestExactRhsEntries:
             H.replace_band("d", [bad, *H.band("d")[1:]])
 
 
+class TestRhsEntryNamed:
+    """Both lanes check the length and name a right-hand-side entry they
+    cannot read by its label and 1-based index."""
+
+    @pytest.mark.parametrize("bad, exact, float_", [
+        (math.nan, "cannot convert NaN to integer ratio", None),
+        (np.float64("inf"), f"cannot convert {np.float64('inf')!r} to a rational", None),
+        ("1/0", "invalid scalar '1/0'", "invalid scalar '1/0'"),
+    ], ids=["nan", "numpy-inf", "text-1/0"])
+    def test_both_lanes_name_the_entry(self, bad, exact, float_):
+        H = random_instance(12, 1, "diagonally-dominant")
+        r = [1] * 11 + [bad]
+        with pytest.raises(ValueError) as info:
+            solve_many(H, [r])
+        assert str(info.value) == f"rhs entry 12: {exact}"
+        with pytest.raises(ValueError) as info:
+            solve_many(H, [r], backend="float")
+        assert str(info.value) == (f"rhs entry 12: {float_}" if float_ else
+                                   "rhs entry 12 is not finite")
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_second_column_and_length(self, backend):
+        H = random_instance(12, 1, "diagonally-dominant")
+        with pytest.raises(ValueError, match="^rhs column 2 entry 3: invalid scalar 'x'$"):
+            solve_many(H, [[1] * 12, [1, 2, "x"] + [0] * 9], backend=backend)
+        with pytest.raises(ValueError, match=r"^right-hand side length 11 != order 12$"):
+            solve_many(H, [[1] * 12, [1] * 11], backend=backend)
+
+
 class TestFloatRhsEntries:
     """The float lane reads rhs entries as the exact lane does, then rounds
     each once: what the exact lane refuses, it refuses, naming the entry."""
