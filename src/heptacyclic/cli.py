@@ -25,14 +25,7 @@ from . import bench as bench_mod
 from .errors import InternalContractError, NearSingularPivotError, SingularMatrixError
 from .factor import determinant
 from .inverse import invert, inverse_float
-from .matrix import (
-    PROFILES,
-    csv_lines,
-    matrix_from_json,
-    matrix_to_json,
-    random_instance,
-    to_dense,
-)
+from .matrix import PROFILES, matrix_from_json, matrix_to_json, random_instance, to_dense
 from .oracle import compare, dense_inverse
 from .scalars import format_scalar, scalar_formatter
 from .solve import is_solution, solve_many, vector_from_text
@@ -214,7 +207,7 @@ def _cmd_det(args) -> int:
 def _cmd_inv(args) -> int:
     H = matrix_from_json(_read(args.input), backend=args.backend)
     if args.backend == "float":
-        rows = inverse_float(H, tol=args.tol).tolist()
+        rows = (row.tolist() for row in inverse_float(H, tol=args.tol))
         meta = {"backend": "float", "c_substitutions": [], "pivot_overrides": [],
                 "back_path": "bordered-solve"}
     else:
@@ -227,14 +220,13 @@ def _cmd_inv(args) -> int:
             "back_path": result.back_path,
         }
     # each row is formatted as it is written, so the n^2 texts are never
-    # held at once
+    # held at once.  format_scalar of a float is its repr; the exact entries
+    # share a few denominators, whose texts the formatter makes once
+    fmt = repr if args.backend == "float" else scalar_formatter()
+    S = (list(map(fmt, row)) for row in rows)
     if args.format == "csv":
-        pieces = csv_lines(rows)
+        pieces = (",".join(texts) + "\n" for texts in S)
     else:
-        # format_scalar of a float is its repr; the exact entries share a
-        # few denominators, whose texts the formatter makes once
-        fmt = repr if args.backend == "float" else scalar_formatter()
-        S = (list(map(fmt, row)) for row in rows)
         pieces = _json_pieces({**meta, "n": H.n, "S": S}, verbatim="S")
     _emit(pieces, args.out)
     return 0

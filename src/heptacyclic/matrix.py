@@ -23,17 +23,18 @@ import random
 from array import array
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 from math import isfinite, lcm
 from numbers import Rational, Real
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Iterable, Sequence
 
 from .scalars import float_entries, format_scalar, parse_scalar, scalar_formatter
 
 BAND_NAMES = ("D", "B", "b", "d", "a", "A", "C")
 
-# offset (j - i) mod n -> band holding the entry; offsets use n via callable
-_FORWARD_OFFSETS = {0: "d", 1: "a", 2: "A", 3: "C"}
+# column offset j - i, wrapped into -3..3, -> band holding the entry
+_BAND_AT = dict(zip(range(-3, 4), BAND_NAMES))
 
 PROFILES = ("general", "diagonally-dominant", "zero-pivot-prone", "zero-C")
 
@@ -43,15 +44,20 @@ _denominator = attrgetter("denominator")
 def _offset_band(n: int, i: int, j: int):
     """Band name owning position (i, j) of an order-n matrix, or None."""
     off = (j - i) % n
-    if off in _FORWARD_OFFSETS:
-        return _FORWARD_OFFSETS[off]
-    if off == n - 1:
-        return "b"
-    if off == n - 2:
-        return "B"
-    if off == n - 3:
-        return "D"
-    return None
+    return _BAND_AT.get(off if off <= 3 else off - n)
+
+
+def band_product(bands, x) -> list:
+    """H x for the bands of H, 0-based sequences in the order of
+    ``BAND_NAMES``, and a 0-based ``x`` of length n.
+
+    Entry i adds band[i] * x[(i + off) % n] over the offsets -3..3 in that
+    order, so float and rational-function entries are summed in one fixed
+    order.
+    """
+    n = len(x)
+    return [reduce(add, (band[i] * x[(i + off) % n] for band, off in zip(bands, range(-3, 4))))
+            for i in range(n)]
 
 
 def _to_scalar(value):
@@ -73,10 +79,27 @@ def _to_scalar(value):
     raise TypeError(f"an entry must be a real number or a scalar text, not {type(value).__name__}")
 
 
+def exact_vector(values, label: str) -> list:
+    """``values`` read as ``_to_scalar`` reads them, as a list of Fractions.
+
+    An entry that has no exact value raises ValueError naming ``label`` and
+    the entry's 1-based index; a scalar that is neither a real number nor a
+    text raises TypeError naming its type.
+    """
+    out = []
+    for i, value in enumerate(values, start=1):
+        try:
+            out.append(_to_scalar(value))
+        except ValueError as exc:
+            raise ValueError(f"{label} entry {i}: {exc}") from None
+    return out
+
+
 class CyclicHeptaMatrix:
     """Immutable cyclic heptadiagonal matrix in band form, every entry a
-    ``Fraction``: the constructor converts a real number or a scalar text
-    exactly and refuses any other scalar with TypeError naming its type."""
+    ``Fraction``: the constructor reads each band with ``exact_vector``, so
+    a value with no exact value is refused naming its band and entry, and
+    any other scalar with TypeError naming its type."""
 
     __slots__ = ("n", "D", "B", "b", "d", "a", "A", "C")
 
@@ -85,7 +108,7 @@ class CyclicHeptaMatrix:
             raise ValueError(f"order too small: n={n}, need n >= 8")
         vectors = {}
         for name, vec in zip(BAND_NAMES, (D, B, b, d, a, A, C)):
-            vec = tuple(_to_scalar(v) for v in vec)
+            vec = tuple(exact_vector(vec, f"band {name!r}"))
             if len(vec) != n:
                 raise ValueError(f"band {name!r} has length {len(vec)}, expected {n}")
             vectors[name] = vec
@@ -124,19 +147,9 @@ class CyclicHeptaMatrix:
 
     def mat_vec(self, x: Sequence) -> list:
         """H @ x, wrap-aware, O(n)."""
-        n = self.n
-        if len(x) != n:
-            raise ValueError(f"vector length {len(x)} != order {n}")
-        out = []
-        for i in range(1, n + 1):
-            acc = None
-            for off in (-3, -2, -1, 0, 1, 2, 3):
-                j = (i + off - 1) % n + 1
-                hij = self.get(i, j)
-                term = hij * x[j - 1]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
+        if len(x) != self.n:
+            raise ValueError(f"vector length {len(x)} != order {self.n}")
+        return band_product([self.band(k) for k in BAND_NAMES], x)
 
     def float_bands(self) -> dict:
         """Bands as 1-based arrays of doubles (slot 0 unused) for the kernels."""
@@ -450,15 +463,8 @@ def dense_to_csv(M: DenseMatrix) -> str:
     ``format_scalar`` text never holds a comma, a quote or a newline, so no
     field needs CSV quoting.
     """
-    return "".join(csv_lines(M.rows))
-
-
-def csv_lines(rows):
-    """The lines of ``dense_to_csv`` for ``rows``, each made as it is taken.
-    The texts are ``scalar_formatter``'s, which makes each distinct
-    denominator's text once."""
     fmt = scalar_formatter()
-    return (",".join(map(fmt, row)) + "\n" for row in rows)
+    return "".join(",".join(map(fmt, row)) + "\n" for row in M.rows)
 
 
 def dense_from_csv(text: str) -> DenseMatrix:

@@ -23,8 +23,8 @@ from typing import Sequence
 from . import kernels
 from .errors import SingularMatrixError
 from .factor import factorize, lu_substitute
-from .matrix import (CyclicHeptaMatrix, _to_scalar, entries_parser, float_vector, parse_entries,
-                     row_scaled)
+from .matrix import (CyclicHeptaMatrix, band_product, entries_parser, exact_vector, float_vector,
+                     parse_entries, row_scaled)
 
 # perfbench/tracer.py wraps this module attribute, so it stays bound
 from .scalars import eval_at_zero  # noqa: F401
@@ -37,20 +37,6 @@ class SolveReport:
     method: str
     backend: str
     substitutions_fired: dict = field(default_factory=dict)
-
-
-def _exact_vector(values, label: str) -> list:
-    """The entries of a right-hand side converted as the bands are: a float
-    to its exact value, and a scalar that is neither a real number nor a
-    text refused with TypeError.  An entry that has no exact value raises
-    ValueError naming ``label`` and the entry's 1-based index."""
-    out = []
-    for i, value in enumerate(values, start=1):
-        try:
-            out.append(_to_scalar(value))
-        except ValueError as exc:
-            raise ValueError(f"{label} entry {i}: {exc}") from None
-    return out
 
 
 def _solve_exact(H: CyclicHeptaMatrix, columns: list) -> list[SolveReport]:
@@ -79,12 +65,7 @@ def is_solution(H: CyclicHeptaMatrix, x: Sequence, r: Sequence) -> bool:
     den = lcm(*(v.denominator for v in x))
     N = [v.numerator * (den // v.denominator) for v in x]
     _, bands, (rs,) = row_scaled(H, [r])
-    n = H.n
-    # band offsets -3..3, in the order of BAND_NAMES
-    return all(
-        sum(band[i] * N[(i + off) % n] for band, off in zip(bands, range(-3, 4))) == den * rs[i]
-        for i in range(n)
-    )
+    return band_product(bands, N) == [den * v for v in rs]
 
 
 def solve_many(H: CyclicHeptaMatrix, columns: Sequence[Sequence], backend: str = "exact",
@@ -96,7 +77,7 @@ def solve_many(H: CyclicHeptaMatrix, columns: Sequence[Sequence], backend: str =
     zero).  On the float lane ``H`` may also be a ``FloatHeptaMatrix``, and
     every column is converted to float64 before the sweep.
     """
-    read = _exact_vector if backend == "exact" else float_vector
+    read = exact_vector if backend == "exact" else float_vector
     rhs = []
     for idx, col in enumerate(columns, start=1):
         if len(col) != H.n:

@@ -4,6 +4,7 @@ import stat
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction as Fr
 
 import pytest
@@ -170,6 +171,23 @@ class TestInv:
         assert max(piece.count("\n") for piece in stdout.pieces) <= (n + 1 if fmt == "json" else 1)
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_text() == text
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_float_rows_made_one_at_a_time(self, fmt, tmp_path):
+        # the n^2 Python floats of the inverse would take 32 n^2 bytes held
+        # at once, on top of the 8 n^2 of the float64 array
+        n = 512
+        path, out = tmp_path / "m.json", tmp_path / "S.out"
+        path.write_text(matrix_to_json(random_instance(n, 1, "diagonally-dominant")))
+        tracemalloc.start()
+        try:
+            code = main(["inv", "--backend", "float", "--input", str(path), "--format", fmt,
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 3 * 8 * n * n
 
     def test_csv_output(self, example_path, capsys, example10_inverse):
         code, out, _ = run(["inv", "--input", example_path, "--format", "csv"], capsys)

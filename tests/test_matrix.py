@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from decimal import Decimal
 from fractions import Fraction as Fr
 
@@ -9,6 +10,7 @@ import pytest
 from heptacyclic.bench import CountingScalar, OpCounter
 from heptacyclic.matrix import (
     BAND_NAMES,
+    PROFILES,
     _to_scalar,
     CyclicHeptaMatrix,
     DenseMatrix,
@@ -91,7 +93,8 @@ def test_band_offset_support():
 
 
 def test_dense_round_trips(example10):
-    for H in (example10, random_instance(8, 0), random_instance(13, 7)):
+    at_eight = [random_instance(8, 0, profile) for profile in PROFILES]
+    for H in (example10, *at_eight, random_instance(13, 7)):
         assert from_dense(to_dense(H)) == H
     M = to_dense(example10)
     assert to_dense(from_dense(M)) == M
@@ -147,12 +150,15 @@ class TestRandomInstance:
             random_instance(10, 0, "sparse")
 
 
-def test_mat_vec_matches_dense(example10):
-    H = example10
-    x = [Fr(i, 3) for i in range(1, 11)]
-    dense = to_dense(H)
-    expected = [sum(dense.rows[i][j] * x[j] for j in range(10)) for i in range(10)]
-    assert H.mat_vec(x) == expected
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("n", [8, 9, 10, 33])
+def test_mat_vec_matches_dense(example10, n, profile):
+    # at n = 8 the offset 4 = -4 lies between the wrapped offsets and holds no band
+    for H in (example10, random_instance(n, 2, profile)):
+        x = [Fr(i, 3) - Fr(1, i + 1) for i in range(1, H.n + 1)]
+        dense = to_dense(H)
+        expected = [sum(dense.rows[i][j] * x[j] for j in range(H.n)) for i in range(H.n)]
+        assert H.mat_vec(x) == expected
 
 
 def test_json_round_trip_and_stability(example10):
@@ -243,6 +249,29 @@ class TestExactConversion:
     def test_inf_and_nan_rejected(self, value):
         with pytest.raises(ValueError):
             _to_scalar(value)
+
+    @pytest.mark.parametrize("value, message", [
+        (float("nan"), "cannot convert NaN to integer ratio"),
+        (float("inf"), "cannot convert inf to a rational"),
+        ("1/0", "invalid scalar '1/0'"),
+        ("1e400000", "invalid scalar '1e400000': exponent beyond 100000 in magnitude"),
+    ], ids=["nan", "inf", "zero-denominator", "exponent-bound"])
+    def test_values_without_exact_value_named_where_taken_in(self, value, message):
+        # every way a band comes in names the band and the entry, as
+        # matrix_from_json does
+        expected = rf"^band 'd' entry 5: {re.escape(message)}$"
+        H = random_instance(12, 1, "diagonally-dominant")
+        d = list(H.band("d"))
+        d[4] = value
+        bands = {**H.bands(), "d": d}
+        with pytest.raises(ValueError, match=expected):
+            CyclicHeptaMatrix(12, *(bands[name] for name in BAND_NAMES))
+        with pytest.raises(ValueError, match=expected):
+            H.replace_band("d", d)
+        dense = to_dense(H)
+        dense.rows[4][4] = value  # H[5, 5] = d_5
+        with pytest.raises(ValueError, match=expected):
+            from_dense(dense)
 
     @pytest.mark.parametrize("value", [T + 1, CountingScalar(1.0, OpCounter()), None, 1 + 2j],
                              ids=["RatFun", "CountingScalar", "NoneType", "complex"])

@@ -33,15 +33,16 @@ def test_exact_residual_random():
     assert H.mat_vec(list(solve_many(H, [r])[0].x)) == r
 
 
-def test_residual_check_over_integers():
+@pytest.mark.parametrize("n", [8, 12])
+def test_residual_check_over_integers(n):
     # the CLI's exact_residual: rational entries, so each row has its own scale
-    H = random_instance(12, 2, "general")
+    H = random_instance(n, 2, "general")
     H = H.replace_band("a", [v / (k + 2) for k, v in enumerate(H.band("a"))])
-    r = [Fr(3 * k - 5, k + 1) for k in range(12)]
+    r = [Fr(3 * k - 5, k + 1) for k in range(n)]
     (report,) = solve_many(H, [r])
     x = list(report.x)
     assert is_solution(H, x, r)
-    for k in range(12):
+    for k in range(n):
         for delta in (Fr(1), Fr(1, 10**40), -x[k]):
             perturbed = x[:k] + [x[k] + delta] + x[k + 1:]
             assert H.mat_vec(perturbed) != r
