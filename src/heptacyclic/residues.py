@@ -67,6 +67,34 @@ entries (``Fraction`` or int): a ``CyclicHeptaMatrix`` holds nothing else,
 and ``solve_many`` converts each right-hand-side entry as the matrix
 converts its bands, refusing any other scalar with TypeError.
 ``adjugate`` reads the ints that ``matrix.row_scaled`` makes of them.
+
+Both conversions between ints and residues are linear maps with small
+coefficients, so each is a float64 matrix product (J. Doliskani, P.
+Giorgi, R. Lebreton and E. Schost, "Simultaneous conversions with the
+residue number system using linear algebra", ACM TOMS 44(3), 2018), made
+exact by keeping every sum below 2**53:
+
+- *Ints to residues* (``_wide_lanes``), for entries beyond int64 (the
+  others take one int64 remainder): |x| in 16-bit limbs x_j times the
+  table 2**(16 j) mod p_k, the table split into 15-bit halves.  A sum has
+  a term below 2**16 * 2**15 per limb, so it stays below 2**53 for fewer
+  than 2**22 limbs; the two sums are then below 2**53 in int64 and
+  combine mod p_k.  The table is made 2**17 / (2 limbs) primes at a time,
+  and every entry of every band beyond int64 is converted by one call
+  when the lane is set up (``_bands``), so they share it.
+- *Residues to ints* (``_crt``): x = sum_k ((u_k w_k) mod p_k) M/p_k, with
+  M = prod(p) and w_k = (M/p_k)^-1 mod p_k, is the lanes times the 16-bit
+  limbs of the M/p_k, the lanes split into 15-bit halves: below 2**53 for
+  fewer than 2**22 primes.  Added up in int64 as low + (high << 15), a limb
+  sum is below K * 2**46, so below 2**63 for up to 2**17 primes a group;
+  the limbs then make one int per value, reduced mod M.  The memory is
+  O(K m): the limbs of the M/p_k are held for at most max(m, 2**17 /
+  limbs) primes at a time, and the limb sums of all m values only when
+  that is fewer than K; otherwise 2**14 limb sums at a time.
+
+Every product is made in tiles of at most 2**18 multiply-adds, which
+OpenBLAS runs on the calling thread whatever its thread count (its
+threads cost up to milliseconds a call on a shared machine, see README).
 """
 
 from __future__ import annotations
@@ -97,6 +125,15 @@ _TRIM_BYTES = 768 << 10
 _FERMAT_LANES = 64
 # the band entries reduced by one numpy call, kept while the sweep reads them
 _BLOCK = 16
+# the multiply-adds of one float64 product: OpenBLAS runs a product of at
+# most 65536 * 4 on the calling thread alone
+_TILE = 1 << 18
+# the entries of a table of limbs or powers made at once: 1 MB of float64
+_CHUNK = 1 << 17
+# the primes whose CRT limb sums are added up in int64, below 2**17 * 2**46
+_GROUP = 1 << 17
+# the CRT limb sums made and turned into ints at once: 128 KB of float64
+_SUMS = 1 << 14
 
 
 class _PrimeTable:
@@ -141,13 +178,82 @@ _PRIMES = _PrimeTable()
 
 def _lanes(x, p: np.ndarray) -> np.ndarray:
     """x mod each prime of ``p``, one lane axis after the axes of x: an int,
-    a list of ints or a list of rows of ints.  An int beyond int64 sends
-    the whole of x through Python ints."""
+    a list of ints or a list of rows of ints.  One int64 remainder, and the
+    entries beyond int64, if any, by ``_wide_lanes``."""
     try:
         return np.array(x, dtype=np.int64)[..., None] % p
     except OverflowError:
-        q = np.array(p.tolist(), dtype=object)
-        return (np.array(x, dtype=object)[..., None] % q).astype(np.int64)
+        X = np.array(x, dtype=object)
+        wide = (X < -_INT64) | (X >= _INT64)
+        lanes = np.where(wide, 0, X).astype(np.int64)[..., None] % p
+        lanes[wide] = _wide_lanes(X[wide].tolist(), p)
+        return lanes
+
+
+def _add_product(acc: np.ndarray, wide: np.ndarray, small: np.ndarray) -> None:
+    """acc += [wide & (2**15 - 1); wide >> 15] @ small, exactly.
+
+    ``wide`` (r x k) holds ints in [0, 2**30), ``small`` (k x c) float64 ints
+    in [0, 2**16), and ``acc`` (2r x c) float64: rows i and r + i take the
+    low and high halves of row i of ``wide``.  Every term is below 2**31, so
+    acc stays exact while it adds up fewer than 2**22 terms, in any order.
+    The product is made in tiles of at most ``_TILE`` multiply-adds.
+    """
+    r, k = wide.shape
+    c = small.shape[1]
+    halves = np.empty((2 * r, k))
+    np.bitwise_and(wide, 0x7FFF, out=halves[:r], casting="unsafe")
+    np.right_shift(wide, 15, out=halves[r:], casting="unsafe")
+    # rows and inner dimension 64 at most; the columns take what they leave,
+    # and the inner dimension what few columns leave
+    rt, kt = min(2 * r, 64), min(k, 64)
+    ct = max(1, _TILE // (rt * kt))
+    kt = max(1, _TILE // (rt * min(c, ct)))
+    for a in range(0, 2 * r, rt):
+        for b in range(0, c, ct):
+            tile = acc[a:a + rt, b:b + ct]
+            for i in range(0, k, kt):
+                tile += halves[a:a + rt, i:i + kt] @ small[i:i + kt, b:b + ct]
+
+
+def _powers(L: int, q: np.ndarray) -> np.ndarray:
+    """2**(16 j) mod q_k for j < L, row k for the prime q[k, 0]: doubling
+    the columns known, each step one product by 2**(16 s) mod q_k."""
+    P = np.empty((len(q), L), dtype=np.int64)
+    P[:, 0] = 1
+    step, s = (1 << 16) % q, 1
+    while s < L:
+        t = min(s, L - s)
+        np.multiply(P[:, :t], step, out=P[:, s:s + t])
+        P[:, s:s + t] %= q
+        step = step * step % q
+        s += t
+    return P
+
+
+def _wide_lanes(xs: list, p: np.ndarray) -> np.ndarray:
+    """x mod each prime of ``p`` for each int x of ``xs``, one row per x:
+    the 16-bit limbs of |x| times the table 2**(16 j) mod p_k, as one
+    exact float64 product per chunk of primes (module docstring), then
+    one remainder.  A negative x takes p_k minus the lane of |x|."""
+    L = max(x.bit_length() for x in xs) // 16 + 1
+    if L >= 1 << 22:
+        raise MemoryError(f"an entry of {L} 16-bit limbs is past the exact product")
+    raw = b"".join([abs(x).to_bytes(2 * L, "little") for x in xs])
+    limbs = np.frombuffer(raw, dtype="<u2").reshape(len(xs), L).T.astype(np.float64)
+    del raw
+    lanes = np.empty((len(p), len(xs)), dtype=np.int64)
+    chunk = max(1, _CHUNK // (2 * L))
+    for i in range(0, len(p), chunk):
+        q = p[i:i + chunk, None]
+        acc = np.zeros((2 * len(q), len(xs)))
+        _add_product(acc, _powers(L, q), limbs)
+        low, high = acc.astype(np.int64).reshape(2, len(q), len(xs))
+        # below 2**30 + 2**45
+        lanes[i:i + chunk] = (low % q + (high % q << 15)) % q
+    negative = np.array([x < 0 for x in xs])
+    lanes[:, negative] = (p[:, None] - lanes[:, negative]) % p[:, None]
+    return lanes.T
 
 
 def _inverse_lanes(v: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -284,33 +390,73 @@ def _make_room(x: Residues, y: Residues, combine) -> int:
 class _Band:
     """1-based band of ints, or of rows of m ints (m right-hand sides),
     read as residue vectors, or m x lanes blocks, ``_BLOCK`` entries at a
-    time: a read reduces the block of entries that holds it by one
-    ``_lanes`` call and keeps that block's values until a read leaves it,
-    so no residue array is kept per band entry and a repeat read returns
-    the same value.  Blocks are aligned (1, 1 + _BLOCK, ...), so reads
-    that run down the band, as the back substitution's do, reuse a block
-    as well as reads that run up.  An entry reads the same at every point
-    of H'(s): the shift of a zero pivot is made by the sweep's pivot rule.
+    time: a read reduces the block of entries that holds it by one int64
+    remainder and keeps that block's values until a read leaves it, so no
+    residue array is kept per band entry and a repeat read returns the
+    same value.  Blocks are aligned (1, 1 + _BLOCK, ...), so reads that run
+    down the band, as the back substitution's do, reuse a block as well as
+    reads that run up.  An entry reads the same at every point of H'(s):
+    the shift of a zero pivot is made by the sweep's pivot rule.
+
+    ``ints`` is an int64 array, with 0 in each row that holds an entry
+    beyond int64; ``wide`` maps such a row, 1-based, to its lanes, made
+    once by ``_bands``.
     """
 
-    __slots__ = ("ints", "p", "block")
+    __slots__ = ("ints", "p", "block", "wide")
 
-    def __init__(self, ints, p):
-        self.ints = [None, *ints]
+    def __init__(self, ints: np.ndarray, p: np.ndarray, wide: dict):
+        self.ints = ints
         self.p = p
+        self.wide = wide
         self.block = (0, ())
 
     def __len__(self):
-        return len(self.ints)
+        return len(self.ints) + 1
 
     def __getitem__(self, i):
         start, values = self.block
         if 0 <= i - start < len(values):
             return values[i - start]
         start = i - (i - 1) % _BLOCK
-        values = [Residues(row, self.p) for row in _lanes(self.ints[start:start + _BLOCK], self.p)]
+        block = self.ints[start - 1:start - 1 + _BLOCK, ..., None] % self.p
+        if self.wide:
+            for k in range(len(block)):
+                lanes = self.wide.get(start + k)
+                if lanes is not None:
+                    block[k] = lanes
+        values = [Residues(row, self.p) for row in block]
         self.block = (start, values)
         return values[i - start]
+
+
+def _bands(columns, p: np.ndarray) -> list:
+    """A ``_Band`` of each of ``columns`` (int64 arrays, lists of ints or
+    lists of rows of ints).  The rows that hold an entry beyond int64, in
+    all of them, are reduced by one ``_lanes`` call, so that their entries
+    share one table of powers, and their lanes are kept for the sweep."""
+    arrays, wide = [], []
+    for ints in columns:
+        try:
+            arrays.append((np.asarray(ints, dtype=np.int64), None))
+        except OverflowError:
+            X = np.array(ints, dtype=object)
+            at = np.flatnonzero(((X < -_INT64) | (X >= _INT64)).reshape(len(X), -1).any(axis=1))
+            wide.append(X[at])
+            X[at] = 0
+            arrays.append((X.astype(np.int64), at))
+    lanes = _lanes(np.concatenate([w.ravel() for w in wide]).tolist(), p) if wide else None
+    bands, used = [], 0
+    for ints, at in arrays:
+        kept = {}
+        if at is not None:
+            # a row of m entries takes the next m rows of lanes
+            count = len(at) * (ints.size // len(ints))
+            rows = lanes[used:used + count].reshape(len(at), *ints.shape[1:], len(p))
+            kept = dict(zip((at + 1).tolist(), rows))
+            used += count
+        bands.append(_Band(ints, p, kept))
+    return bands
 
 
 class _ZeroLanes(Exception):
@@ -331,22 +477,82 @@ def _nonzero(value, i):
 
 def _crt(U: np.ndarray, p: np.ndarray) -> list:
     """The integers in (-M/2, M/2], M = prod(p), whose residues are the
-    columns of U (lane k in row k): the textbook Chinese remainder sum
-    x = sum_k U[k] c_k mod M, with c_k = (M/p_k) ((M/p_k)^-1 mod p_k), which
-    is 1 mod p_k and 0 mod every other prime.
+    columns of U (lane k in row k, reduced): the Chinese remainder sum
+    x = sum_k ((U[k] w_k) mod p_k) M/p_k mod M, w_k = (M/p_k)^-1 mod p_k, as
+    exact float64 products of the lanes and the 16-bit limbs of the M/p_k
+    (module docstring).
 
-    One c_k is held at a time, and the sums are Python ints, one per column,
-    so the memory is O(K m).
+    The limbs of the M/p_k are held for as many primes at once as there
+    are values, and for at least ``_CHUNK`` limbs.  With as many values as
+    primes or more, that is all the primes, and the values' limb sums are
+    made and turned into ints a slice of values at a time (``_SUMS``
+    floats, and 32 values at least: 64 rows of a tile).  With fewer values,
+    the sums of all of them are added up over the chunks of primes and
+    turned into ints once per ``_GROUP`` primes.  Either way the memory is
+    O(K m).
     """
     primes = p.tolist()
     M = prod(primes)
-    acc = [0] * U.shape[1]
-    for q, row in zip(primes, U):
-        c = M // q
-        c *= pow(c % q, -1, q)
-        acc = list(map(add, acc, map(mul, row.tolist(), repeat(c))))
+    K, m = U.shape
+    # a group's sum is below its prime count times M
+    L = -(-(M.bit_length() + K.bit_length()) // 16)
+    size = max(m, _CHUNK // L)
+    rows = m if K > size else max(32, _SUMS // (2 * L))
+    sums = [0] * m
+    for group in range(0, K, _GROUP):
+        end = min(K, group + _GROUP)
+        kept = {}  # the sums of each slice of values, while chunks of primes remain
+        for i in range(group, end, size):
+            q = primes[i:min(end, i + size)]
+            cofactors = [M // r for r in q]
+            w = np.array([pow(c % r, -1, r) for c, r in zip(cofactors, q)], dtype=np.int64)
+            raw = b"".join([c.to_bytes(2 * L, "little") for c in cofactors])
+            del cofactors
+            C = np.frombuffer(raw, dtype="<u2").reshape(len(q), L).astype(np.float64)
+            del raw
+            for a in range(0, m, rows):
+                b = min(m, a + rows)
+                acc = kept.pop(a, None)
+                if acc is None:
+                    acc = np.zeros((2 * (b - a), L))
+                _add_product(acc, U[i:i + len(q), a:b].T * w % p[i:i + len(q)], C)
+                if i + size < end:
+                    kept[a] = acc
+                else:
+                    sums[a:b] = map(add, sums[a:b], _limb_ints(acc))
+            del C  # or it is held while the next chunk's is made
     half = M // 2
-    return [v - M if v > half else v for v in (a % M for a in acc)]
+    return [v - M if v > half else v for v in (x % M for x in sums)]
+
+
+def _limb_ints(acc: np.ndarray) -> list:
+    """The ints sum_j (low[v, j] + high[v, j] 2**15) 2**(16 j), one per row
+    v of ``acc`` = [low; high], exact float64 sums whose combinations lie
+    in [0, 2**63) and whose ints are below 2**(16 L), L = acc.shape[1].
+
+    Made ``_SUMS`` limb sums at a time: two carry passes in int64 leave every
+    limb sum below 2**32 (below 2**16 + 2**47, then 2**16 + 2**31; the top
+    limb never carries, as the int is below 2**(16 L)), and each int is
+    then its low 16 bits plus its high 16 bits one limb up.
+    """
+    m, L = len(acc) // 2, acc.shape[1]
+    rows = max(1, _SUMS // L)
+    ints = []
+    for a in range(0, m, rows):
+        b = min(m, a + rows)
+        T = acc[m + a:m + b].astype(np.int64)
+        T <<= 15
+        T += acc[a:b].astype(np.int64)
+        for _ in range(2):
+            carry = T >> 16
+            T &= 0xFFFF
+            T[:, 1:] += carry[:, :-1]
+        low = memoryview(T.astype("<u2")).cast("B")
+        high = memoryview((T >> 16).astype("<u2")).cast("B")
+        ints += [int.from_bytes(low[o:o + 2 * L], "little")
+                 + (int.from_bytes(high[o:o + 2 * L], "little") << 16)
+                 for o in range(0, len(low), 2 * L)]
+    return ints
 
 
 def _lagrange_at_zero(points) -> list:
@@ -408,7 +614,7 @@ def adjugate(scales, bands, rhs) -> tuple:
     r' included, covers both.  With ``rhs`` empty this is det H' alone,
     and no factor row is kept.
     """
-    found, lane_bytes = _solve(scales, bands, rhs)
+    U, primes, overrides, lane_bytes = _solve(scales, bands, rhs)
     # each lane vector is a small buffer on the C heap, and glibc keeps the
     # pages of freed small buffers: after a large call, hand them back, or a
     # process that runs more work after it (an inverse, say) holds them
@@ -417,16 +623,20 @@ def adjugate(scales, bands, rhs) -> tuple:
     # a trim would only make it fault them in again.  A call that drops a
     # prime trims once, after the sweep that completes; a determinant keeps
     # no factor row and never trims.  Returning from ``_solve`` frees its
-    # rows, factors and blocks, so the trim runs here.
+    # rows, factors and blocks, so the trim runs here, before the CRT
+    # allocates its limb sums.
     if lane_bytes >= _TRIM_BYTES:
         trim = _malloc_trim()
         if trim is not None:
             trim(0)
-    return found
+    values = _crt(U.T, primes)
+    return values[0], overrides, values[1:]
 
 
 def _solve(scales, bands, rhs) -> tuple:
-    """(what ``adjugate`` returns, the bytes of the lane vectors held at once)."""
+    """(the lanes of det H' and of the ints of ``adjugate``, one row each
+    and one column per prime, the primes, the pivots found structurally
+    zero, the bytes of the lane vectors held at once)."""
     n = len(scales)
     d = bands[BAND_NAMES.index("d")]
     norms = [sum(v * v for v in entries) for entries in zip(*bands)]
@@ -438,6 +648,14 @@ def _solve(scales, bands, rhs) -> tuple:
         norms[i - 1] += largest
         if largest:
             start = min(start, i)
+    # the bands, and the right-hand sides as one band of rows of m ints for
+    # m columns, read as int64 arrays once for every sweep where they fit
+    columns = [*bands, rhs[0] if len(rhs) == 1 else list(zip(*rhs))] if rhs else list(bands)
+    for k, ints in enumerate(columns):
+        try:
+            columns[k] = np.array(ints, dtype=np.int64)
+        except OverflowError:
+            pass  # _bands splits it for each sweep
     overrides, skipped, dropped = (), set(), set()
     while True:
         if overrides:
@@ -464,8 +682,8 @@ def _solve(scales, bands, rhs) -> tuple:
             shift = shifts.get(i)
             return _nonzero(value if shift is None else value + shift, i)
 
-        lanes = [_Band(band, p) for band in bands]
-        rows = kernels.sweep(*lanes, pivot)
+        lanes = _bands(columns, p)
+        rows = kernels.sweep(*lanes[:7], pivot)
         try:
             if rhs:  # the substitution reads every row; a det streams
                 rows = list(rows)
@@ -506,14 +724,12 @@ def _solve(scales, bands, rhs) -> tuple:
                         backend="residues")
         del rows
         kept = n
-        y = kernels.substitute(fd, _Band(rhs[0] if len(rhs) == 1 else list(zip(*rhs)), p), start)
+        y = kernels.substitute(fd, lanes[7], start)
         # n x lanes, or n x m x lanes for m columns: its columns one after the other
         Y = np.moveaxis(np.array([value.reduced() for value in y[1:]]), 0, -2).reshape(-1, len(p))
         Y *= scaled_det
         Y %= p
         blocks.append(at_zero(Y))
     U = np.concatenate(blocks)
-    del blocks
-    values = _crt(U.T, primes)
     # the lane vectors held at once: 9 per factor row kept, and about 3 per entry of y
-    return (values[0], overrides, values[1:]), p.nbytes * (9 * kept + 3 * (len(U) - 1))
+    return U, primes, overrides, p.nbytes * (9 * kept + 3 * (len(U) - 1))

@@ -37,7 +37,7 @@ def oracle_inverse_or_none(H):
 
 def unit_column(fd, j):
     """e_j as a 1-based right-hand side over the residue lanes of ``fd``."""
-    return residues._Band([int(i == j) for i in range(1, fd.n + 1)], fd.alpha[1].p)
+    return residues._bands([[int(i == j) for i in range(1, fd.n + 1)]], fd.alpha[1].p)[0]
 
 
 class TestSeedColumns:
@@ -790,7 +790,7 @@ class TestSubstitutionStart:
         for j in (1, 4, n - 5, n - 4):
             ints = [0] * (j - 1) + [rng.choice((-3, 2, 7))]
             ints += [rng.randint(-50, 50) for _ in range(n - j)]
-            r = residues._Band(ints, p)
+            r = residues._bands([ints], p)[0]
             x, ref = kernels.substitute(fd, r, start=j), kernels.substitute(fd, r)
             assert all(np.array_equal(a.reduced(), b.reduced()) for a, b in zip(x[1:], ref[1:]))
 

@@ -569,16 +569,22 @@ class TestCRT:
             x = x * q + d
         return x - M if 2 * x > M else x
 
-    @pytest.mark.parametrize("m", [1, 2, 56, 641])
-    @pytest.mark.parametrize("K", [1, 2, 3, 4, 17, 50, 51, 56, 89, 107])
+    @pytest.mark.parametrize("K, m", [
+        *((K, m) for K in (1, 2, 3, 4, 17, 50, 51, 56, 89, 107) for m in (1, 2, 56, 641)),
+        # past 128 primes a limb sum of the unsplit lanes can pass 2**53
+        (129, 2), (343, 2), (683, 7),
+    ])
     def test_equals_garner(self, K, m):
         """The sum gives what Garner's digits give, at the (K, m) shapes the
-        lane makes, the ends +-M/2 and their neighbours in every call."""
+        lane makes, the ends +-M/2 and their neighbours in every call, and
+        from 129 primes on the values that make the largest limb sums."""
         p = residues._PRIMES.take(K)
         primes = p.tolist()
         M = prod(primes)
         rng = random.Random(1000 * K + m)
         ends = [0, 1, -1, M // 2, -((M - 1) // 2), M // 2 - 1, -((M - 1) // 2) + 1]
+        if K > 128:
+            ends += self.largest_sums(primes)
         for start in range(0, len(ends), m):
             values = ends[start:start + m]
             values += [rng.randrange(-((M - 1) // 2), M // 2 + 1) for _ in range(m - len(values))]
@@ -586,6 +592,49 @@ class TestCRT:
             expected = [self.one_digit_garner(column, primes) for column in U.T.tolist()]
             assert expected == values
             assert residues._crt(U, p) == expected
+
+    @staticmethod
+    def largest_sums(primes):
+        """Values in (-M/2, M/2] that make the CRT's limb sums largest: every
+        weighted lane (U[k] w_k mod p_k) at p_k - 2, odd, so that a sum past
+        2**53 would round, and every limb 0xFFFF (2**(16 j) - 1 for the
+        largest such j, and its negative)."""
+        M = prod(primes)
+        heavy = sum((q - 2) * (M // q) for q in primes) % M
+        ones = (1 << 16 * ((M.bit_length() - 2) // 16)) - 1
+        return [v - M if 2 * v > M else v for v in (heavy, ones, M - ones)]
+
+    @pytest.mark.parametrize("K", [50, 343])
+    def test_groups_of_primes(self, K, monkeypatch):
+        """Past ``_GROUP`` primes, each group's limb sums become ints that
+        are added up before the one reduction mod M."""
+        monkeypatch.setattr(residues, "_GROUP", 7)
+        p = residues._PRIMES.take(K)
+        primes = p.tolist()
+        M = prod(primes)
+        rng = random.Random(K)
+        values = [0, -1, M // 2, -((M - 1) // 2), *self.largest_sums(primes)]
+        values += [rng.randrange(-((M - 1) // 2), M // 2 + 1) for _ in range(5)]
+        assert residues._crt(self.residues_of(values, p), p) == values
+
+    @pytest.mark.parametrize("L", [2, 3, 40, 1000])
+    def test_limbs_that_carry_through(self, L):
+        """Limb sums become ints whatever their carries: every limb 0xFFFF
+        with a carry into the lowest, which runs through all of them, and
+        every limb sum at 2**63 - 1, the largest the CRT makes."""
+        top = 2**63 - 1
+        rows = [
+            [1 << 16, *[0xFFFF] * (L - 2), 0],
+            [0xFFFF] * (L - 1) + [0],
+            [top] * max(0, L - 4) + [0] * min(L, 4),
+            [0] * L,
+        ]
+        # each limb sum as low + (high << 15), with low and high below 2**53
+        acc = np.array([[v & 0x7FFF for v in row] for row in rows]
+                       + [[v >> 15 for v in row] for row in rows], dtype=np.float64)
+        expected = [sum(v << 16 * j for j, v in enumerate(row)) for row in rows]
+        assert all(x < 2**(16 * L) for x in expected)
+        assert residues._limb_ints(acc) == expected
 
     def test_memory_linear_in_primes(self):
         # the K coefficients (M/p_k) ((M/p_k)^-1 mod p_k), held at once,
@@ -853,6 +902,7 @@ class TestLanes:
 
     EDGES = [-(2**63) - 1, -(2**63), 0, 2**63 - 1, 2**63]
     BIG = -(2**9999) - 12345  # 10,000 bits
+    ONES = 2**65536 - 1  # 4,096 limbs of 0xFFFF
 
     @staticmethod
     def expected(x, p):
@@ -869,6 +919,36 @@ class TestLanes:
         p = residues._PRIMES.take(SWITCH + 3)
         lanes = residues._lanes(x, p)
         assert lanes.dtype == np.int64 and lanes.tolist() == self.expected(x, p)
+
+    @pytest.mark.parametrize("K", [SWITCH + 3, 700])
+    def test_limb_product(self, K):
+        """The limb product is x % q in every lane, inside int64 as well as
+        past it, at one chunk of primes and at several."""
+        p = residues._PRIMES.take(K)
+        xs = [0, 2**63 - 1, 2**63, -(2**63) - 1, self.BIG, -1, 2**16, -(2**64 - 1), self.ONES]
+        lanes = residues._wide_lanes(xs, p)
+        assert lanes.dtype == np.int64 and lanes.tolist() == self.expected(xs, p)
+
+    def test_bands_convert_their_wide_entries_once(self, monkeypatch):
+        """Every entry beyond int64, in the bands and the right-hand sides,
+        is converted by one limb product when the lane is set up, and a
+        block read converts none."""
+        calls = []
+        wide_lanes = residues._wide_lanes
+
+        def counted(xs, p):
+            calls.append(len(xs))
+            return wide_lanes(xs, p)
+
+        monkeypatch.setattr(residues, "_wide_lanes", counted)
+        H = random_instance(40, 2, "diagonally-dominant")
+        big = 10**30
+        H = with_bands(H, a=[v * big for v in H.band("a")], C=[v * big for v in H.band("C")])
+        rhs = [[big * (i % 3) - i for i in range(H.n)], list(range(H.n))]
+        det, _, x = residues.solve(H, rhs)
+        assert det == dense_det(to_dense(H))
+        wide = sum(abs(v) >= 2**63 for band in ("a", "C") for v in H.band(band)) + 2 * H.n // 3
+        assert calls == [wide]
 
 
 class TestOverrideShift:
@@ -933,7 +1013,7 @@ class TestBandBlocks:
         p = residues._PRIMES.take(SWITCH)
         n = 3 * residues._BLOCK + 5
         values = self.entries(n)
-        band = residues._Band(values, p)
+        band = residues._bands([values], p)[0]
         order = [*range(1, n + 1), *range(n, 0, -1)]
         order += random.Random(1).sample(range(1, n + 1), n)
         for i in order:
@@ -944,7 +1024,7 @@ class TestBandBlocks:
 
     def test_a_repeat_read_is_the_same_value(self):
         p = residues._PRIMES.take(8)
-        band = residues._Band(range(1, 3 * residues._BLOCK), p)
+        band = residues._bands([range(1, 3 * residues._BLOCK)], p)[0]
         first = band[3]
         assert band[3] is first and band[residues._BLOCK] is band[residues._BLOCK]
         band[residues._BLOCK + 1]  # the next block
@@ -953,7 +1033,7 @@ class TestBandBlocks:
 
     def test_blocks_are_aligned(self):
         p = residues._PRIMES.take(8)
-        band = residues._Band(range(100), p)
+        band = residues._bands([range(100)], p)[0]
         for i, start in ((1, 1), (residues._BLOCK, 1), (residues._BLOCK + 1, residues._BLOCK + 1),
                          (100, 100 - (100 - 1) % residues._BLOCK)):
             band[i]

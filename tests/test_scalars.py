@@ -1,10 +1,12 @@
 import sys
 from fractions import Fraction as Fr
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heptacyclic import scalars
 from heptacyclic.errors import DegreeCapError, PoleAtZeroError
 from heptacyclic.scalars import (
     Poly,
@@ -322,6 +324,55 @@ class TestScalarFormatter:
         values += [v / q for v in values]
         fmt = scalar_formatter()
         assert list(map(fmt, values)) == list(map(format_scalar, values))
+
+    def test_past_the_digit_limit_on_its_own_path(self, monkeypatch):
+        """A Fraction past the int -> str digit limit gets format_scalar's
+        text without a call to format_scalar, and the limit is as before."""
+        entries = [Fr(-LONG - 1, 3), Fr(1, LONG + 3), Fr(LONG + 1), Fr(LONG + 2, LONG + 3),
+                   Fr(-7, LONG + 3)]
+        expected = list(map(format_scalar, entries))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+        def refused(x):
+            raise AssertionError(f"format_scalar({x!r})")
+
+        monkeypatch.setattr(scalars, "format_scalar", refused)
+        fmt = scalar_formatter()
+        assert list(map(fmt, entries)) == expected
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_a_shared_denominator_past_the_limit_is_made_once(self, monkeypatch):
+        den = LONG + 3
+        entries = [Fr(k, den) for k in range(-20, 21) if gcd(k, den) == 1]
+        expected = list(map(format_scalar, entries))
+        limit = sys.get_int_max_str_digits()
+        settings = []
+        set_limit = sys.set_int_max_str_digits
+
+        def recorded(value):
+            settings.append(value)
+            set_limit(value)
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", recorded)
+        fmt = scalar_formatter()
+        assert list(map(fmt, entries)) == expected
+        # lifted once, for the denominator's one text, and restored
+        assert settings == [0, limit]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_limit_restored_when_a_text_raises(self):
+        class Unprintable(int):
+            def __str__(self):
+                if sys.get_int_max_str_digits():
+                    raise ValueError("past the digit limit")
+                raise RuntimeError("no text")
+
+        limit = sys.get_int_max_str_digits()
+        fmt = scalar_formatter()
+        with pytest.raises(RuntimeError):
+            fmt(coprime_fraction(Unprintable(5), 3))
+        assert sys.get_int_max_str_digits() == limit
 
     def test_other_types_as_format_scalar(self):
         fmt = scalar_formatter()
