@@ -2,16 +2,16 @@
 
 On the exact lane, ``factorize`` runs the bordered LU recurrences over
 arbitrary-precision rationals, and the determinant, solve and inverse run
-the same recurrences over residues modulo word-size primes, dropping any
-prime that divides a nonzero pivot, and rebuild exact integers by Chinese
-remaindering.  Quantities that would be exactly zero are substituted so
+the same elimination, in the same pivot order, without dividing, over
+residues modulo word-size primes, dropping any prime that divides a
+nonzero pivot, and rebuild exact integers by Chinese remaindering.  Quantities that would be exactly zero are substituted so
 the computation never breaks down.  ``factorize`` replaces a
 zero pivot by a symbolic indeterminate ``t``, as the paper does, while the
 determinant, solve and inverse evaluate H + s*G (G the structurally zero
 pivots) at concrete points s and interpolate to s = 0.  The inverse runs
 its column recursion over the integer adjugate of the row-scaled matrix,
 one exact division per entry, and takes a column whose C band entry, its
-divisor, is zero by one substitution through the factors instead.  A
+divisor, is zero as one more right-hand side of the elimination instead.  A
 float64 lane covers large
 orders where exactness is not required: it runs the same factor sweep and
 substitution over float64 bands, refusing near-singular pivots instead of

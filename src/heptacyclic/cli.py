@@ -294,6 +294,11 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    # numpy loads on first use, after this: its OpenBLAS then starts no
+    # thread pool, whose start cost 0.07-0.12 s a command on a 2-vCPU VM and
+    # which nothing uses, as every product is tiled to run on the calling
+    # thread; a value the user set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)

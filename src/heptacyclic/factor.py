@@ -17,17 +17,17 @@ suite checks entry by entry on random instances.
 The determinant, solve and inverse paths never carry t.  A pivot that is
 structurally zero is handled at concrete points of H(s) = H + s*G, where G
 has a one at (i, i) for every such pivot i.  All three run them as lanes
-of one sweep over word-size primes (``residues``), zero pivot or not.  At
-each point only what depends on the factors runs: det H(s) and a few
-columns taken by substitution through them (H(s)^-1 r for a solve, the
+of one division-free elimination over word-size primes (``residues``),
+zero pivot or not, in the pivot order of these factors: det H(s), and a
+few columns taken as its right-hand sides (H(s)^-1 r for a solve, the
 seed and zero-C columns for the inverse).  det H(s) and every entry of
 adj H(s) are polynomials in s of degree <= r = |G|, so r + 1 points fix
 their values at s = 0 (Lagrange interpolation).
 
 The recurrences themselves are ``kernels.sweep`` and ``kernels.substitute``,
-shared by both lanes; this module chooses the bands (exact or float64) and
-the pivot rule (override by t, or refuse below the float tolerance) and
-packs the results.
+shared by ``factorize`` and the float lane; this module chooses the bands
+(exact or float64) and the pivot rule (override by t, or refuse below the
+float tolerance) and packs the results.
 """
 
 from __future__ import annotations
@@ -158,11 +158,12 @@ def materialize_LU(fd: FactorData) -> tuple[DenseMatrix, DenseMatrix]:
 def determinant(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12) -> DetResult:
     """Determinant via the pivot product.
 
-    Neither lane keeps a factor row: each pivot joins the product as the
-    sweep hands its row over, so a determinant holds the sweep's window of
-    eight rows, not nine vectors of n entries.  The exact lane runs one sweep
-    over word-size primes (``residues.solve``), with the points of H + s*G
-    as extra lanes when a pivot is structurally zero.  ``pivot_overrides``
+    Neither lane keeps a factor row.  The exact lane runs one
+    division-free elimination over word-size primes (``residues.solve``),
+    with the points of H + s*G as extra lanes when a pivot is structurally
+    zero, and holds its window of six rows.  The float lane's pivots join
+    the product as the sweep hands its rows over, so it holds the sweep's
+    window of eight rows, not nine vectors of n entries.  ``pivot_overrides``
     counts the pivots found structurally zero; a singular H gives value 0,
     not an error.  The float lane refuses pivots as ``factorize`` does.
     """

@@ -1,27 +1,26 @@
 """Exact inversion from the bordered factors.
 
-The last five columns of the inverse are the forward/back substitutions of
-e_n, ..., e_{n-4} through the factors, each from its first nonzero row on.
-They are mutually independent, so they run as one substitution of the
-block of their unit vectors, data-parallel over its rows.  The remaining
-n-5 columns follow from the band identity S @ H = I, peeled column by
-column: column j is obtained from columns j+1..j+6 by dividing through the
-band entry C_j.  Where C_j is zero, column j is instead the substitution
-of e_j through the same factors, a row more of the block, and the
-recursion continues above it.
+The last five columns of the inverse are H^-1 e_n, ..., H^-1 e_{n-4}.
+They are mutually independent, so they are taken as one block of
+right-hand sides of one elimination, each from its first nonzero row on.
+The remaining n-5 columns follow from the band identity S @ H = I, peeled
+column by column: column j is obtained from columns j+1..j+6 by dividing
+through the band entry C_j.  Where C_j is zero, column j is instead
+H^-1 e_j, one more column of the block, and the recursion continues above
+it.
 
-Only the seeds and the zero-C columns read the factors, and they run over
-residue lanes (``residues.adjugate``): one sweep of H' = diag(L) H, L_i the
-lcm of the denominators in row i, over word-size primes, one substitution
-of their unit vectors e_j over the same lanes, each column times det H',
+Only the seeds and the zero-C columns need an elimination, and they run
+over residue lanes (``residues.adjugate``): one division-free elimination
+of H' = diag(L) H, L_i the lcm of the denominators in row i, over
+word-size primes, with their unit vectors e_j as its right-hand sides,
 and one Chinese remaindering.  That gives det H' and those 5 + z columns
 of adj H' = det H' * H'^-1 as Python ints.  A structurally zero pivot is
 handled at concrete points rather than with a symbolic t: the lanes then
 cover the r + 1 points of H'(s) = H' + s*diag(L)*G (G a one at each such
 pivot), and the columns are interpolated to s = 0 before the
 remaindering.  A prime that divides a nonzero pivot is dropped and the
-lane sweeps again.  The peeling reads only the bands of H', so it runs
-once, whatever r.
+lane eliminates again.  The peeling reads only the bands of H', so it
+runs once, whatever r.
 
 The peeling runs over Python ints.  H' is an integer matrix, so
 adj H' is one too: each step of the recursion is one exact division by

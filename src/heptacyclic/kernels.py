@@ -3,16 +3,14 @@
 ``sweep`` runs the factor recurrences in one loop over the rows and
 ``substitute`` the forward/back substitution of one right-hand side.  They
 only add, subtract, multiply and divide, so the same code runs over exact
-scalars (rationals, rational functions of t), over vectors of residues
-modulo word-size primes (``residues.Residues``) and over Python floats: the
+scalars (rationals, rational functions of t) and over Python floats: the
 caller picks the field by the bands it passes in, and every lane's
-zero-pivot handling is its pivot rule, ``pivot(value, i)``.  The exact lane
-replaces a zero pivot by the indeterminate (the symbolic factorization);
-the residue lane adds s L_i to pivot i, i in G, at the points of H + s*G,
-refuses a pivot zero in any lane, and its caller reads from those lanes
-whether to skip a point, add the pivot to G or drop a prime; the op
-counter of ``bench`` refuses a zero pivot; the float lane (``float_pivot``)
-refuses a pivot that is zero, NaN or below its tolerance.
+zero-pivot handling is its pivot rule, ``pivot(value, i)``.  The symbolic
+factorization replaces a zero pivot by the indeterminate; the op counter
+of ``bench`` refuses a zero pivot; the float lane (``float_pivot``)
+refuses a pivot that is zero, NaN or below its tolerance.  The exact det,
+solve and inverse do not run them: they eliminate over residue lanes
+without dividing (``residues``), with the same pivots in the same order.
 
 ``sweep`` streams: a generator, it hands row i's factor entries over, in
 row order, once no recurrence reads them again, and keeps only the rows
@@ -21,9 +19,9 @@ closures' border sums (sum_j v_j k_j, w_j k_j, h_j w_j and v_j h_j) are
 added up as their entries are made, in ascending j, with the products and
 additions of ``_ksum`` in its order, so every field sees the operations
 that ``_ksum`` makes over kept vectors.  A determinant keeps no row, only
-the pivot product, so it holds the sweep's eight rows; ``factorize`` and
-the residue lane's solve and inverse collect every row
-(``factor_vectors``), since the substitutions read the whole factors.
+the pivot product, so it holds the sweep's eight rows; ``factorize``
+collects every row (``factor_vectors``), since the substitutions read the
+whole factors.
 
 The float inverse is the same ``substitute`` with numpy rows for scalars:
 the right-hand side is the identity, row by row, so x[i] comes out as row

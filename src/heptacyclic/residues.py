@@ -1,37 +1,53 @@
 """Exact determinant, solve and inverse over word-size primes.
 
-The bordered LU sweep does O(n) field operations, but over ``Fraction``
-each one works on operands of O(n) digits and takes their gcd.  Here the
-sweep runs once over many lanes at the same time: every value is a
-``Residues``, a numpy int64 vector holding one lane per (point, prime)
-for primes below 2**30, and ``kernels.sweep`` and ``kernels.substitute``
-run over it unchanged.  Each value carries a bound on its lanes and is
-reduced only when the next operation could overflow int64, so most field
-operations are one numpy call.  The integers det H' and det H' * y, for
+The bordered LU recurrences do O(n) field operations, but over
+``Fraction`` each one works on operands of O(n) digits and takes their
+gcd.  Here the elimination runs once over many lanes at the same time:
+every entry is a numpy int64 vector holding one lane per (point, prime)
+for primes below 2**30.  The integers det H' and det H' * y, for
 y = H'^-1 r' and each integer right-hand side r', are then rebuilt from
 their residues by Chinese remaindering (the sum of each residue times the
 idempotent of its prime; von zur Gathen & Gerhard, *Modern Computer
-Algebra*, ch. 5).  ``adjugate`` takes all its right-hand sides by one
-substitution, from the first row where some column is nonzero: for
-``solve`` they are r' = L r, and for the inverse the unit vectors e_j of
-its seed and zero-C columns, so that det H' * y are columns of adj H'.
-That substitution reads the whole factors, so it keeps every row that
-the sweep hands over.  A determinant alone keeps none: each pivot joins a
-running product as its row arrives, and the lanes held are the sweep's
-window of eight rows, at most 72 vectors, not 9 n.
+Algebra*, ch. 5).  ``adjugate`` takes all its right-hand sides in one
+elimination: for ``solve`` they are r' = L r, and for the inverse the unit
+vectors e_j of its seed and zero-C columns, so that det H' * y are columns
+of adj H'.
 
-The sweep runs on H' = diag(L) H, where L_i is the lcm of the denominators
-in row i of H and of the right-hand sides, so H' and r' = L r are integer
-and det H = det H' / prod(L_i).
+The elimination is division-free (fraction-free in the sense of E. H.
+Bareiss, Math. Comp. 22, 1968, without his exact division, which the
+lanes do not need): in the natural order of the paper's bordered LU, each
+step j takes row <- U'_jj * row - row[j] * pivot row for the rows j+1 ..
+j+3 and the border rows n-1 and n, and reduces mod p once; each product
+of two reduced lanes is below 2**60, so a difference of two stays in
+int64.  Those are the only rows with an entry in column j, and they span
+columns j .. j+6, n-1 and n and the right-hand sides: the rows sit in a
+window of six rows, each step updates the whole window as one int64
+block, and the last eight rows and columns are eliminated as a dense
+block.  U'_jj is the pivot alpha_j times the pivots that have scaled row
+j, all already checked nonzero, so its zero lanes are those of the
+leading minor N_j, and every rule below reads U'_jj as it would alpha_j.
+Scaling a row scales the determinant, so det H' = prod U'_jj / S with
+S = prod U'_jj^c_j, c_j the rows scaled at step j.  The back substitution
+divides by nothing either (``_back_substitute``), so one call takes one
+inverse, that of S: one Python ``pow`` per lane.  A determinant keeps
+only the window, O(K) lanes whatever n; a solve keeps U' and y' row by
+row, (7 + m) n lane vectors for m columns.  The right-hand sides join the
+window at step ``start`` - 3, ``start`` the first row where one of them is
+nonzero: above it every row but the border rows is zero there, and those
+are only scaled.
+
+The elimination runs on H' = diag(L) H, where L_i is the lcm of the
+denominators in row i of H and of the right-hand sides, so H' and
+r' = L r are integer and det H = det H' / prod(L_i).
 
 A structurally zero pivot is handled at concrete points of
 H'(s) = H' + s diag(L) G, G a one at (i, i) for each such pivot i.  The
 K primes are tiled over the points s = 1 ... r + 1 (r = |G|), and only
-pivot i, i in G, differs between points: the sweep reads d'_i only there,
-so the lane's pivot rule adds the lanes of s L_i to it.  det H'(s) and
-each entry of det H'(s) * y(s) are polynomials of degree <= r in s, so
-each is interpolated to s = 0 modulo each prime (Lagrange) before one
-CRT.  Without a zero pivot there is one point, s = 0, and G is empty.
+d'_i, i in G, differs between points: its lanes gain those of s L_i as
+row i is read.  det H'(s) and each entry of det H'(s) * y(s) are
+polynomials of degree <= r in s, so each is interpolated to s = 0 modulo
+each prime (Lagrange) before one CRT.  Without a zero pivot there is one
+point, s = 0, and G is empty.
 
 K is chosen so that M = prod(p) exceeds twice the Hadamard bound of H'(s)
 at the largest point, with r' included and every row norm taken as at
@@ -41,16 +57,16 @@ every entry of adj H'(s): deleting a column only shrinks the rows' norms,
 and deleting a row drops a factor that is at least 1.  The rebuilt
 integers are therefore exact, and a pivot N_i(s) / N_{i-1}(s) that is
 zero in every lane of a point is zero there.  A pivot zero at every point
-is structurally zero: it joins G and the sweep restarts with one point
-more.  A point where it is zero, but not at every point, is replaced by
-the next integer.  The lane therefore finds the same G as the symbolic
-sweep, and it says when H is singular (det H' = 0) without dividing by
-it.
+is structurally zero: it joins G and the elimination restarts with one
+point more.  A point where it is zero, but not at every point, is
+replaced by the next integer.  The lane therefore finds the same G as the
+symbolic sweep, and it says when H is singular (det H' = 0) without
+dividing by it.
 
 A pivot that is zero in some but not all lanes of a point is not zero
 there: a lane prime divides a nonzero minor N_i(s).  Those primes are
 dropped, K primes are taken again from the table, skipping the dropped
-ones, until prod(p) again exceeds twice the bound, and the sweep
+ones, until prod(p) again exceeds twice the bound, and the elimination
 restarts.  The point rule and the bound are unchanged, and with nothing
 dropped the primes are the first K of the table.  The restarts end:
 
@@ -81,7 +97,8 @@ exact by keeping every sum below 2**53:
   than 2**22 limbs; the two sums are then below 2**53 in int64 and
   combine mod p_k.  The table is made 2**17 / (2 limbs) primes at a time,
   and every entry of every band beyond int64 is converted by one call
-  when the lane is set up (``_bands``), so they share it.
+  when the elimination is set up, so they share it, and a row read takes
+  their lanes from that one table.
 - *Residues to ints* (``_crt``): x = sum_k ((u_k w_k) mod p_k) M/p_k, with
   M = prod(p) and w_k = (M/p_k)^-1 mod p_k, is the lanes times the 16-bit
   limbs of the M/p_k, the lanes split into 15-bit halves: below 2**53 for
@@ -100,31 +117,20 @@ threads cost up to milliseconds a call on a shared machine, see README).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import count, islice, repeat
 from math import isqrt, prod
-from operator import add, mul
+from operator import add
 
 import numpy as np
 
-from . import kernels
-from .factor import FactorData
 from .matrix import BAND_NAMES, CyclicHeptaMatrix, row_scaled
 
 _TOP = 1 << 30
 _SEGMENT = 1 << 18
 _INT64 = 1 << 63
-# the bound of a reduced lane, in [0, p) with p < 2**30, and of a product of two
-_REDUCED = _TOP - 1
-_PRODUCT = _REDUCED * _REDUCED
-# a call whose lane vectors took this many bytes or more trims the C heap
+# a call whose lane arrays took this many bytes or more trims the C heap
 _TRIM_BYTES = 768 << 10
-# from this many lanes on, a pivot's inverse is Fermat's power over the lane
-# vector, below it one Python pow per lane: the two cross between about 56
-# and 80 lanes (README, "Exact det, solve and inverse over word-size primes")
-_FERMAT_LANES = 64
-# the band entries reduced by one numpy call, kept while the sweep reads them
-_BLOCK = 16
 # the multiply-adds of one float64 product: OpenBLAS runs a product of at
 # most 65536 * 4 on the calling thread alone
 _TILE = 1 << 18
@@ -257,206 +263,9 @@ def _wide_lanes(xs: list, p: np.ndarray) -> np.ndarray:
 
 
 def _inverse_lanes(v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """v^-1 mod p lane by lane; every lane of v must be reduced and nonzero.
-
-    Below ``_FERMAT_LANES`` lanes, one Python ``pow`` per lane.  From there
-    on, v^(p-2) (Fermat) over the whole vector, by 4-bit windows of the
-    exponents e = p - 2, high to low: a table of v^0 ... v^15, then per
-    window four squarings and one product by a row of the table.  The
-    exponents agree above their highest differing bit (the table's primes
-    lie just below 2**30), so a window above it is one row for every lane,
-    and only the low windows gather a row per lane.  Every step multiplies
-    two reduced lanes, below 2**60, and reduces the product in place.
-    """
-    K = len(p)
-    if K < _FERMAT_LANES:
-        return np.array(list(map(pow, v.tolist(), repeat(-1), p.tolist())), dtype=np.int64)
-    mul, rem = np.multiply, np.remainder
-    e = p - 2
-    # the windows from bit ``low`` up are the same in every exponent
-    low = -(-int(np.bitwise_xor(e, e[0]).max()).bit_length() // 4) * 4
-    T = np.empty((16, K), dtype=np.int64)
-    T[0], T[1] = 1, v
-    T[2] = v * v % p
-    T[3] = T[2] * v % p
-    for lo, hi in ((4, 8), (8, 16)):
-        mul(T[:hi - lo], T[lo - 1] * v % p, out=T[lo:hi])
-        rem(T[lo:hi], p, out=T[lo:hi])
-    first, lanes = int(e[0]), np.arange(K)
-
-    def window(t):
-        return T[first >> t & 15] if t >= low else T[e >> t & 15, lanes]
-
-    top = max(int(e.max()).bit_length() - 1, 0) // 4 * 4
-    x = window(top).copy()
-    for t in range(top - 4, -1, -4):
-        for _ in range(4):
-            mul(x, x, out=x)
-            rem(x, p, out=x)
-        mul(x, window(t), out=x)
-        rem(x, p, out=x)
-    return x
-
-
-class Residues:
-    """A value modulo each of K primes below 2**30, reduced lazily.
-
-    ``v[k]`` is congruent to the value mod ``p[k]``, and the int ``b``
-    bounds every lane: |v[k]| <= b < 2**63, so int64 holds each lane
-    exactly.  ``b`` is 2**30 - 1 exactly when every lane is reduced, in
-    [0, p[k]); every other bound is larger.
-
-    Reduction is lazy, as in multi-modular and NTT code (D. Harvey, J.
-    Symb. Comput. 60, 2014): ``+``, ``-`` and unary minus are one numpy
-    call each and add the bounds, and ``*`` is one call that multiplies
-    them.  An operation whose bound would reach 2**63 first reduces an
-    operand, the one with the larger bound, and then, if need be, the
-    other; two reduced lanes multiply to below 2**60, so every operation
-    ends with a bound below 2**63.  That headroom is why the primes sit
-    below 2**30: eight products of reduced lanes, or one reduced lane and
-    seven products, sum within int64, so a sum of the sweep's three or
-    four products reduces nothing.  ``/`` reduces the dividend and
-    multiplies by the divisor's inverse, computed once and kept on it:
-    the sweep divides by each pivot several times.
-
-    An operand is reduced in place (``reduced``), so a factor entry that
-    the sweep reads again is reduced once.
-    """
-
-    __slots__ = ("v", "p", "b", "_inv")
-
-    def __init__(self, v: np.ndarray, p: np.ndarray, b: int = _REDUCED):
-        self.v = v
-        self.p = p
-        self.b = b
-        self._inv = None
-
-    def reduced(self) -> np.ndarray:
-        """The lanes reduced into [0, p); this value is reduced in place."""
-        if self.b != _REDUCED:
-            v = self.v % self.p
-            self.v = v
-            self.b = _REDUCED
-            return v
-        return self.v
-
-    def inverse(self) -> np.ndarray:
-        """The lanes of 1/self; ZeroDivisionError when a lane is zero."""
-        if self._inv is None:
-            v = self.reduced()
-            if not v.all():
-                raise ZeroDivisionError("residue vector is zero in some lane")
-            self._inv = _inverse_lanes(v, self.p)
-        return self._inv
-
-    def __add__(self, other: Residues) -> Residues:
-        b = self.b + other.b
-        if b >= _INT64:
-            b = _make_room(self, other, add)
-        return Residues(self.v + other.v, self.p, b)
-
-    def __sub__(self, other: Residues) -> Residues:
-        b = self.b + other.b
-        if b >= _INT64:
-            b = _make_room(self, other, add)
-        return Residues(self.v - other.v, self.p, b)
-
-    def __mul__(self, other: Residues) -> Residues:
-        b = self.b * other.b
-        if b >= _INT64:
-            b = _make_room(self, other, mul)
-        return Residues(self.v * other.v, self.p, b)
-
-    def __truediv__(self, other: Residues) -> Residues:
-        inv = other.inverse()
-        return Residues(self.reduced() * inv, self.p, _PRODUCT)
-
-    def __neg__(self) -> Residues:
-        b = self.b
-        # -v of a reduced value lies in (-p, 0]: not reduced, so a larger bound
-        return Residues(-self.v, self.p, b if b != _REDUCED else _REDUCED + 1)
-
-
-def _make_room(x: Residues, y: Residues, combine) -> int:
-    """Reduce x or y in place, the one with the larger bound first, until
-    combine(x.b, y.b) is below 2**63; returns that bound."""
-    b = combine(x.b, y.b)
-    while b >= _INT64:
-        (x if x.b >= y.b else y).reduced()
-        b = combine(x.b, y.b)
-    return b
-
-
-class _Band:
-    """1-based band of ints, or of rows of m ints (m right-hand sides),
-    read as residue vectors, or m x lanes blocks, ``_BLOCK`` entries at a
-    time: a read reduces the block of entries that holds it by one int64
-    remainder and keeps that block's values until a read leaves it, so no
-    residue array is kept per band entry and a repeat read returns the
-    same value.  Blocks are aligned (1, 1 + _BLOCK, ...), so reads that run
-    down the band, as the back substitution's do, reuse a block as well as
-    reads that run up.  An entry reads the same at every point of H'(s):
-    the shift of a zero pivot is made by the sweep's pivot rule.
-
-    ``ints`` is an int64 array, with 0 in each row that holds an entry
-    beyond int64; ``wide`` maps such a row, 1-based, to its lanes, made
-    once by ``_bands``.
-    """
-
-    __slots__ = ("ints", "p", "block", "wide")
-
-    def __init__(self, ints: np.ndarray, p: np.ndarray, wide: dict):
-        self.ints = ints
-        self.p = p
-        self.wide = wide
-        self.block = (0, ())
-
-    def __len__(self):
-        return len(self.ints) + 1
-
-    def __getitem__(self, i):
-        start, values = self.block
-        if 0 <= i - start < len(values):
-            return values[i - start]
-        start = i - (i - 1) % _BLOCK
-        block = self.ints[start - 1:start - 1 + _BLOCK, ..., None] % self.p
-        if self.wide:
-            for k in range(len(block)):
-                lanes = self.wide.get(start + k)
-                if lanes is not None:
-                    block[k] = lanes
-        values = [Residues(row, self.p) for row in block]
-        self.block = (start, values)
-        return values[i - start]
-
-
-def _bands(columns, p: np.ndarray) -> list:
-    """A ``_Band`` of each of ``columns`` (int64 arrays, lists of ints or
-    lists of rows of ints).  The rows that hold an entry beyond int64, in
-    all of them, are reduced by one ``_lanes`` call, so that their entries
-    share one table of powers, and their lanes are kept for the sweep."""
-    arrays, wide = [], []
-    for ints in columns:
-        try:
-            arrays.append((np.asarray(ints, dtype=np.int64), None))
-        except OverflowError:
-            X = np.array(ints, dtype=object)
-            at = np.flatnonzero(((X < -_INT64) | (X >= _INT64)).reshape(len(X), -1).any(axis=1))
-            wide.append(X[at])
-            X[at] = 0
-            arrays.append((X.astype(np.int64), at))
-    lanes = _lanes(np.concatenate([w.ravel() for w in wide]).tolist(), p) if wide else None
-    bands, used = [], 0
-    for ints, at in arrays:
-        kept = {}
-        if at is not None:
-            # a row of m entries takes the next m rows of lanes
-            count = len(at) * (ints.size // len(ints))
-            rows = lanes[used:used + count].reshape(len(at), *ints.shape[1:], len(p))
-            kept = dict(zip((at + 1).tolist(), rows))
-            used += count
-        bands.append(_Band(ints, p, kept))
-    return bands
+    """v^-1 mod p lane by lane, one Python ``pow`` per lane; every lane of
+    v must be reduced and nonzero.  An elimination makes one such call."""
+    return np.array(list(map(pow, v.tolist(), repeat(-1), p.tolist())), dtype=np.int64)
 
 
 class _ZeroLanes(Exception):
@@ -468,11 +277,284 @@ class _ZeroLanes(Exception):
         self.zero = zero
 
 
-def _nonzero(value, i):
-    v = value.reduced()
-    if not v.all():
-        raise _ZeroLanes(i, v == 0)
-    return value
+def _int64_rows(columns) -> tuple:
+    """(n x len(columns) int64, with 0 at each entry beyond int64; those
+    entries as a list; their (row, column) positions, 0-based, in that
+    order) for ``columns``, lists of n ints."""
+    ints = np.zeros((len(columns[0]), len(columns)), dtype=np.int64)
+    wide, at = [], []
+    for c, values in enumerate(columns):
+        try:
+            ints[:, c] = values
+        except OverflowError:
+            X = np.array(values, dtype=object)
+            beyond = (X < -_INT64) | (X >= _INT64)
+            ints[:, c] = np.where(beyond, 0, X).astype(np.int64)
+            rows = np.flatnonzero(beyond).tolist()
+            wide += X[rows].tolist()
+            at += [(i, c) for i in rows]
+    return ints, wide, at
+
+
+class _Rows:
+    """n rows of ints read as lanes: ``ints`` (int64, 0 where an entry is
+    beyond int64) and, for each such entry, a row of ``table``, the one
+    ``_wide_lanes`` table of the elimination, which a read does not copy.
+    ``wide`` maps row i to the (column, row of ``table``) of its entries
+    beyond int64."""
+
+    __slots__ = ("ints", "wide", "table", "p")
+
+    def __init__(self, ints: np.ndarray, at: list, first: int, table, p: np.ndarray):
+        self.ints = ints
+        self.wide = {}
+        for k, (i, c) in enumerate(at, start=first):
+            self.wide.setdefault(i, []).append((c, k))
+        self.table = table
+        self.p = p
+
+    def entry(self, i: int, c: int) -> np.ndarray:
+        """The lanes of entry c of row i."""
+        for col, k in self.wide.get(i, ()):
+            if col == c:
+                return self.table[k]
+        return self.ints[i, c] % self.p
+
+    def read(self, out: np.ndarray, i: int) -> None:
+        """The lanes of row i into ``out``."""
+        np.fmod(self.ints[i, :, None], self.p, out=out)
+        for c, k in self.wide.get(i, ()):
+            out[c] = self.table[k]
+
+
+def _readers(bands, rhs):
+    """``read(p)``, the ``_Rows`` of H' and of r' (None without columns)
+    over the lanes of p, for the bands of H' and the columns of r' as
+    ``adjugate`` takes them.  Row i of H' holds entry b at slot
+    (i - 3 + b) % 7, the slot of its column in the window.  The ints are
+    split once; each ``read`` makes one ``_wide_lanes`` table of every
+    entry beyond int64, which both read from."""
+    n = len(bands[0])
+    ints, wide, at = _int64_rows(bands)
+    slots = (np.arange(1, n + 1)[:, None] + np.arange(-3, 4)) % 7
+    rows = np.empty_like(ints)
+    rows[np.arange(n)[:, None], slots] = ints
+    at = [(i, int(slots[i, b])) for i, b in at]
+    if rhs:
+        rhs_ints, rhs_wide, rhs_at = _int64_rows(rhs)
+        wide += rhs_wide
+
+    def read(p):
+        table = _wide_lanes(wide, p) if wide else None
+        columns = _Rows(rhs_ints, rhs_at, len(at), table, p) if rhs else None
+        return _Rows(rows, at, 0, table, p), columns
+
+    return read
+
+
+def _eliminate(band: _Rows, rhs, start: int, shifts: dict) -> tuple:
+    """(det H'(s), and det H'(s) * H'(s)^-1 r' as n x m x lanes or None)
+    by one division-free elimination of H'(s), in natural order, over the
+    lanes of ``band.p``: each step takes row <- u * row - row[j] * pivot
+    row, u = U'_jj the pivot, and reduces once.
+
+    ``band`` holds the rows of H' with row i's entry of column c at slot
+    c % 7, ``rhs`` those of r' (or None), which are zero before row
+    ``start``; ``shifts`` maps i in G to the lanes of s L_i, added to d'_i
+    as row i is read.  Raises ``_ZeroLanes`` at the first pivot with a zero
+    lane (module docstring).
+    """
+    p = band.p
+    n, P = len(band.ints), len(p)
+    m = rhs.ints.shape[1] if rhs is not None else 0
+    keep = rhs is not None
+    if keep:
+        # per row: the pivot, the product of the pivots above it, and
+        # U'_{i,i+1..i+3}, U'_{i,n-1}, U'_{i,n} and y'_i
+        pivots = np.empty((n, P), dtype=np.int64)
+        above = np.empty((n, P), dtype=np.int64)
+        kept = np.zeros((n, 5 + m, P), dtype=np.int64)
+    R = np.ones(P, dtype=np.int64)  # the product of the pivots so far
+
+    def shifted(v, i):
+        return (v + shifts[i]) % p if i in shifts else v
+
+    def border_rhs(out):
+        """The border rows' right-hand sides into ``out``, scaled as every
+        step so far has scaled those rows."""
+        for k, i in enumerate((n - 2, n - 1)):
+            rhs.read(out[k], i)
+        out *= R
+        out %= p
+
+    def read_row(out, i, at, with_rhs):
+        """Row i of H'(s) into the slots ``at`` gives its columns (None: not
+        held), and, ``with_rhs``, row i of r' into the last m."""
+        for b in range(7):
+            if (b == 0 and i <= 3) or (b == 6 and i >= n - 2):
+                continue  # the wrap positions D_1..D_3, C_{n-2}..C_n hold zero
+            slot = at((i - 4 + b) % n + 1)
+            if slot is not None:
+                v = band.entry(i - 1, (i - 3 + b) % 7)
+                if b == 3:
+                    v = shifted(v, i)
+                out[slot] = v
+        if with_rhs:
+            rhs.read(out[len(out) - m:], i - 1)
+
+    # the window: rows j..j+3 at slots i % 4, then rows n-1 and n; columns
+    # j..j+6 at slots c % 7, then n-1 and n, then the right-hand sides,
+    # which it takes from step max(1, start - 3) on: above, every row of
+    # the window but the border rows has zero there, and theirs are only
+    # scaled
+    regular = max(0, n - 8)
+    attach = max(1, start - 3) if keep else n
+    if regular:
+        A = np.zeros((6, 9 + (m if attach == 1 else 0), P), dtype=np.int64)
+
+        def window(c):
+            return c % 7 if c <= 7 else {n - 1: 7, n: 8}.get(c)
+
+        for slot, i in ((1, 1), (2, 2), (3, 3), (0, 4), (4, n - 1), (5, n)):
+            read_row(A[slot], i, window, attach == 1)
+        # the border rows' own entries in columns past the first window join
+        # it times the pivots that have scaled those rows
+        late = {}
+        for slot, i, count in ((4, n - 1, 3), (5, n, 2)):
+            for b in range(count):
+                if i - 3 + b > 7:
+                    late.setdefault(i - 3 + b, []).append((slot, i - 1, (i - 3 + b) % 7))
+        takes = [[(c + u) % 7 for u in (1, 2, 3)] + list(range(7, 9 + m)) for c in range(7)]
+        X = np.empty_like(A)
+    for j in range(1, regular + 1):
+        if j > 1:
+            if j == attach:
+                A = np.concatenate([A, np.zeros((6, m, P), dtype=np.int64)], axis=1)
+                X = np.empty_like(A)
+                border_rhs(A[4:, 9:])
+            i, s = j + 3, (j + 3) % 4
+            band.read(A[s, :7], i - 1)
+            if i in shifts:
+                A[s, i % 7] = shifted(A[s, i % 7], i)
+            if j >= attach:
+                rhs.read(A[s, 9:], i - 1)
+            for slot, row, c in late.get(j + 6, ()):
+                A[slot, c] = band.entry(row, c) * R % p
+        s, c = j % 4, j % 7
+        u = A[s, c].copy()
+        if np.count_nonzero(u) < P:
+            raise _ZeroLanes(j, u == 0)
+        if keep:
+            pivots[j - 1] = u
+            above[j - 1] = R
+            width = 5 + (m if j >= attach else 0)
+            A[s].take(takes[c][:width], axis=0, out=kept[j - 1, :width], mode="clip")
+        R *= u
+        np.fmod(R, p, out=R)
+        np.multiply(A[:, c, None], A[s], out=X)
+        A *= u
+        A -= X
+        np.fmod(A, p, out=A)
+    # S = prod_j U'_jj^c_j, c_j the rows scaled at step j: five per window step
+    S = R * R % p
+    S = S * S % p * R % p
+
+    # the last eight rows and columns, dense
+    j0 = n - 7
+    T = np.zeros((8, 8 + m, P), dtype=np.int64)
+    if regular:
+        columns = [(j0 + t) % 7 for t in range(6)]
+        for t, slot in ((0, j0 % 4), (1, (j0 + 1) % 4), (2, (j0 + 2) % 4), (6, 4), (7, 5)):
+            T[t, :6] = A[slot, columns]
+            T[t, 6:8 + (m if regular >= attach else 0)] = A[slot, 7:]
+        if keep and regular < attach:
+            border_rhs(T[6:, 8:])
+        del A
+    # rows n-4 .. n-2 enter here; at n = 8 every row does, the border rows
+    # with their entries of every column
+    for i in range(j0 + 3, n - 1) if regular else range(1, 9):
+        read_row(T[i - j0], i, lambda c: c - j0 if c >= j0 else None, keep)
+    lead = np.ones(P, dtype=np.int64)  # the product of the pivots of the block so far
+    for t in range(8):
+        j = j0 + t
+        u = T[t, t].copy()
+        if np.count_nonzero(u) < P:
+            raise _ZeroLanes(j, u == 0)
+        if keep:
+            pivots[j - 1] = u
+            above[j - 1] = R
+            for v in (1, 2, 3):
+                if t + v <= 5:
+                    kept[j - 1, v - 1] = T[t, t + v]
+            if t <= 5:
+                kept[j - 1, 3] = T[t, 6]
+            if t <= 6:
+                kept[j - 1, 4] = T[t, 7]
+            kept[j - 1, 5:] = T[t, 8:]
+        R *= u
+        np.fmod(R, p, out=R)
+        if t < 7:
+            lead *= u
+            np.fmod(lead, p, out=lead)
+            S *= lead
+            np.fmod(S, p, out=S)
+            # a row at a time, so that no temporary holds the whole block
+            X = np.empty_like(T[t, t:])
+            for row in T[t + 1:, t:]:
+                np.multiply(T[t, t:], row[0], out=X)
+                row *= u
+                row -= X
+                np.fmod(row, p, out=row)
+    inverse = _inverse_lanes(S, p)
+    det = R * inverse % p
+    if not keep:
+        return det, None
+    return det, _back_substitute(pivots, above, kept, inverse, p)
+
+
+def _back_substitute(pivots, above, kept, inverse, p) -> np.ndarray:
+    """det H' * x (n x m x lanes) from U' x = y' without dividing.
+
+    W_i = x_i prod_{k >= i} U'_kk runs up from W_n = y'_n: with Q_i the
+    product of the pivots i .. n-2,
+
+        W_i = Q_{i+1} E_i - U'_{i,i+1} W_{i+1} - U'_{i,i+2} U'_{i+1,i+1} W_{i+2}
+              - U'_{i,i+3} U'_{i+1,i+1} U'_{i+2,i+2} W_{i+3},
+        E_i = y'_i U'_{n-1,n-1} U'_nn - U'_{i,n-1} W_{n-1} - U'_{i,n} U'_{n-1,n-1} W_n,
+
+    and det H' x_i = W_i prod_{k < i} U'_kk / S, S = ``inverse``^-1.  E and
+    the coefficients are made for every row at once; the loop is the three
+    products of the band.  Each product of reduced lanes is below 2**60,
+    so a sum of four stays in int64.
+    """
+    n, P = pivots.shape
+    sup, border, y = kept[:, :3], kept[:, 3:5], kept[:, 5:]
+    W = np.zeros((n + 1, y.shape[1], P), dtype=np.int64)
+    W[n - 1] = y[n - 1]
+    W[n - 2] = (y[n - 2] * pivots[n - 1] - border[n - 2, 1] * W[n - 1]) % p
+    E = y[:n - 2] * (pivots[n - 2] * pivots[n - 1] % p)
+    E -= border[:n - 2, 0, None] * W[n - 2]
+    E -= border[:n - 2, 1, None] * (pivots[n - 2] * W[n - 1] % p)
+    E %= p
+    sup[:-1, 1] *= pivots[1:]
+    sup[:-1, 1] %= p
+    sup[:-2, 2] *= pivots[1:-1]
+    sup[:-2, 2] %= p
+    sup[:-2, 2] *= pivots[2:]
+    sup[:-2, 2] %= p
+    Q = np.ones(P, dtype=np.int64)
+    for r in range(n - 3, -1, -1):
+        w = Q * E[r]
+        w -= (sup[r, :, None] * W[r + 1:r + 4]).sum(axis=0)
+        np.fmod(w, p, out=W[r])
+        Q *= pivots[r]
+        np.fmod(Q, p, out=Q)
+    above *= inverse
+    above %= p
+    W = W[:n]
+    W *= above[:, None]
+    W %= p
+    return W
 
 
 def _crt(U: np.ndarray, p: np.ndarray) -> list:
@@ -612,19 +694,19 @@ def adjugate(scales, bands, rhs) -> tuple:
     determinants of H' with a column replaced by r', and for r' = e_j the
     entries of column j of adj H': the Hadamard bound that K is chosen by,
     r' included, covers both.  With ``rhs`` empty this is det H' alone,
-    and no factor row is kept.
+    and no row is kept.
     """
     U, primes, overrides, lane_bytes = _solve(scales, bands, rhs)
-    # each lane vector is a small buffer on the C heap, and glibc keeps the
-    # pages of freed small buffers: after a large call, hand them back, or a
-    # process that runs more work after it (an inverse, say) holds them
-    # resident next to what it allocates through Python's own allocator.
-    # After a small call the pages are reused at once by what follows, and
-    # a trim would only make it fault them in again.  A call that drops a
-    # prime trims once, after the sweep that completes; a determinant keeps
-    # no factor row and never trims.  Returning from ``_solve`` frees its
-    # rows, factors and blocks, so the trim runs here, before the CRT
-    # allocates its limb sums.
+    # glibc raises its mmap threshold to the size of each mmapped block it
+    # frees, so after the first large lane array is freed the next ones come
+    # from the heap, whose freed pages it keeps: after a large call, hand
+    # them back, or a process that runs more work after it (an inverse,
+    # say) holds them resident next to what it allocates then.  After a
+    # small call the pages are reused at once by what follows, and a trim
+    # would only make it fault them in again.  A call that drops a prime
+    # trims once, after the elimination that completes; a determinant keeps
+    # no row and never trims.  Returning from ``_solve`` frees its arrays,
+    # so the trim runs here, before the CRT allocates its limb sums.
     if lane_bytes >= _TRIM_BYTES:
         trim = _malloc_trim()
         if trim is not None:
@@ -640,22 +722,15 @@ def _solve(scales, bands, rhs) -> tuple:
     n = len(scales)
     d = bands[BAND_NAMES.index("d")]
     norms = [sum(v * v for v in entries) for entries in zip(*bands)]
-    # r' and the forward pass are zero above the first row where some
-    # column is nonzero, so the substitution starts there (at most n - 2)
+    # r' is zero above the first row where some column is nonzero, so the
+    # elimination takes the right-hand sides from there on (at most n - 2)
     start = n - 2
     for i, entries in enumerate(zip(*rhs), start=1):
         largest = max(v * v for v in entries)
         norms[i - 1] += largest
         if largest:
             start = min(start, i)
-    # the bands, and the right-hand sides as one band of rows of m ints for
-    # m columns, read as int64 arrays once for every sweep where they fit
-    columns = [*bands, rhs[0] if len(rhs) == 1 else list(zip(*rhs))] if rhs else list(bands)
-    for k, ints in enumerate(columns):
-        try:
-            columns[k] = np.array(ints, dtype=np.int64)
-        except OverflowError:
-            pass  # _bands splits it for each sweep
+    read = _readers(bands, rhs)
     overrides, skipped, dropped = (), set(), set()
     while True:
         if overrides:
@@ -676,18 +751,9 @@ def _solve(scales, bands, rhs) -> tuple:
         # lane k * K + j is point k modulo prime j
         p = np.tile(primes, len(points))
         s_lanes = np.repeat(np.array(points, dtype=np.int64), K)
-        shifts = {i: Residues(s_lanes * _lanes(scales[i - 1], p) % p, p) for i in overrides}
-
-        def pivot(value, i):
-            shift = shifts.get(i)
-            return _nonzero(value if shift is None else value + shift, i)
-
-        lanes = _bands(columns, p)
-        rows = kernels.sweep(*lanes[:7], pivot)
+        shifts = {i: s_lanes * _lanes(scales[i - 1], p) % p for i in overrides}
         try:
-            if rhs:  # the substitution reads every row; a det streams
-                rows = list(rows)
-            det = reduce(mul, (row[0] for row in rows))
+            det, Y = _eliminate(*read(p), start, shifts)
             break
         except _ZeroLanes as exc:
             zero = exc.zero.reshape(len(points), K)
@@ -704,32 +770,22 @@ def _solve(scales, bands, rhs) -> tuple:
                 overrides, skipped = overrides + (exc.index,), set()
             else:
                 skipped.update(s for s, hit in zip(points, zero_at.tolist()) if hit)
-    # det H'(s) times the Lagrange weight of its point, lane by lane: a value
-    # y(s) times it, summed over the points, is det H' * y at s = 0 mod each
-    # prime (a polynomial of degree <= r in s)
-    weights = [w.numerator * pow(w.denominator, -1, q) % q
-               for w in _lagrange_at_zero(points) for q in primes.tolist()]
-    scaled_det = det.reduced() * np.array(weights, dtype=np.int64) % p
+    # each lane times the Lagrange weight of its point: summed over the
+    # points, a value of degree <= r in s is its value at s = 0 mod each prime
+    weights = np.array([w.numerator * pow(w.denominator, -1, q) % q
+                        for w in _lagrange_at_zero(points) for q in primes.tolist()],
+                       dtype=np.int64)
 
     def at_zero(rows):
+        rows = rows * weights % p
         return rows.reshape(len(rows), len(points), K).sum(axis=1) % primes
 
-    # one block of rows for det H' and one for y, n x K per column once taken
-    # to s = 0.  One column stays one: numpy multiplies (K,) by (K,) faster
-    # than by (1, K)
-    blocks = [at_zero(scaled_det[None])]
-    kept = 0  # a det keeps no factor row, only the sweep's window
+    blocks = [at_zero(det[None])]
     if rhs:
-        fd = FactorData(n, *kernels.factor_vectors(rows), overrides=(), D=lanes[0], C=lanes[6],
-                        backend="residues")
-        del rows
-        kept = n
-        y = kernels.substitute(fd, lanes[7], start)
-        # n x lanes, or n x m x lanes for m columns: its columns one after the other
-        Y = np.moveaxis(np.array([value.reduced() for value in y[1:]]), 0, -2).reshape(-1, len(p))
-        Y *= scaled_det
-        Y %= p
-        blocks.append(at_zero(Y))
+        # n x m x lanes: its columns one after the other
+        blocks.append(at_zero(np.moveaxis(Y, 1, 0).reshape(-1, len(p))))
+        del Y
     U = np.concatenate(blocks)
-    # the lane vectors held at once: 9 per factor row kept, and about 3 per entry of y
-    return U, primes, overrides, p.nbytes * (9 * kept + 3 * (len(U) - 1))
+    # the lane vectors held at once: (7 + m) n kept for the back
+    # substitution, and its 2 m n more
+    return U, primes, overrides, p.nbytes * (7 + 3 * len(rhs)) * n if rhs else 0

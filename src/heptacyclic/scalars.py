@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import compress, islice, repeat
 from math import isfinite
@@ -296,7 +297,7 @@ _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
 
 # CPython refuses int <-> str conversions past a digit limit that can be set
 # no lower than 640.  int() and Fraction meet it on a longer text and float()
-# does not, so a longer text takes Fraction's route and its error.
+# does not, so a longer text takes Fraction's route, with the limit lifted.
 _SHORT_TEXT = 640
 
 
@@ -318,7 +319,10 @@ def parse_scalar(text: str) -> Fraction:
     optional sign on p, or an integer or terminating decimal with an
     optional exponent (``-2``, ``0.25``, ``1e-3``), digits optionally grouped
     by single underscores; surrounding whitespace is ignored.  The value is
-    exact.  An exponent beyond ``MAX_EXPONENT`` in magnitude is refused.
+    exact.  An exponent beyond ``MAX_EXPONENT`` in magnitude is refused.  A
+    text past CPython's int <-> str digit limit is read with the limit
+    lifted for this call only, as ``format_scalar`` writes one, so every
+    text the package writes reads back.
     """
     # an integer text has no exponent, underscore or space for the bound or
     # the grammar to act on, and int() reads it as Fraction's regex does
@@ -330,7 +334,11 @@ def parse_scalar(text: str) -> Fraction:
     if exponent is not None and _exceeds_bound(exponent.group(1)):
         raise ValueError(f"invalid scalar {text!r}: exponent beyond {MAX_EXPONENT} in magnitude")
     try:
-        return Fraction(stripped)
+        if len(stripped) <= _SHORT_TEXT:
+            return Fraction(stripped)
+        # the texts this package writes pass the int <-> str digit limit
+        with _digit_limit_lifted():
+            return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid scalar {text!r}") from exc
 
@@ -487,18 +495,25 @@ def scalar_formatter():
 
 def _int_text(v: int) -> str:
     """str(v), with CPython's int -> str digit limit (4300 digits by
-    default) lifted for this call only when v is past it; the limit is
-    restored however the call ends."""
+    default) lifted for this call only when v is past it."""
     try:
         return str(v)
-    except ValueError:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if not limit:
-            raise
-        sys.set_int_max_str_digits(0)
-        try:
+    except ValueError:  # past the digit limit
+        with _digit_limit_lifted():
             return str(v)
-        finally:
+
+
+@contextmanager
+def _digit_limit_lifted():
+    """CPython's int <-> str digit limit lifted inside the block, where
+    Python has one, and restored however the block ends."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
             sys.set_int_max_str_digits(limit)
 
 

@@ -1,15 +1,17 @@
-"""Linear system solvers Hx = r: ``solve_many``, one factor sweep for any
+"""Linear system solvers Hx = r: ``solve_many``, one factorization for any
 number of right-hand sides, on either lane.
 
-Both lanes run the same forward/back substitution through the bordered
-LU factors, O(n) per right-hand side.  The exact lane runs one sweep and
-one substitution of all its columns over word-size primes and rebuilds
-det * x by Chinese remaindering (``residues.solve``).  When a pivot of H
-is structurally zero, it solves H(s) x(s) = r at concrete points of
-H(s) = H + s*G (G the zero pivots), as more lanes of the same sweep, with
-det * x interpolated to s = 0; the right-hand side needs no substitution,
-since the band entries are never divided by.  A prime that divides a
-nonzero pivot is dropped and the lane sweeps again.
+Both lanes take the bordered LU factors in the same pivot order, O(n) per
+right-hand side.  The float lane runs one factor sweep and one
+forward/back substitution per column.  The exact lane runs one
+division-free elimination with all its columns as right-hand sides over
+word-size primes and rebuilds det * x by Chinese remaindering
+(``residues.solve``).  When a pivot of H is structurally zero, it solves
+H(s) x(s) = r at concrete points of H(s) = H + s*G (G the zero pivots), as
+more lanes of the same elimination, with det * x interpolated to s = 0;
+the right-hand side needs no substitution, since the band entries are
+never divided by.  A prime that divides a nonzero pivot is dropped and the
+lane eliminates again.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ class SolveReport:
 
 
 def _solve_exact(H: CyclicHeptaMatrix, columns: list) -> list[SolveReport]:
-    """Exact solutions of checked columns: one sweep over word-size primes,
-    zero pivot or not.  A singular H raises SingularMatrixError."""
+    """Exact solutions of checked columns: one elimination over word-size
+    primes, zero pivot or not.  A singular H raises SingularMatrixError."""
     from . import residues  # loaded on first use, outside the import time of the package
 
     n = H.n

@@ -299,6 +299,21 @@ class TestGen:
         assert "order too small" in err
 
 
+class TestBlasThreads:
+    """A command runs numpy's OpenBLAS on one thread unless the user chose
+    otherwise: ``main`` sets OPENBLAS_NUM_THREADS only where it is unset."""
+
+    def test_unset_becomes_one(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert main(["gen", "--n", "8", "--seed", "1", "--out", str(tmp_path / "h.json")]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_a_set_value_wins(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert main(["gen", "--n", "8", "--seed", "1", "--out", str(tmp_path / "h.json")]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
 class TestBench:
     def test_rows_emitted(self, capsys):
         code, out, _ = run(["bench", "--n", "32", "--seed", "1"], capsys)
@@ -730,7 +745,7 @@ class TestFloatFactorSweeps:
     def test_one_sweep_per_call(self, command, columns, tmp_path, example_path, monkeypatch, capsys):
         calls = []
         factor = kernels.ACTIVE_IMPLS["factor"]
-        assert factor is kernels.sweep  # the exact lane's sweep
+        assert factor is kernels.sweep  # the shared recurrences
 
         def counting(*args):
             calls.append(1)

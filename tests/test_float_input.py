@@ -579,6 +579,27 @@ class TestLongExactResults:
         else:
             assert out == "".join(",".join(row) + "\n" for row in expected)
 
+    def test_det_text_reads_back(self, tmp_path, capsys):
+        # n = 8 with every nonzero entry of 2,000 digits: the det, of some
+        # 16,000, is a valid entry of the next input
+        H = random_instance(8, 1, "diagonally-dominant")
+        rng = random.Random(2000)
+        H = matrix_mod.CyclicHeptaMatrix(8, *([v if v == 0 else rng.choice((-1, 1)) * rng.randrange(10**1999, 10**2000)
+                                               for v in H.band(name)] for name in matrix_mod.BAND_NAMES))
+        (tmp_path / "m.json").write_text(matrix_to_json(H))
+        code, out, err = _run(["det", "--input", str(tmp_path / "m.json")], capsys)
+        assert (code, err) == (0, "")
+        det = json.loads(out)["det"]
+        assert len(det) > 15000
+        assert scalars.parse_scalar(det) == dense_det(to_dense(H))
+        K = H.replace_band("d", [scalars.parse_scalar(det), *H.d[1:]])
+        payload = json.loads(matrix_to_json(K))
+        assert payload["d"][0] == det
+        (tmp_path / "k.json").write_text(json.dumps(payload))
+        code, out, err = _run(["det", "--input", str(tmp_path / "k.json")], capsys)
+        assert (code, err) == (0, "")
+        assert scalars.parse_scalar(json.loads(out)["det"]) == dense_det(to_dense(K))
+
     def test_format_scalar_restores_the_limit(self):
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         text = scalars.format_scalar(Fr(-(10**5000) - 1, 3))

@@ -35,26 +35,31 @@ def oracle_inverse_or_none(H):
     return dense_inverse(dense)
 
 
-def unit_column(fd, j):
-    """e_j as a 1-based right-hand side over the residue lanes of ``fd``."""
-    return residues._bands([[int(i == j) for i in range(1, fd.n + 1)]], fd.alpha[1].p)[0]
+def units(n, indices):
+    return [[int(i == j) for i in range(1, n + 1)] for j in indices]
+
+
+def column_rows(columns, p):
+    """Right-hand-side columns of small ints as the ``residues._Rows`` of an
+    elimination over the lanes of p."""
+    return residues._Rows(np.array(columns, dtype=np.int64).T, [], 0, None, p)
 
 
 class TestSeedColumns:
-    """``seed_columns`` is one substitution over the residue factors of
-    H' = diag(L) H: one block, row k of each entry the lanes of the k-th
-    column, and its ints are the columns of adj H'."""
+    """``seed_columns`` is one elimination over the residue lanes of
+    H' = diag(L) H with the unit vectors as one block of right-hand sides:
+    column k of the block holds the lanes of the k-th seed, and its ints
+    are the columns of adj H'."""
 
     def test_identity_seeds_are_basis_columns(self):
         H = identity_matrix()
-        with substitutions() as calls:
+        with eliminations() as calls:
             delta, overrides, given = seed_columns(H)
-        ((fd, _, start, block),) = calls
+        ((_, _, start, _, det, Y),) = calls
         assert start == 6
-        for i, entry in enumerate(block[1:], start=1):
-            lanes = entry.reduced()
-            assert lanes.shape == (5, len(fd.alpha[1].p))
-            for offset, row in enumerate(lanes.tolist()):
+        assert Y.shape == (10, 5, len(det)) and set(det.tolist()) == {1}
+        for i, lanes in enumerate(Y.tolist(), start=1):
+            for offset, row in enumerate(lanes):
                 assert set(row) == {1 if i == 10 - offset else 0}
         assert (delta, overrides) == (1, ())
         assert given == {j: [int(i == j) for i in range(1, 11)] for j in range(10, 5, -1)}
@@ -74,53 +79,52 @@ class TestSeedColumns:
         H = random_instance(8, 6, "general")
         if oracle_inverse_or_none(H) is None:
             pytest.skip("singular draw")
-        with substitutions() as calls:
+        with eliminations() as calls:
             delta, _, given = seed_columns(H)
-        ((fd, _, _, x),) = calls
-        p = fd.alpha[1].p.tolist()
-        # one point and L = 1: the lanes are those of H^-1 itself
+        ((band, _, _, _, det, Y),) = calls
+        p = band.p.tolist()
+        # one point and L = 1: the lanes are those of det H * H^-1 itself
         assert len(set(p)) == len(p) and set(row_scaled(H)[0]) == {1}
-        block = np.array([value.reduced() for value in x[1:]])
         for offset in range(5):
             j = 8 - offset
             for lane, q in enumerate(p):
-                values = block[:, offset, lane].tolist()
-                assert [v % q for v in H.mat_vec(values)] == [int(i == j) for i in range(1, 9)]
+                values = Y[:, offset, lane].tolist()
+                assert [v % q for v in H.mat_vec(values)] == \
+                    [int(det[lane]) * (i == j) for i in range(1, 9)]
             assert H.mat_vec(given[j]) == [delta * (i == j) for i in range(1, 9)]
 
     def test_parallel_equals_sequential(self):
-        # the five seed columns substituted side by side in one block are
-        # the five substituted one after another; seed columns never divide
+        # the five seed columns eliminated side by side in one block are
+        # the five eliminated one after another; seed columns never divide
         # by C, so zero C entries need no substitution
         H = random_instance(12, 13, "zero-C")
         assert inverse._zero_c(H)
-        with substitutions() as calls:
+        with eliminations() as calls:
             seed_columns(H)
-        ((fd, _, _, block),) = calls
+        ((band, _, start, shifts, det, Y),) = calls
         for k, j in enumerate(range(12, 7, -1)):
-            column = kernels.substitute(fd, unit_column(fd, j))
-            assert all(np.array_equal(b.reduced()[k], x.reduced())
-                       for b, x in zip(block[1:], column[1:]))
+            alone = residues._eliminate(band, column_rows(units(12, [j]), band.p), start, shifts)
+            assert np.array_equal(alone[0], det) and np.array_equal(alone[1][:, 0], Y[:, k])
 
     @pytest.mark.parametrize("points", [1, 3])
     def test_rows_are_the_column_substitutions(self, points):
-        # row k of the block, substituted from its first nonzero row on, is
-        # the substitution from row 1 of the k-th unit vector alone
+        # column k of the block, taken from its first nonzero row on, is
+        # the k-th unit vector alone, taken from row 1
         if points == 1:
             H = random_instance(40, 2, "diagonally-dominant")
         else:
             H = zero_rows(random_instance(24, 0, "zero-C"), (5, 9))
         zero_c = inverse._zero_c(H)
         assert len(zero_c) >= 2
-        with substitutions() as calls:
+        with eliminations() as calls:
             seed_columns(H, zero_c)
-        ((fd, _, start, block),) = calls
-        assert len(fd.alpha[1].p) == points * len(set(fd.alpha[1].p.tolist()))
+        ((band, _, start, shifts, det, Y),) = calls
+        p = band.p
+        assert len(p) == points * len(set(p.tolist())) and len(shifts) == points - 1
         assert start == min(zero_c)
         for k, j in enumerate((*range(H.n, H.n - 5, -1), *zero_c)):
-            column = kernels.substitute(fd, unit_column(fd, j))
-            assert all(np.array_equal(b.reduced()[k], x.reduced())
-                       for b, x in zip(block[1:], column[1:]))
+            alone = residues._eliminate(band, column_rows(units(H.n, [j]), p), 1, shifts)
+            assert np.array_equal(alone[0], det) and np.array_equal(alone[1][:, 0], Y[:, k])
 
 
 class TestBackColumns:
@@ -178,25 +182,47 @@ def count_calls(monkeypatch, owner, name):
 
 @contextmanager
 def on_the_lane():
-    """Inside, ``factor.factorize`` must not run and every ``kernels.sweep``
-    must run over residue bands; yields the lane primes of each sweep, as
-    a set per sweep."""
+    """Inside, neither ``factor.factorize`` nor ``kernels.sweep`` may run:
+    the exact det, solve and inverse are residue eliminations.  Yields the
+    lane primes of each ``residues._eliminate``, a set per elimination,
+    completed or not."""
     primes = []
-    sweep = kernels.sweep
+    eliminate = residues._eliminate
 
-    def residue_sweep(*args):
-        assert all(isinstance(band, residues._Band) for band in args[:7])
-        primes.append(set(args[0].p.tolist()))
-        return sweep(*args)
+    def spy(band, rhs, start, shifts):
+        primes.append(set(band.p.tolist()))
+        return eliminate(band, rhs, start, shifts)
 
-    def no_factorize(*args, **kwargs):
-        raise AssertionError("factor.factorize ran on the exact lane")
+    def refused(name):
+        def run(*args, **kwargs):
+            raise AssertionError(f"{name} ran on the exact lane")
+
+        return run
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(kernels, "sweep", residue_sweep)
+        m.setattr(residues, "_eliminate", spy)
+        m.setattr(kernels, "sweep", refused("kernels.sweep"))
         for module in (factor, inverse, solve):
-            m.setattr(module, "factorize", no_factorize)
+            m.setattr(module, "factorize", refused("factor.factorize"))
         yield primes
+
+
+@contextmanager
+def eliminations():
+    """Inside, each completed ``residues._eliminate`` appends its (band,
+    rhs, start, shifts, det lanes, det * x lanes or None) to the yielded
+    list."""
+    calls = []
+    eliminate = residues._eliminate
+
+    def spy(band, rhs, start, shifts):
+        det, Y = eliminate(band, rhs, start, shifts)
+        calls.append((band, rhs, start, shifts, det, Y))
+        return det, Y
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(residues, "_eliminate", spy)
+        yield calls
 
 
 def oracle_adjugate(H):
@@ -304,12 +330,11 @@ class TestInvert:
         assert checked >= 6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_seed_block_across_band_blocks(self, seed):
-        # at n = 128 the block substitution reads the bands over eight
-        # blocks of residues._BLOCK rows, starting at its first nonzero row;
-        # each column it makes, seed or zero-C, is a column of H^-1
+    def test_seed_block_at_n_128(self, seed):
+        # at n = 128 the block joins the window at its first nonzero row,
+        # some hundred steps in; each column it makes, seed or zero-C, is a
+        # column of H^-1
         H = random_instance(128, seed, "diagonally-dominant")
-        assert 128 // residues._BLOCK == 8
         res = invert(H)
         zero_c = inverse._zero_c(H)
         assert res.c_substitutions == zero_c and len(zero_c) >= 2
@@ -634,7 +659,7 @@ class TestConcretePoints:
         dense = to_dense(H)
         assert dense_det(dense) != 0
 
-        sweeps = count_calls(monkeypatch, kernels, "sweep")
+        sweeps = count_calls(monkeypatch, residues, "_eliminate")
         factorizations = count_calls(monkeypatch, factor, "factorize")
         res = invert(H)
         # s = 0 stops at pivot 1, s = 1 at pivot 2, and s = 2, 3 run through
@@ -681,13 +706,13 @@ def override_only_through_zero_c(seed):
 
 
 class TestZeroCColumns:
-    """A column with C_j = 0 is one substitution through the factors of H,
-    so zero C entries cost no further sweep."""
+    """A column with C_j = 0 is one more right-hand side of the elimination
+    of H, so zero C entries cost no further elimination."""
 
     @pytest.mark.parametrize("H", [identity_matrix(64), pentadiagonal(32, 1)],
                              ids=["identity", "pentadiagonal"])
     def test_one_sweep(self, H, monkeypatch):
-        sweeps = count_calls(monkeypatch, kernels, "sweep")
+        sweeps = count_calls(monkeypatch, residues, "_eliminate")
         factorizations = count_calls(monkeypatch, factor, "factorize")
         res = invert(H)
         assert len(sweeps) == 1 and factorizations == []
@@ -697,9 +722,11 @@ class TestZeroCColumns:
 
     def test_one_block_substitution(self, monkeypatch):
         H = random_instance(64, 1, "diagonally-dominant")
-        substitutions = count_calls(monkeypatch, kernels, "substitute")
-        res = invert(H)
-        assert len(res.c_substitutions) == 3 and len(substitutions) == 1
+        with eliminations() as calls:
+            res = invert(H)
+        assert len(res.c_substitutions) == 3 and len(calls) == 1
+        ((_, rhs, _, _, _, Y),) = calls
+        assert rhs.ints.shape == (64, 8) and Y.shape[1] == 8
 
     @pytest.mark.parametrize("H", [
         random_instance(40, 2, "diagonally-dominant"),
@@ -748,51 +775,39 @@ def zero_c_at(H, js):
     return H.replace_band("C", [0 if k + 1 in js else c for k, c in enumerate(H.band("C"))])
 
 
-@contextmanager
-def substitutions():
-    """Inside, every ``kernels.substitute`` runs as before; yields the list
-    of its calls, (fd, r, start, x) each."""
-    calls = []
-    substitute = kernels.substitute
-
-    def spy(fd, r, start=1):
-        x = substitute(fd, r, start)
-        calls.append((fd, r, start, x))
-        return x
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(kernels, "substitute", spy)
-        yield calls
-
-
-def residue_factors(H):
-    """The factors of H' = diag(L) H over residue lanes, from a solve of one
-    zero column: it adds nothing to the row norms, so K is that of det H."""
-    with substitutions() as calls:
+def residue_rows(H):
+    """The band rows of H' = diag(L) H over residue lanes and the shifts of
+    its points, from a solve of one zero column: it adds nothing to the row
+    norms, so K is that of det H."""
+    with eliminations() as calls:
         residues.adjugate(*row_scaled(H, [[0] * H.n]))
-    return calls[0][0]
+    band, _, _, shifts, _, _ = calls[0]
+    return band, shifts
 
 
 class TestSubstitutionStart:
-    """``kernels.substitute(fd, r, start=j)`` with r zero before row j is
-    the substitution from row 1, and the one block of ``seed_columns``
-    gives the oracle's inverse."""
+    """An elimination whose right-hand sides are zero before row j, taken
+    from step j - 3 on (``start`` = j), gives the lanes of one that takes
+    them from row 1, and ``solve`` starts at its first nonzero row."""
 
     @pytest.mark.parametrize("H, points", [
         (random_instance(20, 4, "diagonally-dominant"), 1),
         (zero_rows(random_instance(24, 0, "diagonally-dominant"), (5, 9)), 3),
     ], ids=["one-point", "three-points"])
     def test_residue_lanes(self, H, points):
-        fd = residue_factors(H)
-        n, p = H.n, fd.alpha[1].p
-        assert len(p) == points * len(set(p.tolist()))
+        band, shifts = residue_rows(H)
+        n, p = H.n, band.p
+        assert len(p) == points * len(set(p.tolist())) and len(shifts) == points - 1
         rng = random.Random(n)
-        for j in (1, 4, n - 5, n - 4):
+        # from the first window on, from the last window step, and in the
+        # last eight rows
+        for j in (1, 4, 5, n - 5, n - 4, n - 3, n - 2):
             ints = [0] * (j - 1) + [rng.choice((-3, 2, 7))]
             ints += [rng.randint(-50, 50) for _ in range(n - j)]
-            r = residues._bands([ints], p)[0]
-            x, ref = kernels.substitute(fd, r, start=j), kernels.substitute(fd, r)
-            assert all(np.array_equal(a.reduced(), b.reduced()) for a, b in zip(x[1:], ref[1:]))
+            r = column_rows([ints], p)
+            det, x = residues._eliminate(band, r, j, shifts)
+            ref_det, ref = residues._eliminate(band, r, 1, shifts)
+            assert np.array_equal(det, ref_det) and np.array_equal(x, ref)
 
     @pytest.mark.parametrize("H", [
         random_instance(20, 4, "diagonally-dominant"),
@@ -817,7 +832,7 @@ class TestSubstitutionStart:
             (n - 2, [[0] * n]),
         ]
         for start, columns in cases:
-            with substitutions() as calls:
+            with eliminations() as calls:
                 _, _, x = residues.solve(H, columns)
             assert [call[2] for call in calls] == [start]
             assert x == [sum(u * v for u, v in zip(row, r)) for r in columns for row in S.rows]

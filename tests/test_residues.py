@@ -1,5 +1,6 @@
-"""The exact lane over word-size primes: residue arithmetic, the prime table,
-and det and solve through one residue sweep, equal to the dense oracle."""
+"""The exact lane over word-size primes: the division-free elimination's
+lanes, the prime table, and det and solve through one elimination, equal
+to the dense oracle."""
 
 import os
 import random
@@ -7,30 +8,25 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as Fr
-from functools import reduce
 from math import isqrt, prod
-from operator import mul
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from heptacyclic import factor, kernels, residues
+from heptacyclic import factor, residues
 from heptacyclic.bench import CountingScalar, OpCounter, count_det_ops
 from heptacyclic.errors import SingularMatrixError
 from heptacyclic.factor import determinant, factorize
-from heptacyclic.inverse import invert
+from heptacyclic.inverse import invert, seed_columns
 from heptacyclic.matrix import BAND_NAMES, CyclicHeptaMatrix, random_instance, row_scaled, to_dense
 from heptacyclic.oracle import dense_det, dense_inverse
-from heptacyclic.residues import Residues
 from heptacyclic.scalars import T
 from heptacyclic.solve import solve_many
 
 from test_inverse import (ALL_PROFILES, acceptance_corpora, collision_matrix, count_calls,
-                          on_the_lane, point_skip_matrix, rational_entries, residue_factors,
-                          substitutions, zero_rows)
+                          eliminations, on_the_lane, point_skip_matrix, rational_entries,
+                          zero_rows)
 
 # the largest prime below 2**30: lane 0 of every sweep
 LANE_0_PRIME = 2**30 - 35
@@ -120,9 +116,8 @@ class TestEqualsOracle:
                            a=[v * big if k % 2 else v for k, v in enumerate(H.band("a"))])
             assert_equals_oracle(H, seed)
 
-    def test_lanes_past_the_fermat_switch(self):
-        # entries near 10**100 take some 90 primes at these orders, so every
-        # pivot inverse is Fermat's power, at one point or tiled over several
+    def test_entries_near_10_to_100(self):
+        # some 90 primes at these orders, at one point or tiled over several
         instances = [random_instance(8 + seed, seed, profile)
                      for seed in range(3) for profile in ALL_PROFILES]
         instances += [collision_matrix(seed) for seed in range(2)]
@@ -130,7 +125,7 @@ class TestEqualsOracle:
         for k, H in enumerate(instances):
             H = with_bands(H, **{name: [v * big for v in H.band(name)] for name in BAND_NAMES})
             for primes in assert_equals_oracle(H, seed=k):
-                assert len(primes) >= residues._FERMAT_LANES
+                assert len(primes) >= 64
 
 
 def wide_rhs(n, seed):
@@ -142,7 +137,7 @@ def wide_rhs(n, seed):
 
 
 class TestSolveBlock:
-    """``solve`` substitutes all its columns as one block, and gets the x
+    """``solve`` takes all its columns in one elimination, and gets the x
     that each column solved alone gets."""
 
     @pytest.mark.parametrize("H, columns", [
@@ -155,9 +150,9 @@ class TestSolveBlock:
     def test_block_is_each_column_alone(self, H, columns, monkeypatch):
         assert len(columns) == 3
         alone = [residues.solve(H, [c]) for c in columns]
-        substitutions = count_calls(monkeypatch, kernels, "substitute")
-        det, overrides, x = residues.solve(H, columns)
-        assert len(substitutions) == 1
+        with eliminations() as calls:
+            det, overrides, x = residues.solve(H, columns)
+        assert len(calls) == 1 and calls[0][-1].shape[1] == 3
         assert all(found[:2] == (det, overrides) for found in alone)
         assert x == [v for _, _, xs in alone for v in xs]
         S = dense_inverse(to_dense(H))
@@ -213,7 +208,7 @@ class TestZeroPivots:
             assert residues.solve(H, [])[1] == (1, 7)
 
     def test_point_with_a_zero_pivot_is_skipped(self, monkeypatch):
-        sweeps = count_calls(monkeypatch, kernels, "sweep")
+        sweeps = count_calls(monkeypatch, residues, "_eliminate")
         H = point_skip_matrix()
         assert residues.solve(H, []) == (dense_det(to_dense(H)), (1,), [])
         # s = 0 stops at pivot 1, s = 1 at pivot 2, and s = 2, 3 run through
@@ -318,31 +313,20 @@ class TestDroppedPrimes:
 
 class TestOneSweep:
     def test_plain_det_and_solve(self, monkeypatch):
-        calls = {"sweep": 0, "factorize": 0}
-        sweep, factorize_ = kernels.sweep, factor.factorize
-
-        def counting_sweep(*args):
-            calls["sweep"] += 1
-            return sweep(*args)
-
-        def counting_factorize(*args, **kwargs):
-            calls["factorize"] += 1
-            return factorize_(*args, **kwargs)
-
-        monkeypatch.setattr(kernels, "sweep", counting_sweep)
-        monkeypatch.setattr(factor, "factorize", counting_factorize)
+        sweeps = count_calls(monkeypatch, residues, "_eliminate")
+        factorizations = count_calls(monkeypatch, factor, "factorize")
         H = random_instance(64, 1, "diagonally-dominant")
         determinant(H)
-        assert calls == {"sweep": 1, "factorize": 0}
+        assert len(sweeps) == 1
         solve_many(H, rhs_columns(64, 1))
-        assert calls == {"sweep": 2, "factorize": 0}
+        assert len(sweeps) == 2 and factorizations == []
 
     def test_zero_pivot_det_and_solve(self, monkeypatch):
-        # d_1 = 0: the sweep of H stops at pivot 1, and one sweep over the
+        # d_1 = 0: the elimination of H stops at pivot 1, and one over the
         # lanes of s = 1, 2 gives det H and the solutions; no Fraction sweep
         H = random_instance(64, 1, "diagonally-dominant")
         H = with_bands(H, d=[0, *H.band("d")[1:]])
-        sweeps = count_calls(monkeypatch, kernels, "sweep")
+        sweeps = count_calls(monkeypatch, residues, "_eliminate")
         factorizations = count_calls(monkeypatch, factor, "factorize")
         det = determinant(H)
         assert len(sweeps) == 2 and det.pivot_overrides == 1
@@ -511,12 +495,12 @@ class TestInverse:
 
     def test_one_sweep(self, monkeypatch):
         H = random_instance(64, 1, "diagonally-dominant")
-        sweeps = count_calls(monkeypatch, kernels, "sweep")
+        sweeps = count_calls(monkeypatch, residues, "_eliminate")
         factorizations = count_calls(monkeypatch, factor, "factorize")
         res = invert(H)
         assert res.c_substitutions and res.pivot_overrides == ()
         assert len(sweeps) == 1
-        # d_1 = 0: the sweep of H stops at pivot 1, and one sweep over the
+        # d_1 = 0: the elimination of H stops at pivot 1, and one over the
         # lanes of s = 1, 2 gives every column
         res = invert(with_bands(H, d=[0, *H.band("d")[1:]]))
         assert res.pivot_overrides == (1,)
@@ -704,146 +688,135 @@ class TestPrimeTable:
         assert out.strip() == "0"
 
 
-LANES = 6
+def reference_lanes(H, columns):
+    """(det H', det H' * x for each column, column after column) with
+    H' = diag(L) H, as Python ints from the dense oracle: what the lanes
+    hold mod each prime.  The second is None when H is singular."""
+    scales, _, _ = row_scaled(H, columns)
+    dense = to_dense(H)
+    det = dense_det(dense) * prod(scales)
+    assert det.denominator == 1
+    if det == 0:
+        return 0, None
+    S = dense_inverse(dense)
+    values = [det * v for r in columns for v in times(S, r)]
+    assert all(v.denominator == 1 for v in values)
+    return int(det), [int(v) for v in values]
 
 
-def near_ends(p):
-    """Ints spread over a lane's range, mostly at its ends (0, 1, p-2, p-1)
-    and beyond it, negative and beyond int64."""
-    return st.one_of(st.integers(0, 3), st.integers(p - 3, p - 1), st.integers(-p, p),
-                     st.integers(-(2**70), 2**70))
+def assert_lanes(H, columns):
+    """The lanes ``residues._solve`` takes to the CRT, det H' and det H' * x
+    at s = 0 mod each prime, equal the reference; returns the overrides."""
+    scales, bands, rhs = row_scaled(H, columns)
+    U, primes, overrides, _ = residues._solve(scales, bands, rhs)
+    det, values = reference_lanes(H, columns)
+    q = primes.tolist()
+    assert U.shape == (1 + len(columns) * H.n, len(q))
+    assert U[0].tolist() == [det % r for r in q]
+    if values is not None:
+        assert U[1:].tolist() == [[v % r for r in q] for v in values]
+    return overrides
 
 
-@st.composite
-def operands(draw):
-    p = residues._PRIMES.take(LANES).tolist()
-    return p, [draw(near_ends(q)) for q in p], [draw(near_ends(q)) for q in p]
+def int_columns(n, m, seed, start=1):
+    rng = random.Random(seed)
+    return [[0] * (start - 1) + [rng.randint(-9, 9) for _ in range(n - start + 1)]
+            for _ in range(m)]
 
 
-def vector(values, p):
-    return Residues(np.array([v % q for v, q in zip(values, p)], dtype=np.int64),
-                    np.array(p, dtype=np.int64))
+class TestOverflowBound:
+    """Each step takes u * row - row[j] * pivot row, two products of reduced
+    lanes below 2**60, and reduces once: the lanes of det H' and of
+    det H' * x equal Python ints mod each prime, through the window, the
+    last eight rows, both border rows and the right-hand sides."""
+
+    def test_profiles_and_collision_corpus(self):
+        for k, H in enumerate(acceptance_corpora()):
+            assert_lanes(H, int_columns(H.n, 2, k))
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_orders_without_a_window_step(self, n, m):
+        # n = 8 is the last eight rows alone, n = 9 one window step, n = 10 two
+        for seed in range(6):
+            for profile in ALL_PROFILES:
+                assert_lanes(random_instance(n, seed, profile), int_columns(n, m, seed))
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 13, 16, 24, 40])
+    @pytest.mark.parametrize("m", [0, 1, 2, 5])
+    def test_entries_at_p_minus_one_and_two(self, n, m):
+        # -1 and -2 sit at p-1 and p-2 in every lane, so the first products
+        # of each row are as large as reduced lanes make them
+        for seed in range(3):
+            rng = random.Random(seed)
+            H = random_instance(n, seed, "general")
+            H = with_bands(H, **{name: [rng.choice((-1, -2)) if v != 0 or name not in "DC" else 0
+                                        for v in H.band(name)] for name in BAND_NAMES})
+            columns = [[rng.choice((-1, -2)) for _ in range(n)] for _ in range(m)]
+            assert_lanes(H, columns)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_start_near_n(self, m):
+        # the right-hand sides join the window, or the last eight rows, from
+        # their first nonzero row; the border rows' are scaled until then
+        for n in (12, 20):
+            H = random_instance(n, 3, "diagonally-dominant")
+            for start in (1, 2, 5, n - 6, n - 5, n - 4, n - 3, n - 2, n - 1, n):
+                columns = int_columns(n, m, start, start)
+                columns[0][start - 1] = 7
+                assert_lanes(H, columns)
+
+    def test_zero_pivots_at_every_kind_of_row(self):
+        # a pivot zeroed in the first window, in a later window row, in the
+        # last eight rows and at both border rows
+        for i in (1, 6, 12, 15, 16):
+            H = pivot_zeroed(rational_entries(random_instance(16, 1, "diagonally-dominant"), 1), i)
+            assert assert_lanes(H, int_columns(16, 2, i)) == (i,)
 
 
-class TestResiduesArithmetic:
-    @settings(max_examples=200, deadline=None)
-    @given(operands())
-    def test_against_python_ints(self, case):
-        p, a, b = case
-        A, B = vector(a, p), vector(b, p)
-        expect = {
-            "+": [(x + y) % q for x, y, q in zip(a, b, p)],
-            "-": [(x - y) % q for x, y, q in zip(a, b, p)],
-            "*": [x * y % q for x, y, q in zip(a, b, p)],
-            "neg": [-x % q for x, q in zip(a, p)],
-        }
-        assert (A + B).reduced().tolist() == expect["+"]
-        assert (A - B).reduced().tolist() == expect["-"]
-        assert (A * B).reduced().tolist() == expect["*"]
-        assert (-A).reduced().tolist() == expect["neg"]
-        if all(y % q for y, q in zip(b, p)):
-            quotient = [x * pow(y, -1, q) % q for x, y, q in zip(a, b, p)]
-            assert (A / B).reduced().tolist() == quotient
-        else:
-            with pytest.raises(ZeroDivisionError):
-                A / B
+def pivot_zeroed(H, i):
+    """H with d_i moved so that pivot i, and no pivot before it, is zero."""
+    alpha = factorize(H).alpha[i]
+    return with_bands(H, d=[v - alpha if k == i - 1 else v for k, v in enumerate(H.band("d"))])
 
 
-def assert_bounded(value, reference, p):
-    """The lanes of ``value`` are congruent to ``reference`` mod each prime,
-    and its bound holds: |v| <= b < 2**63, b = 2**30 - 1 only when reduced."""
-    v = value.v.tolist()
-    assert [x % q for x, q in zip(v, p)] == [r % q for r, q in zip(reference, p)]
-    assert max(map(abs, v)) <= value.b < 2**63
-    if value.b == 2**30 - 1:
-        assert all(0 <= x < q for x, q in zip(v, p))
+class TestOneInverse:
+    """Each elimination that completes takes one ``_inverse_lanes``, of S =
+    prod U'_jj^c_j, whatever its order, columns and points; one that stops
+    at a zero pivot takes none."""
+
+    @pytest.mark.parametrize("case", ["plain", "points", "dropped"])
+    @pytest.mark.parametrize("run", ["det", "solve", "seeds"])
+    def test_one_per_completed_elimination(self, case, run, monkeypatch):
+        H = random_instance(40, 1, "diagonally-dominant")
+        if case != "plain":
+            # d_1 = 0 puts pivot 1 into G; d_1 = 2^30 - 35 drops lane 0's prime
+            H = with_bands(H, d=[0 if case == "points" else LANE_0_PRIME, *H.band("d")[1:]])
+        calls = {"det": lambda: determinant(H), "solve": lambda: solve_many(H, rhs_columns(40, 1)),
+                 "seeds": lambda: seed_columns(H)}
+        inverses = count_calls(monkeypatch, residues, "_inverse_lanes")
+        with on_the_lane() as started, eliminations() as done:
+            calls[run]()
+        assert len(started) == (1 if case == "plain" else 2)
+        assert len(done) == len(inverses) == 1
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 64])
+    def test_every_order(self, n, monkeypatch):
+        inverses = count_calls(monkeypatch, residues, "_inverse_lanes")
+        H = random_instance(n, 1, "diagonally-dominant")
+        determinant(H)
+        solve_many(H, rhs_columns(n, 1))
+        invert(H)
+        assert len(inverses) == 3
 
 
-OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}
-
-
-@st.composite
-def chains(draw):
-    p = residues._PRIMES.take(LANES).tolist()
-    worst = [st.sampled_from((0, 1, q - 1)) for q in p]
-    starts = draw(st.lists(st.tuples(*worst), min_size=2, max_size=4))
-    steps = draw(st.lists(st.tuples(st.sampled_from(("+", "-", "*", "/", "neg")),
-                                    st.integers(0, 10**6), st.integers(0, 10**6)),
-                          min_size=1, max_size=60))
-    return p, starts, steps
-
-
-class TestLazyLanes:
-    """Values carry a bound and are reduced only when an operation could
-    overflow int64."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(chains())
-    def test_chain_against_python_ints(self, case):
-        p, starts, steps = case
-        primes = np.array(p, dtype=np.int64)
-        pool = [(Residues(np.array(lanes, dtype=np.int64), primes), list(lanes))
-                for lanes in starts]
-        for op, i, j in steps:
-            (x, xs), (y, ys) = pool[i % len(pool)], pool[j % len(pool)]
-            if op == "neg":
-                result, ref = -x, [-a for a in xs]
-            elif op == "/":
-                if any(b % q == 0 for b, q in zip(ys, p)):
-                    with pytest.raises(ZeroDivisionError):
-                        x / y
-                    continue
-                result = x / y
-                ref = [a * pow(b, -1, q) for a, b, q in zip(xs, ys, p)]
-            else:
-                result, ref = OPS[op](x, y), [OPS[op](a, b) for a, b in zip(xs, ys)]
-            pool.append((result, ref))
-            # an operand reduced in place must still hold its value and bound
-            for value, reference in ((result, ref), (x, xs), (y, ys)):
-                assert_bounded(value, reference, p)
-        for value, reference in pool:
-            assert_bounded(value, reference, p)
-            assert value.reduced().tolist() == [r % q for r, q in zip(reference, p)]
-
-    def test_ksum_of_64_largest_products(self):
-        p = residues._PRIMES.take(LANES)
-        top = Residues(p - 1, p)
-        total = kernels._ksum([None, *[top] * 64], [None, *[top] * 64], 64)
-        assert_bounded(total, [64] * LANES, p.tolist())
-        assert top.b == 2**30 - 1 and np.array_equal(top.v, p - 1)
-
-    def test_a_det_reduces_fewer_than_half_its_field_ops(self):
-        # eager reduction takes one remainder per field op; lazily, the
-        # dividends and, once each, the stored factor entries are reduced
-        class Primes(np.ndarray):
-            """Lane primes that count every remainder taken with them."""
-
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                if ufunc is np.remainder:
-                    self.remainders += 1
-                return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
-
-        H = random_instance(64, 1, "diagonally-dominant")
-        assert set(row_scaled(H)[0]) == {1}
-        p = residues._PRIMES.take(LANES).view(Primes)
-        bands = [[None, *(Residues(np.array([int(v) % q for q in p.tolist()]), p)
-                          for v in H.band(name))] for name in BAND_NAMES]
-        p.remainders = 0
-        alpha = kernels.factor_vectors(kernels.sweep(*bands, residues._nonzero))[0]
-        det = reduce(mul, alpha[1:])
-        assert det.reduced().tolist() == [dense_det(to_dense(H)) % q for q in p.tolist()]
-        assert 0 < p.remainders < count_det_ops(H) / 2
-
-
-SWITCH = residues._FERMAT_LANES
-# the primes below 400, whose exponents p - 2 share no high window with the table's
 SMALL_PRIMES = [q for q in range(2, 400) if all(q % d for d in range(2, isqrt(q) + 1))]
 
 
 class TestInverseLanes:
-    """Both paths of the pivot inverse, one ``pow`` per lane below
-    ``_FERMAT_LANES`` lanes and v^(p-2) over the lane vector from there on,
-    equal pow(v, -1, p) in every lane."""
+    """``_inverse_lanes`` equals pow(v, -1, p) in every lane, for the
+    primes an elimination holds: the table's, tiled over points, less
+    dropped ones, and primes of any size below 2**30."""
 
     @staticmethod
     def assert_inverse(p, seed=0):
@@ -857,43 +830,26 @@ class TestInverseLanes:
         assert inverse.dtype == np.int64
         assert inverse.tolist() == [pow(a, -1, q) for a, q in zip(v.tolist(), p.tolist())]
 
-    @pytest.mark.parametrize("K", [SWITCH - 1, SWITCH, 89, 107, 343])
+    @pytest.mark.parametrize("K", [1, 12, 89, 343])
     def test_table_primes(self, K):
         for seed in range(3):
             self.assert_inverse(residues._PRIMES.take(K), seed)
 
-    @pytest.mark.parametrize("K", [SWITCH - 1, SWITCH, 89])
-    def test_every_lane_one_or_p_minus_one(self, K):
-        p = residues._PRIMES.take(K)
-        for v in (np.ones_like(p), p - 1):
-            assert residues._inverse_lanes(v, p).tolist() == v.tolist()
-
     @pytest.mark.parametrize("points", [2, 3, 5])
-    @pytest.mark.parametrize("K", [SWITCH // 2, 45, 89])
-    def test_tiled_points(self, K, points):
+    def test_tiled_points(self, points):
         # lane k * K + j is point k modulo prime j: the primes repeat
-        self.assert_inverse(np.tile(residues._PRIMES.take(K), points), seed=points)
+        self.assert_inverse(np.tile(residues._PRIMES.take(45), points), seed=points)
 
     def test_dropped_primes(self):
         table = lane_primes(120)
         for dropped in ({table[0]}, {table[1], table[40], table[89]}, set(table[:30])):
             p = residues._choose_primes(prod(table[:100]), dropped)
-            assert not dropped & set(p.tolist()) and len(p) >= SWITCH
+            assert not dropped & set(p.tolist())
             self.assert_inverse(p)
 
-    @pytest.mark.parametrize("order", ["small-first", "small-last", "small-only"])
-    def test_no_common_high_window(self, order):
-        table = lane_primes(SWITCH)
-        p = {"small-first": SMALL_PRIMES + table, "small-last": table + SMALL_PRIMES,
-             "small-only": SMALL_PRIMES}[order]
-        assert len(p) >= SWITCH
-        for seed in range(3):
-            self.assert_inverse(p, seed)
-
-    def test_the_first_prime_repeated(self):
-        # every exponent the same: no window is gathered
-        for q in (2, 3, LANE_0_PRIME):
-            self.assert_inverse([q] * SWITCH)
+    def test_primes_of_any_size(self):
+        for p in (SMALL_PRIMES, SMALL_PRIMES + lane_primes(20), [2, 3, LANE_0_PRIME]):
+            self.assert_inverse(p)
 
 
 class TestLanes:
@@ -916,11 +872,11 @@ class TestLanes:
     ], ids=["-2^63-1", "-2^63", "0", "2^63-1", "2^63", "10000-bit", "list", "list-beyond",
             "rows", "rows-beyond"])
     def test_x_mod_each_prime(self, x):
-        p = residues._PRIMES.take(SWITCH + 3)
+        p = residues._PRIMES.take(67)
         lanes = residues._lanes(x, p)
         assert lanes.dtype == np.int64 and lanes.tolist() == self.expected(x, p)
 
-    @pytest.mark.parametrize("K", [SWITCH + 3, 700])
+    @pytest.mark.parametrize("K", [67, 700])
     def test_limb_product(self, K):
         """The limb product is x % q in every lane, inside int64 as well as
         past it, at one chunk of primes and at several."""
@@ -931,8 +887,8 @@ class TestLanes:
 
     def test_bands_convert_their_wide_entries_once(self, monkeypatch):
         """Every entry beyond int64, in the bands and the right-hand sides,
-        is converted by one limb product when the lane is set up, and a
-        block read converts none."""
+        is converted by one limb product when the elimination is set up,
+        and a row read converts none."""
         calls = []
         wide_lanes = residues._wide_lanes
 
@@ -952,101 +908,93 @@ class TestLanes:
 
 
 class TestOverrideShift:
-    """The lanes of point s sweep H'(s) = H' + s diag(L) G: the pivot rule
-    adds the lanes of s L_i to pivot i, once, for each i in G."""
-
-    def test_factor_lanes_are_those_of_each_point(self, monkeypatch):
-        # rows 1, 5 and 9 zero, entries rational so that L_i > 1
-        H = rational_entries(zero_rows(random_instance(16, 1, "diagonally-dominant"), (1, 5, 9)), 1)
-        scales, bands, _ = row_scaled(H, [])
-        assert len(set(scales)) > 1
-        sweep, sweeps = kernels.sweep, []
-
-        def counted(*args):
-            # a shift that misses its pivot leaves that pivot zero at every
-            # point, and the lane would sweep again without end
-            sweeps.append(1)
-            assert len(sweeps) <= 8
-            return sweep(*args)
-
-        monkeypatch.setattr(kernels, "sweep", counted)
-        # a zero column adds nothing to the row norms: K is that of det H
-        with substitutions() as calls:
-            overrides = residues.adjugate(*row_scaled(H, [[0] * H.n]))[1]
-        assert overrides == (1, 5, 9) and len(sweeps) == 4
-        ((fd, _, _, _),) = calls
-        p = fd.alpha[1].p
-        K = len(p) // (len(overrides) + 1)
-        names = ("alpha", "f", "e", "g", "z", "k", "h", "v", "w")
-        for k, s in enumerate(range(1, len(overrides) + 2)):
-            shifted = [[Fr(v + s * L if band is bands[3] and i in overrides else v)
-                        for i, (v, L) in enumerate(zip(band, scales), start=1)]
-                       for band in bands]
-            exact = kernels.factor_vectors(
-                sweep(*([None, *band] for band in shifted), lambda value, i: value))
-            primes = p[k * K:(k + 1) * K].tolist()
-            for name, expected in zip(names, exact):
-                got = getattr(fd, name)
-                for i, (x, y) in enumerate(zip(got, expected)):
-                    assert (x is None) == (y is None), (name, i)
-                    if y is not None:
-                        lanes = x.reduced()[k * K:(k + 1) * K].tolist()
-                        assert lanes == [y.numerator * pow(y.denominator, -1, q) % q
-                                         for q in primes], (name, i, s)
-
-
-class TestBandBlocks:
-    """A band reduces a block of ``_BLOCK`` entries per numpy call and keeps
-    that block's values while its reads stay in the block."""
+    """The lanes of point s eliminate H'(s) = H' + s diag(L) G: d'_i gains
+    the lanes of s L_i as row i is read, for i in G in the first window, in
+    a later window row, in the last eight rows and at a border row."""
 
     @staticmethod
-    def entries(n, seed=0):
-        rng = random.Random(seed)
-        values = [rng.randint(-(2**63), 2**63 - 1) for _ in range(n)]
-        # beyond int64 in one block, and p - 1 and p
-        values[residues._BLOCK + 3] = 2**70 + 5
-        values[residues._BLOCK + 4] = -(2**90)
-        values[2], values[3] = LANE_0_PRIME - 1, LANE_0_PRIME
-        return values
+    def point_lanes(H, columns, rows, s):
+        """(det H'(s), det H'(s) * x(s), column after column) as ints."""
+        scales, bands, rhs = row_scaled(H, columns)
+        d = [v + s * L if i in rows else v
+             for i, (v, L) in enumerate(zip(bands[3], scales), start=1)]
+        dense = to_dense(CyclicHeptaMatrix(H.n, *bands[:3], d, *bands[4:]))
+        det, S = dense_det(dense), dense_inverse(dense)
+        return int(det), [int(det * v) for r in rhs for v in times(S, r)]
 
-    def test_reads_in_any_order(self):
-        p = residues._PRIMES.take(SWITCH)
-        n = 3 * residues._BLOCK + 5
-        values = self.entries(n)
-        band = residues._bands([values], p)[0]
-        order = [*range(1, n + 1), *range(n, 0, -1)]
-        order += random.Random(1).sample(range(1, n + 1), n)
-        for i in order:
-            value = band[i]
-            assert value.b == 2**30 - 1
-            assert value.v.tolist() == [values[i - 1] % q for q in p.tolist()]
-        assert len(band) == n + 1
+    @pytest.mark.parametrize("rows", [(1, 5, 9), (6,), (12,), (15,), (16,)])
+    def test_lanes_are_those_of_each_point(self, rows):
+        H = random_instance(16, 1, "diagonally-dominant")
+        if len(rows) > 1:
+            H = rational_entries(zero_rows(H, rows), 1)
+        else:
+            H = pivot_zeroed(rational_entries(H, 1), rows[0])
+        scales, _, _ = row_scaled(H)
+        assert len(set(scales)) > 1
+        columns = rhs_columns(16, 1)
+        with eliminations() as calls:
+            overrides = residues.solve(H, columns)[1]
+        assert overrides == rows
+        ((band, _, _, shifts, det, Y),) = calls
+        assert sorted(shifts) == list(rows)
+        K = len(band.p) // (len(rows) + 1)
+        for k, s in enumerate(range(1, len(rows) + 2)):
+            primes = band.p[k * K:(k + 1) * K].tolist()
+            ref_det, ref = self.point_lanes(H, columns, rows, s)
+            assert det[k * K:(k + 1) * K].tolist() == [ref_det % q for q in primes], s
+            got = np.moveaxis(Y[:, :, k * K:(k + 1) * K], 1, 0).reshape(-1, K)
+            assert got.tolist() == [[v % q for q in primes] for v in ref], s
 
-    def test_a_repeat_read_is_the_same_value(self):
-        p = residues._PRIMES.take(8)
-        band = residues._bands([range(1, 3 * residues._BLOCK)], p)[0]
-        first = band[3]
-        assert band[3] is first and band[residues._BLOCK] is band[residues._BLOCK]
-        band[residues._BLOCK + 1]  # the next block
-        again = band[3]
-        assert again is not first and again.v.tolist() == first.v.tolist()
 
-    def test_blocks_are_aligned(self):
-        p = residues._PRIMES.take(8)
-        band = residues._bands([range(100)], p)[0]
-        for i, start in ((1, 1), (residues._BLOCK, 1), (residues._BLOCK + 1, residues._BLOCK + 1),
-                         (100, 100 - (100 - 1) % residues._BLOCK)):
-            band[i]
-            assert band.block[0] == start
-        assert len(band.block[1]) == 100 - band.block[0] + 1
+class TestWideEntries:
+    """An entry beyond int64 is converted once per elimination, into the one
+    table that every read of it takes its lanes from, so the elimination
+    holds its lanes once."""
 
-    def test_factor_entries_pin_at_most_one_block_per_band(self):
-        # g_1 = a_1, z_1 = A_1, v_1 = b_1, w_1 = B_1 and alpha_1 = d_1 are
-        # band values: each keeps one block of its band alive, no more
-        fd = residue_factors(random_instance(256, 1, "diagonally-dominant"))
-        K = len(fd.alpha[1].p)
-        blocks = {id(x.v.base): x.v.base.shape
-                  for vector in (fd.alpha, fd.f, fd.e, fd.g, fd.z, fd.k, fd.h, fd.v, fd.w)
-                  for x in vector if x is not None and x.v.base is not None}
-        assert len(blocks) == 5
-        assert set(blocks.values()) == {(residues._BLOCK, K)}
+    def test_reads_are_rows_of_the_table(self):
+        H = random_instance(12, 2, "diagonally-dominant")
+        big = 10**30
+        H = with_bands(H, a=[v * big for v in H.band("a")], C=[v * big for v in H.band("C")])
+        columns = [[big * (i % 3) - i for i in range(12)], list(range(12))]
+        scales, bands, rhs = row_scaled(H, columns)
+        p = residues._PRIMES.take(20)
+        band, rows = residues._readers(bands, rhs)(p)
+        assert band.table is rows.table and len(band.wide) > 1 and len(rows.wide) == 8
+        for reader, value in ((band, lambda i, c: bands[(c - i + 2) % 7][i]),
+                              (rows, lambda i, c: rhs[c][i])):
+            for i, entries in reader.wide.items():
+                out = np.zeros_like(reader.ints[i, :, None] * p)
+                reader.read(out, i)
+                for c, _ in entries:
+                    lanes = reader.entry(i, c)
+                    assert np.shares_memory(lanes, reader.table)
+                    assert abs(value(i, c)) >= 2**63
+                    assert lanes.tolist() == out[c].tolist() == [value(i, c) % q for q in p.tolist()]
+
+    def test_big_entry_det_holds_its_lanes_once(self, monkeypatch):
+        # n = 8, every nonzero entry of 3,000 digits: the elimination holds
+        # the table's lanes and the last eight rows, 8 x 8 lane vectors;
+        # each read's copy of the table, held as blocks were, took the
+        # tracemalloc peak from 149 to 197 vectors of K lanes
+        H = random_instance(8, 1, "diagonally-dominant")
+        rng = random.Random(3000)
+        H = with_bands(H, **{name: [v if v == 0 else rng.choice((-1, 1)) * rng.randrange(10**2999, 10**3000)
+                                    for v in H.band(name)] for name in BAND_NAMES})
+        expected = determinant(H).value
+        sizes = []
+        wide_lanes = residues._wide_lanes
+
+        def counted(xs, p):
+            sizes.append((len(xs), len(p)))
+            return wide_lanes(xs, p)
+
+        monkeypatch.setattr(residues, "_wide_lanes", counted)
+        tracemalloc.start()
+        try:
+            assert determinant(H).value == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ((wide, K),) = sizes
+        assert wide == 48 and K > 2000
+        assert peak < (wide + 64 + 48) * 8 * K

@@ -253,10 +253,15 @@ class TestScalarText:
                 return str(exc)
 
         def regex_route():
+            # a text past the digit limit is read with the limit lifted
+            inner = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
             try:
                 return Fr(text.strip())
             except ValueError as exc:
                 raise ValueError(f"invalid scalar {text!r}") from exc
+            finally:
+                sys.set_int_max_str_digits(inner)
 
         saved = sys.get_int_max_str_digits()
         if limit is not None:
@@ -274,6 +279,35 @@ class TestScalarText:
     def test_round_trip(self):
         for v in (Fr(22, 7), Fr(-1, 3), Fr(0), Fr(10**30, 7)):
             assert parse_scalar(format_scalar(v)) == v
+
+    @pytest.mark.parametrize("limit", [None, 640, 5000])
+    def test_round_trip_past_the_digit_limit(self, limit):
+        # what format_scalar writes past the limit reads back, with the
+        # limit lifted for the parse only
+        saved = sys.get_int_max_str_digits()
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        try:
+            expected = sys.get_int_max_str_digits()
+            for v in (Fr(LONG + 1), Fr(-LONG - 1, 3), Fr(7, LONG + 3), Fr(-(10**9000), 10**8999 + 1)):
+                assert parse_scalar(format_scalar(v)) == v
+                assert sys.get_int_max_str_digits() == expected
+            text = "-1." + "25" * 3000 + "e-7"
+            # 0.2525...25, 3,000 pairs of digits
+            pairs = Fr((100**3000 - 1) // 99 * 25, 100**3000)
+            assert parse_scalar(text) == -(1 + pairs) / 10**7
+            assert parse_scalar(" +" + "9" * 5000 + " ") == 10**5000 - 1
+            assert sys.get_int_max_str_digits() == expected
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("text", ["1" * 5000 + "x", "1" * 5000 + "/0", "1/" + "0" * 5000,
+                                      "1" * 5000 + "e100001"])
+    def test_a_refused_long_text_restores_the_limit(self, text):
+        saved = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError, match="invalid scalar"):
+            parse_scalar(text)
+        assert sys.get_int_max_str_digits() == saved
 
 
 def test_indeterminate_renders_as_t():
