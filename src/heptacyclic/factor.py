@@ -163,9 +163,10 @@ def determinant(H: CyclicHeptaMatrix, backend: str = "exact", tol: float = 1e-12
     with the points of H + s*G as extra lanes when a pivot is structurally
     zero, and holds its window of six rows.  The float lane's pivots join
     the product as the sweep hands its rows over, so it holds the sweep's
-    window of eight rows, not nine vectors of n entries.  ``pivot_overrides``
-    counts the pivots found structurally zero; a singular H gives value 0,
-    not an error.  The float lane refuses pivots as ``factorize`` does.
+    three register rows and its last eight, not nine vectors of n entries.
+    ``pivot_overrides`` counts the pivots found structurally zero; a
+    singular H gives value 0, not an error.  The float lane refuses pivots
+    as ``factorize`` does.
     """
     if backend == "exact":
         from . import residues  # residues imports this module, so it loads here

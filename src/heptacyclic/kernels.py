@@ -13,15 +13,17 @@ solve and inverse do not run them: they eliminate over residue lanes
 without dividing (``residues``), with the same pivots in the same order.
 
 ``sweep`` streams: a generator, it hands row i's factor entries over, in
-row order, once no recurrence reads them again, and keeps only the rows
-they read back to, i-3 in the loop and n-7 at the border closures.  The
-closures' border sums (sum_j v_j k_j, w_j k_j, h_j w_j and v_j h_j) are
-added up as their entries are made, in ascending j, with the products and
-additions of ``_ksum`` in its order, so every field sees the operations
-that ``_ksum`` makes over kept vectors.  A determinant keeps no row, only
-the pivot product, so it holds the sweep's eight rows; ``factorize``
-collects every row (``factor_vectors``), since the substitutions read the
-whole factors.
+row order, once no recurrence reads them again.  Its row loop holds rows
+i-3 to i-1 in local registers, shifted by one each row, and reads the
+bands through one zip, with no subscript; only the three head rows and
+the last eight rows, which the head formulas and the border closures read
+by index, live in small maps.  The closures' border sums (sum_j v_j k_j,
+w_j k_j, h_j w_j and v_j h_j) are added up as their entries are made, in
+ascending j, with the products and additions of ``_ksum`` in its order, so
+every field sees the operations that ``_ksum`` makes over kept vectors.
+A determinant keeps no row, only the pivot product, so it holds the
+sweep's registers and its eight kept rows; ``factorize`` collects every
+row (``factor_vectors``), since the substitutions read the whole factors.
 
 The float inverse is the same ``substitute`` with numpy rows for scalars:
 the right-hand side is the identity, row by row, so x[i] comes out as row
@@ -29,21 +31,21 @@ i of the inverse, and every entry is bit-identical to the substitution of
 its identity column alone.
 
 All vectors are 1-based (length n+1, slot 0 unused) to keep the formulas
-aligned with the band indexing; in the sweep's own vectors only the slots
-of the window hold entries.
+aligned with the band indexing.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .errors import NearSingularPivotError
 
 
-def _ksum(xs, ys, upto, start=1):
-    acc = xs[start] * ys[start]
-    for j in range(start + 1, upto + 1):
-        acc = acc + xs[j] * ys[j]
+def _ksum(xs, ys, upto):
+    acc = xs[1] * ys[1]
+    for x, y in zip(islice(xs, 2, upto + 1), islice(ys, 2, upto + 1)):
+        acc = acc + x * y
     return acc
 
 
@@ -53,17 +55,17 @@ def sweep(D, B, b, d, a, A, C, pivot):
 
     Every pivot passes through ``pivot(value, i)``, which returns the value
     to use or raises.  Entries outside a vector's index range are None.
-    Row i is yielded when it leaves the window (rows 1 to n-8 in the loop,
-    the last eight after the closures), and its slots then hold None: the
-    sweep keeps the entries of at most eight rows, whatever n.
+    Rows 1 to n-8 are yielded as they leave the loop's registers (rows i-3
+    to i-1: ``al3``, ``al2``, ``al1`` and so on); the head rows 1-3 and the
+    last eight rows live in nine small maps, for the head formulas and the
+    border closures, and the last eight are yielded after the closures.
     """
     n = len(D) - 1
-    al, f, e, g, z, k, h, v, w = ([None] * (n + 1) for _ in range(9))
+    al, f, e, g, z, k, h, v, w = maps = tuple({} for _ in range(9))
 
-    def row(j):
-        entries = al[j], f[j], e[j], g[j], z[j], k[j], h[j], v[j], w[j]
-        al[j] = f[j] = e[j] = g[j] = z[j] = k[j] = h[j] = v[j] = w[j] = None
-        return entries
+    def keep(j, *entries):
+        for vector, entry in zip(maps, entries):
+            vector[j] = entry
 
     # first three pivots and the border heads
     al[1] = pivot(d[1], 1)
@@ -94,24 +96,43 @@ def sweep(D, B, b, d, a, A, C, pivot):
         vk, wk, hw, vh = vk + v[j] * k[j], wk + w[j] * k[j], hw + h[j] * w[j], vh + v[j] * h[j]
 
     # one row loop: row i's multipliers and pivot, then the border entries
-    # of column i, which read only values that rows up to i have produced
-    for i in range(4, n - 1):
-        e[i] = (B[i] - D[i] * g[i - 3] / al[i - 3]) / al[i - 2]
-        f[i] = (b[i] - D[i] * z[i - 3] / al[i - 3] - e[i] * g[i - 2]) / al[i - 1]
-        z[i - 2] = A[i - 2] - f[i - 2] * C[i - 3]
-        g[i - 1] = a[i - 1] - f[i - 1] * z[i - 2] - e[i - 1] * C[i - 3]
-        al[i] = pivot(d[i] - D[i] * C[i - 3] / al[i - 3] - e[i] * z[i - 2] - f[i] * g[i - 1], i)
-        if i < n - 4:
-            k[i] = -(k[i - 3] * C[i - 3] + k[i - 2] * z[i - 2] + k[i - 1] * g[i - 1]) / al[i]
-            w[i] = -(D[i] * w[i - 3] / al[i - 3] + e[i] * w[i - 2] + f[i] * w[i - 1])
+    # of column i, which read only values that rows up to i have produced;
+    # g of row i-1 and z of row i-2 are made here, and are None before
+    (al3, f3, e3, g3, z3, k3, h3, v3, w3), (al2, f2, e2, g2, z2, k2, h2, v2, w2), \
+        (al1, f1, e1, g1, z1, k1, h1, v1, w1) = ([vector.get(j) for vector in maps] for j in (1, 2, 3))
+    for i, Di, Bi, bi, di, A2, a1, C3 in zip(range(4, n - 1), islice(D, 4, None), islice(B, 4, None),
+                                             islice(b, 4, None), islice(d, 4, None), islice(A, 2, None),
+                                             islice(a, 3, None), islice(C, 1, None)):
+        ei = (Bi - Di * g3 / al3) / al2
+        fi = (bi - Di * z3 / al3 - ei * g2) / al1
+        z2 = A2 - f2 * C3
+        g1 = a1 - f1 * z2 - e1 * C3
+        ali = pivot(di - Di * C3 / al3 - ei * z2 - fi * g1, i)
+        hi = vi = ki = wi = None
         if i < n - 3:
-            h[i] = -(h[i - 3] * C[i - 3] + h[i - 2] * z[i - 2] + h[i - 1] * g[i - 1]) / al[i]
-            v[i] = -(D[i] * v[i - 3] / al[i - 3] + e[i] * v[i - 2] + f[i] * v[i - 1])
-            vh = vh + v[i] * h[i]
+            hi = -(h3 * C3 + h2 * z2 + h1 * g1) / ali
+            vi = -(Di * v3 / al3 + ei * v2 + fi * v1)
+            vh = vh + vi * hi
         if i < n - 4:
-            vk, wk, hw = vk + v[i] * k[i], wk + w[i] * k[i], hw + h[i] * w[i]
+            ki = -(k3 * C3 + k2 * z2 + k1 * g1) / ali
+            wi = -(Di * w3 / al3 + ei * w2 + fi * w1)
+            vk, wk, hw = vk + vi * ki, wk + wi * ki, hw + hi * wi
             # no later step reads row i-3, and no closure reads below row n-7
-            yield row(i - 3)
+            yield al3, f3, e3, g3, z3, k3, h3, v3, w3
+        else:
+            keep(i - 3, al3, f3, e3, g3, z3, k3, h3, v3, w3)
+        al3, al2, al1 = al2, al1, ali
+        f3, f2, f1 = f2, f1, fi
+        e3, e2, e1 = e2, e1, ei
+        g3, g2, g1 = g2, g1, None
+        z3, z2, z1 = z2, z1, None
+        k3, k2, k1 = k2, k1, ki
+        h3, h2, h1 = h2, h1, hi
+        v3, v2, v1 = v2, v1, vi
+        w3, w2, w1 = w2, w1, wi
+    keep(n - 4, al3, f3, e3, g3, z3, k3, h3, v3, w3)
+    keep(n - 3, al2, f2, e2, g2, z2, k2, h2, v2, w2)
+    keep(n - 2, al1, f1, e1, g1, z1, k1, h1, v1, w1)
 
     # border closures: from here on the entries of row n-1/n and column
     # n-1/n meet the genuine bands D, B, b / C, A, a of the corner region
@@ -135,7 +156,7 @@ def sweep(D, B, b, d, a, A, C, pivot):
     h[n - 1] = (b[n] - hw) / al[n - 1]
     al[n] = pivot(d[n] - (vh + v[n - 1] * h[n - 1]), n)
     for j in range(n - 7, n + 1):
-        yield row(j)
+        yield tuple(vector.get(j) for vector in maps)
 
 
 def factor_vectors(rows):
@@ -145,60 +166,61 @@ def factor_vectors(rows):
     return list(zip((None,) * 9, *rows))
 
 
-def substitute(fd, r, start=1):
+def substitute(fd, r):
     """Forward/back substitution of one 1-based right-hand side through the
     factors in ``fd`` (a ``factor.FactorData``); returns 1-based x.  O(n).
 
-    Rows of r before ``start`` (1 <= start <= n-2) must be zero: y = r
-    there, the forward pass begins at row ``start`` and the border sums
-    skip those rows.  A unit vector e_j runs from row j on.
+    ``r`` is read once, in row order: any iterable of n + 1 slots, slot 0
+    unused.  Both passes keep their last three values in registers.
     """
     n = fd.n
     al, f, e, g, z, k, h, v, w = fd.alpha, fd.f, fd.e, fd.g, fd.z, fd.k, fd.h, fd.v, fd.w
     D, C = fd.D, fd.C
 
-    y = [None] * (n + 1)
-    for i in range(1, max(start, 2)):
-        y[i] = r[i]
-    if start <= 2:
-        y[2] = r[2] - f[2] * y[1]
-    if start <= 3:
-        y[3] = r[3] - f[3] * y[2] - e[3] * y[1]
-    for i in range(max(start, 4), n - 1):
-        y[i] = r[i] - f[i] * y[i - 1] - e[i] * y[i - 2] - D[i] * y[i - 3] / al[i - 3]
-    y[n - 1] = r[n - 1] - _ksum(k, y, n - 2, start)
-    y[n] = r[n] - _ksum(h, y, n - 1, start)
+    rows = islice(r, 1, None)
+    y3 = next(rows)
+    y2 = next(rows) - f[2] * y3
+    y1 = next(rows) - f[3] * y2 - e[3] * y3
+    y = [None, y3, y2, y1]
+    for ri, fi, ei, Di, al3 in zip(islice(rows, n - 5), islice(f, 4, None), islice(e, 4, None),
+                                   islice(D, 4, None), islice(al, 1, None)):
+        y3, y2, y1 = y2, y1, ri - fi * y1 - ei * y2 - Di * y3 / al3
+        y.append(y1)
+    y.append(next(rows) - _ksum(k, y, n - 2))
+    y.append(next(rows) - _ksum(h, y, n - 1))
 
-    x = [None] * (n + 1)
-    x[n] = y[n] / al[n]
-    x[n - 1] = (y[n - 1] - v[n - 1] * x[n]) / al[n - 1]
-    for i in range(n - 2, 0, -1):
-        acc = y[i] - w[i] * x[n - 1] - v[i] * x[n]
-        if i + 1 <= n - 2:
-            acc = acc - g[i] * x[i + 1]
-        if i + 2 <= n - 2:
-            acc = acc - z[i] * x[i + 2]
-        if i + 3 <= n - 2:
-            acc = acc - C[i] * x[i + 3]
-        x[i] = acc / al[i]
+    xn = y[n] / al[n]
+    xn1 = (y[n - 1] - v[n - 1] * xn) / al[n - 1]
+    x = [xn, xn1]  # descending, turned round at the end
+    # rows n-2 down to 1; U has no g in row n-2, no z past row n-4 and no C
+    # past row n-5, where the registers x1, x2, x3 of x_{i+1..i+3} are None
+    x1 = x2 = x3 = None
+    backwards = (islice(reversed(vector), 2, n) for vector in (y, w, v, g, z, C, al))
+    for yi, wi, vi, gi, zi, Ci, ali in zip(*backwards):
+        acc = yi - wi * xn1 - vi * xn
+        if x3 is not None:
+            acc = acc - gi * x1 - zi * x2 - Ci * x3
+        elif x2 is not None:
+            acc = acc - gi * x1 - zi * x2
+        elif x1 is not None:
+            acc = acc - gi * x1
+        x3, x2, x1 = x2, x1, acc / ali
+        x.append(x1)
+    x.append(None)
+    x.reverse()
     return x
 
 
-class _IdentityRows:
+def _identity_rows(n):
     """1-based rows of the n x n float64 identity, each made when it is
     read, so the identity is never held whole."""
+    import numpy as np
 
-    __slots__ = ("n",)
-
-    def __init__(self, n):
-        self.n = n
-
-    def __getitem__(self, i):
-        import numpy as np
-
-        row = np.zeros(self.n)
-        row[i - 1] = 1.0
-        return row
+    yield None
+    for i in range(n):
+        row = np.zeros(n)
+        row[i] = 1.0
+        yield row
 
 
 def invert(fd):
@@ -209,7 +231,7 @@ def invert(fd):
     the substitution of its identity column alone."""
     import numpy as np  # loaded on first use, outside the import time of the package
 
-    return np.stack(substitute(fd, _IdentityRows(fd.n))[1:])
+    return np.stack(substitute(fd, _identity_rows(fd.n))[1:])
 
 
 # The float lane calls these through the table, looked up at call time, so a

@@ -838,17 +838,6 @@ class TestSubstitutionStart:
             assert x == [sum(u * v for u, v in zip(row, r)) for r in columns for row in S.rows]
         assert x == [0] * n
 
-    @pytest.mark.parametrize("profile", ["general", "zero-pivot-prone"])
-    def test_fraction_factors(self, profile):
-        H = random_instance(14, 3, profile)
-        fd = factorize(H)
-        assert bool(fd.overrides) == (profile == "zero-pivot-prone")
-        rng = random.Random(14)
-        for j in (1, 4, 14 - 5, 14 - 4):
-            r = [None, *[Fr(0)] * (j - 1), Fr(rng.choice((-3, 2, 7)), 5)]
-            r += [Fr(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(14 - j)]
-            assert kernels.substitute(fd, r, start=j) == kernels.substitute(fd, r)
-
     @pytest.mark.parametrize("H", [
         zero_c_at(random_instance(20, 4, "diagonally-dominant"), (1,)),
         zero_c_at(random_instance(20, 4, "diagonally-dominant"), (15,)),

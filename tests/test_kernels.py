@@ -12,10 +12,12 @@ import pytest
 
 import heptacyclic
 from heptacyclic import kernels
+from heptacyclic.bench import count_det_ops
 from heptacyclic.errors import NearSingularPivotError
 from heptacyclic.factor import determinant, factorize, lu_substitute
 from heptacyclic.inverse import invert, inverse_float
 from heptacyclic.matrix import BAND_NAMES, random_instance
+from heptacyclic.scalars import RatFun, T
 from heptacyclic.solve import solve_many
 
 from test_factor import duplicated_row_matrix
@@ -206,16 +208,24 @@ def test_pure_numpy_flag_has_no_effect():
 
 FACTORS = ("alpha", "f", "e", "g", "z", "k", "h", "v", "w")
 # sha256 of the float.hex texts of the nine factor vectors, as the sweep of
-# three consecutive loops (the interior, then k and w, then h and v) gave them
+# three consecutive loops (the interior, then k and w, then h and v) gave them;
+# n = 10, 11 and 13, the orders around the register loop's last rows, as the
+# one loop over nine n-slot lists gave them
 FLOAT_FACTOR_DIGESTS = {
     ("diagonally-dominant", 8): "57b646642d3a582825ce648de402736036f89663030fcd62e018e7a5b371b5b8",
     ("diagonally-dominant", 9): "86bad21ab97d254646a7daab69294f56b1aa48f4ce6ee8a1c760240c2fc74e7e",
+    ("diagonally-dominant", 10): "e8b6c24977959b3256d3ffb139f58ac2e1efd10a586ee4662ad4e9111eef981a",
+    ("diagonally-dominant", 11): "b4f7c550da36b5040306103054962bf04fab704c4d6362a66312057d905de8d7",
     ("diagonally-dominant", 12): "aeaab9f57e4a9754aa61b8931a9086f169cb0fbb29f6a2e2ff42320ad73b5ac9",
+    ("diagonally-dominant", 13): "ef25eb0cc245a8b8c8c2ab00c3cc6f47101ae174d36557a0742c44fcc50ac7c9",
     ("diagonally-dominant", 64): "c8434612a6526343f580ccb6350278584c42d576277a257920a64e039ad8b098",
     ("diagonally-dominant", 257): "8a70d4b1823aae91dbb4dad9d78dd37c749040eabf08ff34786ee4f57edf3fb4",
     ("general", 8): "0afc84ec2e019a32b72db93a4bbbbe0ab520d74dbf9ed6a325a6ea89e2b7dfe2",
     ("general", 9): "d44d620c6ab6512308b5dc23b0b30f39d9c8871cbcc3f9d788054be37382868b",
+    ("general", 10): "f6066362d3a2a70c1e5fc99a0c6845a7cdd5c2b49158484a489115c0d2def763",
+    ("general", 11): "75d80d90f58f745b79de2fa93d71a01e24e6350c5de260e7b8f8026b199b8e29",
     ("general", 12): "f8a5597a8fe18a4f87f3c99f826609cefb08d8e2ee88297bf0a86b2027967af7",
+    ("general", 13): "ec8235f6af402cc37934c5a90141e03921846d15e3133c763f7d4c4a1da8dde9",
     ("general", 64): "2847434b2670f60933fd4e6df424ae4e5d1d8d6b00bf514b165357ea758822b3",
     ("general", 257): "82c400c861719e0640bc034308e78257867d90873b33a5b80c2a4e71272e3b20",
 }
@@ -234,16 +244,23 @@ def test_float_sweep_bits_are_pinned(profile, n):
 
 
 # float.hex of the float determinant over the corpus of the factor digests,
-# as the pivot product of ``factorize``'s vectors gave it
+# as the pivot product of ``factorize``'s vectors gave it (n = 10, 11 and 13:
+# as the streamed sweep over nine n-slot lists gave it)
 FLOAT_DET_HEX = {
     ("diagonally-dominant", 8): "0x1.5c4824711ffffp+37",
     ("diagonally-dominant", 9): "0x1.29c4391659002p+44",
+    ("diagonally-dominant", 10): "0x1.6d74ec34e0c81p+48",
+    ("diagonally-dominant", 11): "-0x1.e985166b8a32bp+54",
     ("diagonally-dominant", 12): "0x1.5352247570f25p+57",
+    ("diagonally-dominant", 13): "0x1.f0041de128b47p+65",
     ("diagonally-dominant", 64): "-0x1.0af3d1a80654fp+320",
     ("diagonally-dominant", 257): "-inf",
     ("general", 8): "0x1.613f6fffffff7p+22",
     ("general", 9): "-0x1.fb5a56ffffff8p+26",
+    ("general", 10): "0x1.12011ba800002p+30",
+    ("general", 11): "-0x1.944069eb00002p+33",
     ("general", 12): "-0x1.f577e7de00025p+33",
+    ("general", 13): "0x1.44ad4f4a90ff9p+40",
     ("general", 64): "0x1.5d90de86f0ffcp+198",
     ("general", 257): "0x1.7b013b7fda371p+775",
 }
@@ -293,3 +310,200 @@ def test_band_shift_is_a_pivot_shift(n, row):
     for name, u, v in zip(FACTORS, by_band, by_pivot):
         assert u == v, name
     assert by_band[0][i] != kernels.factor_vectors(kernels.sweep(*bands, lambda value, k: value))[0][i]
+
+
+# The oracle of the register kernels: the sweep and the substitution over
+# nine n-slot lists, indexed by row, as they ran before the registers.
+
+def _list_ksum(xs, ys, upto):
+    acc = xs[1] * ys[1]
+    for j in range(2, upto + 1):
+        acc = acc + xs[j] * ys[j]
+    return acc
+
+
+def list_sweep(D, B, b, d, a, A, C, pivot):
+    n = len(D) - 1
+    al, f, e, g, z, k, h, v, w = ([None] * (n + 1) for _ in range(9))
+
+    def row(j):
+        entries = al[j], f[j], e[j], g[j], z[j], k[j], h[j], v[j], w[j]
+        al[j] = f[j] = e[j] = g[j] = z[j] = k[j] = h[j] = v[j] = w[j] = None
+        return entries
+
+    al[1] = pivot(d[1], 1)
+    g[1] = a[1]
+    z[1] = A[1]
+    k[1] = A[n - 1] / al[1]
+    v[1] = b[1]
+    w[1] = B[1]
+    h[1] = a[n] / al[1]
+    f[2] = b[2] / al[1]
+    e[3] = B[3] / al[1]
+    al[2] = pivot(d[2] - f[2] * g[1], 2)
+    k[2] = -k[1] * g[1] / al[2]
+    v[2] = B[2] - f[2] * v[1]
+    w[2] = -f[2] * w[1]
+    h[2] = (A[n] - h[1] * g[1]) / al[2]
+    g[2] = a[2] - f[2] * z[1]
+    f[3] = (b[3] - e[3] * g[1]) / al[2]
+    al[3] = pivot(d[3] - e[3] * z[1] - f[3] * g[2], 3)
+    k[3] = -(k[1] * z[1] + k[2] * g[2]) / al[3]
+    h[3] = -(h[1] * z[1] + h[2] * g[2]) / al[3]
+    v[3] = -e[3] * v[1] - f[3] * v[2]
+    w[3] = -f[3] * w[2] - e[3] * w[1]
+
+    vk, wk, hw, vh = v[1] * k[1], w[1] * k[1], h[1] * w[1], v[1] * h[1]
+    for j in (2, 3):
+        vk, wk, hw, vh = vk + v[j] * k[j], wk + w[j] * k[j], hw + h[j] * w[j], vh + v[j] * h[j]
+
+    for i in range(4, n - 1):
+        e[i] = (B[i] - D[i] * g[i - 3] / al[i - 3]) / al[i - 2]
+        f[i] = (b[i] - D[i] * z[i - 3] / al[i - 3] - e[i] * g[i - 2]) / al[i - 1]
+        z[i - 2] = A[i - 2] - f[i - 2] * C[i - 3]
+        g[i - 1] = a[i - 1] - f[i - 1] * z[i - 2] - e[i - 1] * C[i - 3]
+        al[i] = pivot(d[i] - D[i] * C[i - 3] / al[i - 3] - e[i] * z[i - 2] - f[i] * g[i - 1], i)
+        if i < n - 4:
+            k[i] = -(k[i - 3] * C[i - 3] + k[i - 2] * z[i - 2] + k[i - 1] * g[i - 1]) / al[i]
+            w[i] = -(D[i] * w[i - 3] / al[i - 3] + e[i] * w[i - 2] + f[i] * w[i - 1])
+        if i < n - 3:
+            h[i] = -(h[i - 3] * C[i - 3] + h[i - 2] * z[i - 2] + h[i - 1] * g[i - 1]) / al[i]
+            v[i] = -(D[i] * v[i - 3] / al[i - 3] + e[i] * v[i - 2] + f[i] * v[i - 1])
+            vh = vh + v[i] * h[i]
+        if i < n - 4:
+            vk, wk, hw = vk + v[i] * k[i], wk + w[i] * k[i], hw + h[i] * w[i]
+            yield row(i - 3)
+
+    k[n - 4] = (D[n - 1] - k[n - 7] * C[n - 7] - k[n - 6] * z[n - 6] - k[n - 5] * g[n - 5]) / al[n - 4]
+    k[n - 3] = (B[n - 1] - k[n - 6] * C[n - 6] - k[n - 5] * z[n - 5] - k[n - 4] * g[n - 4]) / al[n - 3]
+    k[n - 2] = (b[n - 1] - k[n - 5] * C[n - 5] - k[n - 4] * z[n - 4] - k[n - 3] * g[n - 3]) / al[n - 2]
+    w[n - 4] = C[n - 4] - D[n - 4] * w[n - 7] / al[n - 7] - e[n - 4] * w[n - 6] - f[n - 4] * w[n - 5]
+    w[n - 3] = A[n - 3] - D[n - 3] * w[n - 6] / al[n - 6] - e[n - 3] * w[n - 5] - f[n - 3] * w[n - 4]
+    w[n - 2] = a[n - 2] - D[n - 2] * w[n - 5] / al[n - 5] - e[n - 2] * w[n - 4] - f[n - 2] * w[n - 3]
+    h[n - 3] = (D[n] - h[n - 6] * C[n - 6] - h[n - 5] * z[n - 5] - h[n - 4] * g[n - 4]) / al[n - 3]
+    h[n - 2] = (B[n] - h[n - 5] * C[n - 5] - h[n - 4] * z[n - 4] - h[n - 3] * g[n - 3]) / al[n - 2]
+    v[n - 3] = C[n - 3] - D[n - 3] * v[n - 6] / al[n - 6] - e[n - 3] * v[n - 5] - f[n - 3] * v[n - 4]
+    v[n - 2] = A[n - 2] - D[n - 2] * v[n - 5] / al[n - 5] - e[n - 2] * v[n - 4] - f[n - 2] * v[n - 3]
+    for j in range(n - 4, n - 1):
+        vk, wk, hw = vk + v[j] * k[j], wk + w[j] * k[j], hw + h[j] * w[j]
+    vh = vh + v[n - 3] * h[n - 3] + v[n - 2] * h[n - 2]
+    v[n - 1] = a[n - 1] - vk
+    al[n - 1] = pivot(d[n - 1] - wk, n - 1)
+    h[n - 1] = (b[n] - hw) / al[n - 1]
+    al[n] = pivot(d[n] - (vh + v[n - 1] * h[n - 1]), n)
+    for j in range(n - 7, n + 1):
+        yield row(j)
+
+
+def list_substitute(fd, r):
+    n = fd.n
+    al, f, e, g, z, k, h, v, w = fd.alpha, fd.f, fd.e, fd.g, fd.z, fd.k, fd.h, fd.v, fd.w
+    D, C = fd.D, fd.C
+
+    y = [None] * (n + 1)
+    y[1] = r[1]
+    y[2] = r[2] - f[2] * y[1]
+    y[3] = r[3] - f[3] * y[2] - e[3] * y[1]
+    for i in range(4, n - 1):
+        y[i] = r[i] - f[i] * y[i - 1] - e[i] * y[i - 2] - D[i] * y[i - 3] / al[i - 3]
+    y[n - 1] = r[n - 1] - _list_ksum(k, y, n - 2)
+    y[n] = r[n] - _list_ksum(h, y, n - 1)
+
+    x = [None] * (n + 1)
+    x[n] = y[n] / al[n]
+    x[n - 1] = (y[n - 1] - v[n - 1] * x[n]) / al[n - 1]
+    for i in range(n - 2, 0, -1):
+        acc = y[i] - w[i] * x[n - 1] - v[i] * x[n]
+        if i + 1 <= n - 2:
+            acc = acc - g[i] * x[i + 1]
+        if i + 2 <= n - 2:
+            acc = acc - z[i] * x[i + 2]
+        if i + 3 <= n - 2:
+            acc = acc - C[i] * x[i + 3]
+        x[i] = acc / al[i]
+    return x
+
+
+REFERENCE_ORDERS = [*range(8, 25), 33, 64, 257]
+
+
+def float_key(entries):
+    return [None if x is None else float.hex(x) for x in entries]
+
+
+def reference_rhs(n, field):
+    return [None, *(field((k * 7) % 11 - 5) for k in range(n))]
+
+
+@pytest.mark.parametrize("n", REFERENCE_ORDERS)
+@pytest.mark.parametrize("profile", ["diagonally-dominant", "general"])
+def test_register_kernels_match_the_lists_on_floats(profile, n):
+    """Every float the register loops make is the list loops' float, bit
+    for bit: the rows of the sweep, the determinant, one solve and the
+    inverse (signs of zero included)."""
+    H = random_instance(n, 3, profile)
+    fb = H.float_bands()
+    bands = [fb[name] for name in BAND_NAMES]
+    pivot = kernels.float_pivot(fb, 1e-12)
+    rows = [float_key(row) for row in kernels.sweep(*bands, pivot)]
+    assert rows == [float_key(row) for row in list_sweep(*bands, pivot)]
+    assert float.hex(determinant(H, "float").value) == float.hex(
+        kernels.pivot_product(row[0] for row in list_sweep(*bands, pivot)))
+
+    fd = factorize(H, "float")
+    r = reference_rhs(n, float)
+    assert float_key(kernels.substitute(fd, r)) == float_key(list_substitute(fd, r))
+    S = kernels.invert(fd)
+    ref = np.stack(list_substitute(fd, [None, *np.eye(n)])[1:])
+    assert S.tobytes() == ref.tobytes()
+    assert np.array_equal(np.signbit(S), np.signbit(ref))
+
+
+# a RatFun sweep at n = 257 takes seconds, so that order runs over Fractions only
+@pytest.mark.parametrize("profile, n", [
+    *(("diagonally-dominant", n) for n in REFERENCE_ORDERS),
+    *(("zero-pivot-prone", n) for n in REFERENCE_ORDERS if n < 257),
+])
+def test_register_kernels_match_the_lists_on_exact_fields(profile, n):
+    """Over Fractions, and over RatFun once the T rule overrides a zero
+    pivot, the register loops give the rows and x of the list loops; the
+    op counter counts the same operations."""
+    H = random_instance(n, 3, profile)
+    bands = [[None, *H.band(name)] for name in BAND_NAMES]
+
+    def t_rule(value, i):
+        return T if value == 0 else value
+
+    rows = list(kernels.sweep(*bands, t_rule))
+    assert rows == list(list_sweep(*bands, t_rule))
+    assert any(isinstance(row[0], RatFun) for row in rows) == (profile == "zero-pivot-prone")
+
+    fd = factorize(H)
+    r = reference_rhs(n, Fr)
+    assert kernels.substitute(fd, r) == list_substitute(fd, r)
+
+    if profile == "diagonally-dominant":
+        ops = count_det_ops(H)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(kernels, "sweep", list_sweep)
+            assert count_det_ops(H) == ops == 60 * n - 226
+
+
+def test_float_inverse_makes_n_identity_rows(monkeypatch):
+    # the substitution reads its right-hand side once, in row order, so the
+    # inverse makes each identity row once
+    made = []
+    identity_rows = kernels._identity_rows
+
+    def counted(n):
+        for row in identity_rows(n):
+            if row is not None:
+                made.append(row)
+            yield row
+
+    monkeypatch.setattr(kernels, "_identity_rows", counted)
+    for n in (8, 13, 64):
+        made.clear()
+        S = inverse_float(random_instance(n, 3, "diagonally-dominant"))
+        assert len(made) == n and np.array_equal(np.stack(made), np.eye(n))
+        assert S.shape == (n, n)
